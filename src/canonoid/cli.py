@@ -174,22 +174,11 @@ def validate_config(data):
         raise ConfigError(f"hamiltonian: {e}") from e
 
     tr_map = _require(data, "transform", dict, "transform")
-    missing = [v for v in g.chart_vars if v not in tr_map]
-    extra = [k for k in tr_map if k not in g.chart_vars]
-    if missing:
-        raise ConfigError(f"transform: missing component(s) {missing}")
-    if extra:
-        raise ConfigError(f"transform: unexpected key(s) {extra}")
-    comps = {}
-    for name in g.chart_vars:
-        src = tr_map[name]
+    for name, src in tr_map.items():
         if not isinstance(src, str):
             raise ConfigError(f"transform.{name}: expected string")
-        comps[name] = src
     try:
-        F = TransformMap.parse(g, comps)
-    except ConfigError:
-        raise
+        F = TransformMap.parse(g, tr_map)
     except Exception as e:
         raise ConfigError(f"transform: {e}") from e
 
@@ -288,32 +277,27 @@ def validate_config(data):
                             trajectory=traj, tolerances=tol)
 
 
-def load_config(path):
-    """(ExperimentConfig, sha256 hex of the raw file bytes)."""
-    raw = Path(path).read_bytes()
+def load_config(path, kmax=None, tol=None, seed=None):
+    """(ExperimentConfig, config hash) for the JSON file at path, with
+    the --kmax/--tol/--seed overrides written into the raw dict before
+    validation.  The hash covers the canonical JSON of that effective
+    dict and the tool version, so outputs are reused only under the
+    same effective config."""
     try:
-        data = json.loads(raw)
+        data = json.loads(Path(path).read_bytes())
     except json.JSONDecodeError as e:
         raise ConfigError(f"config: invalid JSON ({e})") from e
-    return validate_config(data), hashlib.sha256(raw).hexdigest()
-
-
-def _apply_overrides(cfg, kmax=None, tol=None, seed=None):
-    changes = {}
-    if kmax is not None:
-        if not 1 <= kmax <= stensor.KMAX_LIMIT:
-            raise ConfigError(f"kmax: must be in 1..{stensor.KMAX_LIMIT}")
-        changes["kmax"] = kmax
-    if tol is not None:
-        if tol <= 0:
-            raise ConfigError("tol: must be positive")
-        changes["tolerances"] = {k: tol for k in DEFAULT_TOLERANCES}
-    if seed is not None:
-        changes["seed"] = seed
-    if not changes:
-        return cfg
-    from dataclasses import replace
-    return replace(cfg, **changes)
+    if isinstance(data, dict):
+        if kmax is not None:
+            data["kmax"] = kmax
+        if tol is not None:
+            data["tolerances"] = dict.fromkeys(DEFAULT_TOLERANCES, tol)
+        if seed is not None:
+            data["seed"] = seed
+    cfg = validate_config(data)
+    effective = json.dumps({"config": data, "tool_version": __version__},
+                           sort_keys=True)
+    return cfg, hashlib.sha256(effective.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +367,8 @@ def _check_traces(cfg, out_dir):
     rep = dynamics.drift_report(traj, obs)
     if out_dir is not None:
         _write_csv(out_dir / "invariants.csv", traj, obs)
-    worst = max(d.max_rel_drift for d in rep.observables.values())
+    worst = float(transform.fold_max(
+        (d.max_rel_drift for d in rep.observables.values()), "observable"))
     drift = {
         name: {
             "initial": float(d.initial),
@@ -404,10 +389,11 @@ def _check_traces(cfg, out_dir):
 
 
 def _check_torsion(cfg, samples):
-    worst = 0.0
-    for x in samples:
+    def residual(x):
         N = stensor.nijenhuis_torsion(cfg.geometry, cfg.transform, x)
-        worst = max(worst, float(np.max(np.abs(N.components))))
+        return np.max(np.abs(N.components))
+
+    worst = float(transform.fold_max(residual(x) for x in samples))
     return {
         "verdict": "pass" if worst <= cfg.tolerances["torsion"] else "fail",
         "residual": worst,
@@ -418,13 +404,11 @@ def _check_torsion(cfg, samples):
 def _check_lenard(cfg, samples):
     ks = list(range(1, min(3, cfg.kmax - 1 if cfg.kmax > 1 else 1) + 1))
     per_k = {}
-    worst = 0.0
     for k in ks:
-        r = max(stensor.lenard_identity_residual(cfg.geometry, cfg.transform,
-                                                 x, k)
-                for x in samples)
-        per_k[str(k)] = float(r)
-        worst = max(worst, float(r))
+        per_k[str(k)] = float(transform.fold_max(
+            stensor.lenard_identity_residual(cfg.geometry, cfg.transform, x, k)
+            for x in samples))
+    worst = max(per_k.values())   # each entry is already a checked fold
     return {
         "verdict": "pass" if worst <= cfg.tolerances["lenard"] else "fail",
         "residual": worst,
@@ -447,7 +431,7 @@ def _check_involution(cfg, samples):
         }
     unb = float(np.max(res.unbarred))
     brd = float(np.max(res.barred))
-    worst = max(unb, brd)
+    worst = max(unb, brd)   # involution_matrix rejects non-finite brackets
     return {
         "verdict": "pass" if worst <= tol else "fail",
         "residual": worst,
@@ -462,25 +446,24 @@ def _check_involution(cfg, samples):
 def _check_lie_derivative(cfg, samples):
     g = cfg.geometry
     tol = cfg.tolerances["lie_derivative"]
-    worst = 0.0
-    t_col = 0.0
-    for x in samples:
-        lie = dynamics.lie_derivative_S(g, cfg.transform, cfg.hamiltonian, x)
-        if g.t_index is not None:
-            # the dt-column is the one slot a time-dependent K may
-            # legitimately occupy; measured separately
-            t_col = max(t_col, float(np.max(np.abs(lie[:, g.t_index]))))
-            rest = np.delete(lie, g.t_index, axis=1)
-            worst = max(worst, float(np.max(np.abs(rest))))
-        else:
-            worst = max(worst, float(np.max(np.abs(lie))))
-    out = {
+    ti = g.t_index
+
+    def residuals(x):
+        lie = np.abs(dynamics.lie_derivative_S(g, cfg.transform,
+                                               cfg.hamiltonian, x))
+        if ti is None:
+            return [np.max(lie), 0.0]
+        # the dt-column is the one slot a time-dependent K may
+        # legitimately occupy; measured separately
+        return [np.max(np.delete(lie, ti, axis=1)), np.max(lie[:, ti])]
+
+    worst, t_col = map(float, transform.fold_max(residuals(x) for x in samples))
+    return {
         "verdict": "pass" if worst <= tol else "fail",
         "residual": worst,
         "tolerance": tol,
-        "time_column_max": t_col if g.t_index is not None else None,
+        "time_column_max": t_col if ti is not None else None,
     }
-    return out
 
 
 def _run_checks(cfg, names, out_dir):
@@ -554,8 +537,7 @@ def _exit_code(results):
 def run(config_path, out_dir, kmax=None, tol=None, seed=None):
     """Full pipeline: all requested checks, report.json plus CSV output.
     Returns the report dict; files land in out_dir."""
-    cfg, config_hash = load_config(config_path)
-    cfg = _apply_overrides(cfg, kmax=kmax, tol=tol, seed=seed)
+    cfg, config_hash = load_config(config_path, kmax=kmax, tol=tol, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = _run_checks(cfg, cfg.checks, out)
@@ -649,9 +631,8 @@ def main(argv=None):
         "report": _cmd_report,
     }
     try:
-        cfg, config_hash = load_config(args.config)
-        cfg = _apply_overrides(cfg, kmax=args.kmax, tol=args.tol,
-                               seed=args.seed)
+        cfg, config_hash = load_config(args.config, kmax=args.kmax,
+                                       tol=args.tol, seed=args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return commands[args.command](cfg, config_hash, out)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import stensor, transform
-from .geometry import canonical_eps_inv, dynamical_vf, dynamical_vf_jacobian
+from . import stensor
+from .geometry import dynamical_vf, dynamical_vf_jacobian
 
 __all__ = [
     "Trajectory",
@@ -213,30 +213,8 @@ def lie_derivative_S(g, F, H, x):
     """(L_V S)^A_B = V^n dS^A_B/dx^n - S^n_B dV^A/dx^n + S^A_n dV^n/dx^B
     with V the dynamical field of the geometry, over the full chart.
 
-    dS is assembled from the bracket derivatives with the structural
-    rows differentiated through their defining constraints (the t-row
-    stays zero; the z-row picks up the product-rule term from its
-    momentum weights).
+    S and dS come from stensor.s_and_ds.
     """
-    x = g.check_state(x)
-    d = g.dim
-    xi = list(g.x_indices)
-    _, J, Hc = transform.jacobian_and_hessians(F, x)
-    lam = transform._lagrange_from_jacobian(g, J)
-    dLam = transform.lagrange_derivative(F, x, J=J, H=Hc)
-    eps_inv = canonical_eps_inv(g.n)
-    S = stensor._assemble(g, lam, x)
-    cols = list(range(d))
-    dS = np.zeros((d, d, d))
-    for nu in range(d):
-        dS[nu][np.ix_(xi, cols)] = eps_inv @ dLam[nu][xi, :]
-    zi = g.z_index
-    if zi is not None:
-        for nu in range(d):
-            for qi, pi in zip(g.q_indices, g.p_indices):
-                dS[nu][zi, :] += x[pi] * dS[nu][qi, :]
-                if nu == pi:
-                    dS[nu][zi, :] += S[qi, :]
+    S, dS = stensor.s_and_ds(g, F, x)
     V, dV = dynamical_vf_jacobian(g, H, x)
-    lie = np.einsum("n,nab->ab", V, dS) - dV @ S + S @ dV
-    return lie
+    return np.einsum("n,nab->ab", V, dS) - dV @ S + S @ dV

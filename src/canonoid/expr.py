@@ -37,8 +37,10 @@ __all__ = [
     "UnknownFunction",
     "parse",
     "evaluate",
+    "jet",
     "gradient",
     "hessian",
+    "value_and_derivatives",
     "serialize",
 ]
 
@@ -126,10 +128,6 @@ class Expression:
     ast: Node
     free_vars: tuple[str, ...]
     chart_vars: tuple[str, ...]
-
-    def eval(self, env):
-        """Evaluate over the bindings in env (floats or DualScalars)."""
-        return _eval(self.ast, env)
 
     def __str__(self):
         return serialize(self)
@@ -550,42 +548,33 @@ def evaluate(e, env):
     return _eval(e.ast, env)
 
 
-def gradient(e, point):
-    """First partials of e with respect to *all* chart variables at
-    point (a sequence in chart order); zero for absent variables."""
+def jet(e, point, order=2):
+    """(value, gradient, hessian) of e at point (a sequence in chart
+    order) in one dual sweep; partials run over *all* chart variables
+    and vanish for absent ones.  hessian is None when order is 1."""
     point = np.asarray(point, dtype=float)
     m = len(e.chart_vars)
     if point.size != m:
         raise ValueError(f"point has {point.size} components, chart has {m}")
-    env = dict(zip(e.chart_vars, DualScalar.seed(point, order=1)))
-    out = _eval(e.ast, env)
+    out = _eval(e.ast, dict(zip(e.chart_vars, DualScalar.seed(point, order))))
     if isinstance(out, DualScalar):
-        return out.d1.copy()
-    return np.zeros(m)
+        return out.value, out.d1, out.d2
+    return float(out), np.zeros(m), np.zeros((m, m)) if order == 2 else None
+
+
+def gradient(e, point):
+    """First partials of e with respect to every chart variable."""
+    return jet(e, point, order=1)[1]
 
 
 def hessian(e, point):
     """Symmetric matrix of second partials over the chart variables."""
-    point = np.asarray(point, dtype=float)
-    m = len(e.chart_vars)
-    if point.size != m:
-        raise ValueError(f"point has {point.size} components, chart has {m}")
-    env = dict(zip(e.chart_vars, DualScalar.seed(point, order=2)))
-    out = _eval(e.ast, env)
-    if isinstance(out, DualScalar):
-        return out.d2.copy()
-    return np.zeros((m, m))
+    return jet(e, point)[2]
 
 
 def value_and_derivatives(e, point):
     """(value, gradient, hessian) in one second-order dual sweep."""
-    point = np.asarray(point, dtype=float)
-    m = len(e.chart_vars)
-    env = dict(zip(e.chart_vars, DualScalar.seed(point, order=2)))
-    out = _eval(e.ast, env)
-    if isinstance(out, DualScalar):
-        return out.value, out.d1.copy(), out.d2.copy()
-    return float(out), np.zeros(m), np.zeros((m, m))
+    return jet(e, point)
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,12 @@ __all__ = [
     "WrongGeometry",
     "structure_at_point",
     "hamiltonian_vf",
-    "evolution_vf",
+    "hamiltonian_vf_jacobian",
+    "dynamical_vf",
+    "dynamical_vf_jacobian",
     "poisson_bracket",
     "jacobi_bracket",
     "canonical_eps",
-    "canonical_eps_inv",
     "contract",
 ]
 
@@ -134,14 +135,6 @@ def canonical_eps(n):
     return eps
 
 
-def canonical_eps_inv(n):
-    """Inverse of canonical_eps: [[0, -I], [I, 0]]."""
-    eps = np.zeros((2 * n, 2 * n))
-    eps[:n, n:] = -np.eye(n)
-    eps[n:, :n] = np.eye(n)
-    return eps
-
-
 def contract(two_form, X):
     """Interior product (X ⌟ omega) as a covector: omega(X, .)."""
     return np.asarray(two_form).T @ np.asarray(X)
@@ -153,17 +146,12 @@ class StructureAtPoint:
 
     two_form is the full chart-dimension matrix (the canonical eps block
     embedded at the x-indices).  theta/eta are one-form component
-    vectors, reeb the single Reeb field where the geometry has one, and
-    reeb_z/reeb_t the two cocontact Reeb fields.  Fields that do not
-    apply are None.
+    vectors, None where the geometry has no such form.
     """
 
     two_form: np.ndarray
     theta: np.ndarray | None = None
     eta: np.ndarray | None = None
-    reeb: np.ndarray | None = None
-    reeb_z: np.ndarray | None = None
-    reeb_t: np.ndarray | None = None
 
 
 def full_two_form(g):
@@ -180,14 +168,12 @@ def structure_at_point(g, x=None):
     for theta, which carries the p-coordinates of x)."""
     d = g.dim
     M = full_two_form(g)
-    if g.kind == "symplectic":
-        return StructureAtPoint(two_form=M)
-    if g.kind == "cosymplectic":
+    eta = None
+    if g.t_index is not None:
         eta = np.zeros(d)
         eta[g.t_index] = 1.0
-        reeb = np.zeros(d)
-        reeb[g.t_index] = 1.0
-        return StructureAtPoint(two_form=M, eta=eta, reeb=reeb)
+    if g.z_index is None:
+        return StructureAtPoint(two_form=M, eta=eta)
     # theta = dz - p_i dq^i needs the point for its p-components
     if x is None:
         raise ValueError(f"{g.kind} structure needs the evaluation point")
@@ -196,22 +182,25 @@ def structure_at_point(g, x=None):
     theta[g.z_index] = 1.0
     for qi, pi in zip(g.q_indices, g.p_indices):
         theta[qi] = -x[pi]
-    if g.kind == "contact":
-        reeb = np.zeros(d)
-        reeb[g.z_index] = 1.0
-        return StructureAtPoint(two_form=M, theta=theta, reeb=reeb)
-    eta = np.zeros(d)
-    eta[g.t_index] = 1.0
-    reeb_z = np.zeros(d)
-    reeb_z[g.z_index] = 1.0
-    reeb_t = np.zeros(d)
-    reeb_t[g.t_index] = 1.0
-    return StructureAtPoint(two_form=M, theta=theta, eta=eta,
-                            reeb_z=reeb_z, reeb_t=reeb_t)
+    return StructureAtPoint(two_form=M, theta=theta, eta=eta)
 
 
 # ---------------------------------------------------------------------------
 # Vector fields
+
+
+def _assemble_vf(g, x, Hval, grad):
+    X = np.zeros(g.dim)
+    qi = list(g.q_indices)
+    pi = list(g.p_indices)
+    X[qi] = grad[pi]
+    zi = g.z_index
+    if zi is None:
+        X[pi] = -grad[qi]
+        return X
+    X[pi] = -(grad[qi] + x[pi] * grad[zi])
+    X[zi] = float(np.dot(x[pi], grad[pi])) - Hval
+    return X
 
 
 def hamiltonian_vf(g, H, x):
@@ -223,28 +212,8 @@ def hamiltonian_vf(g, H, x):
     """
     x = g.check_state(x)
     grad = expr.gradient(H, x)
-    X = np.zeros(g.dim)
-    qi = list(g.q_indices)
-    pi = list(g.p_indices)
-    if g.kind in ("symplectic", "cosymplectic"):
-        X[qi] = grad[pi]
-        X[pi] = -grad[qi]
-        return X
-    zi = g.z_index
-    Hval = expr.evaluate(H, g.env(x))
-    X[qi] = grad[pi]
-    X[pi] = -(grad[qi] + x[pi] * grad[zi])
-    X[zi] = float(np.dot(x[pi], grad[pi])) - Hval
-    return X
-
-
-def evolution_vf(g, H, x):
-    """X_H plus the unit time component for the time-dependent
-    geometries; identical to hamiltonian_vf otherwise."""
-    X = hamiltonian_vf(g, H, x)
-    if g.kind in ("cosymplectic", "cocontact"):
-        X[g.t_index] += 1.0
-    return X
+    Hval = None if g.z_index is None else expr.evaluate(H, g.env(x))
+    return _assemble_vf(g, x, Hval, grad)
 
 
 def hamiltonian_vf_jacobian(g, H, x):
@@ -252,22 +221,15 @@ def hamiltonian_vf_jacobian(g, H, x):
     Hessian of H; row = component, column = derivative direction."""
     x = g.check_state(x)
     Hval, grad, hess = expr.value_and_derivatives(H, x)
-    d = g.dim
-    X = np.zeros(d)
-    dX = np.zeros((d, d))
+    X = _assemble_vf(g, x, Hval, grad)
+    dX = np.zeros((g.dim, g.dim))
     qi = list(g.q_indices)
     pi = list(g.p_indices)
-    if g.kind in ("symplectic", "cosymplectic"):
-        X[qi] = grad[pi]
-        X[pi] = -grad[qi]
-        dX[qi, :] = hess[pi, :]
+    dX[qi, :] = hess[pi, :]
+    zi = g.z_index
+    if zi is None:
         dX[pi, :] = -hess[qi, :]
         return X, dX
-    zi = g.z_index
-    X[qi] = grad[pi]
-    X[pi] = -(grad[qi] + x[pi] * grad[zi])
-    X[zi] = float(np.dot(x[pi], grad[pi])) - Hval
-    dX[qi, :] = hess[pi, :]
     dX[pi, :] = -(hess[qi, :] + np.outer(x[pi], hess[zi, :]))
     dX[zi, :] = x[pi] @ hess[pi, :] - grad
     for pa in pi:
@@ -276,28 +238,24 @@ def hamiltonian_vf_jacobian(g, H, x):
     return X, dX
 
 
-def evolution_vf_jacobian(g, H, x):
-    """(E_H, dE_H); the added time component is constant, so the
-    Jacobian equals that of X_H."""
-    X, dX = hamiltonian_vf_jacobian(g, H, x)
-    if g.kind in ("cosymplectic", "cocontact"):
-        X = X.copy()
+def _add_time(g, X):
+    if g.t_index is not None:
         X[g.t_index] += 1.0
-    return X, dX
+    return X
 
 
 def dynamical_vf(g, H, x):
     """The field whose integral curves are the physical trajectories:
-    X_H for symplectic/contact, E_H for cosymplectic/cocontact."""
-    if g.kind in ("cosymplectic", "cocontact"):
-        return evolution_vf(g, H, x)
-    return hamiltonian_vf(g, H, x)
+    X_H for symplectic/contact, and for cosymplectic/cocontact the
+    evolution field E_H = X_H + d/dt."""
+    return _add_time(g, hamiltonian_vf(g, H, x))
 
 
 def dynamical_vf_jacobian(g, H, x):
-    if g.kind in ("cosymplectic", "cocontact"):
-        return evolution_vf_jacobian(g, H, x)
-    return hamiltonian_vf_jacobian(g, H, x)
+    """(V, dV) for the dynamical field; the added time component is
+    constant, so dV equals dX_H."""
+    X, dX = hamiltonian_vf_jacobian(g, H, x)
+    return _add_time(g, X), dX
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ holds for every (1,1) tensor field: the two cross terms of the torsion
 contraction cancel identically, leaving only the normalized trace
 gradients.  lenard_identity_residual evaluates the two sides through
 disjoint code paths (explicit product-rule assembly of dS on the left,
-first-order dual arithmetic pushed through the matrix powers on the
-right), which makes it a strong end-to-end check of every derivative
-in this module.
+a matrix jet, value plus tangent stack, pushed through the matrix
+powers on the right), which makes it a strong end-to-end check of
+every derivative in this module.
 
 Torsion and the Lenard identity live on the x-block only; the trace
 and involution computations use the full matrix, whose constrained
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transform
-from .expr import DualScalar
-from .geometry import canonical_eps, canonical_eps_inv
+from .geometry import canonical_eps
 
 __all__ = [
     "STensorSample",
@@ -42,6 +41,7 @@ __all__ = [
     "InvolutionResult",
     "SingularPullback",
     "s_tensor",
+    "s_and_ds",
     "trace_powers",
     "nijenhuis_torsion",
     "lenard_identity_residual",
@@ -98,22 +98,23 @@ def _check_kmax(kmax):
 
 
 def _assemble(g, lam, x):
-    d = g.dim
+    """S from Lagrange brackets lam[..., :, :]; a stack of bracket
+    derivatives gives the matching stack of x-row and weighted z-row
+    terms of dS."""
     xi = list(g.x_indices)
-    S = np.zeros((d, d))
-    S[np.ix_(xi, list(range(d)))] = canonical_eps_inv(g.n) @ lam[xi, :]
+    S = np.zeros(lam.shape)
+    S[..., xi, :] = canonical_eps(g.n).T @ lam[..., xi, :]
     zi = g.z_index
     if zi is not None:
         for qi, pi in zip(g.q_indices, g.p_indices):
-            S[zi, :] += x[pi] * S[qi, :]
+            S[..., zi, :] += x[pi] * S[..., qi, :]
     return S
 
 
 def s_tensor(g, F, x):
     """S^A_B at x, rows = output index."""
     x = g.check_state(x)
-    lam = transform.lagrange_brackets(F, x).entries
-    S = _assemble(g, lam, x)
+    S = _assemble(g, transform.lagrange_brackets(F, x), x)
     mask = np.zeros(S.shape, dtype=bool)
     if g.t_index is not None:
         mask[g.t_index, :] = True
@@ -135,114 +136,91 @@ def trace_powers(g, F, x, kmax):
     return out
 
 
-def _x_block_and_derivs(g, F, x):
-    """x-block A of S and its derivatives dA[n] = dA/dx^n along the
-    x-directions, via explicit product-rule assembly of the bracket
-    derivatives."""
+def s_and_ds(g, F, x):
+    """Full-chart S and dS[nu] = dS/dx^nu, assembled by the product rule
+    from the bracket derivatives.  The structural rows are
+    differentiated through their defining constraints: the t-row stays
+    zero and the z-row picks up the derivative of its momentum
+    weights."""
     x = g.check_state(x)
+    _, _, _, lam, dLam = transform.bracket_jet(F, x)
+    S = _assemble(g, lam, x)
+    dS = _assemble(g, dLam, x)
+    if g.z_index is not None:
+        for qi, pi in zip(g.q_indices, g.p_indices):
+            dS[pi, g.z_index, :] += S[qi, :]
+    return S, dS
+
+
+def _x_block(g, S, dS):
+    """x-block A of S and dA[n] = dA/dx^n along the x-directions."""
     xi = list(g.x_indices)
-    _, J, Hc = transform.jacobian_and_hessians(F, x)
-    lam = transform._lagrange_from_jacobian(g, J)
-    dLam = transform.lagrange_derivative(F, x, J=J, H=Hc)
-    eps_inv = canonical_eps_inv(g.n)
-    A = eps_inv @ lam[np.ix_(xi, xi)]
-    dA = np.array([eps_inv @ dLam[nu][np.ix_(xi, xi)] for nu in xi])
-    return A, dA
+    return S[np.ix_(xi, xi)], dS[np.ix_(xi, xi, xi)]
 
 
-def nijenhuis_torsion(g, F, x):
-    """N^l_{bg} = dA^l_g/dx^n A^n_b - dA^l_b/dx^n A^n_g
-    + (dA^n_b/dx^g - dA^n_g/dx^b) A^l_n, over the x-block."""
-    A, dA = _x_block_and_derivs(g, F, x)
+def _torsion(A, dA):
     # half with the beta slot fixed; antisymmetrizing it reproduces all
     # four terms of the component formula and keeps N^l_{bg} = -N^l_{gb}
     # exact in floating point
     M = (np.einsum("nlg,nb->lbg", dA, A)
          + np.einsum("gnb,ln->lbg", dA, A))
-    return TorsionSample(components=M - M.transpose(0, 2, 1))
+    return M - M.transpose(0, 2, 1)
+
+
+def nijenhuis_torsion(g, F, x):
+    """N^l_{bg} = dA^l_g/dx^n A^n_b - dA^l_b/dx^n A^n_g
+    + (dA^n_b/dx^g - dA^n_g/dx^b) A^l_n, over the x-block."""
+    A, dA = _x_block(g, *s_and_ds(g, F, x))
+    return TorsionSample(components=_torsion(A, dA))
 
 
 # ---------------------------------------------------------------------------
-# Dual-arithmetic route to trace gradients (independent of the explicit
-# product-rule assembly above)
+# Matrix-jet route to trace gradients (independent of the explicit
+# product-rule assembly above).  A jet is a pair (value (m, m), tangent
+# stack (nd, m, m)) whose tangents run over the nd x-directions.
 
 
-def _dual_matmul(P, Q):
-    m = len(P)
-    return [[sum(P[i][k] * Q[k][j] for k in range(m)) for j in range(m)]
-            for i in range(m)]
+def _jet_mul(A, B):
+    (a, da), (b, db) = A, B
+    return a @ b, da @ b + a @ db
 
 
-def _dual_value_grad(s, nd):
-    if isinstance(s, DualScalar):
-        return s.value, s.d1
-    return float(s), np.zeros(nd)
-
-
-def _dual_entries(g, F, x):
-    """Jacobian entries of F lifted to first-order duals whose partials
-    run over the x-directions."""
-    xi = list(g.x_indices)
-    _, J, Hc = transform.jacobian_and_hessians(F, x)
-    d = g.dim
-    Jd = [[DualScalar(J[c, mu], Hc[c][mu, xi]) for mu in range(d)]
-          for c in range(d)]
-    return Jd, J
-
-
-def _dual_s_matrix(g, F, x, block):
-    """S (full chart, block='full') or its x-block (block='x') with
-    dual entries carrying d/dx partials."""
+def _trace_grads(g, F, x, kmax, block):
+    """Gradients over the x-directions of tr(S^k), k = 1..kmax, for the
+    full-chart S (block='full') or its x-block (block='x'): the jet of
+    J from the component Hessians is pushed through Lam, S and the
+    powers of S."""
     xi = list(g.x_indices)
     nd = len(xi)
-    Jd, _ = _dual_entries(g, F, x)
     idx = xi if block == "x" else list(range(g.dim))
     m = len(idx)
-    lam = [[0.0] * m for _ in range(m)]
-    for a, mu in enumerate(idx):
-        for b, nu in enumerate(idx):
-            acc = 0.0
-            for qi, pi in zip(g.q_indices, g.p_indices):
-                acc = acc + Jd[qi][mu] * Jd[pi][nu] - Jd[pi][mu] * Jd[qi][nu]
-            lam[a][b] = acc
-    eps_inv = canonical_eps_inv(g.n)
-    S = [[0.0] * m for _ in range(m)]
-    x_rows = [idx.index(i) for i in xi]
-    for r, row in enumerate(x_rows):
-        for j in range(m):
-            acc = 0.0
-            for c, col in enumerate(x_rows):
-                acc = acc + eps_inv[r, c] * lam[col][j]
-            S[row][j] = acc
+    _, J, Hc = transform.jacobian_and_hessians(F, x)
+    J = J[:, idx]
+    dJ = np.moveaxis(Hc[:, idx][:, :, xi], 2, 0)
+    qs, ps = list(g.q_indices), list(g.p_indices)
+    b, db = _jet_mul((J[qs].T, dJ[:, qs].transpose(0, 2, 1)),
+                     (J[ps], dJ[:, ps]))
+    lam, dlam = b - b.T, db - db.transpose(0, 2, 1)
+    rows = [idx.index(i) for i in xi]
+    eps_inv = canonical_eps(g.n).T
+    S = np.zeros((m, m))
+    dS = np.zeros((nd, m, m))
+    S[rows] = eps_inv @ lam[rows]
+    dS[:, rows] = eps_inv @ dlam[:, rows]
     if block == "full" and g.z_index is not None:
-        zr = idx.index(g.z_index)
-        for qi, pi in zip(g.q_indices, g.p_indices):
-            d1 = np.zeros(nd)
-            d1[xi.index(pi)] = 1.0
-            p_dual = DualScalar(x[pi], d1)
-            qr = idx.index(qi)
-            for j in range(m):
-                S[zr][j] = S[zr][j] + p_dual * S[qr][j]
-    return S
-
-
-def _dual_trace_grads(g, F, x, kmax, block):
-    """(values, gradients) of tr(S^k), k = 1..kmax, gradients over the
-    x-directions, computed entirely in dual arithmetic."""
-    nd = 2 * g.n
-    S = _dual_s_matrix(g, F, x, block)
-    m = len(S)
-    vals = np.zeros(kmax)
+        zi = g.z_index
+        for qi, pi in zip(qs, ps):
+            # z-row += p_i S[q_i], where p_i's tangent is its unit x-direction
+            S[zi] += x[pi] * S[qi]
+            dS[:, zi] += x[pi] * dS[:, qi]
+            dS[xi.index(pi), zi] += S[qi]
     grads = np.zeros((kmax, nd))
-    P = S
+    P = (S, dS)
     for k in range(kmax):
         if k > 0:
-            P = _dual_matmul(P, S)
-        tr = 0.0
-        for i in range(m):
-            tr = tr + P[i][i]
-        vals[k], grads[k] = _dual_value_grad(tr, nd)
-    return vals, grads
+            P = _jet_mul(P, (S, dS))
+        grads[k] = np.trace(P[1], axis1=1, axis2=2)
+    return grads
 
 
 def lenard_identity_residual(g, F, x, k):
@@ -250,7 +228,7 @@ def lenard_identity_residual(g, F, x, k):
 
     Left side: torsion contracted with S^(k-1), both from the explicit
     derivative assembly.  Right side: normalized trace gradients from
-    the dual-arithmetic route.  The identity is unconditional, so any
+    the matrix-jet route.  The identity is unconditional, so any
     nonzero residual beyond rounding exposes a derivative bug.
     """
     k = int(k)
@@ -259,11 +237,10 @@ def lenard_identity_residual(g, F, x, k):
     if k + 1 > KMAX_LIMIT:
         raise ValueError(f"k + 1 exceeds the power limit {KMAX_LIMIT}")
     x = g.check_state(x)
-    N = nijenhuis_torsion(g, F, x).components
-    A, _ = _x_block_and_derivs(g, F, x)
-    Ak1 = np.linalg.matrix_power(A, k - 1)
-    lhs = np.einsum("lbg,gl->b", N, Ak1)
-    _, grads = _dual_trace_grads(g, F, x, k + 1, block="x")
+    A, dA = _x_block(g, *s_and_ds(g, F, x))
+    lhs = np.einsum("lbg,gl->b", _torsion(A, dA),
+                    np.linalg.matrix_power(A, k - 1))
+    grads = _trace_grads(g, F, x, k + 1, block="x")
     rhs = A.T @ grads[k - 1] / k - grads[k] / (k + 1)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -278,37 +255,34 @@ def involution_matrix(g, F, samples, kmax):
     Samples whose L is singular or has condition number beyond
     CONDITION_LIMIT are skipped for the barred variant and counted;
     if every sample is skipped the barred bracket is unavailable and
-    SingularPullback is raised.
+    SingularPullback is raised.  A non-finite bracket raises
+    transform.NonFiniteResidual.
     """
     kmax = _check_kmax(kmax)
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] == 0:
-        raise ValueError("samples must be non-empty")
+    samples = transform.as_samples(samples)
     xi = list(g.x_indices)
     eps = canonical_eps(g.n)
-    unbarred = np.zeros((kmax, kmax))
-    barred = np.zeros((kmax, kmax))
+    unbarred = []
+    barred = []
     skipped = 0
     max_condition = 0.0
-    any_barred = False
     for x in samples:
         x = g.check_state(x)
-        _, grads = _dual_trace_grads(g, F, x, kmax, block="full")
-        flat = grads @ eps @ grads.T
-        unbarred = np.maximum(unbarred, np.abs(flat))
-        lam = transform.lagrange_brackets(F, x).entries
-        L = lam[np.ix_(xi, xi)]
+        grads = _trace_grads(g, F, x, kmax, block="full")
+        unbarred.append(np.abs(grads @ eps @ grads.T))
+        L = transform.lagrange_brackets(F, x)[np.ix_(xi, xi)]
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = np.linalg.cond(L)
         if not np.isfinite(cond) or cond > CONDITION_LIMIT:
             skipped += 1
+            barred.append(0.0)   # keeps fold indices equal to sample indices
             continue
         max_condition = max(max_condition, float(cond))
-        pulled = -grads @ np.linalg.solve(L, grads.T)
-        barred = np.maximum(barred, np.abs(pulled))
-        any_barred = True
-    if not any_barred:
+        barred.append(np.abs(-grads @ np.linalg.solve(L, grads.T)))
+    unbarred = transform.fold_max(unbarred)
+    if skipped == samples.shape[0]:
         raise SingularPullback(
             f"Lagrange x-block singular at all {samples.shape[0]} samples")
-    return InvolutionResult(unbarred=unbarred, barred=barred,
+    return InvolutionResult(unbarred=unbarred,
+                            barred=transform.fold_max(barred),
                             skipped=skipped, max_condition=max_condition)

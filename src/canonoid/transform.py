@@ -26,6 +26,7 @@ field sound.  Both components are reported separately.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,22 +34,25 @@ import numpy as np
 
 from . import expr
 from .geometry import (
-    GeometryKind, WrongGeometry, canonical_eps_inv, contract, full_two_form,
+    GeometryKind, WrongGeometry, canonical_eps, contract, full_two_form,
     hamiltonian_vf_jacobian, structure_at_point,
 )
 
 __all__ = [
     "TransformMap",
-    "LagrangeMatrix",
     "CanonicalResult",
     "CanonoidResult",
     "KGradient",
     "SingularReeb",
     "NonCanonoid",
+    "NonFiniteResidual",
+    "fold_max",
     "jacobian",
     "jacobian_and_hessians",
     "lagrange_brackets",
     "lagrange_derivative",
+    "bracket_jet",
+    "as_samples",
     "check_canonical",
     "candidate_K_gradient",
     "check_canonoid",
@@ -68,6 +72,24 @@ class SingularReeb(ValueError):
 class NonCanonoid(ValueError):
     """K reconstruction was attempted where the candidate gradient is
     not closed; the line integral would be path-dependent."""
+
+
+class NonFiniteResidual(ArithmeticError):
+    """A residual came out NaN or infinite (overflow in the map or the
+    Hamiltonian), so no verdict can be drawn from it."""
+
+
+def fold_max(residuals, label="sample"):
+    """Largest of the per-sample residuals, elementwise when each is a
+    vector of components.  A NaN or infinite entry raises
+    NonFiniteResidual naming its index: the builtin max(0.0, nan)
+    returns 0.0 and would turn it into a pass."""
+    worst = 0.0
+    for i, r in enumerate(residuals):
+        if not np.all(np.isfinite(r)):
+            raise NonFiniteResidual(f"non-finite residual at {label} {i}")
+        worst = np.maximum(worst, r)
+    return worst
 
 
 @dataclass(frozen=True)
@@ -114,14 +136,6 @@ class TransformMap:
 
 
 @dataclass(frozen=True)
-class LagrangeMatrix:
-    """Antisymmetric matrix of Lagrange brackets at a point, over the
-    full coordinate list."""
-
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
 class CanonicalResult:
     canonical: bool
     max_residual: float
@@ -159,33 +173,32 @@ def _eval_components(F, x, order=2):
     J = np.zeros((d, d))
     H = np.zeros((d, d, d)) if order == 2 else None
     for c, comp in enumerate(F.components):
+        vals[c], J[c], hess = expr.jet(comp, x, order)
         if order == 2:
-            vals[c], J[c], H[c] = expr.value_and_derivatives(comp, x)
-        else:
-            env = dict(zip(g.chart_vars, expr.DualScalar.seed(x)))
-            out = expr.evaluate(comp, env)
-            if isinstance(out, expr.DualScalar):
-                vals[c], J[c] = out.value, out.d1
-            else:
-                vals[c] = float(out)
+            H[c] = hess
     return vals, J, H
+
+
+def _require_nonsingular(J, x):
+    """The map is not a diffeomorphism where its Jacobian determinant
+    vanishes."""
+    if np.linalg.det(J) == 0.0:
+        raise ValueError(f"transform Jacobian is singular at {np.asarray(x)}")
 
 
 def jacobian(F, x):
     """Jacobian matrix (row = target coordinate, column = source
-    coordinate).  Raises if the determinant vanishes at x: the map is
-    not a diffeomorphism there."""
+    coordinate).  Raises if the determinant vanishes at x."""
     _, J, _ = _eval_components(F, x, order=1)
-    if np.linalg.det(J) == 0.0:
-        raise ValueError(f"transform Jacobian is singular at {np.asarray(x)}")
+    _require_nonsingular(J, x)
     return J
 
 
 def jacobian_and_hessians(F, x):
-    """(values, Jacobian, per-component Hessians) in one sweep."""
+    """(values, Jacobian, per-component Hessians) in one sweep; raises
+    like jacobian() at a singular point."""
     vals, J, H = _eval_components(F, x, order=2)
-    if np.linalg.det(J) == 0.0:
-        raise ValueError(f"transform Jacobian is singular at {np.asarray(x)}")
+    _require_nonsingular(J, x)
     return vals, J, H
 
 
@@ -197,10 +210,10 @@ def _lagrange_from_jacobian(g, J):
 
 
 def lagrange_brackets(F, x):
-    """LagrangeMatrix at x; antisymmetric by construction."""
-    g = F.geometry
+    """Lagrange matrix [x^mu, x^nu] at x over the full coordinate list;
+    antisymmetric by construction."""
     _, J, _ = _eval_components(F, x, order=1)
-    return LagrangeMatrix(entries=_lagrange_from_jacobian(g, J))
+    return _lagrange_from_jacobian(F.geometry, J)
 
 
 def lagrange_derivative(F, x, J=None, H=None):
@@ -212,12 +225,19 @@ def lagrange_derivative(F, x, J=None, H=None):
     d = g.dim
     dLam = np.zeros((d, d, d))
     for qi, pi in zip(g.q_indices, g.p_indices):
-        JQ, JP = J[qi], J[pi]
-        HQ, HP = H[qi], H[pi]
-        for nu in range(d):
-            a = np.outer(HQ[:, nu], JP) + np.outer(JQ, HP[:, nu])
-            dLam[nu] += a - a.T
+        # a[nu] = outer(dJQ/dx^nu, JP) + outer(JQ, dJP/dx^nu)
+        a = (H[qi].T[:, :, None] * J[pi][None, None, :]
+             + J[qi][None, :, None] * H[pi].T[:, None, :])
+        dLam += a - a.transpose(0, 2, 1)
     return dLam
+
+
+def bracket_jet(F, x):
+    """(values, J, Hessians, Lam, dLam) at x from one second-order sweep
+    of the components; raises at a singular Jacobian."""
+    vals, J, Hc = jacobian_and_hessians(F, x)
+    lam = _lagrange_from_jacobian(F.geometry, J)
+    return vals, J, Hc, lam, lagrange_derivative(F, x, J=J, H=Hc)
 
 
 # ---------------------------------------------------------------------------
@@ -232,32 +252,33 @@ def _pullback_theta(g, vals, J):
     return theta
 
 
+def as_samples(samples):
+    """samples as a non-empty (N, d) float array."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    if samples.shape[0] == 0:
+        raise ValueError("samples must be non-empty")
+    return samples
+
+
 def check_canonical(g, F, samples, tol=DEFAULT_TOL):
     """Does F preserve the structure?  Residual is the max over samples
     of the sup-norm difference between pulled-back and original
     structure tensors."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] == 0:
-        raise ValueError("samples must be non-empty")
+    samples = as_samples(samples)
     omega = full_two_form(g)
-    worst = 0.0
-    for x in samples:
+
+    def residual(x):
         vals, J, _ = _eval_components(F, x, order=1)
-        lam = _lagrange_from_jacobian(g, J)
-        if g.kind in ("symplectic", "cosymplectic"):
-            r = float(np.max(np.abs(lam - omega)))
-            if g.kind == "cosymplectic":
-                eta_bar = J[g.t_index, :]
-                eta = structure_at_point(g).eta
-                r = max(r, float(np.max(np.abs(eta_bar - eta))))
+        s = structure_at_point(g, x)
+        if s.theta is None:
+            gaps = [(_lagrange_from_jacobian(g, J) - omega).ravel()]
         else:
-            s = structure_at_point(g, x)
-            theta_bar = _pullback_theta(g, vals, J)
-            r = float(np.max(np.abs(theta_bar - s.theta)))
-            if g.kind == "cocontact":
-                eta_bar = J[g.t_index, :]
-                r = max(r, float(np.max(np.abs(eta_bar - s.eta))))
-        worst = max(worst, r)
+            gaps = [_pullback_theta(g, vals, J) - s.theta]
+        if s.eta is not None:
+            gaps.append(J[g.t_index, :] - s.eta)
+        return np.max(np.abs(np.concatenate(gaps)))
+
+    worst = float(fold_max(residual(x) for x in samples))
     return CanonicalResult(canonical=worst <= tol, max_residual=worst)
 
 
@@ -274,13 +295,9 @@ def _k_gradient_pieces(g, F, H, x):
     relations for the (q, p) components of dK.
     """
     xi = list(g.x_indices)
-    _, J, Hc = _eval_components(F, x, order=2)
-    if np.linalg.det(J) == 0.0:
-        raise ValueError(f"transform Jacobian is singular at {np.asarray(x)}")
-    lam = _lagrange_from_jacobian(g, J)
-    dLam = lagrange_derivative(F, x, J=J, H=Hc)
+    _, _, _, lam, dLam = bracket_jet(F, x)
     _, gradH, hessH = expr.value_and_derivatives(H, x)
-    eps_inv = canonical_eps_inv(g.n)
+    eps_inv = canonical_eps(g.n).T
     L = lam[np.ix_(xi, xi)]
     u = eps_inv @ gradH[xi]
     G = L @ u
@@ -294,11 +311,16 @@ def _k_gradient_pieces(g, F, H, x):
 def _k_gradient_only(g, F, H, x):
     """G alone, from first-order data (quadrature inner loop)."""
     xi = list(g.x_indices)
-    _, J, _ = _eval_components(F, x, order=1)
-    lam = _lagrange_from_jacobian(g, J)
+    lam = lagrange_brackets(F, x)
     grad = expr.gradient(H, x)
-    eps_inv = canonical_eps_inv(g.n)
-    return lam[np.ix_(xi, xi)] @ (eps_inv @ grad[xi])
+    return lam[np.ix_(xi, xi)] @ (canonical_eps(g.n).T @ grad[xi])
+
+
+def _closedness_defect(g, dG):
+    """Largest asymmetric part of the x-Jacobian of the candidate dK."""
+    xi = list(g.x_indices)
+    dGx = dG[:, xi]
+    return np.max(np.abs(dGx - dGx.T))
 
 
 def candidate_K_gradient(g, F, H, x, base_point=None):
@@ -328,6 +350,13 @@ def candidate_K_gradient(g, F, H, x, base_point=None):
     return KGradient(d_x=G, d_t=d_t)
 
 
+@functools.cache
+def _gl_rule():
+    """Gauss-Legendre nodes and weights on [-1, 1]; cached because a
+    call costs about a millisecond."""
+    return np.polynomial.legendre.leggauss(GL_NODES_PER_UNIT)
+
+
 def _gl_panels(a_pt, b_pt):
     """Composite Gauss-Legendre nodes/weights on the straight segment
     a->b parameterized over s in [0,1]: one 32-node panel per unit of
@@ -335,7 +364,7 @@ def _gl_panels(a_pt, b_pt):
     seg = b_pt - a_pt
     length = float(np.linalg.norm(seg))
     panels = max(1, math.ceil(length))
-    nodes, weights = np.polynomial.legendre.leggauss(GL_NODES_PER_UNIT)
+    nodes, weights = _gl_rule()
     ss, ws, mids = [], [], []
     for k in range(panels):
         lo, hi = k / panels, (k + 1) / panels
@@ -373,27 +402,25 @@ def check_canonoid(g, F, H, samples, tol=DEFAULT_TOL):
     symplectic kinds (only when the verdict passed), algebraic for the
     contact kinds.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] == 0:
-        raise ValueError("samples must be non-empty")
+    samples = as_samples(samples)
     if g.kind in ("symplectic", "cosymplectic"):
         return _check_canonoid_symplectic(g, F, H, samples, tol)
     return _check_canonoid_contact(g, F, H, samples, tol)
 
 
 def _check_canonoid_symplectic(g, F, H, samples, tol):
-    xi = list(g.x_indices)
-    closed = 0.0
-    timebr = 0.0
-    for x in samples:
+    ti = g.t_index
+
+    def residuals(x):
         _, dG, lam = _k_gradient_pieces(g, F, H, x)
-        dGx = dG[:, xi]
-        closed = max(closed, float(np.max(np.abs(dGx - dGx.T))))
-        if g.kind == "cosymplectic":
-            timebr = max(timebr, float(np.max(np.abs(lam[:, g.t_index]))))
-    components = {"closedness": closed}
-    if g.kind == "cosymplectic":
-        components["time_bracket"] = timebr
+        r = [_closedness_defect(g, dG)]
+        if ti is not None:
+            r.append(np.max(np.abs(lam[:, ti])))
+        return r
+
+    worst = fold_max(residuals(x) for x in samples)
+    components = {name: float(v)
+                  for name, v in zip(("closedness", "time_bracket"), worst)}
     worst = max(components.values())
     ok = worst <= tol
     K_probe = None
@@ -417,10 +444,8 @@ def _solve_reeb(M, rhs, what):
 
 
 def _contact_point_data(g, F, H, x):
-    """theta_bar, Lagrange matrix, K and dK at one point."""
-    vals, J, Hc = _eval_components(F, x, order=2)
-    if np.linalg.det(J) == 0.0:
-        raise ValueError(f"transform Jacobian is singular at {np.asarray(x)}")
+    """J, Lagrange matrix, theta_bar, X_H, K and dK at one point."""
+    vals, J, Hc = jacobian_and_hessians(F, x)
     lam = _lagrange_from_jacobian(g, J)
     theta_bar = _pullback_theta(g, vals, J)
     X, dX = hamiltonian_vf_jacobian(g, H, x)
@@ -431,16 +456,14 @@ def _contact_point_data(g, F, H, x):
         dtheta -= np.outer(J[qi, :], J[pi, :]) + vals[pi] * Hc[qi]
     K = -float(theta_bar @ X)
     dK = -(dtheta.T @ X) - (dX.T @ theta_bar)
-    return vals, J, lam, theta_bar, X, K, dK
+    return J, lam, theta_bar, X, K, dK
 
 
 def _check_canonoid_contact(g, F, H, samples, tol):
-    cond = 0.0
-    eta_c = 0.0
-    timebr = 0.0
+    rows = []
     Ks = []
     for x in samples:
-        vals, J, lam, theta_bar, X, K, dK = _contact_point_data(g, F, H, x)
+        J, lam, theta_bar, X, K, dK = _contact_point_data(g, F, H, x)
         Ks.append(K)
         if g.kind == "contact":
             M = np.vstack([theta_bar, lam.T])
@@ -448,7 +471,7 @@ def _check_canonoid_contact(g, F, H, samples, tol):
             rhs[0] = 1.0
             R = _solve_reeb(M, rhs, "contact Reeb")
             resid = contract(lam, X) - dK + float(dK @ R) * theta_bar
-            cond = max(cond, float(np.max(np.abs(resid))))
+            rows.append([np.max(np.abs(resid))])
         else:
             eta_bar = J[g.t_index, :]
             M = np.vstack([theta_bar, eta_bar, lam.T])
@@ -460,13 +483,10 @@ def _check_canonoid_contact(g, F, H, samples, tol):
             Rt = _solve_reeb(M, rhs_t, "cocontact t-Reeb")
             resid = (contract(lam, X) - dK
                      + float(dK @ Rz) * theta_bar + float(dK @ Rt) * eta_bar)
-            cond = max(cond, float(np.max(np.abs(resid))))
-            eta_c = max(eta_c, float(abs(eta_bar @ X)))
-            timebr = max(timebr, float(np.max(np.abs(lam[:, g.t_index]))))
-    components = {"contact_condition": cond}
-    if g.kind == "cocontact":
-        components["eta_contraction"] = eta_c
-        components["time_bracket"] = timebr
+            rows.append([np.max(np.abs(resid)), abs(eta_bar @ X),
+                         np.max(np.abs(lam[:, g.t_index]))])
+    names = ("contact_condition", "eta_contraction", "time_bracket")
+    components = {name: float(v) for name, v in zip(names, fold_max(rows))}
     worst = max(components.values())
     return CanonoidResult(canonoid=worst <= tol, max_residual=worst,
                           K_probe=np.array(Ks), components=components)
@@ -486,25 +506,19 @@ def recover_K(g, F, H, x, base_point, tol=DEFAULT_TOL):
     """
     x = g.check_state(x)
     if g.kind in ("contact", "cocontact"):
-        _, _, _, _, _, K, _ = _contact_point_data(g, F, H, x)
+        _, _, _, _, K, _ = _contact_point_data(g, F, H, x)
         return K
     base = g.check_state(base_point).copy()
     if g.kind == "cosymplectic":
         base[g.t_index] = x[g.t_index]
-    xi = list(g.x_indices)
-    ss, ws, mids, seg = _gl_panels(base, x)
+    _, _, mids, seg = _gl_panels(base, x)
     for s in mids:
         y = base + s * seg
         _, dG, _ = _k_gradient_pieces(g, F, H, y)
-        dGx = dG[:, xi]
-        defect = float(np.max(np.abs(dGx - dGx.T)))
+        defect = float(_closedness_defect(g, dG))
         if defect > tol:
             raise NonCanonoid(
                 f"candidate K-gradient is not closed near {y} "
                 f"(defect {defect:.3e} > {tol:.1e})")
-    total = 0.0
-    seg_x = seg[xi]
-    for s, w in zip(ss, ws):
-        y = base + s * seg
-        total += w * float(_k_gradient_only(g, F, H, y) @ seg_x)
-    return total
+    return _segment_integral(g, base, x,
+                             lambda y: _k_gradient_only(g, F, H, y))

@@ -7,11 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canonoid import cli, expr
-from canonoid.cli import (CHECK_NAMES, DEFAULT_TOLERANCES, ConfigError,
-                          Xorshift64Star, draw_samples, load_config,
-                          validate_config)
+from canonoid.cli import (CHECK_NAMES, DEFAULT_TOLERANCES, STRUCTURAL_CHECKS,
+                          CheckError, ConfigError, Xorshift64Star,
+                          draw_samples, load_config, validate_config)
+from canonoid.geometry import KINDS, GeometryKind
 
 EXACT = 1e-12
 
@@ -398,6 +401,77 @@ def test_execution_error_names_check(tmp_path, capsys):
                     "--out", str(tmp_path / "out")])
     assert code == 2
     assert "canonoid" in capsys.readouterr().err
+
+
+def test_report_ignores_outputs_of_other_overrides(tmp_path):
+    path = write_config(tmp_path, base_config())
+    out = str(tmp_path / "out")
+    assert run_cli(["check", "--config", path, "--out", out,
+                    "--seed", "7", "--tol", "10"]) == 0
+    # a plain report runs a different effective config: nothing reused
+    assert run_cli(["report", "--config", path, "--out", out]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["seed"] == 42
+    for name in STRUCTURAL_CHECKS:
+        assert report["checks"][name]["tolerance"] == DEFAULT_TOLERANCES[name]
+    assert report["checks"]["canonical"]["verdict"] == "fail"
+
+
+# ---------------------------------------------------------------------------
+# non-finite residuals
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("check", ["canonical", "torsion", "lie_derivative"])
+def test_overflow_is_an_execution_error(tmp_path, capsys, check):
+    # float products overflow to inf without raising; every residual
+    # built from this map is NaN or infinite
+    data = base_config()
+    data["transform"] = {"q1": "q1", "p1": "p1*1e200*1e200*q1"}
+    data["checks"] = [check]
+    del data["trajectory"]
+    path = write_config(tmp_path, data)
+    assert run_cli(["check", "--config", path,
+                    "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"check '{check}'" in err
+    assert "non-finite residual at sample 0" in err
+
+
+def n1_config(kind, transform):
+    g = GeometryKind(kind, 1)
+    H = "p1^2/2 + q1^2/2" + (" + 0.1*z" if g.z_index is not None else "")
+    return {
+        "schema": 1,
+        "geometry": {"kind": kind, "n": 1},
+        "hamiltonian": H,
+        "transform": transform,
+        "sample_box": {v: [0.5, 1.5] for v in g.chart_vars},
+        "sample_count": 3,
+        "seed": 42,
+        "trajectory": {"x0": [0.0 if v == "t" else 0.5 for v in g.chart_vars],
+                       "t_span": [0.0, 1.0], "steps": 5, "method": "rk4"},
+    }
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS),
+       target=st.sampled_from(["q1", "p1"]),
+       base=st.sampled_from(["q1", "p1", "q1*p1", "sin(p1) + 2", "q1^2 - p1"]),
+       blowup=st.sampled_from(["1e200*1e200", "1e300*1e10",
+                               "(1e200*1e200 - 1e200*1e200)"]),
+       check=st.sampled_from(CHECK_NAMES))
+def test_overflowing_expressions_never_pass(kind, target, base, blowup, check):
+    chart = GeometryKind(kind, 1).chart_vars
+    transform = {v: v for v in chart}
+    transform[target] = f"({base})*{blowup}"
+    cfg = validate_config(n1_config(kind, transform))
+    try:
+        result = cli._run_checks(cfg, (check,), None)[check]
+    except CheckError:
+        return
+    assert result["verdict"] != "pass", result
 
 
 def test_flag_overrides(tmp_path):

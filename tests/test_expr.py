@@ -250,6 +250,13 @@ def test_gradient_constant_expression():
     assert np.array_equal(expr.gradient(e, [1.0, 2.0]), [0.0, 0.0])
 
 
+def test_every_derivative_entry_checks_the_point_size():
+    e = expr.parse("q1*p1", ["q1", "p1"])
+    for fn in (expr.gradient, expr.hessian, expr.value_and_derivatives):
+        with pytest.raises(ValueError, match="3 components, chart has 2"):
+            fn(e, [1.0, 2.0, 3.0])
+
+
 def test_hessian_bilinear():
     e = expr.parse("q1*p1", ["q1", "p1"])
     assert np.array_equal(expr.hessian(e, [2.0, 7.0]), [[0.0, 1.0], [1.0, 0.0]])

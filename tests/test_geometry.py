@@ -5,9 +5,9 @@ import pytest
 
 from canonoid import expr, geometry
 from canonoid.geometry import (
-    GeometryKind, WrongGeometry, canonical_eps, canonical_eps_inv, contract,
-    evolution_vf, hamiltonian_vf, hamiltonian_vf_jacobian, jacobi_bracket,
-    poisson_bracket, structure_at_point,
+    GeometryKind, WrongGeometry, canonical_eps, contract, dynamical_vf,
+    hamiltonian_vf, hamiltonian_vf_jacobian, jacobi_bracket, poisson_bracket,
+    structure_at_point,
 )
 
 AXIOM_TOL = 1e-9
@@ -51,7 +51,7 @@ def test_kind_validation():
 def test_eps_convention():
     eps = canonical_eps(2)
     assert eps[0, 2] == 1.0 and eps[2, 0] == -1.0
-    assert np.array_equal(eps @ canonical_eps_inv(2), np.eye(4))
+    assert np.array_equal(eps @ canonical_eps(2).T, np.eye(4))
 
 
 def test_two_form_wedge_convention():
@@ -63,20 +63,29 @@ def test_two_form_wedge_convention():
 
 
 # ---------------------------------------------------------------------------
-# Reeb conditions (exact, Darboux form)
+# Reeb conditions (exact, Darboux form): the Reeb fields are the unit
+# vectors along z and t
+
+
+def unit(g, i):
+    e = np.zeros(g.dim)
+    e[i] = 1.0
+    return e
 
 
 def test_reeb_cosymplectic():
     s = structure_at_point(COSY1)
-    assert np.array_equal(contract(s.two_form, s.reeb), np.zeros(3))
-    assert float(s.eta @ s.reeb) == 1.0
+    reeb = unit(COSY1, COSY1.t_index)
+    assert np.array_equal(contract(s.two_form, reeb), np.zeros(3))
+    assert float(s.eta @ reeb) == 1.0
 
 
 def test_reeb_contact():
     x = np.array([0.4, -1.2, 0.3])
     s = structure_at_point(CONT1, x)
-    assert float(s.theta @ s.reeb) == 1.0
-    assert np.array_equal(contract(s.two_form, s.reeb), np.zeros(3))
+    reeb = unit(CONT1, CONT1.z_index)
+    assert float(s.theta @ reeb) == 1.0
+    assert np.array_equal(contract(s.two_form, reeb), np.zeros(3))
     # theta = dz - p dq carries the point's p
     assert s.theta[0] == 1.2 and s.theta[1] == 0.0 and s.theta[2] == 1.0
 
@@ -84,12 +93,14 @@ def test_reeb_contact():
 def test_reeb_cocontact_four_conditions():
     x = np.array([0.1, 0.4, -0.7, 2.0])
     s = structure_at_point(COCO1, x)
-    assert float(s.theta @ s.reeb_z) == 1.0
-    assert float(s.eta @ s.reeb_z) == 0.0
-    assert np.array_equal(contract(s.two_form, s.reeb_z), np.zeros(4))
-    assert float(s.theta @ s.reeb_t) == 0.0
-    assert float(s.eta @ s.reeb_t) == 1.0
-    assert np.array_equal(contract(s.two_form, s.reeb_t), np.zeros(4))
+    reeb_z = unit(COCO1, COCO1.z_index)
+    reeb_t = unit(COCO1, COCO1.t_index)
+    assert float(s.theta @ reeb_z) == 1.0
+    assert float(s.eta @ reeb_z) == 0.0
+    assert np.array_equal(contract(s.two_form, reeb_z), np.zeros(4))
+    assert float(s.theta @ reeb_t) == 0.0
+    assert float(s.eta @ reeb_t) == 1.0
+    assert np.array_equal(contract(s.two_form, reeb_t), np.zeros(4))
 
 
 def test_contact_structure_requires_point():
@@ -122,7 +133,7 @@ def test_reeb_type_system():
 
 def test_cosymplectic_evolution_example():
     H = COSY1.parse("p1^2/2 + t*q1")
-    E = evolution_vf(COSY1, H, [0.0, 1.0, 2.0])
+    E = dynamical_vf(COSY1, H, [0.0, 1.0, 2.0])
     assert np.array_equal(E, [1.0, -2.0, 1.0])
     X = hamiltonian_vf(COSY1, H, [0.0, 1.0, 2.0])
     assert X[2] == 0.0
@@ -131,12 +142,12 @@ def test_cosymplectic_evolution_example():
 def test_symplectic_evolution_is_hamiltonian():
     H = SYMP1.parse("p1^2/2 + sin(q1)")
     x = [0.3, 1.1]
-    assert np.array_equal(evolution_vf(SYMP1, H, x), hamiltonian_vf(SYMP1, H, x))
+    assert np.array_equal(dynamical_vf(SYMP1, H, x), hamiltonian_vf(SYMP1, H, x))
 
 
 def test_cocontact_evolution_example():
     H = COCO1.parse("p1^2/2")
-    E = evolution_vf(COCO1, H, [0.0, 0.0, 2.0, 0.0])
+    E = dynamical_vf(COCO1, H, [0.0, 0.0, 2.0, 0.0])
     assert np.array_equal(E, [1.0, 2.0, 0.0, 2.0])
 
 

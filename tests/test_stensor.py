@@ -17,7 +17,7 @@ Lenard residual is the package's dual-path derivative check.
 import numpy as np
 import pytest
 
-from canonoid import transform
+from canonoid import stensor, transform
 from canonoid.expr import DomainError
 from canonoid.geometry import GeometryKind, full_two_form
 from canonoid.stensor import (
@@ -102,7 +102,7 @@ def test_reconstruction_roundtrip():
         F = tmap(g, sources)
         x = np.linspace(0.5, 1.3, g.dim)
         S = s_tensor(g, F, x).matrix
-        lam = transform.lagrange_brackets(F, x).entries
+        lam = transform.lagrange_brackets(F, x)
         omega = full_two_form(g)
         xi = list(g.x_indices)
         back = (S.T @ omega)[:, xi]
@@ -295,6 +295,22 @@ def test_lenard_identity_random_points():
             for k in (1, 2, 3):
                 r = lenard_identity_residual(g, F, x, k)
                 assert r < IDENTITY_TOL, (g.kind, sources, k, r)
+
+
+def test_full_trace_gradients_against_finite_differences():
+    # the involution check uses the full-chart jet route, z-row included
+    h = 1e-6
+    for g, sources in LENARD_CASES:
+        F = tmap(g, sources)
+        x = np.linspace(0.6, 1.3, g.dim)
+        grads = stensor._trace_grads(g, F, x, 4, block="full")
+        fd = np.zeros_like(grads)
+        for a, nu in enumerate(g.x_indices):
+            e = np.zeros(g.dim)
+            e[nu] = h
+            fd[:, a] = (trace_powers(g, F, x + e, 4)
+                        - trace_powers(g, F, x - e, 4)) / (2 * h)
+        assert np.max(np.abs(grads - fd)) < FD_TOL * max(1.0, np.max(np.abs(fd))), g.kind
 
 
 def test_lenard_sides_individually_nonzero():

@@ -88,7 +88,7 @@ def test_singular_jacobian_rejected():
 def test_cubic_momentum_bracket():
     F = tmap(SYMP1, ["q1", "p1^3/3"])
     for p in (0.5, 1.0, 2.0):
-        lam = lagrange_brackets(F, [0.7, p]).entries
+        lam = lagrange_brackets(F, [0.7, p])
         assert abs(lam[0, 1] - p * p) < EXACT
         assert abs(lam[1, 0] + p * p) < EXACT
 
@@ -98,13 +98,13 @@ def test_lagrange_antisymmetry_exact():
     F = tmap(SYMP2, ["q1*p2", "exp(q2)", "p1^2", "q1+p2*q2"])
     for _ in range(10):
         x = rng.uniform(0.2, 1.5, size=4)
-        lam = lagrange_brackets(F, x).entries
+        lam = lagrange_brackets(F, x)
         assert np.array_equal(lam, -lam.T)
 
 
 def test_contact_scaling_z_row_vanishes():
     F = tmap(CONT1, ["q1", "2*p1", "2*z"])
-    lam = lagrange_brackets(F, [0.4, 1.3, 0.9]).entries
+    lam = lagrange_brackets(F, [0.4, 1.3, 0.9])
     zi = CONT1.z_index
     assert np.array_equal(lam[zi, :], np.zeros(3))
     assert np.array_equal(lam[:, zi], np.zeros(3))
@@ -119,8 +119,8 @@ def test_lagrange_derivative_matches_finite_differences():
     for nu in range(2):
         e = np.zeros(2)
         e[nu] = h
-        lp = lagrange_brackets(F, x + e).entries
-        lm = lagrange_brackets(F, x - e).entries
+        lp = lagrange_brackets(F, x + e)
+        lm = lagrange_brackets(F, x - e)
         fd = (lp - lm) / (2 * h)
         assert np.max(np.abs(dLam[nu] - fd)) < 1e-8
 
