@@ -132,52 +132,55 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
     def f(state):
         return dynamical_vf(g, H, state)
 
-    if method == "rk4":
-        h = (t1 - t0) / steps
-        times = t0 + h * np.arange(steps + 1)
-        states = np.zeros((steps + 1, g.dim))
+    # a non-finite field value propagates into the states, where the
+    # guards of the trace checks report it; numpy stays quiet
+    with np.errstate(all="ignore"):
+        if method == "rk4":
+            h = (t1 - t0) / steps
+            times = t0 + h * np.arange(steps + 1)
+            states = np.zeros((steps + 1, g.dim))
+            if ti is not None:
+                y[ti] = t0
+            states[0] = y
+            for k in range(steps):
+                y = _rk4_step(f, y, h)
+                if ti is not None:
+                    y[ti] = times[k + 1]
+                states[k + 1] = y
+            return Trajectory(times=times, states=states, geometry=g,
+                              hamiltonian=H)
+
+        # rk45-adaptive
+        span = t1 - t0
+        h = span / steps
+        h_min = 1e-14 * span
+        t = t0
         if ti is not None:
             y[ti] = t0
-        states[0] = y
-        for k in range(steps):
-            y = _rk4_step(f, y, h)
-            if ti is not None:
-                y[ti] = times[k + 1]
-            states[k + 1] = y
-        return Trajectory(times=times, states=states, geometry=g,
-                          hamiltonian=H)
-
-    # rk45-adaptive
-    span = t1 - t0
-    h = span / steps
-    h_min = 1e-14 * span
-    t = t0
-    if ti is not None:
-        y[ti] = t0
-    times = [t0]
-    states = [y.copy()]
-    while t < t1 - 1e-14 * span:
-        h = min(h, t1 - t)
-        y_new, err = _dp_step(f, y, h)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        times = [t0]
+        states = [y.copy()]
+        while t < t1 - 1e-14 * span:
+            h = min(h, t1 - t)
+            y_new, err = _dp_step(f, y, h)
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
             ratio = np.sqrt(np.mean((err / scale) ** 2))
-        if not np.isfinite(ratio):
-            ratio = np.inf
-        if ratio <= 1.0:
-            t = t + h
-            y = y_new
-            if ti is not None:
-                y[ti] = t
-            times.append(t)
-            states.append(y.copy())
-        factor = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
-        h = h * factor
-        if h < h_min:
-            raise StepFailure(
-                f"step size underflow at t = {t} (h = {h:.3e})")
-    return Trajectory(times=np.array(times), states=np.array(states),
-                      geometry=g, hamiltonian=H)
+            if not np.isfinite(ratio):
+                ratio = np.inf
+            if ratio <= 1.0:
+                t = t + h
+                y = y_new
+                if ti is not None:
+                    y[ti] = t
+                times.append(t)
+                states.append(y.copy())
+            factor = (5.0 if ratio == 0.0
+                      else min(5.0, max(0.2, 0.9 * ratio ** -0.2)))
+            h = h * factor
+            if h < h_min:
+                raise StepFailure(
+                    f"step size underflow at t = {t} (h = {h:.3e})")
+        return Trajectory(times=np.array(times), states=np.array(states),
+                          geometry=g, hamiltonian=H)
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +188,23 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
 
 
 def drift_report(traj, observables):
-    """Evaluate (name, f) pairs at every stored state and summarize the
-    deviation from the initial value."""
-    if traj.states.shape[0] < 1:
+    """Summarize (name, f) pairs over the trajectory: each f maps the
+    stack of stored states (T, d) to its (T,) values in one call, and
+    the report measures the deviation from the initial value."""
+    T = traj.states.shape[0]
+    if T < 1:
         raise ValueError("trajectory has no states")
     out = {}
     for name, fn in observables:
-        vals = np.array([float(fn(x)) for x in traj.states])
+        vals = np.asarray(fn(traj.states), dtype=float)
+        if vals.shape != (T,):
+            raise ValueError(f"observable {name!r} gave shape {vals.shape} "
+                             f"for {T} states")
         f0 = vals[0]
         dev = np.abs(vals - f0)
         max_abs = float(np.max(dev))
         rel = max_abs / max(abs(f0), 1.0)
-        if traj.states.shape[0] > 1:
+        if T > 1:
             slope = float(np.polyfit(traj.times, vals, 1)[0])
         else:
             slope = 0.0
@@ -211,10 +219,12 @@ def drift_report(traj, observables):
 
 def lie_derivative_S(g, F, H, x):
     """(L_V S)^A_B = V^n dS^A_B/dx^n - S^n_B dV^A/dx^n + S^A_n dV^n/dx^B
-    with V the dynamical field of the geometry, over the full chart.
+    with V the dynamical field of the geometry, over the full chart, at
+    one state or a stack of states.
 
     S and dS come from stensor.s_and_ds.
     """
-    S, dS = stensor.s_and_ds(g, F, x)
-    V, dV = dynamical_vf_jacobian(g, H, x)
-    return np.einsum("n,nab->ab", V, dS) - dV @ S + S @ dV
+    with np.errstate(all="ignore"):
+        S, dS = stensor.s_and_ds(g, F, x)
+        V, dV = dynamical_vf_jacobian(g, H, x)
+        return np.einsum("...n,...nab->...ab", V, dS) - dV @ S + S @ dV

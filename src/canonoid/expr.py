@@ -1,9 +1,22 @@
 """Scalar expressions on phase-space charts.
 
-Expressions are parsed from a small arithmetic grammar and evaluated over
-plain floats or over dual scalars that carry exact first (and optionally
-second) derivatives through every operation.  All derivative information
-in the rest of the library flows through this module.
+Expressions are parsed from a small arithmetic grammar.  All derivative
+information in the rest of the library flows through this module, from
+one engine: vector forward mode over the sample axis (Griewank &
+Walther, Evaluating Derivatives, 2nd ed., ch. 3 and 13).  On its first
+evaluation at a given derivative order an expression is compiled into a
+tree of closures, cached on the expression, that map a stack of N
+points (N, m) to an array jet: the values (N,), the exact first partials
+(N, m) and, at order 2, the second partials (N, m, m) over the m chart
+variables.  jet() takes one point or a stack; evaluate(), gradient(),
+hessian() and value_and_derivatives() are its one-point forms.
+
+Domain checks are masks over the stack: a DomainError names the
+subexpression and the first failing row.  Overflow from finite input in
+a power, exp, sinh or cosh is a DomainError too, while a product or sum
+that overflows gives inf, as float arithmetic does, for the callers'
+finiteness guards to report.  The sweep itself never prints numpy
+floating-point warnings.
 
 Grammar (ASCII, ^ is exponentiation):
 
@@ -23,6 +36,7 @@ caller; any other identifier is rejected at parse time.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -31,7 +45,6 @@ import numpy as np
 
 __all__ = [
     "Expression",
-    "DualScalar",
     "DomainError",
     "UnknownVariable",
     "UnknownFunction",
@@ -132,156 +145,16 @@ class Expression:
     def __str__(self):
         return serialize(self)
 
+    @functools.cached_property
+    def _kernels(self):
+        """Compiled sweeps by derivative order, filled on first use."""
+        return {}
 
-# ---------------------------------------------------------------------------
-# Dual scalars
-
-
-class DualScalar:
-    """Forward-mode dual number: value, first partials d1, and (in
-    second-order mode) the symmetric matrix d2 of second partials.
-
-    d1 has one slot per active variable; d2 is None in first-order mode.
-    Arithmetic implements the chain rule exactly, so derivatives are
-    exact up to floating-point rounding.  d2 stays symmetric by
-    construction: every update is a symmetric matrix plus a pair of
-    mirrored outer products.
-    """
-
-    __slots__ = ("value", "d1", "d2")
-
-    def __init__(self, value, d1, d2=None):
-        self.value = float(value)
-        self.d1 = np.asarray(d1, dtype=float)
-        self.d2 = None if d2 is None else np.asarray(d2, dtype=float)
-
-    @staticmethod
-    def seed(values, order=1):
-        """Duals for a point: unit d1 vectors, zero d2 if order == 2."""
-        values = np.asarray(values, dtype=float)
-        m = values.size
-        out = []
-        for i in range(m):
-            d1 = np.zeros(m)
-            d1[i] = 1.0
-            d2 = np.zeros((m, m)) if order == 2 else None
-            out.append(DualScalar(values[i], d1, d2))
-        return out
-
-    # -- helpers ----------------------------------------------------------
-
-    def _like(self, value, d1, d2):
-        return DualScalar(value, d1, d2 if self.d2 is not None else None)
-
-    @staticmethod
-    def _coerce(x, template):
-        if isinstance(x, DualScalar):
-            return x
-        m = template.d1.size
-        d2 = np.zeros((m, m)) if template.d2 is not None else None
-        return DualScalar(float(x), np.zeros(m), d2)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        o = DualScalar._coerce(other, self)
-        d2 = None if self.d2 is None else self.d2 + o.d2
-        return DualScalar(self.value + o.value, self.d1 + o.d1, d2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = DualScalar._coerce(other, self)
-        d2 = None if self.d2 is None else self.d2 - o.d2
-        return DualScalar(self.value - o.value, self.d1 - o.d1, d2)
-
-    def __rsub__(self, other):
-        o = DualScalar._coerce(other, self)
-        return o - self
-
-    def __mul__(self, other):
-        o = DualScalar._coerce(other, self)
-        d1 = self.d1 * o.value + o.d1 * self.value
-        d2 = None
-        if self.d2 is not None:
-            d2 = (self.d2 * o.value + o.d2 * self.value
-                  + np.outer(self.d1, o.d1) + np.outer(o.d1, self.d1))
-        return DualScalar(self.value * o.value, d1, d2)
-
-    __rmul__ = __mul__
-
-    def _reciprocal(self):
-        if self.value == 0.0:
-            raise ZeroDivisionError("dual reciprocal of zero")
-        v = self.value
-        d1 = -self.d1 / (v * v)
-        d2 = None
-        if self.d2 is not None:
-            d2 = -self.d2 / (v * v) + (np.outer(self.d1, self.d1)
-                                       + np.outer(self.d1, self.d1)) / (v ** 3)
-        return DualScalar(1.0 / v, d1, d2)
-
-    def __truediv__(self, other):
-        o = DualScalar._coerce(other, self)
-        return self * o._reciprocal()
-
-    def __rtruediv__(self, other):
-        o = DualScalar._coerce(other, self)
-        return o * self._reciprocal()
-
-    def __neg__(self):
-        d2 = None if self.d2 is None else -self.d2
-        return DualScalar(-self.value, -self.d1, d2)
-
-    def __pow__(self, k):
-        """Power with a constant real exponent.
-
-        Integer k is valid for any base (except 0 with k < 0); a
-        non-integer k requires a strictly positive base.
-        """
-        if isinstance(k, DualScalar):
-            raise TypeError("dual exponents go through exp/log")
-        kf = float(k)
-        v = self.value
-        if kf == 0.0:
-            m = self.d1.size
-            d2 = np.zeros((m, m)) if self.d2 is not None else None
-            return DualScalar(1.0, np.zeros(m), d2)
-        if kf.is_integer():
-            ki = int(kf)
-            if v == 0.0 and ki < 0:
-                raise ZeroDivisionError("zero base with negative exponent")
-            val = v ** ki
-            c1 = float(ki) * v ** (ki - 1)
-            d1 = c1 * self.d1
-            d2 = None
-            if self.d2 is not None:
-                # ki == 1 would hit 0**-1 at v = 0; the coefficient is 0 anyway
-                c2 = float(ki * (ki - 1)) * v ** (ki - 2) if ki != 1 else 0.0
-                d2 = c1 * self.d2 + c2 * np.outer(self.d1, self.d1)
-            return DualScalar(val, d1, d2)
-        if v <= 0.0:
-            raise ValueError("non-integer power of a non-positive base")
-        val = v ** kf
-        c1 = kf * v ** (kf - 1.0)
-        d1 = c1 * self.d1
-        d2 = None
-        if self.d2 is not None:
-            c2 = kf * (kf - 1.0) * v ** (kf - 2.0)
-            d2 = c1 * self.d2 + c2 * np.outer(self.d1, self.d1)
-        return DualScalar(val, d1, d2)
-
-    def _apply(self, val, c1, c2):
-        """Lift a scalar function through the chain rule: c1 = f'(v),
-        c2 = f''(v) evaluated at self.value."""
-        d1 = c1 * self.d1
-        d2 = None
-        if self.d2 is not None:
-            d2 = c1 * self.d2 + c2 * np.outer(self.d1, self.d1)
-        return DualScalar(val, d1, d2)
-
-    def __repr__(self):
-        return f"DualScalar({self.value!r}, d1={self.d1!r}, d2={self.d2!r})"
+    def __getstate__(self):
+        # the compiled closures cannot be pickled; they are rebuilt
+        state = dict(self.__dict__)
+        state.pop("_kernels", None)
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -425,141 +298,370 @@ def parse(source, chart_vars):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Array jets
+#
+# An expression is compiled once per derivative order into a tree of
+# closures over a stack of points X of shape (N, m).  Each closure
+# returns a jet (v, d1, d2): the values (N,), the first partials (N, m)
+# and, at order 2, the second partials (N, m, m) over the m chart
+# variables.  Below the requested order d1 and d2 are None.  A seeded
+# variable carries a broadcastable (1, m) unit row as d1 and the float
+# 0.0 as d2, and constant subtrees are folded into plain floats at
+# compile time, so constants never allocate derivative arrays.  Every
+# second-order update adds symmetric terms, so Hessians are symmetric
+# to the last bit.
 
-# value, first derivative, second derivative at a point v
+# name: (f, f' from (v, f), f'' from (v, f, f'))
 _FN_TABLE = {
-    "sin": (math.sin, math.cos, lambda v: -math.sin(v)),
-    "cos": (math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v)),
-    "tan": (math.tan, lambda v: 1.0 + math.tan(v) ** 2,
-            lambda v: 2.0 * math.tan(v) * (1.0 + math.tan(v) ** 2)),
-    "exp": (math.exp, math.exp, math.exp),
-    "log": (math.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v)),
-    "sqrt": (math.sqrt, lambda v: 0.5 / math.sqrt(v),
-             lambda v: -0.25 / math.sqrt(v) ** 3),
-    "sinh": (math.sinh, math.cosh, math.sinh),
-    "cosh": (math.cosh, math.sinh, math.cosh),
+    "sin": (np.sin, lambda v, f: np.cos(v), lambda v, f, d: -f),
+    "cos": (np.cos, lambda v, f: -np.sin(v), lambda v, f, d: -f),
+    "tan": (np.tan, lambda v, f: 1.0 + f * f, lambda v, f, d: 2.0 * f * d),
+    "exp": (np.exp, lambda v, f: f, lambda v, f, d: f),
+    "log": (np.log, lambda v, f: 1.0 / v, lambda v, f, d: -d * d),
+    "sqrt": (np.sqrt, lambda v, f: 0.5 / f, lambda v, f, d: -0.5 * d / v),
+    "sinh": (np.sinh, lambda v, f: np.cosh(v), lambda v, f, d: f),
+    "cosh": (np.cosh, lambda v, f: np.sinh(v), lambda v, f, d: f),
 }
+# functions that can overflow on a finite argument
+_OVERFLOWING = frozenset({"exp", "sinh", "cosh"})
 
 
-def _val(x):
-    return x.value if isinstance(x, DualScalar) else float(x)
+def _domain_error(msg, node, row):
+    return DomainError(f"{msg} in '{serialize(node)}' at row {row}")
 
 
-def _domain_error(msg, node):
-    return DomainError(f"{msg} in '{serialize(node)}'")
+def _forbid(bad, msg, node):
+    """Raise DomainError at the first row where the mask bad is set."""
+    if bad.any():
+        raise _domain_error(msg, node, int(np.argmax(bad)))
 
 
-def _eval(node, env):
-    if isinstance(node, Const):
+def _check_overflow(val, node, *inputs):
+    """An infinite or NaN value from finite inputs is an overflow."""
+    # one dot product is finite unless some entry is inf or NaN (or
+    # beyond 1e154, which the exact test below then clears)
+    if math.isfinite(val @ val):
+        return
+    bad = ~np.isfinite(val)
+    for x in inputs:
+        bad &= np.isfinite(x)
+    _forbid(bad, "overflow", node)
+
+
+@functools.cache
+def _unit_row(m, j):
+    """d1 seed of chart variable j: a read-only view, which the kernel
+    copies before handing it out."""
+    row = np.eye(m)[j:j + 1]
+    row.flags.writeable = False
+    return row
+
+
+def _outer2(a1, b1):
+    """a1 b1^T + b1 a1^T per row, symmetric by construction."""
+    o = a1[:, :, None] * b1[:, None, :]
+    return o + o.transpose(0, 2, 1)
+
+
+def _chain(a, val, c1, c2):
+    """Jet of f(a) from val = f, c1 = f' and c2 = f'' at a's values
+    (c2 is None below order 2); called at order >= 1."""
+    _, d1, d2 = a
+    g1 = d1 * c1[:, None]
+    if d2 is None:
+        return val, g1, None
+    return val, g1, (d2 * c1[:, None, None]
+                     + c2[:, None, None] * (d1[:, :, None] * d1[:, None, :]))
+
+
+def _neg(a):
+    v, d1, d2 = a
+    return -v, None if d1 is None else -d1, None if d2 is None else -d2
+
+
+def _shift(a, c):
+    return a[0] + c, a[1], a[2]
+
+
+def _scale(a, c):
+    v, d1, d2 = a
+    return v * c, None if d1 is None else d1 * c, None if d2 is None else d2 * c
+
+
+def _quot(a, c):
+    v, d1, d2 = a
+    return v / c, None if d1 is None else d1 / c, None if d2 is None else d2 / c
+
+
+def _add(a, b):
+    (av, a1, a2), (bv, b1, b2) = a, b
+    return (av + bv, None if a1 is None else a1 + b1,
+            None if a2 is None else a2 + b2)
+
+
+def _sub(a, b):
+    (av, a1, a2), (bv, b1, b2) = a, b
+    return (av - bv, None if a1 is None else a1 - b1,
+            None if a2 is None else a2 - b2)
+
+
+def _mul(a, b):
+    (av, a1, a2), (bv, b1, b2) = a, b
+    v = av * bv
+    if a1 is None:
+        return v, None, None
+    ac, bc = av[:, None], bv[:, None]
+    d1 = a1 * bc + b1 * ac
+    if a2 is None:
+        return v, d1, None
+    return v, d1, a2 * bc[:, :, None] + b2 * ac[:, :, None] + _outer2(a1, b1)
+
+
+def _div(a, b, node):
+    """a / b for a jet b; a is a jet or a constant jet (c, 0.0, 0.0)."""
+    (av, a1, a2), (bv, b1, b2) = a, b
+    _forbid(bv == 0.0, "division by zero", node)
+    q = av / bv
+    if b1 is None:
+        return q, None, None
+    r = bv[:, None]
+    q1 = (a1 - b1 * q[:, None]) / r
+    if b2 is None:
+        return q, q1, None
+    return q, q1, (a2 - b2 * q[:, None, None] - _outer2(b1, q1)) / r[:, :, None]
+
+
+def _power_coeff(v, c, e):
+    """c * v**e, exactly zero when c is (never 0 * inf at v = 0)."""
+    if c == 0.0:
+        return np.zeros_like(v)
+    return c * v if e == 1.0 else c * v ** e
+
+
+def _pow_const(a, k, node):
+    """a^k for a constant exponent k.  An integer k is valid for any
+    base except 0 with k < 0; a non-integer k needs a positive base."""
+    v, d1, d2 = a
+    if not k.is_integer():
+        _forbid(v <= 0.0, "non-integer power of a non-positive base", node)
+    elif k < 0.0:
+        _forbid(v == 0.0, "division by zero", node)
+    val = v ** k
+    _check_overflow(val, node, v)
+    if d1 is None:
+        return val, None, None
+    c2 = None if d2 is None else _power_coeff(v, k * (k - 1.0), k - 2.0)
+    return _chain(a, val, _power_coeff(v, k, k - 1.0), c2)
+
+
+def _pow_var(a, b, node):
+    """a^b for a variable exponent b; a is a jet or a float base.
+
+    Values follow real powers: an integer-valued exponent allows any
+    base but 0 with a negative exponent.  Derivatives in the exponent
+    need a positive base everywhere."""
+    const = type(a) is float
+    av = a if const else a[0]
+    bv, b1, b2 = b
+    if b1 is None:
+        whole = bv == np.floor(bv)
+        zero = whole & (av == 0.0) & (bv < 0.0)
+        bad = zero | (~whole & (av <= 0.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise _domain_error("division by zero" if zero[i] else
+                                "non-integer power of a non-positive base",
+                                node, i)
+        val = np.power(av, bv)
+        _check_overflow(val, node, av, bv)
+        return val, None, None
+    if const:
+        if av <= 0.0:
+            raise _domain_error("variable power of a non-positive base",
+                                node, 0)
+        p = _scale(b, math.log(av))
+    else:
+        _forbid(av <= 0.0, "variable power of a non-positive base", node)
+        c2 = None if a[2] is None else -1.0 / (av * av)
+        p = _mul(b, _chain(a, np.log(av), 1.0 / av, c2))
+    val = np.power(av, bv)
+    _check_overflow(val, node, av, bv)
+    # a^b = exp(p) with p = b log a; every derivative of exp is val
+    return _chain(p, val, val, None if b2 is None else val)
+
+
+def _apply(a, node):
+    v, d1, d2 = a
+    name = node.func
+    if name == "log":
+        _forbid(v <= 0.0, "log of non-positive value", node)
+    elif name == "sqrt":
+        _forbid(v < 0.0, "sqrt of negative value", node)
+        if d1 is not None:
+            _forbid(v == 0.0, "sqrt derivative at zero", node)
+    f, f1, f2 = _FN_TABLE[name]
+    val = f(v)
+    if name in _OVERFLOWING:
+        _check_overflow(val, node, v)
+    if d1 is None:
+        return val, None, None
+    c1 = f1(v, val)
+    return _chain(a, val, c1, None if d2 is None else f2(v, val, c1))
+
+
+def _const_jet(c, order):
+    return c, 0.0 if order else None, 0.0 if order == 2 else None
+
+
+def _build_add(node, order, a, b):
+    if type(a) is float:
+        return lambda X: _shift(b(X), a)
+    if type(b) is float:
+        return lambda X: _shift(a(X), b)
+    return lambda X: _add(a(X), b(X))
+
+
+def _build_sub(node, order, a, b):
+    if type(a) is float:
+        return lambda X: _shift(_neg(b(X)), a)
+    if type(b) is float:
+        return lambda X: _shift(a(X), -b)
+    return lambda X: _sub(a(X), b(X))
+
+
+def _build_mul(node, order, a, b):
+    if type(a) is float:
+        return lambda X: _scale(b(X), a)
+    if type(b) is float:
+        return lambda X: _scale(a(X), b)
+    return lambda X: _mul(a(X), b(X))
+
+
+def _build_div(node, order, a, b):
+    if type(b) is float:
+        if b == 0.0:
+            raise _domain_error("division by zero", node, 0)
+        return lambda X: _quot(a(X), b)
+    if type(a) is float:
+        ca = _const_jet(a, order)
+        return lambda X: _div(ca, b(X), node)
+    return lambda X: _div(a(X), b(X), node)
+
+
+def _build_pow(node, order, a, b):
+    if type(b) is float:
+        return lambda X: _pow_const(a(X), b, node)
+    if type(a) is float:
+        return lambda X: _pow_var(a, b(X), node)
+    return lambda X: _pow_var(a(X), b(X), node)
+
+
+def _build_neg(node, order, a):
+    return lambda X: _neg(a(X))
+
+
+def _build_call(node, order, a):
+    return lambda X: _apply(a(X), node)
+
+
+_NODE_COMPILERS = {Neg: _build_neg, Add: _build_add, Sub: _build_sub,
+                   Mul: _build_mul, Div: _build_div, Pow: _build_pow,
+                   Call: _build_call}
+
+
+def _children(node):
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    if isinstance(node, Pow):
+        return (node.base, node.exponent)
+    return (node.left, node.right)
+
+
+def _compile(node, order, index):
+    """A float for a constant subtree, else a closure X -> jet."""
+    kind = type(node)
+    if kind is Const:
         return node.value
-    if isinstance(node, Var):
+    if kind is Var:
         try:
-            return env[node.name]
+            j = index[node.name]
         except KeyError:
             raise UnknownVariable(f"unbound variable {node.name!r}") from None
-    if isinstance(node, Neg):
-        return -_eval(node.arg, env)
-    if isinstance(node, Add):
-        return _eval(node.left, env) + _eval(node.right, env)
-    if isinstance(node, Sub):
-        return _eval(node.left, env) - _eval(node.right, env)
-    if isinstance(node, Mul):
-        return _eval(node.left, env) * _eval(node.right, env)
-    if isinstance(node, Div):
-        num = _eval(node.left, env)
-        den = _eval(node.right, env)
-        if _val(den) == 0.0:
-            raise _domain_error("division by zero", node)
-        return num / den
-    if isinstance(node, Pow):
-        return _eval_pow(node, env)
-    if isinstance(node, Call):
-        return _eval_call(node, env)
-    raise TypeError(f"not an expression node: {node!r}")
+        seed = _unit_row(len(index), j) if order else None
+        zero = 0.0 if order == 2 else None
+        return lambda X: (X[:, j], seed, zero)
+    build = _NODE_COMPILERS[kind]
+    kids = [_compile(k, order, index) for k in _children(node)]
+    if any(type(k) is not float for k in kids):
+        return build(node, order, *kids)
+    # fold: run the value closure once on one-row constant jets
+    consts = [lambda X, c=np.array([k]): (c, None, None) for k in kids]
+    return float(build(node, 0, *consts)(None)[0][0])
 
 
-def _eval_pow(node, env):
-    base = _eval(node.base, env)
-    expo = _eval(node.exponent, env)
-    bval = _val(base)
-    try:
-        if isinstance(expo, DualScalar):
-            # variable exponent: u^w = exp(w*log(u)), needs u > 0
-            if bval <= 0.0:
-                raise _domain_error("variable power of a non-positive base", node)
-            return _exp_any(expo * _log_any(base))
-        ev = float(expo)
-        if ev.is_integer():
-            if bval == 0.0 and ev < 0.0:
-                raise _domain_error("division by zero", node)
-            if isinstance(base, DualScalar):
-                return base ** int(ev)
-            return bval ** int(ev)
-        if bval <= 0.0:
-            raise _domain_error("non-integer power of a non-positive base", node)
-        if isinstance(base, DualScalar):
-            return base ** ev
-        return bval ** ev
-    except OverflowError:
-        raise _domain_error("overflow", node) from None
+def _kernel(e, order):
+    """The compiled sweep of e at the given order, returning fresh
+    arrays of the full stacked shapes."""
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+    index = {name: j for j, name in enumerate(e.chart_vars)}
+    m = len(index)
+    f = _compile(e.ast, order, index)
+    if type(f) is float:
+        const = _const_jet(f, order)
+        f = lambda X: (np.full(len(X), const[0]),) + const[1:]   # noqa: E731
+
+    def run(X):
+        v, d1, d2 = f(X)
+        n = len(X)
+        if v.base is not None:
+            v = v.copy()   # a bare variable is a view of X
+        if d1 is not None and (type(d1) is float or d1.base is not None
+                               or d1.shape[0] != n):
+            d1 = np.broadcast_to(d1, (n, m)).copy()
+        if d2 is not None and (type(d2) is float or d2.base is not None
+                               or d2.shape[0] != n):
+            d2 = np.broadcast_to(d2, (n, m, m)).copy()
+        return v, d1, d2
+
+    return run
 
 
-def _log_any(x):
-    if isinstance(x, DualScalar):
-        v = x.value
-        return x._apply(math.log(v), 1.0 / v, -1.0 / (v * v))
-    return math.log(x)
+def jet(e, points, order=2):
+    """(value, gradient, hessian) of e in one sweep, over all chart
+    variables (partials vanish for absent ones).
 
-
-def _exp_any(x):
-    if isinstance(x, DualScalar):
-        e = math.exp(x.value)
-        return x._apply(e, e, e)
-    return math.exp(x)
-
-
-def _eval_call(node, env):
-    v = _eval(node.arg, env)
-    vv = _val(v)
-    name = node.func
-    if name == "log" and vv <= 0.0:
-        raise _domain_error("log of non-positive value", node)
-    if name == "sqrt":
-        if vv < 0.0:
-            raise _domain_error("sqrt of negative value", node)
-        if vv == 0.0 and isinstance(v, DualScalar):
-            raise _domain_error("sqrt derivative at zero", node)
-    f, f1, f2 = _FN_TABLE[name]
-    try:
-        if isinstance(v, DualScalar):
-            return v._apply(f(vv), f1(vv), f2(vv))
-        return f(vv)
-    except OverflowError:
-        raise _domain_error("overflow", node) from None
+    points is one point (m,) in chart order or a stack (N, m); the
+    results are then a float, (m,) and (m, m), or (N,), (N, m) and
+    (N, m, m).  The gradient is None at order 0 and the hessian below
+    order 2.  A DomainError names the failing subexpression and the
+    first failing row (0 for a single point).
+    """
+    X = np.asarray(points, dtype=float)
+    single = X.ndim == 1
+    if single:
+        X = X[None]
+    m = len(e.chart_vars)
+    if X.ndim != 2 or X.shape[1] != m:
+        size = X.shape[-1] if X.ndim else 1
+        raise ValueError(f"point has {size} components, chart has {m}")
+    kernels = e._kernels
+    with np.errstate(all="ignore"):
+        run = kernels.get(order) or kernels.setdefault(order, _kernel(e, order))
+        v, d1, d2 = run(X)
+    if single:
+        return (float(v[0]), None if d1 is None else d1[0],
+                None if d2 is None else d2[0])
+    return v, d1, d2
 
 
 def evaluate(e, env):
-    """Evaluate an Expression in an environment of floats/DualScalars.
-
-    All names in e.free_vars must be bound.  Same environment gives a
-    bit-identical result.
-    """
-    return _eval(e.ast, env)
-
-
-def jet(e, point, order=2):
-    """(value, gradient, hessian) of e at point (a sequence in chart
-    order) in one dual sweep; partials run over *all* chart variables
-    and vanish for absent ones.  hessian is None when order is 1."""
-    point = np.asarray(point, dtype=float)
-    m = len(e.chart_vars)
-    if point.size != m:
-        raise ValueError(f"point has {point.size} components, chart has {m}")
-    out = _eval(e.ast, dict(zip(e.chart_vars, DualScalar.seed(point, order))))
-    if isinstance(out, DualScalar):
-        return out.value, out.d1, out.d2
-    return float(out), np.zeros(m), np.zeros((m, m)) if order == 2 else None
+    """Value of e at one point given as a mapping of chart variable
+    names to floats; every free variable must be bound."""
+    for name in e.free_vars:
+        if name not in env:
+            raise UnknownVariable(f"unbound variable {name!r}")
+    return jet(e, [env.get(name, 0.0) for name in e.chart_vars], order=0)[0]
 
 
 def gradient(e, point):
@@ -573,7 +675,7 @@ def hessian(e, point):
 
 
 def value_and_derivatives(e, point):
-    """(value, gradient, hessian) in one second-order dual sweep."""
+    """(value, gradient, hessian) in one second-order sweep."""
     return jet(e, point)
 
 

@@ -18,6 +18,7 @@ is M.T @ X for a two-form with matrix M (see contract()).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,7 @@ class GeometryKind:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
 
-    @property
+    @functools.cached_property
     def dim(self):
         base = 2 * self.n
         if self.kind in ("cosymplectic", "contact"):
@@ -68,7 +69,7 @@ class GeometryKind:
             return base + 2
         return base
 
-    @property
+    @functools.cached_property
     def chart_vars(self):
         qs = [f"q{i}" for i in range(1, self.n + 1)]
         ps = [f"p{i}" for i in range(1, self.n + 1)]
@@ -80,24 +81,38 @@ class GeometryKind:
             return tuple(qs + ps + ["z"])
         return tuple(["t"] + qs + ps + ["z"])
 
-    # -- index layout -------------------------------------------------------
+    # -- index layout (computed once per instance) --------------------------
 
-    @property
+    @functools.cached_property
     def q_indices(self):
         off = 1 if self.kind == "cocontact" else 0
         return tuple(range(off, off + self.n))
 
-    @property
+    @functools.cached_property
     def p_indices(self):
         off = 1 if self.kind == "cocontact" else 0
         return tuple(range(off + self.n, off + 2 * self.n))
 
-    @property
+    @functools.cached_property
     def x_indices(self):
         """Positions of the (q, p) block in chart order."""
         return self.q_indices + self.p_indices
 
-    @property
+    @functools.cached_property
+    def q_slice(self):
+        """q_indices as a slice (the q block is contiguous), so indexing
+        with it gives a view instead of a fancy-index copy."""
+        return slice(self.q_indices[0], self.q_indices[-1] + 1)
+
+    @functools.cached_property
+    def p_slice(self):
+        return slice(self.p_indices[0], self.p_indices[-1] + 1)
+
+    @functools.cached_property
+    def x_slice(self):
+        return slice(self.x_indices[0], self.x_indices[-1] + 1)
+
+    @functools.cached_property
     def t_index(self):
         if self.kind == "cosymplectic":
             return 2 * self.n
@@ -105,7 +120,7 @@ class GeometryKind:
             return 0
         return None
 
-    @property
+    @functools.cached_property
     def z_index(self):
         if self.kind == "contact":
             return 2 * self.n
@@ -114,8 +129,17 @@ class GeometryKind:
         return None
 
     def check_state(self, x):
+        """x as one float state of shape (dim,)."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
+            raise ValueError(
+                f"state has shape {x.shape}, chart dimension is {self.dim}")
+        return x
+
+    def check_states(self, x):
+        """x as floats: one state (dim,) or a stack of states (N, dim)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise ValueError(
                 f"state has shape {x.shape}, chart dimension is {self.dim}")
         return x
@@ -136,8 +160,10 @@ def canonical_eps(n):
 
 
 def contract(two_form, X):
-    """Interior product (X ⌟ omega) as a covector: omega(X, .)."""
-    return np.asarray(two_form).T @ np.asarray(X)
+    """Interior product (X ⌟ omega) as a covector: omega(X, .); stacks
+    of two-forms (N, d, d) and vectors (N, d) contract row by row."""
+    M = np.asarray(two_form)
+    return (np.swapaxes(M, -1, -2) @ np.asarray(X)[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -165,7 +191,8 @@ def full_two_form(g):
 
 def structure_at_point(g, x=None):
     """Structure tensors of g in Darboux form (point-independent except
-    for theta, which carries the p-coordinates of x)."""
+    for theta, which carries the p-coordinates of x).  For a stack of
+    states x (N, d) theta is the matching (N, d) stack."""
     d = g.dim
     M = full_two_form(g)
     eta = None
@@ -177,11 +204,10 @@ def structure_at_point(g, x=None):
     # theta = dz - p_i dq^i needs the point for its p-components
     if x is None:
         raise ValueError(f"{g.kind} structure needs the evaluation point")
-    x = g.check_state(x)
-    theta = np.zeros(d)
-    theta[g.z_index] = 1.0
-    for qi, pi in zip(g.q_indices, g.p_indices):
-        theta[qi] = -x[pi]
+    x = g.check_states(x)
+    theta = np.zeros(x.shape)
+    theta[..., g.z_index] = 1.0
+    theta[..., g.q_slice] = -x[..., g.p_slice]
     return StructureAtPoint(two_form=M, theta=theta, eta=eta)
 
 
@@ -190,57 +216,58 @@ def structure_at_point(g, x=None):
 
 
 def _assemble_vf(g, x, Hval, grad):
-    X = np.zeros(g.dim)
-    qi = list(g.q_indices)
-    pi = list(g.p_indices)
-    X[qi] = grad[pi]
+    X = np.zeros(grad.shape)
+    qs, ps = g.q_slice, g.p_slice
+    X[..., qs] = grad[..., ps]
     zi = g.z_index
     if zi is None:
-        X[pi] = -grad[qi]
+        X[..., ps] = -grad[..., qs]
         return X
-    X[pi] = -(grad[qi] + x[pi] * grad[zi])
-    X[zi] = float(np.dot(x[pi], grad[pi])) - Hval
+    p = x[..., ps]
+    X[..., ps] = -(grad[..., qs] + p * grad[..., zi, None])
+    X[..., zi] = (p * grad[..., ps]).sum(axis=-1) - Hval
     return X
 
 
 def hamiltonian_vf(g, H, x):
-    """Components of the Hamiltonian vector field X_H at x.
+    """Components of the Hamiltonian vector field X_H at x, one state
+    (d,) or a stack (N, d).
 
     symplectic/cosymplectic: (dH/dp, -dH/dq), zero t-component;
     contact/cocontact: (dH/dp, -(dH/dq + p dH/dz), p.dH/dp - H), zero
     t-component.
     """
-    x = g.check_state(x)
-    grad = expr.gradient(H, x)
-    Hval = None if g.z_index is None else expr.evaluate(H, g.env(x))
+    x = g.check_states(x)
+    Hval, grad, _ = expr.jet(H, x, order=1)
     return _assemble_vf(g, x, Hval, grad)
 
 
 def hamiltonian_vf_jacobian(g, H, x):
     """(X_H, dX_H) with the Jacobian assembled from the gradient and
     Hessian of H; row = component, column = derivative direction."""
-    x = g.check_state(x)
+    x = g.check_states(x)
     Hval, grad, hess = expr.value_and_derivatives(H, x)
     X = _assemble_vf(g, x, Hval, grad)
-    dX = np.zeros((g.dim, g.dim))
-    qi = list(g.q_indices)
-    pi = list(g.p_indices)
-    dX[qi, :] = hess[pi, :]
+    dX = np.zeros(hess.shape)
+    qs, ps = g.q_slice, g.p_slice
+    dX[..., qs, :] = hess[..., ps, :]
     zi = g.z_index
     if zi is None:
-        dX[pi, :] = -hess[qi, :]
+        dX[..., ps, :] = -hess[..., qs, :]
         return X, dX
-    dX[pi, :] = -(hess[qi, :] + np.outer(x[pi], hess[zi, :]))
-    dX[zi, :] = x[pi] @ hess[pi, :] - grad
-    for pa in pi:
-        dX[pa, pa] -= grad[zi]   # the -p_a dH/dz term differentiated in p_a
-        dX[zi, pa] += grad[pa]   # the p_a dH/dp_a term differentiated in p_a
+    p = x[..., ps]
+    dX[..., ps, :] = -(hess[..., qs, :] + p[..., :, None] * hess[..., zi, None, :])
+    dX[..., zi, :] = (p[..., None, :] @ hess[..., ps, :])[..., 0, :] - grad
+    # the -p_a dH/dz and p_a dH/dp_a terms differentiated in p_a
+    diag = g.p_indices
+    dX[..., diag, diag] -= grad[..., zi, None]
+    dX[..., zi, ps] += grad[..., ps]
     return X, dX
 
 
 def _add_time(g, X):
     if g.t_index is not None:
-        X[g.t_index] += 1.0
+        X[..., g.t_index] += 1.0
     return X
 
 
@@ -270,9 +297,8 @@ def poisson_bracket(g, f, h, x):
     x = g.check_state(x)
     gf = expr.gradient(f, x)
     gh = expr.gradient(h, x)
-    qi = list(g.q_indices)
-    pi = list(g.p_indices)
-    return float(np.dot(gf[qi], gh[pi]) - np.dot(gf[pi], gh[qi]))
+    qs, ps = g.q_slice, g.p_slice
+    return float(np.dot(gf[qs], gh[ps]) - np.dot(gf[ps], gh[qs]))
 
 
 def jacobi_bracket(g, f, h, x):
@@ -281,16 +307,12 @@ def jacobi_bracket(g, f, h, x):
     if g.kind not in ("contact", "cocontact"):
         raise WrongGeometry(f"Jacobi bracket undefined for {g.kind}")
     x = g.check_state(x)
-    env = g.env(x)
-    fval = expr.evaluate(f, env)
-    hval = expr.evaluate(h, env)
-    gf = expr.gradient(f, x)
-    gh = expr.gradient(h, x)
-    qi = list(g.q_indices)
-    pi = list(g.p_indices)
+    fval, gf, _ = expr.jet(f, x, order=1)
+    hval, gh, _ = expr.jet(h, x, order=1)
+    qs, ps = g.q_slice, g.p_slice
     zi = g.z_index
-    p = x[pi]
-    core = float(np.dot(gf[qi], gh[pi]) - np.dot(gf[pi], gh[qi]))
+    p = x[ps]
+    core = float(np.dot(gf[qs], gh[ps]) - np.dot(gf[ps], gh[qs]))
     return (core
-            + gf[zi] * (float(np.dot(p, gh[pi])) - hval)
-            - gh[zi] * (float(np.dot(p, gf[pi])) - fval))
+            + gf[zi] * (float(np.dot(p, gh[ps])) - hval)
+            - gh[zi] * (float(np.dot(p, gf[ps])) - fval))

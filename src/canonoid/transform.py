@@ -27,14 +27,13 @@ field sound.  Both components are reported separately.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr
 from .geometry import (
-    GeometryKind, WrongGeometry, canonical_eps, contract, full_two_form,
+    GeometryKind, WrongGeometry, canonical_eps, contract,
     hamiltonian_vf_jacobian, structure_at_point,
 )
 
@@ -62,6 +61,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 GL_NODES_PER_UNIT = 32
+QUADRATURE_BLOCK = 256
 
 
 class SingularReeb(ValueError):
@@ -80,16 +80,16 @@ class NonFiniteResidual(ArithmeticError):
 
 
 def fold_max(residuals, label="sample"):
-    """Largest of the per-sample residuals, elementwise when each is a
-    vector of components.  A NaN or infinite entry raises
-    NonFiniteResidual naming its index: the builtin max(0.0, nan)
-    returns 0.0 and would turn it into a pass."""
-    worst = 0.0
-    for i, r in enumerate(residuals):
-        if not np.all(np.isfinite(r)):
-            raise NonFiniteResidual(f"non-finite residual at {label} {i}")
-        worst = np.maximum(worst, r)
-    return worst
+    """Largest of the stacked per-sample residuals (one row per sample),
+    elementwise when each row is a vector of components.  A NaN or
+    infinite entry raises NonFiniteResidual naming its first row: the
+    builtin max(0.0, nan) returns 0.0 and would turn it into a pass."""
+    r = np.asarray(residuals, dtype=float)
+    finite = np.isfinite(r.reshape(len(r), -1)).all(axis=1)
+    if not finite.all():
+        raise NonFiniteResidual(
+            f"non-finite residual at {label} {int(np.argmin(finite))}")
+    return r.max(axis=0, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -160,30 +160,48 @@ class KGradient:
 
 
 # ---------------------------------------------------------------------------
-# Jacobians and Lagrange brackets
+# Jacobians and Lagrange brackets.  Every function here takes one state
+# (d,) or a stack (N, d) and returns the matching single or stacked
+# result.
 
 
 def _eval_components(F, x, order=2):
     """values, Jacobian rows and (for order 2) Hessians of all
-    components at x."""
+    components at x, one sweep per component over every point.  A
+    non-finite value, Jacobian entry or Hessian entry raises
+    NonFiniteResidual naming the first such sample and its component."""
     g = F.geometry
-    x = g.check_state(x)
-    d = g.dim
-    vals = np.zeros(d)
-    J = np.zeros((d, d))
-    H = np.zeros((d, d, d)) if order == 2 else None
+    x = g.check_states(x)
+    X = x.reshape(-1, g.dim)
+    n, d = X.shape
+    vals = np.empty((n, d))
+    J = np.empty((n, d, d))
+    H = np.empty((n, d, d, d)) if order == 2 else None
     for c, comp in enumerate(F.components):
-        vals[c], J[c], hess = expr.jet(comp, x, order)
-        if order == 2:
-            H[c] = hess
+        vals[:, c], J[:, c], hess = expr.jet(comp, X, order)
+        if H is not None:
+            H[:, c] = hess
+    finite = np.isfinite(vals) & np.isfinite(J).all(axis=2)
+    if H is not None:
+        finite &= np.isfinite(H).all(axis=(2, 3))
+    if not finite.all():
+        i, c = np.argwhere(~finite)[0]
+        raise NonFiniteResidual(
+            f"non-finite residual at sample {i} in transform component "
+            f"{g.chart_vars[c]}")
+    if x.ndim == 1:
+        return vals[0], J[0], None if H is None else H[0]
     return vals, J, H
 
 
 def _require_nonsingular(J, x):
     """The map is not a diffeomorphism where its Jacobian determinant
     vanishes."""
-    if np.linalg.det(J) == 0.0:
-        raise ValueError(f"transform Jacobian is singular at {np.asarray(x)}")
+    singular = np.linalg.det(J) == 0.0
+    if np.any(singular):
+        i = int(np.argmax(np.atleast_1d(singular)))
+        point = np.asarray(x).reshape(-1, J.shape[-1])[i]
+        raise ValueError(f"transform Jacobian is singular at {point}")
 
 
 def jacobian(F, x):
@@ -203,10 +221,8 @@ def jacobian_and_hessians(F, x):
 
 
 def _lagrange_from_jacobian(g, J):
-    JQ = J[list(g.q_indices), :]
-    JP = J[list(g.p_indices), :]
-    B = JQ.T @ JP
-    return B - B.T
+    B = np.swapaxes(J[..., g.q_slice, :], -1, -2) @ J[..., g.p_slice, :]
+    return B - np.swapaxes(B, -1, -2)
 
 
 def lagrange_brackets(F, x):
@@ -218,18 +234,15 @@ def lagrange_brackets(F, x):
 
 def lagrange_derivative(F, x, J=None, H=None):
     """dLam[nu, mu, mu'] = d[x^mu, x^mu']/dx^nu, assembled by the
-    product rule from component Jacobians and Hessians."""
+    product rule from component Jacobians and (symmetric) Hessians."""
     g = F.geometry
     if J is None or H is None:
         _, J, H = _eval_components(F, x, order=2)
-    d = g.dim
-    dLam = np.zeros((d, d, d))
-    for qi, pi in zip(g.q_indices, g.p_indices):
-        # a[nu] = outer(dJQ/dx^nu, JP) + outer(JQ, dJP/dx^nu)
-        a = (H[qi].T[:, :, None] * J[pi][None, None, :]
-             + J[qi][None, :, None] * H[pi].T[:, None, :])
-        dLam += a - a.transpose(0, 2, 1)
-    return dLam
+    qs, ps = g.q_slice, g.p_slice
+    # a[nu] = sum_i outer(dJQ_i/dx^nu, JP_i) + outer(JQ_i, dJP_i/dx^nu)
+    a = (np.einsum("...inm,...ik->...nmk", H[..., qs, :, :], J[..., ps, :])
+         + np.einsum("...im,...ink->...nmk", J[..., qs, :], H[..., ps, :, :]))
+    return a - np.swapaxes(a, -1, -2)
 
 
 def bracket_jet(F, x):
@@ -246,9 +259,9 @@ def bracket_jet(F, x):
 
 def _pullback_theta(g, vals, J):
     """Components of F*theta = dZ - P_i dQ^i."""
-    theta = J[g.z_index, :].copy()
+    theta = J[..., g.z_index, :].copy()
     for qi, pi in zip(g.q_indices, g.p_indices):
-        theta -= vals[pi] * J[qi, :]
+        theta -= vals[..., pi, None] * J[..., qi, :]
     return theta
 
 
@@ -265,25 +278,27 @@ def check_canonical(g, F, samples, tol=DEFAULT_TOL):
     of the sup-norm difference between pulled-back and original
     structure tensors."""
     samples = as_samples(samples)
-    omega = full_two_form(g)
-
-    def residual(x):
-        vals, J, _ = _eval_components(F, x, order=1)
-        s = structure_at_point(g, x)
-        if s.theta is None:
-            gaps = [(_lagrange_from_jacobian(g, J) - omega).ravel()]
-        else:
-            gaps = [_pullback_theta(g, vals, J) - s.theta]
-        if s.eta is not None:
-            gaps.append(J[g.t_index, :] - s.eta)
-        return np.max(np.abs(np.concatenate(gaps)))
-
-    worst = float(fold_max(residual(x) for x in samples))
+    vals, J, _ = _eval_components(F, samples, order=1)
+    s = structure_at_point(g, samples)
+    if s.theta is None:
+        gaps = [(_lagrange_from_jacobian(g, J) - s.two_form)
+                .reshape(len(samples), -1)]
+    else:
+        gaps = [_pullback_theta(g, vals, J) - s.theta]
+    if s.eta is not None:
+        gaps.append(J[:, g.t_index, :] - s.eta)
+    residuals = np.max(np.abs(np.concatenate(gaps, axis=1)), axis=1)
+    worst = float(fold_max(residuals))
     return CanonicalResult(canonical=worst <= tol, max_residual=worst)
 
 
 # ---------------------------------------------------------------------------
 # Canonoid: candidate K gradient (symplectic kinds)
+
+
+def _x_block(g, M):
+    """The (q, p) block of the trailing two axes of M."""
+    return M[..., g.x_slice, g.x_slice]
 
 
 def _k_gradient_pieces(g, F, H, x):
@@ -294,33 +309,31 @@ def _k_gradient_pieces(g, F, H, x):
     Lagrange matrix; this is the bracket form of the K-gradient
     relations for the (q, p) components of dK.
     """
-    xi = list(g.x_indices)
-    _, _, _, lam, dLam = bracket_jet(F, x)
-    _, gradH, hessH = expr.value_and_derivatives(H, x)
-    eps_inv = canonical_eps(g.n).T
-    L = lam[np.ix_(xi, xi)]
-    u = eps_inv @ gradH[xi]
-    G = L @ u
-    d = g.dim
-    dG = np.zeros((2 * g.n, d))
-    for a in range(d):
-        dG[:, a] = dLam[a][np.ix_(xi, xi)] @ u + L @ (eps_inv @ hessH[np.ix_(xi, [a])].ravel())
-    return G, dG, lam
+    with np.errstate(all="ignore"):
+        _, _, _, lam, dLam = bracket_jet(F, x)
+        _, gradH, hessH = expr.value_and_derivatives(H, x)
+        eps = canonical_eps(g.n)
+        L = _x_block(g, lam)
+        u = gradH[..., g.x_slice] @ eps              # eps_inv @ grad_x H
+        G = (L @ u[..., None])[..., 0]
+        # dG[:, a] = dLam[a]_xx @ u + L @ eps_inv @ hessH[x, a]
+        along = (_x_block(g, dLam) @ u[..., None, :, None])[..., 0]
+        dG = np.swapaxes(along, -1, -2) + L @ (eps.T @ hessH[..., g.x_slice, :])
+        return G, dG, lam
 
 
 def _k_gradient_only(g, F, H, x):
     """G alone, from first-order data (quadrature inner loop)."""
-    xi = list(g.x_indices)
-    lam = lagrange_brackets(F, x)
-    grad = expr.gradient(H, x)
-    return lam[np.ix_(xi, xi)] @ (canonical_eps(g.n).T @ grad[xi])
+    with np.errstate(all="ignore"):
+        L = _x_block(g, lagrange_brackets(F, x))
+        u = expr.gradient(H, x)[..., g.x_slice] @ canonical_eps(g.n)
+        return (L @ u[..., None])[..., 0]
 
 
 def _closedness_defect(g, dG):
     """Largest asymmetric part of the x-Jacobian of the candidate dK."""
-    xi = list(g.x_indices)
-    dGx = dG[:, xi]
-    return np.max(np.abs(dGx - dGx.T))
+    dGx = dG[..., g.x_slice]
+    return np.max(np.abs(dGx - np.swapaxes(dGx, -1, -2)), axis=(-2, -1))
 
 
 def candidate_K_gradient(g, F, H, x, base_point=None):
@@ -343,11 +356,10 @@ def candidate_K_gradient(g, F, H, x, base_point=None):
     base[ti] = x[ti]
 
     def dGt(y):
-        _, dG_y, _ = _k_gradient_pieces(g, F, H, y)
-        return dG_y[:, ti]
+        return _k_gradient_pieces(g, F, H, y)[1][..., ti]
 
-    d_t = _segment_integral(g, base, x, dGt)
-    return KGradient(d_x=G, d_t=d_t)
+    d_t = _segment_integrals(g, base[None], x[None], dGt)[0]
+    return KGradient(d_x=G, d_t=float(d_t))
 
 
 @functools.cache
@@ -357,34 +369,52 @@ def _gl_rule():
     return np.polynomial.legendre.leggauss(GL_NODES_PER_UNIT)
 
 
-def _gl_panels(a_pt, b_pt):
-    """Composite Gauss-Legendre nodes/weights on the straight segment
-    a->b parameterized over s in [0,1]: one 32-node panel per unit of
-    segment length."""
-    seg = b_pt - a_pt
-    length = float(np.linalg.norm(seg))
-    panels = max(1, math.ceil(length))
+@dataclass(frozen=True)
+class _Panels:
+    """Composite Gauss-Legendre rule on N straight segments a_i -> b_i,
+    parameterized over s in [0, 1]: one 32-node panel per unit of
+    segment length.  *_owner give the segment of each panel and node."""
+
+    seg: np.ndarray
+    panel_owner: np.ndarray
+    mids: np.ndarray
+    node_owner: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
+
+
+def _gl_panels(a_pts, b_pts):
+    """The _Panels of the segments a_pts[i] -> b_pts[i]."""
+    seg = b_pts - a_pts
+    counts = np.maximum(1, np.ceil(np.linalg.norm(seg, axis=1))).astype(int)
+    owner = np.repeat(np.arange(len(seg)), counts)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    lo, hi = k / counts[owner], (k + 1) / counts[owner]
+    mids = (lo + hi) / 2
+    half = (hi - lo) / 2
     nodes, weights = _gl_rule()
-    ss, ws, mids = [], [], []
-    for k in range(panels):
-        lo, hi = k / panels, (k + 1) / panels
-        ss.append((lo + hi) / 2 + (hi - lo) / 2 * nodes)
-        ws.append((hi - lo) / 2 * weights)
-        mids.append((lo + hi) / 2)
-    return np.concatenate(ss), np.concatenate(ws), np.array(mids), seg
+    return _Panels(seg=seg, panel_owner=owner, mids=mids,
+                   node_owner=np.repeat(owner, nodes.size),
+                   nodes=(mids[:, None] + half[:, None] * nodes).ravel(),
+                   weights=(half[:, None] * weights).ravel())
 
 
-def _segment_integral(g, a_pt, b_pt, covector_fn):
-    """Integral of a covector field along the x-part of the straight
-    segment from a_pt to b_pt (chart points; only x-coordinates vary)."""
-    xi = list(g.x_indices)
-    ss, ws, _, seg = _gl_panels(a_pt, b_pt)
-    seg_x = seg[xi]
-    total = 0.0
-    for s, w in zip(ss, ws):
-        y = a_pt + s * seg
-        total += w * float(covector_fn(y) @ seg_x)
-    return total
+def _segment_integrals(g, a_pts, b_pts, covector_fn, panels=None):
+    """Integrals of a covector field along the x-parts of the straight
+    segments a_pts[i] -> b_pts[i] (only x-coordinates vary); the
+    quadrature nodes of all segments are evaluated together, in blocks
+    of QUADRATURE_BLOCK nodes."""
+    if panels is None:
+        panels = _gl_panels(a_pts, b_pts)
+    own = panels.node_owner
+    seg = panels.seg[own]
+    Y = a_pts[own] + panels.nodes[:, None] * seg
+    # fixed-size blocks bound the (nodes, d, d) temporaries of the sweep
+    C = np.concatenate([covector_fn(Y[i:i + QUADRATURE_BLOCK])
+                        for i in range(0, len(Y), QUADRATURE_BLOCK)])
+    terms = panels.weights * np.einsum("kj,kj->k", C, seg[:, g.x_slice])
+    # per-segment sums in node order
+    return np.bincount(own, weights=terms, minlength=len(a_pts))
 
 
 def check_canonoid(g, F, H, samples, tol=DEFAULT_TOL):
@@ -410,23 +440,18 @@ def check_canonoid(g, F, H, samples, tol=DEFAULT_TOL):
 
 def _check_canonoid_symplectic(g, F, H, samples, tol):
     ti = g.t_index
-
-    def residuals(x):
-        _, dG, lam = _k_gradient_pieces(g, F, H, x)
-        r = [_closedness_defect(g, dG)]
-        if ti is not None:
-            r.append(np.max(np.abs(lam[:, ti])))
-        return r
-
-    worst = fold_max(residuals(x) for x in samples)
+    _, dG, lam = _k_gradient_pieces(g, F, H, samples)
+    cols = [_closedness_defect(g, dG)]
+    if ti is not None:
+        cols.append(np.max(np.abs(lam[:, :, ti]), axis=1))
+    worst = fold_max(np.stack(cols, axis=1))
     components = {name: float(v)
                   for name, v in zip(("closedness", "time_bracket"), worst)}
     worst = max(components.values())
     ok = worst <= tol
     K_probe = None
     if ok:
-        base = samples[0]
-        K_probe = np.array([recover_K(g, F, H, x, base, tol=tol) for x in samples])
+        K_probe = recover_K(g, F, H, samples, samples[0], tol=tol)
     return CanonoidResult(canonoid=ok, max_residual=worst,
                           K_probe=K_probe, components=components)
 
@@ -444,56 +469,58 @@ def _solve_reeb(M, rhs, what):
 
 
 def _contact_point_data(g, F, H, x):
-    """J, Lagrange matrix, theta_bar, X_H, K and dK at one point."""
-    vals, J, Hc = jacobian_and_hessians(F, x)
-    lam = _lagrange_from_jacobian(g, J)
-    theta_bar = _pullback_theta(g, vals, J)
-    X, dX = hamiltonian_vf_jacobian(g, H, x)
-    # dtheta[mu, a] = d theta_bar_mu / dx^a; the dP_i factor sits in the
-    # derivative slot a
-    dtheta = Hc[g.z_index].copy()
-    for qi, pi in zip(g.q_indices, g.p_indices):
-        dtheta -= np.outer(J[qi, :], J[pi, :]) + vals[pi] * Hc[qi]
-    K = -float(theta_bar @ X)
-    dK = -(dtheta.T @ X) - (dX.T @ theta_bar)
-    return J, lam, theta_bar, X, K, dK
+    """J, Lagrange matrix, theta_bar, X_H, K and dK at x."""
+    with np.errstate(all="ignore"):
+        vals, J, Hc = jacobian_and_hessians(F, x)
+        lam = _lagrange_from_jacobian(g, J)
+        theta_bar = _pullback_theta(g, vals, J)
+        X, dX = hamiltonian_vf_jacobian(g, H, x)
+        # dtheta[mu, a] = d theta_bar_mu / dx^a; the dP_i factor sits in the
+        # derivative slot a
+        dtheta = Hc[..., g.z_index, :, :].copy()
+        for qi, pi in zip(g.q_indices, g.p_indices):
+            dtheta -= (J[..., qi, :, None] * J[..., pi, None, :]
+                       + vals[..., pi, None, None] * Hc[..., qi, :, :])
+        K = -np.einsum("...i,...i->...", theta_bar, X)
+        dK = -contract(dtheta, X) - contract(dX, theta_bar)
+        return J, lam, theta_bar, X, K, dK
 
 
 def _check_canonoid_contact(g, F, H, samples, tol):
-    rows = []
-    Ks = []
-    for x in samples:
-        J, lam, theta_bar, X, K, dK = _contact_point_data(g, F, H, x)
-        Ks.append(K)
-        if g.kind == "contact":
-            M = np.vstack([theta_bar, lam.T])
-            rhs = np.zeros(g.dim + 1)
-            rhs[0] = 1.0
-            R = _solve_reeb(M, rhs, "contact Reeb")
-            resid = contract(lam, X) - dK + float(dK @ R) * theta_bar
-            rows.append([np.max(np.abs(resid))])
-        else:
-            eta_bar = J[g.t_index, :]
-            M = np.vstack([theta_bar, eta_bar, lam.T])
-            rhs_z = np.zeros(g.dim + 2)
-            rhs_z[0] = 1.0
-            rhs_t = np.zeros(g.dim + 2)
-            rhs_t[1] = 1.0
-            Rz = _solve_reeb(M, rhs_z, "cocontact z-Reeb")
-            Rt = _solve_reeb(M, rhs_t, "cocontact t-Reeb")
-            resid = (contract(lam, X) - dK
-                     + float(dK @ Rz) * theta_bar + float(dK @ Rt) * eta_bar)
-            rows.append([np.max(np.abs(resid)), abs(eta_bar @ X),
-                         np.max(np.abs(lam[:, g.t_index]))])
+    J, lam, theta_bar, X, K, dK = _contact_point_data(g, F, H, samples)
+    resid = contract(lam, X) - dK
+    if g.kind == "contact":
+        M = np.concatenate([theta_bar[:, None, :],
+                            np.swapaxes(lam, 1, 2)], axis=1)
+        rhs = np.zeros(g.dim + 1)
+        rhs[0] = 1.0
+        R = np.array([_solve_reeb(Mi, rhs, "contact Reeb") for Mi in M])
+        resid += np.einsum("ni,ni->n", dK, R)[:, None] * theta_bar
+        rows = np.max(np.abs(resid), axis=1)[:, None]
+    else:
+        eta_bar = J[:, g.t_index, :]
+        M = np.concatenate([theta_bar[:, None, :], eta_bar[:, None, :],
+                            np.swapaxes(lam, 1, 2)], axis=1)
+        rhs_z = np.zeros(g.dim + 2)
+        rhs_z[0] = 1.0
+        rhs_t = np.zeros(g.dim + 2)
+        rhs_t[1] = 1.0
+        Rz = np.array([_solve_reeb(Mi, rhs_z, "cocontact z-Reeb") for Mi in M])
+        Rt = np.array([_solve_reeb(Mi, rhs_t, "cocontact t-Reeb") for Mi in M])
+        resid += (np.einsum("ni,ni->n", dK, Rz)[:, None] * theta_bar
+                  + np.einsum("ni,ni->n", dK, Rt)[:, None] * eta_bar)
+        rows = np.stack([np.max(np.abs(resid), axis=1),
+                         np.abs(np.einsum("ni,ni->n", eta_bar, X)),
+                         np.max(np.abs(lam[:, :, g.t_index]), axis=1)], axis=1)
     names = ("contact_condition", "eta_contraction", "time_bracket")
     components = {name: float(v) for name, v in zip(names, fold_max(rows))}
     worst = max(components.values())
     return CanonoidResult(canonoid=worst <= tol, max_residual=worst,
-                          K_probe=np.array(Ks), components=components)
+                          K_probe=K, components=components)
 
 
 def recover_K(g, F, H, x, base_point, tol=DEFAULT_TOL):
-    """K at x.
+    """K at x: a float for one state, an (N,) array for a stack.
 
     contact/cocontact: K = -theta_bar(X_H), exactly (base_point is not
     used; K is determined algebraically, no gauge freedom).
@@ -502,23 +529,31 @@ def recover_K(g, F, H, x, base_point, tol=DEFAULT_TOL):
     straight segment from base_point to x, normalized so K(base) = 0.
     cosymplectic: the same within the fixed-t slice of x (the gauge
     makes K vanish on the base fiber for every t).  Raises NonCanonoid
-    when the closedness defect at a panel midpoint exceeds tol.
+    when the closedness defect at a panel midpoint exceeds tol (or is
+    not finite).  The panel midpoints of all states are checked in one
+    sweep, and the quadrature nodes of all states integrated in
+    another.
     """
-    x = g.check_state(x)
+    x = g.check_states(x)
+    X = x.reshape(-1, g.dim)
     if g.kind in ("contact", "cocontact"):
-        _, _, _, _, K, _ = _contact_point_data(g, F, H, x)
-        return K
-    base = g.check_state(base_point).copy()
-    if g.kind == "cosymplectic":
-        base[g.t_index] = x[g.t_index]
-    _, _, mids, seg = _gl_panels(base, x)
-    for s in mids:
-        y = base + s * seg
-        _, dG, _ = _k_gradient_pieces(g, F, H, y)
-        defect = float(_closedness_defect(g, dG))
-        if defect > tol:
+        K = _contact_point_data(g, F, H, X)[4]
+    else:
+        base = np.repeat(g.check_state(base_point)[None], len(X), axis=0)
+        if g.kind == "cosymplectic":
+            base[:, g.t_index] = X[:, g.t_index]
+        panels = _gl_panels(base, X)
+        own = panels.panel_owner
+        mids = base[own] + panels.mids[:, None] * panels.seg[own]
+        _, dG, _ = _k_gradient_pieces(g, F, H, mids)
+        defect = _closedness_defect(g, dG)
+        open_ = ~(defect <= tol)
+        if open_.any():
+            i = int(np.argmax(open_))
             raise NonCanonoid(
-                f"candidate K-gradient is not closed near {y} "
-                f"(defect {defect:.3e} > {tol:.1e})")
-    return _segment_integral(g, base, x,
-                             lambda y: _k_gradient_only(g, F, H, y))
+                f"candidate K-gradient is not closed near {mids[i]} "
+                f"(defect {defect[i]:.3e} > {tol:.1e})")
+        K = _segment_integrals(g, base, X,
+                               lambda y: _k_gradient_only(g, F, H, y),
+                               panels)
+    return float(K[0]) if x.ndim == 1 else K

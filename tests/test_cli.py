@@ -311,7 +311,7 @@ def test_csv_round_trips_17_digits(tmp_path):
     traj = Trajectory(times=np.array([0.0, 0.1]), states=states,
                       geometry=g, hamiltonian=None)
     path = tmp_path / "t.csv"
-    _write_csv(path, traj, [("q1", lambda x: x[0]), ("p1", lambda x: x[1])])
+    _write_csv(path, traj, [("q1", lambda X: X[:, 0]), ("p1", lambda X: X[:, 1])])
     lines = path.read_text().splitlines()
     assert lines[0] == "time,q1,p1"
     row = lines[2].split(",")
@@ -436,6 +436,21 @@ def test_overflow_is_an_execution_error(tmp_path, capsys, check):
     err = capsys.readouterr().err
     assert f"check '{check}'" in err
     assert "non-finite residual at sample 0" in err
+
+
+def test_overflowing_component_value_is_an_execution_error(tmp_path, capsys):
+    # the value of p1 overflows while its Jacobian stays finite; the
+    # symplectic checks read only J, so only the component guard sees it
+    data = base_config()
+    data["transform"] = {"q1": "q1", "p1": "p1 + 1e200*1e200"}
+    data["checks"] = list(STRUCTURAL_CHECKS)
+    del data["trajectory"]
+    path = write_config(tmp_path, data)
+    assert run_cli(["check", "--config", path,
+                    "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "check 'canonical'" in err
+    assert "non-finite residual at sample 0 in transform component p1" in err
 
 
 def n1_config(kind, transform):

@@ -45,7 +45,7 @@ def test_harmonic_oscillator_returns():
 
 def test_harmonic_energy_drift_small():
     traj = integrate(SYMP1, HARMONIC, [1.0, 0.0], (0.0, 10.0), 10000)
-    rep = drift_report(traj, [("H", lambda x: (x[0] ** 2 + x[1] ** 2) / 2)])
+    rep = drift_report(traj, [("H", lambda X: (X[:, 0] ** 2 + X[:, 1] ** 2) / 2)])
     assert rep.observables["H"].max_rel_drift < 1e-6
 
 
@@ -161,7 +161,7 @@ def test_free_particle_traces_exactly_conserved():
     traj = integrate(g, H, [0.0, 1.5], (0.0, 5.0), 500)
 
     def trace_k(k):
-        return lambda x: stensor.trace_powers(g, F, x, 4)[k - 1]
+        return lambda X: stensor.trace_powers(g, F, X, 4)[:, k - 1]
 
     rep = drift_report(traj, [(f"trS^{k}", trace_k(k)) for k in (1, 2, 3, 4)])
     for k in (1, 2, 3, 4):
@@ -177,19 +177,19 @@ def test_negative_control_drifts():
     F = TransformMap.parse(g, ["q1", "q1*p1"])
     traj = integrate(g, HARMONIC, [1.0, 0.0], (0.0, 3.0), 300)
     rep = drift_report(
-        traj, [("trS", lambda x: stensor.trace_powers(g, F, x, 1)[0])])
+        traj, [("trS", lambda X: stensor.trace_powers(g, F, X, 1)[:, 0])])
     assert rep.observables["trS"].max_abs_drift > 1e-2
 
 
 def test_drift_report_fields():
     traj = integrate(SYMP1, HARMONIC, [1.0, 0.0], (0.0, 1.0), 10)
-    rep = drift_report(traj, [("q", lambda x: x[0])])
+    rep = drift_report(traj, [("q", lambda X: X[:, 0])])
     d = rep.observables["q"]
     assert d.initial == 1.0
     assert d.max_abs_drift >= 0.0
     assert d.slope < 0.0  # q decreases over [0, 1]
     # relative drift of a tiny-initial observable divides by 1, not |f0|
-    rep2 = drift_report(traj, [("p", lambda x: x[1])])
+    rep2 = drift_report(traj, [("p", lambda X: X[:, 1])])
     d2 = rep2.observables["p"]
     assert d2.max_rel_drift == d2.max_abs_drift
 

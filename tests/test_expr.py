@@ -1,11 +1,12 @@
 """Parser and forward-mode AD tests.
 
-The derivative oracle is central finite differencing through the plain
-float evaluator, so the dual-number chain rule is checked against pure
-value computation with no shared derivative code.
+The derivative oracle is central finite differencing through evaluate(),
+the value-only sweep, so the chain rule of the array jets is checked
+against value computation with no shared derivative code.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -170,10 +171,9 @@ def test_eval_pythagorean():
 
 def test_eval_product_duals():
     e = expr.parse("q1*p1", ["q1", "p1"])
-    duals = expr.DualScalar.seed([3.0, 5.0])
-    out = expr.evaluate(e, dict(zip(["q1", "p1"], duals)))
-    assert out.value == 15.0
-    assert np.array_equal(out.d1, [5.0, 3.0])
+    value, d1, _ = expr.jet(e, [3.0, 5.0], order=1)
+    assert value == 15.0
+    assert np.array_equal(d1, [5.0, 3.0])
 
 
 def test_eval_deterministic():
@@ -394,8 +394,68 @@ def test_serialize_parse_round_trip():
 
 
 def test_dual_second_order_symmetry():
-    duals = expr.DualScalar.seed([1.2, 0.7], order=2)
-    u, v = duals
-    w = (u * v + u / (v + 2.0)) * expr.DualScalar(1.0, np.zeros(2), np.zeros((2, 2)))
-    r = w * u - v ** 3
-    assert np.array_equal(r.d2, r.d2.T)
+    # u = q1, v = p1; w = (u*v + u/(v + 2))*1 and r = w*u - v^3
+    r = expr.parse("(q1*p1 + q1/(p1 + 2.0))*1.0*q1 - p1^3", ["q1", "p1"])
+    _, _, d2 = expr.jet(r, [1.2, 0.7], order=2)
+    assert np.array_equal(d2, d2.T)
+
+
+# ---------------------------------------------------------------------------
+# stacked sweeps: one call over many points
+
+BOX_POINTS = st.lists(
+    st.lists(st.floats(min_value=0.5, max_value=1.5), min_size=4, max_size=4),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(src=st.sampled_from(ROUND_TRIP_CORPUS), points=BOX_POINTS,
+       order=st.sampled_from([0, 1, 2]))
+def test_stacked_rows_match_single_points(src, points, order):
+    e = expr.parse(src, QPTZ)
+    X = np.array(points)
+    v, d1, d2 = expr.jet(e, X, order)
+    assert v.shape == (len(X),)
+    for i, x in enumerate(X):
+        vi, gi, hi = expr.jet(e, x, order)
+        np.testing.assert_array_max_ulp(v[i], vi, maxulp=2)
+        # the value is the same at every order
+        assert vi == expr.evaluate(e, dict(zip(QPTZ, x)))
+        if order >= 1:
+            np.testing.assert_array_max_ulp(d1[i], gi, maxulp=2)
+        if order == 2:
+            np.testing.assert_array_max_ulp(d2[i], hi, maxulp=2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(src=st.sampled_from(ROUND_TRIP_CORPUS), points=BOX_POINTS)
+def test_stacked_jet_matches_finite_differences(src, points):
+    e = expr.parse(src, QPTZ)
+    X = np.array(points)
+    _, d1, d2 = expr.jet(e, X, order=2)
+    for i, x in enumerate(X):
+        fd = fd_gradient(e, x)
+        err = np.max(np.abs(d1[i] - fd) / np.maximum(np.abs(fd), 1.0))
+        assert err < GRAD_RTOL, f"{src}: {err}"
+        fd = fd_hessian(e, x)
+        err = np.max(np.abs(d2[i] - fd) / np.maximum(np.abs(fd), 1.0))
+        assert err < HESS_RTOL, f"{src}: {err}"
+
+
+def test_domain_error_on_a_stack_names_first_failing_row():
+    e = expr.parse("q1 + log(p1 - 1)", ["q1", "p1"])
+    X = np.array([[0.0, 2.0], [0.0, 3.0], [0.0, 1.0], [0.0, 0.5]])
+    with pytest.raises(DomainError, match=r"log\(p1-1\.0\)' at row 2"):
+        expr.jet(e, X, order=1)
+    e = expr.parse("exp(q1)", ["q1"])
+    with pytest.raises(DomainError, match="overflow in 'exp\\(q1\\)' at row 1"):
+        expr.jet(e, np.array([[1.0], [1e6], [1e7]]), order=0)
+
+
+def test_evaluated_expression_pickles():
+    # the compiled sweeps cached on an expression stay out of its pickle
+    e = expr.parse("sin(q1)*p1^2", ["q1", "p1"])
+    g = expr.gradient(e, [0.3, 0.4])
+    e2 = pickle.loads(pickle.dumps(e))
+    assert e2 == e
+    assert np.array_equal(expr.gradient(e2, [0.3, 0.4]), g)

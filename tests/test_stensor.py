@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from canonoid import stensor, transform
+from canonoid.dynamics import lie_derivative_S
 from canonoid.expr import DomainError
 from canonoid.geometry import GeometryKind, full_two_form
 from canonoid.stensor import (
@@ -385,3 +386,30 @@ def test_singular_samples_skipped_with_count():
     res = involution_matrix(g, F, samples, 2)
     assert res.skipped == 1
     assert np.isfinite(res.max_condition)
+
+
+def test_stacked_layers_match_single_points():
+    # row i of every stacked call equals the call at that one point
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(b)))
+
+    rng = np.random.default_rng(5)
+    for g, sources in LENARD_CASES:
+        F = tmap(g, sources)
+        H = g.parse("q1^2/2 + p1^3/3"
+                    + (" + 0.2*z" if g.z_index is not None else "")
+                    + (" + t*q1" if g.t_index is not None else ""))
+        X = rng.uniform(0.5, 1.4, size=(6, g.dim))
+        stacked = {
+            "traces": trace_powers(g, F, X, 4),
+            "torsion": nijenhuis_torsion(g, F, X).components,
+            "lenard": [lenard_identity_residual(g, F, X, k) for k in (1, 2, 3)],
+            "lie": lie_derivative_S(g, F, H, X),
+        }
+        for i, x in enumerate(X):
+            assert close(stacked["traces"][i], trace_powers(g, F, x, 4))
+            assert close(stacked["torsion"][i],
+                         nijenhuis_torsion(g, F, x).components)
+            for k, r in zip((1, 2, 3), stacked["lenard"]):
+                assert close(r[i], lenard_identity_residual(g, F, x, k))
+            assert close(stacked["lie"][i], lie_derivative_S(g, F, H, x))

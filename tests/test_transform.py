@@ -455,3 +455,48 @@ def test_jacobian_and_hessians_shapes():
     assert abs(vals[0] - (0.5 + 0.49)) < EXACT
     assert abs(H[0][2, 2] - 2.0) < EXACT
     assert abs(H[1][0, 1] - 1.0) < EXACT
+
+
+def test_stacked_jacobian_and_hessians_match_single_points():
+    g = CONT1
+    F = tmap(g, ["q1 + z^2", "p1*q1", "z + sin(p1)"])
+    X = np.array([[0.5, 1.0, 0.7], [0.9, 0.6, 1.3], [1.2, 1.4, 0.2]])
+    vals, J, H = jacobian_and_hessians(F, X)
+    assert vals.shape == (3, 3) and J.shape == (3, 3, 3)
+    assert H.shape == (3, 3, 3, 3)
+    for i, x in enumerate(X):
+        vi, Ji, Hi = jacobian_and_hessians(F, x)
+        assert np.array_equal(vals[i], vi) and np.array_equal(J[i], Ji)
+        assert np.array_equal(H[i], Hi)
+
+
+def test_non_finite_jacobian_is_rejected_before_the_singularity_test():
+    # the product overflows to inf without raising; det(J) would be NaN,
+    # which an exact comparison with 0 lets through
+    F = tmap(SYMP1, ["q1", "p1*1e200*1e200*q1"])
+    with pytest.raises(transform.NonFiniteResidual,
+                       match="non-finite residual at sample 0 in transform "
+                             "component p1"):
+        jacobian(F, [1.0, 1.0])
+    # on a stack the first failing row is named
+    F = tmap(SYMP1, ["q1", "p1*q1*1e300"])
+    with pytest.raises(transform.NonFiniteResidual,
+                       match="non-finite residual at sample 1 in transform "
+                             "component p1"):
+        jacobian_and_hessians(F, [[1.0, 1.0], [1e10, 1.0], [1e20, 1.0]])
+
+
+def test_recover_K_stack_matches_single_points():
+    for g, sources, H in (
+            (SYMP1, ["q1", "p1^3/3"], "p1^2/2"),
+            (COSY1, ["q1", "1.5*p1", "t"], "p1^2/2 + t*q1")):
+        F = tmap(g, sources)
+        H = g.parse(H)
+        rng = np.random.default_rng(17)
+        X = rng.uniform(0.5, 2.5, size=(5, g.dim))
+        base = X[0]
+        K = recover_K(g, F, H, X, base)
+        assert K.shape == (5,)
+        for i, x in enumerate(X):
+            single = recover_K(g, F, H, x, base)
+            assert abs(K[i] - single) <= 1e-13 * max(1.0, abs(single))
