@@ -391,7 +391,7 @@ def _check_traces(cfg, out_dir):
 
 def _check_torsion(cfg, samples):
     N = stensor.nijenhuis_torsion(cfg.geometry, cfg.transform, samples)
-    rows = np.abs(N.components).reshape(len(samples), -1)
+    rows = np.abs(N).reshape(len(samples), -1)
     worst = float(transform.fold_max(np.max(rows, axis=1)))
     return {
         "verdict": "pass" if worst <= cfg.tolerances["torsion"] else "fail",
@@ -401,13 +401,11 @@ def _check_torsion(cfg, samples):
 
 
 def _check_lenard(cfg, samples):
-    ks = list(range(1, min(3, cfg.kmax - 1 if cfg.kmax > 1 else 1) + 1))
-    per_k = {}
-    for k in ks:
-        per_k[str(k)] = float(transform.fold_max(
-            stensor.lenard_identity_residual(cfg.geometry, cfg.transform,
-                                             samples, k)))
-    worst = max(per_k.values())   # each entry is already a checked fold
+    kmax = max(1, min(3, cfg.kmax - 1))
+    worst_k = transform.fold_max(stensor.lenard_identity_residual(
+        cfg.geometry, cfg.transform, samples, kmax))
+    per_k = {str(k): float(r) for k, r in enumerate(worst_k, start=1)}
+    worst = max(per_k.values())
     return {
         "verdict": "pass" if worst <= cfg.tolerances["lenard"] else "fail",
         "residual": worst,

@@ -72,16 +72,16 @@ class DriftReport:
 # ---------------------------------------------------------------------------
 # steppers
 
-# Dormand-Prince 5(4) tableau
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
+# Dormand-Prince 5(4) tableau; row i of _DP_A weights the stages before i
+_DP_A = np.array([
+    [0, 0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+])
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192,
                    -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
@@ -97,13 +97,12 @@ def _rk4_step(f, y, h):
 
 
 def _dp_step(f, y, h):
-    ks = [f(y)]
-    for row in _DP_A[1:]:
-        yi = y + h * sum(a * k for a, k in zip(row, ks))
-        ks.append(f(yi))
-    ks = np.array(ks)
-    y5 = y + h * (_DP_B5 @ ks)
-    err = h * ((_DP_B5 - _DP_B4) @ ks)
+    K = np.empty((len(_DP_A), y.size))
+    K[0] = f(y)
+    for i in range(1, len(_DP_A)):
+        K[i] = f(y + h * (_DP_A[i, :i] @ K[:i]))
+    y5 = y + h * (_DP_B5 @ K)
+    err = h * ((_DP_B5 - _DP_B4) @ K)
     return y5, err
 
 

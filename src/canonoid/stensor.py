@@ -15,11 +15,16 @@ pairwise involution, and the Lenard trace identity
 
 holds for every (1,1) tensor field: the two cross terms of the torsion
 contraction cancel identically, leaving only the normalized trace
-gradients.  lenard_identity_residual evaluates the two sides through
-disjoint code paths (explicit product-rule assembly of dS on the left,
-a matrix jet, value plus tangent stack, pushed through the matrix
-powers on the right), which makes it a strong end-to-end check of
-every derivative in this module.
+gradients.
+
+One assembler, s_and_ds, builds S and dS by the product rule from the
+bracket derivatives; torsion, the Lenard left side, the involution
+trace gradients d tr(S^k) = k tr(S^(k-1) dS) and the Lie derivative
+all take S and dS from it.  The Lenard right side alone takes its trace
+gradients from a matrix jet (value plus tangent stack, pushed through
+the matrix powers of the x-block), so lenard_identity_residual compares
+two disjoint derivative routes, which makes it a strong end-to-end
+check of every derivative in this module.
 
 Torsion and the Lenard identity live on the x-block only; the trace
 and involution computations use the full matrix, whose constrained
@@ -41,8 +46,6 @@ from . import transform
 from .geometry import canonical_eps
 
 __all__ = [
-    "STensorSample",
-    "TorsionSample",
     "InvolutionResult",
     "SingularPullback",
     "s_tensor",
@@ -62,24 +65,6 @@ CONDITION_LIMIT = 1e12
 class SingularPullback(ValueError):
     """The x-block of the Lagrange matrix was singular at every sample,
     so the barred bracket variant could not be computed anywhere."""
-
-
-@dataclass(frozen=True)
-class STensorSample:
-    """S at one point over the full coordinate list.  structural_zeros
-    marks the rows fixed by the geometry (zero t-row, momentum-weighted
-    z-row) rather than computed from brackets."""
-
-    matrix: np.ndarray
-    structural_zeros: np.ndarray
-
-
-@dataclass(frozen=True)
-class TorsionSample:
-    """Torsion components N^l_{bg} over the x-block, antisymmetric in
-    the two lower slots."""
-
-    components: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -124,20 +109,14 @@ def s_tensor(g, F, x):
     """S^A_B at x, rows = output index; a stack of states gives a stack
     of matrices."""
     x = g.check_states(x)
-    S = _assemble(g, transform.lagrange_brackets(F, x), x)
-    mask = np.zeros(S.shape, dtype=bool)
-    if g.t_index is not None:
-        mask[..., g.t_index, :] = True
-    if g.z_index is not None:
-        mask[..., g.z_index, :] = True
-    return STensorSample(matrix=S, structural_zeros=mask)
+    return _assemble(g, transform.lagrange_brackets(F, x), x)
 
 
 def trace_powers(g, F, x, kmax):
     """tr(S^k) for k = 1..kmax, by repeated multiplication: (kmax,) at
     one state, (N, kmax) for a stack."""
     kmax = _check_kmax(kmax)
-    S = s_tensor(g, F, x).matrix
+    S = s_tensor(g, F, x)
     out = np.zeros(S.shape[:-2] + (kmax,))
     P = S
     out[..., 0] = np.trace(P, axis1=-2, axis2=-1)
@@ -181,17 +160,35 @@ def _torsion(A, dA):
 
 def nijenhuis_torsion(g, F, x):
     """N^l_{bg} = dA^l_g/dx^n A^n_b - dA^l_b/dx^n A^n_g
-    + (dA^n_b/dx^g - dA^n_g/dx^b) A^l_n, over the x-block."""
+    + (dA^n_b/dx^g - dA^n_g/dx^b) A^l_n, over the x-block; antisymmetric
+    in the two lower slots."""
     A, dA = _x_block(g, *s_and_ds(g, F, x))
     with np.errstate(all="ignore"):
-        return TorsionSample(components=_torsion(A, dA))
+        return _torsion(A, dA)
+
+
+def _explicit_trace_grads(g, S, dS, kmax):
+    """Gradients over the x-directions of tr(S^k), k = 1..kmax, of the
+    full-chart S from the assembled dS: d tr(S^k) = k tr(S^(k-1) dS).
+    Shape (kmax, nd), or (N, kmax, nd) for a stack."""
+    dSx = dS[..., g.x_slice, :, :]
+    grads = np.zeros(S.shape[:-2] + (kmax, dSx.shape[-3]))
+    grads[..., 0, :] = np.trace(dSx, axis1=-2, axis2=-1)
+    P = S
+    with np.errstate(all="ignore"):
+        for k in range(1, kmax):
+            if k > 1:
+                P = P @ S
+            grads[..., k, :] = (k + 1) * np.einsum("...ab,...nba->...n",
+                                                   P, dSx)
+    return grads
 
 
 # ---------------------------------------------------------------------------
-# Matrix-jet route to trace gradients (independent of the explicit
-# product-rule assembly above).  A jet is a pair (value (..., m, m),
-# tangent stack (..., nd, m, m)) whose tangents run over the nd
-# x-directions.
+# Matrix-jet route to the trace gradients of the x-block, independent of
+# the explicit product-rule assembly above.  A jet is a pair (value
+# (..., m, m), tangent stack (..., nd, m, m)) whose tangents run over
+# the nd x-directions.
 
 
 def _jet_mul(A, B):
@@ -199,73 +196,61 @@ def _jet_mul(A, B):
     return a @ b, da @ b[..., None, :, :] + a[..., None, :, :] @ db
 
 
-def _trace_grads(g, F, x, kmax, block):
-    """Gradients over the x-directions of tr(S^k), k = 1..kmax, for the
-    full-chart S (block='full') or its x-block (block='x'): the jet of
-    J from the component Hessians is pushed through Lam, S and the
-    powers of S.  Shape (kmax, nd), or (N, kmax, nd) for a stack."""
+def _trace_grads(g, F, x, kmax):
+    """Gradients over the x-directions of tr(A^k), k = 1..kmax, for the
+    x-block A of S: the jet of J from the component Hessians is pushed
+    through Lam, A and the powers of A.  Shape (kmax, nd), or
+    (N, kmax, nd) for a stack."""
     x = g.check_states(x)
-    xi = list(g.x_indices)
-    nd = len(xi)
-    idx = xi if block == "x" else list(range(g.dim))
-    m = len(idx)
+    xs = g.x_slice
     _, J, Hc = transform.jacobian_and_hessians(F, x)
-    J = J[..., idx]
-    dJ = np.moveaxis(Hc[..., idx, :][..., xi], -1, -3)
-    qs, ps = list(g.q_indices), list(g.p_indices)
+    J = J[..., xs]
+    dJ = np.moveaxis(Hc[..., xs, xs], -1, -3)
+    qs, ps = g.q_slice, g.p_slice
     b, db = _jet_mul((np.swapaxes(J[..., qs, :], -1, -2),
                       np.swapaxes(dJ[..., qs, :], -1, -2)),
                      (J[..., ps, :], dJ[..., ps, :]))
-    lam, dlam = b - np.swapaxes(b, -1, -2), db - np.swapaxes(db, -1, -2)
-    rows = [idx.index(i) for i in xi]
     eps_inv = canonical_eps(g.n).T
-    lead = x.shape[:-1]
-    S = np.zeros(lead + (m, m))
-    dS = np.zeros(lead + (nd, m, m))
-    S[..., rows, :] = eps_inv @ lam[..., rows, :]
-    dS[..., rows, :] = eps_inv @ dlam[..., rows, :]
-    if block == "full" and g.z_index is not None:
-        zi = g.z_index
-        for qi, pi in zip(qs, ps):
-            # z-row += p_i S[q_i], where p_i's tangent is its unit x-direction
-            p = x[..., pi, None]
-            S[..., zi, :] += p * S[..., qi, :]
-            dS[..., zi, :] += p[..., None] * dS[..., qi, :]
-            dS[..., xi.index(pi), zi, :] += S[..., qi, :]
-    grads = np.zeros(lead + (kmax, nd))
-    P = (S, dS)
+    A = (eps_inv @ (b - np.swapaxes(b, -1, -2)),
+         eps_inv @ (db - np.swapaxes(db, -1, -2)))
+    grads = np.zeros(x.shape[:-1] + (kmax, A[0].shape[-1]))
+    P = A
     with np.errstate(all="ignore"):
         for k in range(kmax):
             if k > 0:
-                P = _jet_mul(P, (S, dS))
+                P = _jet_mul(P, A)
             grads[..., k, :] = np.trace(P[1], axis1=-2, axis2=-1)
     return grads
 
 
-def lenard_identity_residual(g, F, x, k):
-    """Sup-norm gap between the two sides of the trace identity at x: a
-    float at one state, an (N,) array for a stack.
+def lenard_identity_residual(g, F, x, kmax):
+    """Sup-norm gap between the two sides of the trace identity at x for
+    every k = 1..kmax: shape (kmax,) at one state, (N, kmax) for a stack.
 
     Left side: torsion contracted with S^(k-1), both from the explicit
     derivative assembly.  Right side: normalized trace gradients from
     the matrix-jet route.  The identity is unconditional, so any
     nonzero residual beyond rounding exposes a derivative bug.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k + 1 > KMAX_LIMIT:
-        raise ValueError(f"k + 1 exceeds the power limit {KMAX_LIMIT}")
+    kmax = int(kmax)
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    if kmax + 1 > KMAX_LIMIT:
+        raise ValueError(f"kmax + 1 exceeds the power limit {KMAX_LIMIT}")
     x = g.check_states(x)
     A, dA = _x_block(g, *s_and_ds(g, F, x))
-    grads = _trace_grads(g, F, x, k + 1, block="x")
+    grads = _trace_grads(g, F, x, kmax + 1)
+    out = np.zeros(x.shape[:-1] + (kmax,))
     with np.errstate(all="ignore"):
-        lhs = np.einsum("...lbg,...gl->...b", _torsion(A, dA),
-                        np.linalg.matrix_power(A, k - 1))
-        rhs = ((np.swapaxes(A, -1, -2) @ grads[..., k - 1, :, None])[..., 0] / k
-               - grads[..., k, :] / (k + 1))
-        r = np.max(np.abs(lhs - rhs), axis=-1)
-    return float(r) if x.ndim == 1 else r
+        N = _torsion(A, dA)
+        AT = np.swapaxes(A, -1, -2)
+        for k in range(1, kmax + 1):
+            lhs = np.einsum("...lbg,...gl->...b", N,
+                            np.linalg.matrix_power(A, k - 1))
+            rhs = ((AT @ grads[..., k - 1, :, None])[..., 0] / k
+                   - grads[..., k, :] / (k + 1))
+            out[..., k - 1] = np.max(np.abs(lhs - rhs), axis=-1)
+    return out
 
 
 def involution_matrix(g, F, samples, kmax):
@@ -275,6 +260,7 @@ def involution_matrix(g, F, samples, kmax):
     bracket grad_f^T eps grad_h.  barred: the bracket of the pulled-back
     structure, -grad_f^T L^{-1} grad_h with L the Lagrange x-block
     (inverted by LU with partial pivoting; condition number reported).
+    The gradients and L come from one s_and_ds sweep: L = eps S[x, x].
     Samples whose L is singular or has condition number beyond
     CONDITION_LIMIT are skipped for the barred variant and counted;
     if every sample is skipped the barred bracket is unavailable and
@@ -283,12 +269,13 @@ def involution_matrix(g, F, samples, kmax):
     """
     kmax = _check_kmax(kmax)
     samples = g.check_states(transform.as_samples(samples))
-    xs = g.x_slice
-    grads = _trace_grads(g, F, samples, kmax, block="full")
+    S, dS = s_and_ds(g, F, samples)
+    grads = _explicit_trace_grads(g, S, dS, kmax)
     gT = np.swapaxes(grads, 1, 2)
-    L = transform.lagrange_brackets(F, samples)[:, xs, xs]
+    eps = canonical_eps(g.n)
     with np.errstate(all="ignore"):
-        unbarred = np.abs(grads @ canonical_eps(g.n) @ gT)
+        L = eps @ S[:, g.x_slice, g.x_slice]
+        unbarred = np.abs(grads @ eps @ gT)
         cond = np.linalg.cond(L)
     usable = np.isfinite(cond) & (cond <= CONDITION_LIMIT)
     unbarred = transform.fold_max(unbarred)

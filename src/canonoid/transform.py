@@ -227,17 +227,19 @@ def _lagrange_from_jacobian(g, J):
 
 def lagrange_brackets(F, x):
     """Lagrange matrix [x^mu, x^nu] at x over the full coordinate list;
-    antisymmetric by construction."""
-    _, J, _ = _eval_components(F, x, order=1)
-    return _lagrange_from_jacobian(F.geometry, J)
+    antisymmetric by construction.  Raises like jacobian() at a
+    singular point."""
+    return _lagrange_from_jacobian(F.geometry, jacobian(F, x))
 
 
-def lagrange_derivative(F, x, J=None, H=None):
+def lagrange_derivative(F, x):
     """dLam[nu, mu, mu'] = d[x^mu, x^mu']/dx^nu, assembled by the
     product rule from component Jacobians and (symmetric) Hessians."""
-    g = F.geometry
-    if J is None or H is None:
-        _, J, H = _eval_components(F, x, order=2)
+    _, J, H = _eval_components(F, x, order=2)
+    return _lagrange_derivative_from(F.geometry, J, H)
+
+
+def _lagrange_derivative_from(g, J, H):
     qs, ps = g.q_slice, g.p_slice
     # a[nu] = sum_i outer(dJQ_i/dx^nu, JP_i) + outer(JQ_i, dJP_i/dx^nu)
     a = (np.einsum("...inm,...ik->...nmk", H[..., qs, :, :], J[..., ps, :])
@@ -249,8 +251,9 @@ def bracket_jet(F, x):
     """(values, J, Hessians, Lam, dLam) at x from one second-order sweep
     of the components; raises at a singular Jacobian."""
     vals, J, Hc = jacobian_and_hessians(F, x)
-    lam = _lagrange_from_jacobian(F.geometry, J)
-    return vals, J, Hc, lam, lagrange_derivative(F, x, J=J, H=Hc)
+    g = F.geometry
+    return (vals, J, Hc, _lagrange_from_jacobian(g, J),
+            _lagrange_derivative_from(g, J, Hc))
 
 
 # ---------------------------------------------------------------------------

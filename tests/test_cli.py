@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canonoid import cli, expr
+from canonoid import cli, expr, transform
 from canonoid.cli import (CHECK_NAMES, DEFAULT_TOLERANCES, STRUCTURAL_CHECKS,
                           CheckError, ConfigError, Xorshift64Star,
                           draw_samples, load_config, validate_config)
@@ -452,6 +452,39 @@ def test_overflowing_component_value_is_an_execution_error(tmp_path, capsys):
     assert "check 'canonical'" in err
     assert "non-finite residual at sample 0 in transform component p1" in err
 
+
+
+def test_singular_transform_is_an_execution_error(tmp_path, capsys):
+    # P = 0*p collapses the momentum axis: the traces of S all read 0 and
+    # are trivially conserved, so only the singularity test stops a pass
+    data = base_config()
+    data["transform"] = {"q1": "q1", "p1": "0*p1"}
+    data["checks"] = ["traces"]
+    path = write_config(tmp_path, data)
+    assert run_cli(["invariants", "--config", path,
+                    "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "check 'traces'" in err
+    assert "transform Jacobian is singular" in err
+
+
+def test_lenard_check_makes_two_second_order_sweeps(monkeypatch):
+    # one sweep for the explicit S and dS, one for the matrix jet, for
+    # every k at once
+    calls = []
+    sweep = transform.jacobian_and_hessians
+
+    def counting(F, x):
+        calls.append(len(x))
+        return sweep(F, x)
+
+    monkeypatch.setattr(transform, "jacobian_and_hessians", counting)
+    cfg = validate_config(base_config())
+    samples = draw_samples(cfg.geometry, cfg.sample_box, cfg.sample_count,
+                           cfg.seed)
+    result = cli._check_lenard(cfg, samples)
+    assert list(result["per_k"]) == ["1", "2", "3"]
+    assert calls == [cfg.sample_count] * 2
 
 def n1_config(kind, transform):
     g = GeometryKind(kind, 1)
