@@ -28,6 +28,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,9 +145,18 @@ def _require(data, field, kind, path):
 
 
 def _number(value, path):
+    """value as a finite float.  json reads Infinity and NaN, and --tol
+    reads inf and nan, but no field means anything with them: an
+    infinite tolerance would pass every check."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:   # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value}")
+    return value
 
 
 def validate_config(data):

@@ -11,12 +11,21 @@ points (N, m) to an array jet: the values (N,), the exact first partials
 variables.  jet() takes one point or a stack; evaluate(), gradient(),
 hessian() and value_and_derivatives() are its one-point forms.
 
-Domain checks are masks over the stack: a DomainError names the
-subexpression and the first failing row.  Overflow from finite input in
-a power, exp, sinh or cosh is a DomainError too, while a product or sum
-that overflows gives inf, as float arithmetic does, for the callers'
-finiteness guards to report.  The sweep itself never prints numpy
-floating-point warnings.
+One point at order 0 or 1 takes a second target of the same compiler
+(point_jet()): the same compile walk and builders with float ops in
+place of the array ops, giving a float value and a tuple of float
+partials.  A one-point sweep costs numpy's overhead per call, not
+arithmetic, and the integrators make one per Runge-Kutta stage, so the
+shape of the input selects the target.  Each float operation is the one
+numpy performs on a row, so a point gives the numbers of its row in a
+stacked sweep bit for bit.
+
+Domain checks are masks over the stack (plain tests at one point): a
+DomainError names the subexpression and the first failing row.
+Overflow from finite input in a power, exp, sinh or cosh is a
+DomainError too, while a product or sum that overflows gives inf, as
+float arithmetic does, for the callers' finiteness guards to report.
+The sweep itself never prints numpy floating-point warnings.
 
 Grammar (ASCII, ^ is exponentiation):
 
@@ -36,8 +45,10 @@ caller; any other identifier is rejected at parse time.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -51,6 +62,7 @@ __all__ = [
     "parse",
     "evaluate",
     "jet",
+    "point_jet",
     "gradient",
     "hessian",
     "value_and_derivatives",
@@ -147,7 +159,8 @@ class Expression:
 
     @functools.cached_property
     def _kernels(self):
-        """Compiled sweeps by derivative order, filled on first use."""
+        """Compiled sweeps, filled on first use: the array sweeps keyed
+        by derivative order, the one-point sweeps by ("point", order)."""
         return {}
 
     def __getstate__(self):
@@ -298,18 +311,29 @@ def parse(source, chart_vars):
 
 
 # ---------------------------------------------------------------------------
-# Array jets
+# Jets
 #
-# An expression is compiled once per derivative order into a tree of
-# closures over a stack of points X of shape (N, m).  Each closure
-# returns a jet (v, d1, d2): the values (N,), the first partials (N, m)
-# and, at order 2, the second partials (N, m, m) over the m chart
+# An expression is compiled once per target and derivative order into a
+# tree of closures.  The array target maps a stack of points X of shape
+# (N, m) to a jet (v, d1, d2): the values (N,), the first partials
+# (N, m) and, at order 2, the second partials (N, m, m) over the m chart
 # variables.  Below the requested order d1 and d2 are None.  A seeded
 # variable carries a broadcastable (1, m) unit row as d1 and the float
 # 0.0 as d2, and constant subtrees are folded into plain floats at
 # compile time, so constants never allocate derivative arrays.  Every
 # second-order update adds symmetric terms, so Hessians are symmetric
 # to the last bit.
+#
+# The point target maps one point, a list of m Python floats, to a jet
+# at order 0 or 1: v is a float, d1 a tuple of m floats and d2 None.
+# On one point a sweep's cost is numpy's overhead per call on (1,)
+# arrays, not arithmetic, so this target does the arithmetic on floats.
+# Each of its ops does what the array op does to one row: the same
+# float operations in the same order, x*x where numpy squares, and
+# numpy's own ufuncs for the functions and the other powers, which
+# libm's differ from in the last bit.  A point's jet therefore equals
+# its row of a stacked sweep bit for bit.  Both targets share the
+# compile walk, the builders and the folded constants.
 
 # name: (f, f' from (v, f), f'' from (v, f, f'))
 _FN_TABLE = {
@@ -325,9 +349,26 @@ _FN_TABLE = {
 # functions that can overflow on a finite argument
 _OVERFLOWING = frozenset({"exp", "sinh", "cosh"})
 
+# The ops of one target.  seed(j, m, order) builds the closure of chart
+# variable j; the others map jets (and folded float constants) to jets.
+_Ops = collections.namedtuple(
+    "_Ops",
+    "seed neg shift scale quot add sub mul div pow_const pow_var apply")
+
 
 def _domain_error(msg, node, row):
     return DomainError(f"{msg} in '{serialize(node)}' at row {row}")
+
+
+def _shift(a, c):
+    return a[0] + c, a[1], a[2]
+
+
+def _const_jet(c, order):
+    return c, 0.0 if order else None, 0.0 if order == 2 else None
+
+
+# -- array ops ----------------------------------------------------------------
 
 
 def _forbid(bad, msg, node):
@@ -357,6 +398,12 @@ def _unit_row(m, j):
     return row
 
 
+def _seed(j, m, order):
+    d1 = _unit_row(m, j) if order else None
+    d2 = 0.0 if order == 2 else None
+    return lambda X: (X[:, j], d1, d2)
+
+
 def _outer2(a1, b1):
     """a1 b1^T + b1 a1^T per row, symmetric by construction."""
     o = a1[:, :, None] * b1[:, None, :]
@@ -377,10 +424,6 @@ def _chain(a, val, c1, c2):
 def _neg(a):
     v, d1, d2 = a
     return -v, None if d1 is None else -d1, None if d2 is None else -d2
-
-
-def _shift(a, c):
-    return a[0] + c, a[1], a[2]
 
 
 def _scale(a, c):
@@ -509,59 +552,216 @@ def _apply(a, node):
     return _chain(a, val, c1, None if d2 is None else f2(v, val, c1))
 
 
-def _const_jet(c, order):
-    return c, 0.0 if order else None, 0.0 if order == 2 else None
+_ARRAY = _Ops(seed=_seed, neg=_neg, shift=_shift, scale=_scale, quot=_quot,
+              add=_add, sub=_sub, mul=_mul, div=_div, pow_const=_pow_const,
+              pow_var=_pow_var, apply=_apply)
 
 
-def _build_add(node, order, a, b):
+# -- point ops: one row of the array ops, on floats ---------------------------
+
+
+def _f_check_overflow(val, node, *inputs):
+    if not math.isfinite(val) and all(map(math.isfinite, inputs)):
+        raise _domain_error("overflow", node, 0)
+
+
+def _f_seed(j, m, order):
+    d1 = tuple(float(i == j) for i in range(m)) if order else None
+    return lambda x: (x[j], d1, None)
+
+
+def _f_chain(a, val, c1):
+    return val, tuple([x * c1 for x in a[1]]), None
+
+
+def _f_neg(a):
+    v, d1, _ = a
+    return -v, None if d1 is None else tuple([-x for x in d1]), None
+
+
+def _f_scale(a, c):
+    v, d1, _ = a
+    return v * c, None if d1 is None else tuple([x * c for x in d1]), None
+
+
+def _f_quot(a, c):
+    v, d1, _ = a
+    return v / c, None if d1 is None else tuple([x / c for x in d1]), None
+
+
+def _f_add(a, b):
+    (av, a1, _), (bv, b1, _) = a, b
+    return (av + bv, None if a1 is None else tuple(map(operator.add, a1, b1)),
+            None)
+
+
+def _f_sub(a, b):
+    (av, a1, _), (bv, b1, _) = a, b
+    return (av - bv, None if a1 is None else tuple(map(operator.sub, a1, b1)),
+            None)
+
+
+def _f_mul(a, b):
+    (av, a1, _), (bv, b1, _) = a, b
+    if a1 is None:
+        return av * bv, None, None
+    return av * bv, tuple([x * bv + y * av for x, y in zip(a1, b1)]), None
+
+
+def _f_div(a, b, node):
+    (av, a1, _), (bv, b1, _) = a, b
+    if bv == 0.0:
+        raise _domain_error("division by zero", node, 0)
+    q = av / bv
+    if b1 is None:
+        return q, None, None
+    if type(a1) is float:
+        a1 = (a1,) * len(b1)   # a constant jet's 0.0
+    return q, tuple([(x - y * q) / bv for x, y in zip(a1, b1)]), None
+
+
+def _f_power(v, k):
+    """What v ** k does to one entry of an array v for a float k: numpy
+    squares at k = 2 (and special-cases a few other k)."""
+    return v * v if k == 2.0 else float(np.power(v, k))
+
+
+def _f_pow_const(a, k, node):
+    v, d1, _ = a
+    if k == 2.0:
+        val = v * v   # numpy squares; no domain test applies
+    else:
+        if not k.is_integer():
+            if v <= 0.0:
+                raise _domain_error(
+                    "non-integer power of a non-positive base", node, 0)
+        elif k < 0.0 and v == 0.0:
+            raise _domain_error("division by zero", node, 0)
+        val = float(np.power(v, k))
+    if not math.isfinite(val) and math.isfinite(v):
+        raise _domain_error("overflow", node, 0)
+    if d1 is None:
+        return val, None, None
+    # k v^(k-1), formed as _power_coeff forms it
+    c1 = k * v if k == 2.0 else 0.0 if k == 0.0 else k * _f_power(v, k - 1.0)
+    return val, tuple([x * c1 for x in d1]), None
+
+
+def _f_vpower(a, b):
+    """One entry of np.power over two arrays: an array exponent takes
+    none of the special cases of a scalar one, so neither may this."""
+    return float(np.power((a,), (b,))[0])
+
+
+def _f_pow_var(a, b, node):
+    const = type(a) is float
+    av = a if const else a[0]
+    bv, b1, _ = b
+    if b1 is None:
+        whole = math.isinf(bv) or bv.is_integer()   # bv == floor(bv)
+        if whole and av == 0.0 and bv < 0.0:
+            raise _domain_error("division by zero", node, 0)
+        if not whole and av <= 0.0:
+            raise _domain_error("non-integer power of a non-positive base",
+                                node, 0)
+        val = _f_vpower(av, bv)
+        _f_check_overflow(val, node, av, bv)
+        return val, None, None
+    if av <= 0.0:
+        raise _domain_error("variable power of a non-positive base", node, 0)
+    if const:
+        p = _f_scale(b, math.log(av))
+    else:
+        p = _f_mul(b, _f_chain(a, float(np.log(av)), 1.0 / av))
+    val = _f_vpower(av, bv)
+    _f_check_overflow(val, node, av, bv)
+    return _f_chain(p, val, val)
+
+
+def _f_apply(a, node):
+    v, d1, _ = a
+    name = node.func
+    if name == "log":
+        if v <= 0.0:
+            raise _domain_error("log of non-positive value", node, 0)
+    elif name == "sqrt":
+        if v < 0.0:
+            raise _domain_error("sqrt of negative value", node, 0)
+        if d1 is not None and v == 0.0:
+            raise _domain_error("sqrt derivative at zero", node, 0)
+    f, f1, _ = _FN_TABLE[name]
+    val = float(f(v))
+    if name in _OVERFLOWING:
+        _f_check_overflow(val, node, v)
+    if d1 is None:
+        return val, None, None
+    return _f_chain(a, val, float(f1(v, val)))
+
+
+_POINT = _Ops(seed=_f_seed, neg=_f_neg, shift=_shift, scale=_f_scale,
+              quot=_f_quot, add=_f_add, sub=_f_sub, mul=_f_mul, div=_f_div,
+              pow_const=_f_pow_const, pow_var=_f_pow_var, apply=_f_apply)
+
+
+# -- compilation ---------------------------------------------------------------
+
+
+def _build_add(ops, node, order, a, b):
+    shift, add = ops.shift, ops.add
     if type(a) is float:
-        return lambda X: _shift(b(X), a)
+        return lambda X: shift(b(X), a)
     if type(b) is float:
-        return lambda X: _shift(a(X), b)
-    return lambda X: _add(a(X), b(X))
+        return lambda X: shift(a(X), b)
+    return lambda X: add(a(X), b(X))
 
 
-def _build_sub(node, order, a, b):
+def _build_sub(ops, node, order, a, b):
+    shift, neg, sub = ops.shift, ops.neg, ops.sub
     if type(a) is float:
-        return lambda X: _shift(_neg(b(X)), a)
+        return lambda X: shift(neg(b(X)), a)
     if type(b) is float:
-        return lambda X: _shift(a(X), -b)
-    return lambda X: _sub(a(X), b(X))
+        return lambda X: shift(a(X), -b)
+    return lambda X: sub(a(X), b(X))
 
 
-def _build_mul(node, order, a, b):
+def _build_mul(ops, node, order, a, b):
+    scale, mul = ops.scale, ops.mul
     if type(a) is float:
-        return lambda X: _scale(b(X), a)
+        return lambda X: scale(b(X), a)
     if type(b) is float:
-        return lambda X: _scale(a(X), b)
-    return lambda X: _mul(a(X), b(X))
+        return lambda X: scale(a(X), b)
+    return lambda X: mul(a(X), b(X))
 
 
-def _build_div(node, order, a, b):
+def _build_div(ops, node, order, a, b):
+    quot, div = ops.quot, ops.div
     if type(b) is float:
         if b == 0.0:
             raise _domain_error("division by zero", node, 0)
-        return lambda X: _quot(a(X), b)
+        return lambda X: quot(a(X), b)
     if type(a) is float:
         ca = _const_jet(a, order)
-        return lambda X: _div(ca, b(X), node)
-    return lambda X: _div(a(X), b(X), node)
+        return lambda X: div(ca, b(X), node)
+    return lambda X: div(a(X), b(X), node)
 
 
-def _build_pow(node, order, a, b):
+def _build_pow(ops, node, order, a, b):
+    pow_const, pow_var = ops.pow_const, ops.pow_var
     if type(b) is float:
-        return lambda X: _pow_const(a(X), b, node)
+        return lambda X: pow_const(a(X), b, node)
     if type(a) is float:
-        return lambda X: _pow_var(a, b(X), node)
-    return lambda X: _pow_var(a(X), b(X), node)
+        return lambda X: pow_var(a, b(X), node)
+    return lambda X: pow_var(a(X), b(X), node)
 
 
-def _build_neg(node, order, a):
-    return lambda X: _neg(a(X))
+def _build_neg(ops, node, order, a):
+    neg = ops.neg
+    return lambda X: neg(a(X))
 
 
-def _build_call(node, order, a):
-    return lambda X: _apply(a(X), node)
+def _build_call(ops, node, order, a):
+    apply = ops.apply
+    return lambda X: apply(a(X), node)
 
 
 _NODE_COMPILERS = {Neg: _build_neg, Add: _build_add, Sub: _build_sub,
@@ -577,8 +777,9 @@ def _children(node):
     return (node.left, node.right)
 
 
-def _compile(node, order, index):
-    """A float for a constant subtree, else a closure X -> jet."""
+def _compile(node, order, index, ops):
+    """A float for a constant subtree, else a closure from the target's
+    input to its jet."""
     kind = type(node)
     if kind is Const:
         return node.value
@@ -587,26 +788,36 @@ def _compile(node, order, index):
             j = index[node.name]
         except KeyError:
             raise UnknownVariable(f"unbound variable {node.name!r}") from None
-        seed = _unit_row(len(index), j) if order else None
-        zero = 0.0 if order == 2 else None
-        return lambda X: (X[:, j], seed, zero)
+        return ops.seed(j, len(index), order)
     build = _NODE_COMPILERS[kind]
-    kids = [_compile(k, order, index) for k in _children(node)]
+    kids = [_compile(k, order, index, ops) for k in _children(node)]
     if any(type(k) is not float for k in kids):
-        return build(node, order, *kids)
-    # fold: run the value closure once on one-row constant jets
+        return build(ops, node, order, *kids)
+    # fold on the array target whatever the target, so both share every
+    # constant: run the value closure once on one-row constant jets
     consts = [lambda X, c=np.array([k]): (c, None, None) for k in kids]
-    return float(build(node, 0, *consts)(None)[0][0])
+    return float(build(_ARRAY, node, 0, *consts)(None)[0][0])
 
 
-def _kernel(e, order):
-    """The compiled sweep of e at the given order, returning fresh
-    arrays of the full stacked shapes."""
+def _calls_numpy(node):
+    """Whether the point sweep of node calls a numpy ufunc: for any
+    function and any power but a square."""
+    kind = type(node)
+    if kind is Const or kind is Var:
+        return False
+    if kind is Call or kind is Pow and node.exponent != Const(2.0):
+        return True
+    return any(map(_calls_numpy, _children(node)))
+
+
+def _array_kernel(e, order):
+    """The compiled stacked sweep of e at the given order, returning
+    fresh arrays of the full stacked shapes."""
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     index = {name: j for j, name in enumerate(e.chart_vars)}
     m = len(index)
-    f = _compile(e.ast, order, index)
+    f = _compile(e.ast, order, index, _ARRAY)
     if type(f) is float:
         const = _const_jet(f, order)
         f = lambda X: (np.full(len(X), const[0]),) + const[1:]   # noqa: E731
@@ -627,6 +838,50 @@ def _kernel(e, order):
     return run
 
 
+def _point_kernel(e, order):
+    """The compiled one-point sweep of e at order 0 or 1, from a list of
+    m floats to a float jet."""
+    index = {name: j for j, name in enumerate(e.chart_vars)}
+    f = _compile(e.ast, order, index, _POINT)
+    if type(f) is float:
+        const = (f, (0.0,) * len(index) if order else None, None)
+        return lambda x: const
+    if not _calls_numpy(e.ast):
+        return f   # float arithmetic neither warns nor raises
+
+    def quiet(x):
+        with np.errstate(all="ignore"):
+            return f(x)
+
+    return quiet
+
+
+def _size_error(X, m):
+    size = X.shape[-1] if X.ndim else 1
+    return ValueError(f"point has {size} components, chart has {m}")
+
+
+def point_jet(e, point, order=1):
+    """(value, partials) of e at one point (m,) in chart order, as a
+    float and a tuple of m floats (None at order 0), from the float
+    sweep: equal bit for bit to the point's row of a stacked jet().
+    Order 0 or 1; a DomainError names the failing subexpression and
+    row 0."""
+    x = np.asarray(point, dtype=float)
+    m = len(e.chart_vars)
+    if x.shape != (m,):
+        raise _size_error(x, m)
+    if order not in (0, 1):
+        raise ValueError(f"order must be 0 or 1 at one point, got {order!r}")
+    kernels = e._kernels
+    run = kernels.get(("point", order))
+    if run is None:
+        with np.errstate(all="ignore"):
+            run = kernels.setdefault(("point", order), _point_kernel(e, order))
+    v, d1, _ = run(x.tolist())
+    return v, d1
+
+
 def jet(e, points, order=2):
     """(value, gradient, hessian) of e in one sweep, over all chart
     variables (partials vanish for absent ones).
@@ -634,20 +889,26 @@ def jet(e, points, order=2):
     points is one point (m,) in chart order or a stack (N, m); the
     results are then a float, (m,) and (m, m), or (N,), (N, m) and
     (N, m, m).  The gradient is None at order 0 and the hessian below
-    order 2.  A DomainError names the failing subexpression and the
+    order 2.  The shape picks the target: one point at order 0 or 1
+    runs the float sweep of point_jet(), anything else the stacked
+    array sweep (one point as a stack of one).  Both give the same
+    numbers.  A DomainError names the failing subexpression and the
     first failing row (0 for a single point).
     """
     X = np.asarray(points, dtype=float)
+    m = len(e.chart_vars)
+    if X.ndim == 1 and order in (0, 1):
+        v, d1 = point_jet(e, X, order)
+        return v, None if d1 is None else np.array(d1), None
     single = X.ndim == 1
     if single:
         X = X[None]
-    m = len(e.chart_vars)
     if X.ndim != 2 or X.shape[1] != m:
-        size = X.shape[-1] if X.ndim else 1
-        raise ValueError(f"point has {size} components, chart has {m}")
+        raise _size_error(X, m)
     kernels = e._kernels
     with np.errstate(all="ignore"):
-        run = kernels.get(order) or kernels.setdefault(order, _kernel(e, order))
+        run = kernels.get(order) or kernels.setdefault(order,
+                                                       _array_kernel(e, order))
         v, d1, d2 = run(X)
     if single:
         return (float(v[0]), None if d1 is None else d1[0],

@@ -215,18 +215,22 @@ def structure_at_point(g, x=None):
 # Vector fields
 
 
-def _assemble_vf(g, x, Hval, grad):
-    X = np.zeros(grad.shape)
-    qs, ps = g.q_slice, g.p_slice
-    X[..., qs] = grad[..., ps]
+def _assemble_vf(g, X, x, Hval, grad):
+    """Write X_H into X from the value and gradient of H, coordinate by
+    coordinate: X[i], x[i] and grad[i] are floats at one state and
+    columns (N,) over a stack, so both run this one formula."""
     zi = g.z_index
-    if zi is None:
-        X[..., ps] = -grad[..., qs]
-        return X
-    p = x[..., ps]
-    X[..., ps] = -(grad[..., qs] + p * grad[..., zi, None])
-    X[..., zi] = (p * grad[..., ps]).sum(axis=-1) - Hval
-    return X
+    p_dH = None   # p.dH/dp, summed left to right as numpy sums n <= 7 terms
+    for q, p in zip(g.q_indices, g.p_indices):
+        X[q] = grad[p]
+        if zi is None:
+            X[p] = -grad[q]
+            continue
+        X[p] = -(grad[q] + x[p] * grad[zi])
+        term = x[p] * grad[p]
+        p_dH = term if p_dH is None else p_dH + term
+    if zi is not None:
+        X[zi] = p_dH - Hval
 
 
 def hamiltonian_vf(g, H, x):
@@ -235,11 +239,18 @@ def hamiltonian_vf(g, H, x):
 
     symplectic/cosymplectic: (dH/dp, -dH/dq), zero t-component;
     contact/cocontact: (dH/dp, -(dH/dq + p dH/dz), p.dH/dp - H), zero
-    t-component.
+    t-component.  One state runs on Python floats (expr.point_jet).
     """
     x = g.check_states(x)
+    if x.ndim == 1:
+        Hval, grad = expr.point_jet(H, x)
+        X = [0.0] * g.dim
+        _assemble_vf(g, X, x.tolist(), Hval, grad)
+        return np.array(X)
     Hval, grad, _ = expr.jet(H, x, order=1)
-    return _assemble_vf(g, x, Hval, grad)
+    X = np.zeros(x.shape)
+    _assemble_vf(g, X.T, x.T, Hval, grad.T)
+    return X
 
 
 def hamiltonian_vf_jacobian(g, H, x):
@@ -247,7 +258,8 @@ def hamiltonian_vf_jacobian(g, H, x):
     Hessian of H; row = component, column = derivative direction."""
     x = g.check_states(x)
     Hval, grad, hess = expr.value_and_derivatives(H, x)
-    X = _assemble_vf(g, x, Hval, grad)
+    X = np.zeros(x.shape)
+    _assemble_vf(g, X.T, x.T, Hval, grad.T)
     dX = np.zeros(hess.shape)
     qs, ps = g.q_slice, g.p_slice
     dX[..., qs, :] = hess[..., ps, :]

@@ -390,6 +390,57 @@ def test_config_error_exits_two(tmp_path, capsys):
     assert "sample_box" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mutator,field", [
+    (lambda d: d.update(tolerances={"canonical": float("inf")}),
+     "tolerances.canonical"),
+    (lambda d: d.update(tolerances={"drift": float("nan")}),
+     "tolerances.drift"),
+    (lambda d: d.update(tolerances={"torsion": 10**400}),
+     "tolerances.torsion"),
+    (lambda d: d["sample_box"].update(q1=[0.5, float("inf")]),
+     "sample_box.q1"),
+    (lambda d: d["sample_box"].update(p1=[float("-inf"), 1.0]),
+     "sample_box.p1"),
+    (lambda d: d["trajectory"].update(x0=[float("nan"), 1.5]),
+     "trajectory.x0"),
+    (lambda d: d["trajectory"].update(t_span=[0.0, float("inf")]),
+     "trajectory.t_span"),
+])
+def test_non_finite_config_numbers_are_rejected(mutator, field):
+    data = base_config()
+    mutator(data)
+    with pytest.raises(ConfigError,
+                       match=f"{field}: expected a finite number"):
+        validate_config(data)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_flag_exits_two(tmp_path, capsys, tol):
+    # an infinite tolerance passed `canonical` with residual 1.26
+    path = write_config(tmp_path, base_config())
+    code = run_cli(["check", "--config", path, "--out", str(tmp_path / "out"),
+                    "--tol", tol])
+    assert code == 2
+    assert "tolerances.canonical: expected a finite number" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out" / "check.json").exists()
+
+
+def test_infinity_literal_in_config_exits_two(tmp_path, capsys):
+    # Python's json reads the non-standard literals Infinity and NaN
+    data = base_config()
+    del data["trajectory"]
+    data["checks"] = ["canonical"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data)[:-1]
+                    + ', "tolerances": {"canonical": Infinity}}')
+    code = run_cli(["check", "--config", str(path),
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "tolerances.canonical: expected a finite number" in \
+        capsys.readouterr().err
+
+
 def test_execution_error_names_check(tmp_path, capsys):
     data = base_config()
     data["hamiltonian"] = "log(q1)"

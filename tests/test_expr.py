@@ -459,3 +459,150 @@ def test_evaluated_expression_pickles():
     e2 = pickle.loads(pickle.dumps(e))
     assert e2 == e
     assert np.array_equal(expr.gradient(e2, [0.3, 0.4]), g)
+
+
+# ---------------------------------------------------------------------------
+# one point: the float sweep against a one-row stack
+
+
+def stack_of_one(e, x, order):
+    v, d1, _ = expr.jet(e, np.asarray(x, dtype=float)[None], order)
+    return v[0], None if d1 is None else d1[0]
+
+
+def point_and_stack_agree(e, x, order):
+    """Both routes raise the same DomainError, or give the same numbers
+    (NaN in the same places)."""
+    try:
+        v, d1 = expr.point_jet(e, x, order)
+    except DomainError as err:
+        with pytest.raises(DomainError) as stacked:
+            stack_of_one(e, x, order)
+        assert str(stacked.value) == str(err)
+        assert str(err).endswith("at row 0")
+        return str(err)
+    sv, sd1 = stack_of_one(e, x, order)
+    assert type(v) is float
+    assert np.array_equal(v, sv, equal_nan=True), (v, sv)
+    if order:
+        assert type(d1) is tuple and all(type(c) is float for c in d1)
+        assert np.array_equal(d1, sd1, equal_nan=True), (d1, sd1)
+    return None
+
+
+INF, NAN = math.inf, math.nan
+# (source over q1, p1; point; the DomainError message at order 0 and at
+# order 1, None for none)
+DOMAIN_CASES = [
+    ("log(q1)", [0.0, 1.0], "log of non-positive value in 'log(q1)'", ...),
+    ("log(q1)", [-1.0, 1.0], "log of non-positive value", ...),
+    ("sqrt(q1)", [-1.0, 1.0], "sqrt of negative value", ...),
+    ("sqrt(q1)*p1", [0.0, 1.0], None, "sqrt derivative at zero"),
+    ("1/q1", [0.0, 1.0], "division by zero in '1.0/q1'", ...),
+    ("q1/(p1 - 1)", [2.0, 1.0], "division by zero", ...),
+    ("1/(q1*1e-200*1e-200)", [1.0, 1.0], "division by zero", ...),
+    ("q1^-1", [0.0, 1.0], "division by zero", ...),
+    ("q1^0.5", [-3.0, 1.0], "non-integer power of a non-positive base", ...),
+    ("q1^1.5", [0.0, 1.0], "non-integer power of a non-positive base", ...),
+    ("q1^p1", [-2.0, 0.5], "non-integer power of a non-positive base",
+     "variable power of a non-positive base"),
+    ("q1^p1", [0.0, -1.0], "division by zero",
+     "variable power of a non-positive base"),
+    ("q1^p1", [-2.0, 3.0], None, "variable power of a non-positive base"),
+    ("(-2)^p1", [1.0, 3.0], None, "variable power of a non-positive base"),
+    ("q1^2", [1e200, 1.0], "overflow in 'q1^2.0'", ...),
+    ("q1^3", [1e200, 1.0], "overflow", ...),
+    ("q1^p1", [10.0, 400.0], "overflow", ...),
+    ("2^q1", [5000.0, 1.0], "overflow", ...),
+    ("exp(q1)", [1e6, 1.0], "overflow in 'exp(q1)'", ...),
+    ("sinh(q1)", [1e6, 1.0], "overflow", ...),
+    ("cosh(q1)", [-1e6, 1.0], "overflow", ...),
+    # non-finite input propagates as on a stack, with no error
+    ("sin(q1)", [INF, 1.0], None, ...),
+    ("tan(q1)", [INF, 1.0], None, ...),
+    ("cos(q1)*p1", [NAN, 1.0], None, ...),
+    ("q1*p1", [0.0, INF], None, ...),
+    ("q1/p1", [INF, INF], None, ...),
+    ("q1 - p1", [INF, INF], None, ...),
+    ("exp(q1)", [INF, 1.0], None, ...),
+    ("exp(q1)", [-INF, 1.0], None, ...),
+    ("cosh(q1)", [-INF, 1.0], None, ...),
+    ("log(q1)", [INF, 1.0], None, ...),
+    ("log(q1)", [NAN, 1.0], None, ...),
+    ("sqrt(q1)", [INF, 1.0], None, ...),
+    ("sqrt(q1)", [NAN, 1.0], None, ...),
+    ("q1^2", [NAN, 1.0], None, ...),
+    ("q1^2", [INF, 1.0], None, ...),
+    ("q1^3", [-INF, 1.0], None, ...),
+    ("q1^-1", [INF, 1.0], None, ...),
+    ("q1^0.5", [INF, 1.0], None, ...),
+    ("q1^p1", [INF, 2.0], None, ...),
+    ("q1^p1", [2.0, INF], None, ...),
+    ("q1^p1", [NAN, 2.0], None, ...),
+    ("2^q1", [-INF, 1.0], None, ...),
+    ("q1*1e200*1e200", [1.0, 1.0], None, ...),
+]
+
+
+@pytest.mark.parametrize("src,x,message0,message1", DOMAIN_CASES)
+@pytest.mark.parametrize("order", [0, 1])
+def test_point_domain_and_non_finite_parity(src, x, message0, message1,
+                                            order):
+    e = expr.parse(src, ["q1", "p1"])
+    message = message0 if order == 0 or message1 is ... else message1
+    got = point_and_stack_agree(e, x, order)
+    if message is None:
+        assert got is None
+    else:
+        assert got is not None and message in got
+
+
+# exponent values at which numpy's power with a scalar exponent takes
+# a shortcut (square, square root, reciprocal) that an array exponent
+# does not take
+SPECIAL_EXPONENTS = [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("src", ["q1^p1", "2^p1", "(q1 + 1)^(p1*2)",
+                                 "q1^2", "q1^3", "q1^0.5", "q1^-1", "q1^1",
+                                 "q1^0"])
+@pytest.mark.parametrize("order", [0, 1])
+def test_point_powers_match_a_stack_bit_for_bit(src, order):
+    e = expr.parse(src, ["q1", "p1"])
+    rng = np.random.default_rng(3)
+    X = np.column_stack([rng.uniform(0.1, 3.0, 600),
+                         np.tile(SPECIAL_EXPONENTS, 100)])
+    v, d1, _ = expr.jet(e, X, order)
+    for i, x in enumerate(X):
+        pv, pd1 = expr.point_jet(e, x, order)
+        assert pv == v[i], (src, x)
+        if order:
+            assert np.array_equal(pd1, d1[i]), (src, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(src=st.sampled_from(ROUND_TRIP_CORPUS + FD_CORPUS), points=BOX_POINTS,
+       order=st.sampled_from([0, 1]))
+def test_point_jet_equals_stacked_rows(src, points, order):
+    e = expr.parse(src, QPTZ)
+    X = np.array(points)
+    v, d1, _ = expr.jet(e, X, order)
+    for i, x in enumerate(X):
+        pv, pd1 = expr.point_jet(e, x, order)
+        assert pv == v[i]
+        if order:
+            assert np.array_equal(pd1, d1[i])
+        # jet() routes one point at order <= 1 to the float sweep
+        jv, jd1, jd2 = expr.jet(e, x, order)
+        assert jv == pv and jd2 is None
+        assert (jd1 is None) if order == 0 else np.array_equal(jd1, pd1)
+
+
+def test_point_jet_checks_size_and_order():
+    e = expr.parse("q1*p1", ["q1", "p1"])
+    with pytest.raises(ValueError, match="3 components, chart has 2"):
+        expr.point_jet(e, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="order must be 0 or 1"):
+        expr.point_jet(e, [1.0, 2.0], order=2)
+    assert expr.point_jet(expr.parse("2.5", ["q1", "p1"]), [1.0, 2.0]) == \
+        (2.5, (0.0, 0.0))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canonoid import expr, geometry
 from canonoid.geometry import (
@@ -188,6 +190,49 @@ def test_vf_jacobian_matches_finite_differences():
             xm[j] -= h
             fd[:, j] = (hamiltonian_vf(g, H, xp) - hamiltonian_vf(g, H, xm)) / (2 * h)
         assert np.max(np.abs(dX - fd)) < 1e-6, (g.kind, src)
+
+
+# ---------------------------------------------------------------------------
+# one state runs on floats, a stack on arrays: the same numbers
+
+# Hamiltonian terms over two chart variables a and b, covering all eight
+# functions, variable exponents and division; every one is defined on
+# the box [0.5, 1.5] of the states below.
+FIELD_TERMS = [
+    "sin({a})", "cos({a}*{b})", "tan({a}/4)", "exp({a}/2)", "log({a} + {b})",
+    "sqrt({a}^2 + {b})", "sinh({a})", "cosh({a} - {b})", "{a}^{b}",
+    "2^{a}", "({a} + 1)^(2*{b})", "{a}/({b} + 1)", "1/{a}", "{a}^2",
+    "{a}^3/3", "{a}^0.5", "{a}^-1", "{a}*{b}", "0.2*{a}",
+]
+
+
+@st.composite
+def kind_hamiltonian_states(draw):
+    g = GeometryKind(draw(st.sampled_from(geometry.KINDS)),
+                     draw(st.sampled_from([1, 2])))
+    names = st.sampled_from(g.chart_vars)
+    terms = draw(st.lists(st.tuples(st.sampled_from(FIELD_TERMS), names, names,
+                                    st.sampled_from(["+", "-", "*"])),
+                          min_size=1, max_size=4))
+    src = "0"
+    for term, a, b, op in terms:
+        src = f"({src}) {op} {term.format(a=a, b=b)}"
+    states = draw(st.lists(
+        st.lists(st.floats(min_value=0.5, max_value=1.5), min_size=g.dim,
+                 max_size=g.dim), min_size=1, max_size=5))
+    return g, g.parse(src), np.array(states)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=kind_hamiltonian_states())
+def test_one_state_fields_equal_stacked_rows(case):
+    g, H, X = case
+    for field in (hamiltonian_vf, dynamical_vf):
+        stacked = field(g, H, X)
+        for i, x in enumerate(X):
+            single = field(g, H, x)
+            assert single.shape == (g.dim,)
+            assert np.array_equal(single, stacked[i]), (g, str(H), x)
 
 
 # ---------------------------------------------------------------------------
