@@ -2,23 +2,22 @@
 
 Expressions are parsed from a small arithmetic grammar.  All derivative
 information in the rest of the library flows through this module, from
-one engine: vector forward mode over the sample axis (Griewank &
-Walther, Evaluating Derivatives, 2nd ed., ch. 3 and 13).  On its first
-evaluation at a given derivative order an expression is compiled into a
-tree of closures, cached on the expression, that map a stack of N
-points (N, m) to an array jet: the values (N,), the exact first partials
-(N, m) and, at order 2, the second partials (N, m, m) over the m chart
-variables.  jet() takes one point or a stack; evaluate(), gradient(),
-hessian() and value_and_derivatives() are its one-point forms.
-
-One point at order 0 or 1 takes a second target of the same compiler
-(point_jet()): the same compile walk and builders with float ops in
-place of the array ops, giving a float value and a tuple of float
-partials.  A one-point sweep costs numpy's overhead per call, not
-arithmetic, and the integrators make one per Runge-Kutta stage, so the
-shape of the input selects the target.  Each float operation is the one
-numpy performs on a row, so a point gives the numbers of its row in a
-stacked sweep bit for bit.
+one engine: forward mode by source transformation (Griewank & Walther,
+Evaluating Derivatives, 2nd ed., ch. 3 and 6).  On its first evaluation
+at a given derivative order an expression is compiled, once, into the
+straight-line Python source of its sweep, cached on the expression: one
+local per value and per first and second partial that is not
+structurally zero.  The same text runs on two namespaces, picked by the
+shape of the input: one point (m,) on Python floats, where numpy's
+overhead per call would cost more than the arithmetic (the integrators
+sweep one state per Runge-Kutta stage), and a stack (N, m) on its numpy
+columns, giving the values (N,), the exact first partials (N, m) and
+the second partials (N, m, m) over the m chart variables.  Each float
+operation is the one numpy performs on an entry, so a point gives the
+numbers of its row in a stacked sweep bit for bit.  jet() takes one
+point or a stack; point_jet() gives one point's partials as floats, and
+evaluate(), gradient(), hessian() and value_and_derivatives() are the
+forms of jet() the other modules call.
 
 Domain checks are masks over the stack (plain tests at one point): a
 DomainError names the subexpression and the first failing row.
@@ -45,7 +44,6 @@ caller; any other identifier is rejected at parse time.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import operator
@@ -159,12 +157,13 @@ class Expression:
 
     @functools.cached_property
     def _kernels(self):
-        """Compiled sweeps, filled on first use: the array sweeps keyed
-        by derivative order, the one-point sweeps by ("point", order)."""
+        """Compiled sweeps, filled on first use: the emitted code keyed
+        by derivative order, the sweeps bound to a namespace by
+        (order, whether for one point)."""
         return {}
 
     def __getstate__(self):
-        # the compiled closures cannot be pickled; they are rebuilt
+        # the compiled sweeps cannot be pickled; they are rebuilt
         state = dict(self.__dict__)
         state.pop("_kernels", None)
         return state
@@ -313,460 +312,90 @@ def parse(source, chart_vars):
 # ---------------------------------------------------------------------------
 # Jets
 #
-# An expression is compiled once per target and derivative order into a
-# tree of closures.  The array target maps a stack of points X of shape
-# (N, m) to a jet (v, d1, d2): the values (N,), the first partials
-# (N, m) and, at order 2, the second partials (N, m, m) over the m chart
-# variables.  Below the requested order d1 and d2 are None.  A seeded
-# variable carries a broadcastable (1, m) unit row as d1 and the float
-# 0.0 as d2, and constant subtrees are folded into plain floats at
-# compile time, so constants never allocate derivative arrays.  Every
-# second-order update adds symmetric terms, so Hessians are symmetric
-# to the last bit.
+# One emitter compiles an expression, once per derivative order, into
+# the straight-line Python source of its sweep (forward mode by source
+# transformation, Griewank & Walther ch. 6).  The source holds one local
+# per node value, per structurally non-zero first partial (one per
+# column) and per non-zero second partial (one per (i, j) entry with
+# i <= j).  Each local applies its rule's float operations in a fixed
+# order (for a product, (a2 b + b2 a) + (a1_i b1_j + a1_j b1_i)), with
+# the structurally zero terms dropped; a seeded variable's own partial
+# is the unit, by which nothing is multiplied.  Every second-order rule
+# is symmetric in (i, j), so Hessians are symmetric to the last bit.
 #
-# The point target maps one point, a list of m Python floats, to a jet
-# at order 0 or 1: v is a float, d1 a tuple of m floats and d2 None.
-# On one point a sweep's cost is numpy's overhead per call on (1,)
-# arrays, not arithmetic, so this target does the arithmetic on floats.
-# Each of its ops does what the array op does to one row: the same
-# float operations in the same order, x*x where numpy squares, and
-# numpy's own ufuncs for the functions and the other powers, which
-# libm's differ from in the last bit.  A point's jet therefore equals
-# its row of a stacked sweep bit for bit.  Both targets share the
-# compile walk, the builders and the folded constants.
+# The same text runs against two namespaces.  X is one point's m Python
+# floats in the float namespace and the (N,) columns of a stack in the
+# array one, whose results are scattered into fresh (N, m) and
+# (N, m, m) arrays.  The namespaces differ only in the domain and
+# overflow checks (a test, or a mask that names the first failing row),
+# in the powers (numpy's shortcuts for a scalar exponent, or np.power
+# on one entry), in -1/a^2 (which Python floats cannot divide into when
+# a^2 underflows) and in float() around numpy's ufuncs, which libm's
+# differ from in the last bit.  So a point's jet equals its row of a
+# stacked sweep bit for bit.
+#
+# A structurally zero partial is 0.0 even at non-finite input, where the
+# dense product would give the NaN of 0*inf; the callers' finiteness
+# guards still see the NaN or inf of the value and of every partial the
+# input reaches.
+#
+# Constant subtrees are folded while emitting, through the order-0 rules
+# run on one-element arrays.  Constants and the DomainError messages
+# reach the text only through the bound tuples K and E; the rest of it
+# is the emitter's locals, integer indices, namespace names and the
+# numbers of the rules themselves.
 
-# name: (f, f' from (v, f), f'' from (v, f, f'))
-_FN_TABLE = {
-    "sin": (np.sin, lambda v, f: np.cos(v), lambda v, f, d: -f),
-    "cos": (np.cos, lambda v, f: -np.sin(v), lambda v, f, d: -f),
-    "tan": (np.tan, lambda v, f: 1.0 + f * f, lambda v, f, d: 2.0 * f * d),
-    "exp": (np.exp, lambda v, f: f, lambda v, f, d: f),
-    "log": (np.log, lambda v, f: 1.0 / v, lambda v, f, d: -d * d),
-    "sqrt": (np.sqrt, lambda v, f: 0.5 / f, lambda v, f, d: -0.5 * d / v),
-    "sinh": (np.sinh, lambda v, f: np.cosh(v), lambda v, f, d: f),
-    "cosh": (np.cosh, lambda v, f: np.sinh(v), lambda v, f, d: f),
+# the unit partial of a seeded variable; products elide it
+_ONE = "1.0"
+
+# name: (f' from the argument a and the value f, f'' from a, f and d = f')
+_DERIVATIVES = {
+    "sin": ("cos({a})", "-{f}"),
+    "cos": ("-sin({a})", "-{f}"),
+    "tan": ("1.0 + {f} * {f}", "2.0 * {f} * {d}"),
+    "exp": ("{f}", "{f}"),
+    "log": ("1.0 / {a}", "-{d} * {d}"),
+    "sqrt": ("0.5 / {f}", "-0.5 * {d} / {a}"),
+    "sinh": ("cosh({a})", "{f}"),
+    "cosh": ("sinh({a})", "{f}"),
 }
 # functions that can overflow on a finite argument
 _OVERFLOWING = frozenset({"exp", "sinh", "cosh"})
-
-# The ops of one target.  seed(j, m, order) builds the closure of chart
-# variable j; the others map jets (and folded float constants) to jets.
-_Ops = collections.namedtuple(
-    "_Ops",
-    "seed neg shift scale quot add sub mul div pow_const pow_var apply")
 
 
 def _domain_error(msg, node, row):
     return DomainError(f"{msg} in '{serialize(node)}' at row {row}")
 
 
-def _shift(a, c):
-    return a[0] + c, a[1], a[2]
+def _times(a, b):
+    """Text of a * b, None (zero) if a factor is, one factor if the
+    other is the unit."""
+    if a is None or b is None:
+        return None
+    if a == _ONE:
+        return b
+    return a if b == _ONE else f"({a} * {b})"
 
 
-def _const_jet(c, order):
-    return c, 0.0 if order else None, 0.0 if order == 2 else None
+def _plus(a, b):
+    if a is None:
+        return b
+    return a if b is None else f"({a} + {b})"
 
 
-# -- array ops ----------------------------------------------------------------
+def _minus(a, b):
+    if b is None:
+        return a
+    return f"(-{b})" if a is None else f"({a} - {b})"
 
 
-def _forbid(bad, msg, node):
-    """Raise DomainError at the first row where the mask bad is set."""
-    if bad.any():
-        raise _domain_error(msg, node, int(np.argmax(bad)))
+def _over(a, b):
+    return None if a is None else f"({a} / {b})"
 
 
-def _check_overflow(val, node, *inputs):
-    """An infinite or NaN value from finite inputs is an overflow."""
-    # one dot product is finite unless some entry is inf or NaN (or
-    # beyond 1e154, which the exact test below then clears)
-    if math.isfinite(val @ val):
-        return
-    bad = ~np.isfinite(val)
-    for x in inputs:
-        bad &= np.isfinite(x)
-    _forbid(bad, "overflow", node)
-
-
-@functools.cache
-def _unit_row(m, j):
-    """d1 seed of chart variable j: a read-only view, which the kernel
-    copies before handing it out."""
-    row = np.eye(m)[j:j + 1]
-    row.flags.writeable = False
-    return row
-
-
-def _seed(j, m, order):
-    d1 = _unit_row(m, j) if order else None
-    d2 = 0.0 if order == 2 else None
-    return lambda X: (X[:, j], d1, d2)
-
-
-def _outer2(a1, b1):
-    """a1 b1^T + b1 a1^T per row, symmetric by construction."""
-    o = a1[:, :, None] * b1[:, None, :]
-    return o + o.transpose(0, 2, 1)
-
-
-def _chain(a, val, c1, c2):
-    """Jet of f(a) from val = f, c1 = f' and c2 = f'' at a's values
-    (c2 is None below order 2); called at order >= 1."""
-    _, d1, d2 = a
-    g1 = d1 * c1[:, None]
-    if d2 is None:
-        return val, g1, None
-    return val, g1, (d2 * c1[:, None, None]
-                     + c2[:, None, None] * (d1[:, :, None] * d1[:, None, :]))
-
-
-def _neg(a):
-    v, d1, d2 = a
-    return -v, None if d1 is None else -d1, None if d2 is None else -d2
-
-
-def _scale(a, c):
-    v, d1, d2 = a
-    return v * c, None if d1 is None else d1 * c, None if d2 is None else d2 * c
-
-
-def _quot(a, c):
-    v, d1, d2 = a
-    return v / c, None if d1 is None else d1 / c, None if d2 is None else d2 / c
-
-
-def _add(a, b):
-    (av, a1, a2), (bv, b1, b2) = a, b
-    return (av + bv, None if a1 is None else a1 + b1,
-            None if a2 is None else a2 + b2)
-
-
-def _sub(a, b):
-    (av, a1, a2), (bv, b1, b2) = a, b
-    return (av - bv, None if a1 is None else a1 - b1,
-            None if a2 is None else a2 - b2)
-
-
-def _mul(a, b):
-    (av, a1, a2), (bv, b1, b2) = a, b
-    v = av * bv
-    if a1 is None:
-        return v, None, None
-    ac, bc = av[:, None], bv[:, None]
-    d1 = a1 * bc + b1 * ac
-    if a2 is None:
-        return v, d1, None
-    return v, d1, a2 * bc[:, :, None] + b2 * ac[:, :, None] + _outer2(a1, b1)
-
-
-def _div(a, b, node):
-    """a / b for a jet b; a is a jet or a constant jet (c, 0.0, 0.0)."""
-    (av, a1, a2), (bv, b1, b2) = a, b
-    _forbid(bv == 0.0, "division by zero", node)
-    q = av / bv
-    if b1 is None:
-        return q, None, None
-    r = bv[:, None]
-    q1 = (a1 - b1 * q[:, None]) / r
-    if b2 is None:
-        return q, q1, None
-    return q, q1, (a2 - b2 * q[:, None, None] - _outer2(b1, q1)) / r[:, :, None]
-
-
-def _power_coeff(v, c, e):
-    """c * v**e, exactly zero when c is (never 0 * inf at v = 0)."""
-    if c == 0.0:
-        return np.zeros_like(v)
-    return c * v if e == 1.0 else c * v ** e
-
-
-def _pow_const(a, k, node):
-    """a^k for a constant exponent k.  An integer k is valid for any
-    base except 0 with k < 0; a non-integer k needs a positive base."""
-    v, d1, d2 = a
-    if not k.is_integer():
-        _forbid(v <= 0.0, "non-integer power of a non-positive base", node)
-    elif k < 0.0:
-        _forbid(v == 0.0, "division by zero", node)
-    val = v ** k
-    _check_overflow(val, node, v)
-    if d1 is None:
-        return val, None, None
-    c2 = None if d2 is None else _power_coeff(v, k * (k - 1.0), k - 2.0)
-    return _chain(a, val, _power_coeff(v, k, k - 1.0), c2)
-
-
-def _pow_var(a, b, node):
-    """a^b for a variable exponent b; a is a jet or a float base.
-
-    Values follow real powers: an integer-valued exponent allows any
-    base but 0 with a negative exponent.  Derivatives in the exponent
-    need a positive base everywhere."""
-    const = type(a) is float
-    av = a if const else a[0]
-    bv, b1, b2 = b
-    if b1 is None:
-        whole = bv == np.floor(bv)
-        zero = whole & (av == 0.0) & (bv < 0.0)
-        bad = zero | (~whole & (av <= 0.0))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise _domain_error("division by zero" if zero[i] else
-                                "non-integer power of a non-positive base",
-                                node, i)
-        val = np.power(av, bv)
-        _check_overflow(val, node, av, bv)
-        return val, None, None
-    if const:
-        if av <= 0.0:
-            raise _domain_error("variable power of a non-positive base",
-                                node, 0)
-        p = _scale(b, math.log(av))
-    else:
-        _forbid(av <= 0.0, "variable power of a non-positive base", node)
-        c2 = None if a[2] is None else -1.0 / (av * av)
-        p = _mul(b, _chain(a, np.log(av), 1.0 / av, c2))
-    val = np.power(av, bv)
-    _check_overflow(val, node, av, bv)
-    # a^b = exp(p) with p = b log a; every derivative of exp is val
-    return _chain(p, val, val, None if b2 is None else val)
-
-
-def _apply(a, node):
-    v, d1, d2 = a
-    name = node.func
-    if name == "log":
-        _forbid(v <= 0.0, "log of non-positive value", node)
-    elif name == "sqrt":
-        _forbid(v < 0.0, "sqrt of negative value", node)
-        if d1 is not None:
-            _forbid(v == 0.0, "sqrt derivative at zero", node)
-    f, f1, f2 = _FN_TABLE[name]
-    val = f(v)
-    if name in _OVERFLOWING:
-        _check_overflow(val, node, v)
-    if d1 is None:
-        return val, None, None
-    c1 = f1(v, val)
-    return _chain(a, val, c1, None if d2 is None else f2(v, val, c1))
-
-
-_ARRAY = _Ops(seed=_seed, neg=_neg, shift=_shift, scale=_scale, quot=_quot,
-              add=_add, sub=_sub, mul=_mul, div=_div, pow_const=_pow_const,
-              pow_var=_pow_var, apply=_apply)
-
-
-# -- point ops: one row of the array ops, on floats ---------------------------
-
-
-def _f_check_overflow(val, node, *inputs):
-    if not math.isfinite(val) and all(map(math.isfinite, inputs)):
-        raise _domain_error("overflow", node, 0)
-
-
-def _f_seed(j, m, order):
-    d1 = tuple(float(i == j) for i in range(m)) if order else None
-    return lambda x: (x[j], d1, None)
-
-
-def _f_chain(a, val, c1):
-    return val, tuple([x * c1 for x in a[1]]), None
-
-
-def _f_neg(a):
-    v, d1, _ = a
-    return -v, None if d1 is None else tuple([-x for x in d1]), None
-
-
-def _f_scale(a, c):
-    v, d1, _ = a
-    return v * c, None if d1 is None else tuple([x * c for x in d1]), None
-
-
-def _f_quot(a, c):
-    v, d1, _ = a
-    return v / c, None if d1 is None else tuple([x / c for x in d1]), None
-
-
-def _f_add(a, b):
-    (av, a1, _), (bv, b1, _) = a, b
-    return (av + bv, None if a1 is None else tuple(map(operator.add, a1, b1)),
-            None)
-
-
-def _f_sub(a, b):
-    (av, a1, _), (bv, b1, _) = a, b
-    return (av - bv, None if a1 is None else tuple(map(operator.sub, a1, b1)),
-            None)
-
-
-def _f_mul(a, b):
-    (av, a1, _), (bv, b1, _) = a, b
-    if a1 is None:
-        return av * bv, None, None
-    return av * bv, tuple([x * bv + y * av for x, y in zip(a1, b1)]), None
-
-
-def _f_div(a, b, node):
-    (av, a1, _), (bv, b1, _) = a, b
-    if bv == 0.0:
-        raise _domain_error("division by zero", node, 0)
-    q = av / bv
-    if b1 is None:
-        return q, None, None
-    if type(a1) is float:
-        a1 = (a1,) * len(b1)   # a constant jet's 0.0
-    return q, tuple([(x - y * q) / bv for x, y in zip(a1, b1)]), None
-
-
-def _f_power(v, k):
-    """What v ** k does to one entry of an array v for a float k: numpy
-    squares at k = 2 (and special-cases a few other k)."""
-    return v * v if k == 2.0 else float(np.power(v, k))
-
-
-def _f_pow_const(a, k, node):
-    v, d1, _ = a
-    if k == 2.0:
-        val = v * v   # numpy squares; no domain test applies
-    else:
-        if not k.is_integer():
-            if v <= 0.0:
-                raise _domain_error(
-                    "non-integer power of a non-positive base", node, 0)
-        elif k < 0.0 and v == 0.0:
-            raise _domain_error("division by zero", node, 0)
-        val = float(np.power(v, k))
-    if not math.isfinite(val) and math.isfinite(v):
-        raise _domain_error("overflow", node, 0)
-    if d1 is None:
-        return val, None, None
-    # k v^(k-1), formed as _power_coeff forms it
-    c1 = k * v if k == 2.0 else 0.0 if k == 0.0 else k * _f_power(v, k - 1.0)
-    return val, tuple([x * c1 for x in d1]), None
-
-
-def _f_vpower(a, b):
-    """One entry of np.power over two arrays: an array exponent takes
-    none of the special cases of a scalar one, so neither may this."""
-    return float(np.power((a,), (b,))[0])
-
-
-def _f_pow_var(a, b, node):
-    const = type(a) is float
-    av = a if const else a[0]
-    bv, b1, _ = b
-    if b1 is None:
-        whole = math.isinf(bv) or bv.is_integer()   # bv == floor(bv)
-        if whole and av == 0.0 and bv < 0.0:
-            raise _domain_error("division by zero", node, 0)
-        if not whole and av <= 0.0:
-            raise _domain_error("non-integer power of a non-positive base",
-                                node, 0)
-        val = _f_vpower(av, bv)
-        _f_check_overflow(val, node, av, bv)
-        return val, None, None
-    if av <= 0.0:
-        raise _domain_error("variable power of a non-positive base", node, 0)
-    if const:
-        p = _f_scale(b, math.log(av))
-    else:
-        p = _f_mul(b, _f_chain(a, float(np.log(av)), 1.0 / av))
-    val = _f_vpower(av, bv)
-    _f_check_overflow(val, node, av, bv)
-    return _f_chain(p, val, val)
-
-
-def _f_apply(a, node):
-    v, d1, _ = a
-    name = node.func
-    if name == "log":
-        if v <= 0.0:
-            raise _domain_error("log of non-positive value", node, 0)
-    elif name == "sqrt":
-        if v < 0.0:
-            raise _domain_error("sqrt of negative value", node, 0)
-        if d1 is not None and v == 0.0:
-            raise _domain_error("sqrt derivative at zero", node, 0)
-    f, f1, _ = _FN_TABLE[name]
-    val = float(f(v))
-    if name in _OVERFLOWING:
-        _f_check_overflow(val, node, v)
-    if d1 is None:
-        return val, None, None
-    return _f_chain(a, val, float(f1(v, val)))
-
-
-_POINT = _Ops(seed=_f_seed, neg=_f_neg, shift=_shift, scale=_f_scale,
-              quot=_f_quot, add=_f_add, sub=_f_sub, mul=_f_mul, div=_f_div,
-              pow_const=_f_pow_const, pow_var=_f_pow_var, apply=_f_apply)
-
-
-# -- compilation ---------------------------------------------------------------
-
-
-def _build_add(ops, node, order, a, b):
-    shift, add = ops.shift, ops.add
-    if type(a) is float:
-        return lambda X: shift(b(X), a)
-    if type(b) is float:
-        return lambda X: shift(a(X), b)
-    return lambda X: add(a(X), b(X))
-
-
-def _build_sub(ops, node, order, a, b):
-    shift, neg, sub = ops.shift, ops.neg, ops.sub
-    if type(a) is float:
-        return lambda X: shift(neg(b(X)), a)
-    if type(b) is float:
-        return lambda X: shift(a(X), -b)
-    return lambda X: sub(a(X), b(X))
-
-
-def _build_mul(ops, node, order, a, b):
-    scale, mul = ops.scale, ops.mul
-    if type(a) is float:
-        return lambda X: scale(b(X), a)
-    if type(b) is float:
-        return lambda X: scale(a(X), b)
-    return lambda X: mul(a(X), b(X))
-
-
-def _build_div(ops, node, order, a, b):
-    quot, div = ops.quot, ops.div
-    if type(b) is float:
-        if b == 0.0:
-            raise _domain_error("division by zero", node, 0)
-        return lambda X: quot(a(X), b)
-    if type(a) is float:
-        ca = _const_jet(a, order)
-        return lambda X: div(ca, b(X), node)
-    return lambda X: div(a(X), b(X), node)
-
-
-def _build_pow(ops, node, order, a, b):
-    pow_const, pow_var = ops.pow_const, ops.pow_var
-    if type(b) is float:
-        return lambda X: pow_const(a(X), b, node)
-    if type(a) is float:
-        return lambda X: pow_var(a, b(X), node)
-    return lambda X: pow_var(a(X), b(X), node)
-
-
-def _build_neg(ops, node, order, a):
-    neg = ops.neg
-    return lambda X: neg(a(X))
-
-
-def _build_call(ops, node, order, a):
-    apply = ops.apply
-    return lambda X: apply(a(X), node)
-
-
-_NODE_COMPILERS = {Neg: _build_neg, Add: _build_add, Sub: _build_sub,
-                   Mul: _build_mul, Div: _build_div, Pow: _build_pow,
-                   Call: _build_call}
+def _outer(a1, b1, i, j):
+    """Entry (i, j) of a1 b1^T + b1 a1^T."""
+    return _plus(_times(a1.get(i), b1.get(j)), _times(a1.get(j), b1.get(i)))
 
 
 def _children(node):
@@ -777,83 +406,392 @@ def _children(node):
     return (node.left, node.right)
 
 
-def _compile(node, order, index, ops):
-    """A float for a constant subtree, else a closure from the target's
-    input to its jet."""
-    kind = type(node)
-    if kind is Const:
-        return node.value
-    if kind is Var:
-        try:
-            j = index[node.name]
-        except KeyError:
-            raise UnknownVariable(f"unbound variable {node.name!r}") from None
-        return ops.seed(j, len(index), order)
-    build = _NODE_COMPILERS[kind]
-    kids = [_compile(k, order, index, ops) for k in _children(node)]
-    if any(type(k) is not float for k in kids):
-        return build(ops, node, order, *kids)
-    # fold on the array target whatever the target, so both share every
-    # constant: run the value closure once on one-row constant jets
-    consts = [lambda X, c=np.array([k]): (c, None, None) for k in kids]
-    return float(build(_ARRAY, node, 0, *consts)(None)[0][0])
+class _Emitter:
+    """Writes the sweep of one expression at one order.
+
+    A jet is (value, first, second): the local of the value and dicts
+    from column j, and from (i, j) with i <= j, to the locals of the
+    partials that are not structurally zero.  A constant subtree is a
+    float.  Second partials vanish outside the pairs of columns with a
+    first partial, which every rule keeps true.
+    """
+
+    def __init__(self, order, index):
+        self.order = order
+        self.index = index
+        self.lines = []
+        self.consts = []
+        self.errors = []
+        self.names = {}
+
+    def let(self, text):
+        """The local holding text, written on its first use: equal
+        texts share one local."""
+        if text == _ONE or text.isidentifier():
+            return text
+        name = self.names.get(text)
+        if name is None:
+            name = self.names[text] = f"t{len(self.names)}"
+            # a text that opens with a parenthesis is one group
+            self.lines.append(f"{name} = "
+                              + (text[1:-1] if text[0] == "(" else text))
+        return name
+
+    def partials(self, items):
+        return {k: self.let(t) for k, t in items if t is not None}
+
+    def const(self, c):
+        self.consts.append(c)
+        return f"K[{len(self.consts) - 1}]"
+
+    def as_jet(self, a):
+        """a, or the jet of a constant a."""
+        return (self.const(a), {}, {}) if type(a) is float else a
+
+    def pairs(self, *firsts):
+        """The (i, j), i <= j, over the columns of the first partials,
+        at order 2."""
+        if self.order < 2:
+            return ()
+        cols = sorted(set().union(*firsts))
+        return [(i, j) for n, i in enumerate(cols) for j in cols[n:]]
+
+    def error(self, msg, node):
+        """The text of the bound (msg, node) that a DomainError names."""
+        self.errors.append((msg, node))
+        return f"E[{len(self.errors) - 1}]"
+
+    def call(self, name, *args):
+        self.lines.append(f"{name}({', '.join(args)})")
+
+    def check(self, test, msg, node):
+        self.call("check", test, self.error(msg, node))
+
+    def overflow(self, val, node, *inputs):
+        """An infinite or NaN val from finite inputs is an overflow."""
+        self.call("overflow", val, self.error("overflow", node), *inputs)
+
+    def compile(self, result):
+        body = [*self.lines, f"return {result}"]
+        source = "\n    ".join(["def run(X):", *body])
+        return compile(source, "<jet>", "exec")
+
+    def visit(self, node):
+        kind = type(node)
+        if kind is Const:
+            return node.value
+        if kind is Var:
+            try:
+                j = self.index[node.name]
+            except KeyError:
+                raise UnknownVariable(
+                    f"unbound variable {node.name!r}") from None
+            return self.let(f"X[{j}]"), {j: _ONE} if self.order else {}, {}
+        kids = [self.visit(k) for k in _children(node)]
+        if all(type(k) is float for k in kids):
+            return _fold(node, kids)
+        return self.rule(node, kids)
+
+    def rule(self, node, kids):
+        return getattr(self, "_" + type(node).__name__.lower())(node, *kids)
+
+    def _each(self, f, a, b):
+        """Value and partials of the entrywise rule f of two jets."""
+        (av, a1, a2), (bv, b1, b2) = a, b
+        return (self.let(f(av, bv)),
+                self.partials((i, f(a1.get(i), b1.get(i)))
+                              for i in a1.keys() | b1.keys()),
+                self.partials((ij, f(a2.get(ij), b2.get(ij)))
+                              for ij in a2.keys() | b2.keys()))
+
+    def _neg(self, node, a):
+        return self._each(_minus, (None, {}, {}), a)
+
+    def _add(self, node, a, b):
+        return self._each(_plus, self.as_jet(a), self.as_jet(b))
+
+    def _sub(self, node, a, b):
+        return self._each(_minus, self.as_jet(a), self.as_jet(b))
+
+    def _mul(self, node, a, b):
+        (av, a1, a2), (bv, b1, b2) = self.as_jet(a), self.as_jet(b)
+        return (self.let(f"({av} * {bv})"),
+                self.partials(
+                    (i, _plus(_times(a1.get(i), bv), _times(b1.get(i), av)))
+                    for i in a1.keys() | b1.keys()),
+                self.partials(
+                    (ij, _plus(_plus(_times(a2.get(ij), bv),
+                                     _times(b2.get(ij), av)),
+                               _outer(a1, b1, *ij)))
+                    for ij in self.pairs(a1, b1)))
+
+    def _div(self, node, a, b):
+        if type(b) is float:
+            if b == 0.0:
+                raise _domain_error("division by zero", node, 0)
+        else:
+            self.check(f"{b[0]} == 0.0", "division by zero", node)
+        (av, a1, a2), (bv, b1, b2) = self.as_jet(a), self.as_jet(b)
+        q = self.let(f"({av} / {bv})")
+        q1 = self.partials(
+            (i, _over(_minus(a1.get(i), _times(b1.get(i), q)), bv))
+            for i in a1.keys() | b1.keys())
+        return q, q1, self.partials(
+            (ij, _over(_minus(_minus(a2.get(ij), _times(b2.get(ij), q)),
+                              _outer(b1, q1, *ij)), bv))
+            for ij in self.pairs(a1, b1))
+
+    def _pow(self, node, a, b):
+        if type(b) is float:
+            return self._pow_const(node, a, b)
+        return self._pow_var(node, a, b)
+
+    def power(self, v, e):
+        """Text of v**e for a constant e; numpy squares at e = 2."""
+        return f"({v} * {v})" if e == 2.0 else f"pw({v}, {self.const(e)})"
+
+    def coeff(self, v, c, e):
+        """The text of c * v**e, None when c is zero (never 0 * inf at
+        v = 0); v**0 is 1 for every v."""
+        if c == 0.0:
+            return None
+        if e == 0.0:
+            return self.const(c)
+        return self.let(f"({self.const(c)} * "
+                        f"{v if e == 1.0 else self.power(v, e)})")
+
+    def _pow_const(self, node, a, k):
+        """a^k for a constant exponent k.  An integer k is valid for any
+        base except 0 with k < 0; a non-integer k needs a positive base."""
+        v = a[0]
+        if not k.is_integer():
+            self.check(f"{v} <= 0.0",
+                       "non-integer power of a non-positive base", node)
+        elif k < 0.0:
+            self.check(f"{v} == 0.0", "division by zero", node)
+        val = self.let(self.power(v, k))
+        self.overflow(val, node, v)
+        c1 = self.coeff(v, k, k - 1.0) if self.order else None
+        c2 = self.coeff(v, k * (k - 1.0), k - 2.0) if self.order == 2 else None
+        return self.chain(a, val, c1, c2)
+
+    def _pow_var(self, node, a, b):
+        """a^b for a variable exponent b; a is a jet or a float base.
+
+        Values follow real powers: an integer-valued exponent allows any
+        base but 0 with a negative exponent.  Derivatives in the exponent
+        need a positive base everywhere."""
+        bv, b1, b2 = b
+        if not self.order:
+            av = self.as_jet(a)[0]
+            self.call("powcheck", av, bv,
+                      self.error("division by zero", node),
+                      self.error("non-integer power of a non-positive base",
+                                 node))
+            return self.vpow(node, av, bv), {}, {}
+        if type(a) is float:
+            av = self.const(a)
+            if a <= 0.0:
+                self.call("fail", self.error(
+                    "variable power of a non-positive base", node))
+                return av, {}, {}
+            # p = b log a
+            log_a = self.const(math.log(a))
+            p = (None,
+                 self.partials((i, _times(x, log_a)) for i, x in b1.items()),
+                 self.partials((ij, _times(x, log_a)) for ij, x in b2.items()))
+        else:
+            av = a[0]
+            self.check(f"{av} <= 0.0", "variable power of a non-positive base",
+                       node)
+            c2 = self.let(f"neg_inv_sq({av})") if self.order == 2 else None
+            p = self._mul(node, b, self.chain(a, self.let(f"log({av})"),
+                                              self.let(f"(1.0 / {av})"), c2))
+        # a^b = exp(p); every derivative of exp is the value
+        val = self.vpow(node, av, bv)
+        return self.chain(p, val, val, val if self.order == 2 else None)
+
+    def vpow(self, node, a, b):
+        val = self.let(f"vpow({a}, {b})")
+        self.overflow(val, node, a, b)
+        return val
+
+    def _call(self, node, a):
+        name, v = node.func, a[0]
+        if name not in _DERIVATIVES:
+            raise UnknownFunction(f"unknown function {name!r}")
+        if name == "log":
+            self.check(f"{v} <= 0.0", "log of non-positive value", node)
+        elif name == "sqrt":
+            self.check(f"{v} < 0.0", "sqrt of negative value", node)
+            if self.order:
+                self.check(f"{v} == 0.0", "sqrt derivative at zero", node)
+        val = self.let(f"{name}({v})")
+        if name in _OVERFLOWING:
+            self.overflow(val, node, v)
+        if not self.order:
+            return val, {}, {}
+        f1, f2 = _DERIVATIVES[name]
+        c1 = self.let(f1.format(a=v, f=val))
+        c2 = self.let(f2.format(a=v, f=val, d=c1)) if self.order == 2 else None
+        return self.chain(a, val, c1, c2)
+
+    def chain(self, a, val, c1, c2):
+        """Jet of f(a) from the locals val = f, c1 = f' and c2 = f'' at
+        a's value (None where zero or above the order)."""
+        _, a1, a2 = a
+        return (val, self.partials((i, _times(x, c1)) for i, x in a1.items()),
+                self.partials(
+                    ((i, j), _plus(_times(a2.get((i, j)), c1),
+                                   _times(c2, _times(a1.get(i), a1.get(j)))))
+                    for i, j in self.pairs(a1)))
 
 
-def _calls_numpy(node):
-    """Whether the point sweep of node calls a numpy ufunc: for any
-    function and any power but a square."""
-    kind = type(node)
-    if kind is Const or kind is Var:
-        return False
-    if kind is Call or kind is Pow and node.exponent != Const(2.0):
-        return True
-    return any(map(_calls_numpy, _children(node)))
+def _bind(code, namespace, consts, errors):
+    scope = dict(namespace, K=consts, E=errors)
+    exec(code, scope)
+    return scope["run"]
 
 
-def _array_kernel(e, order):
-    """The compiled stacked sweep of e at the given order, returning
-    fresh arrays of the full stacked shapes."""
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    index = {name: j for j, name in enumerate(e.chart_vars)}
-    m = len(index)
-    f = _compile(e.ast, order, index, _ARRAY)
-    if type(f) is float:
-        const = _const_jet(f, order)
-        f = lambda X: (np.full(len(X), const[0]),) + const[1:]   # noqa: E731
-
-    def run(X):
-        v, d1, d2 = f(X)
-        n = len(X)
-        if v.base is not None:
-            v = v.copy()   # a bare variable is a view of X
-        if d1 is not None and (type(d1) is float or d1.base is not None
-                               or d1.shape[0] != n):
-            d1 = np.broadcast_to(d1, (n, m)).copy()
-        if d2 is not None and (type(d2) is float or d2.base is not None
-                               or d2.shape[0] != n):
-            d2 = np.broadcast_to(d2, (n, m, m)).copy()
-        return v, d1, d2
-
-    return run
+def _fold(node, values):
+    """node's value over constant children: its order-0 rule run on
+    one-element arrays, so constants fold through the array semantics."""
+    em = _Emitter(0, {})
+    v = em.rule(node, [(em.const(np.array([c])), {}, {}) for c in values])[0]
+    run = _bind(em.compile(v), _ARRAYS, tuple(em.consts), tuple(em.errors))
+    with np.errstate(all="ignore"):
+        return float(run(None)[0])
 
 
-def _point_kernel(e, order):
-    """The compiled one-point sweep of e at order 0 or 1, from a list of
-    m floats to a float jet."""
-    index = {name: j for j, name in enumerate(e.chart_vars)}
-    f = _compile(e.ast, order, index, _POINT)
-    if type(f) is float:
-        const = (f, (0.0,) * len(index) if order else None, None)
-        return lambda x: const
-    if not _calls_numpy(e.ast):
-        return f   # float arithmetic neither warns nor raises
+# -- the two namespaces -------------------------------------------------------
 
+
+def _fail(what):
+    raise _domain_error(*what, 0)
+
+
+def _rows_check(bad, what):
+    """Raise at the first row where the mask bad is set."""
+    if bad.any():
+        raise _domain_error(*what, int(np.argmax(bad)))
+
+
+def _rows_overflow(val, what, *inputs):
+    # one dot product is finite unless some entry is inf or NaN (or
+    # beyond 1e154, which the exact test below then clears)
+    if math.isfinite(val @ val):
+        return
+    bad = ~np.isfinite(val)
+    for x in inputs:
+        bad &= np.isfinite(x)
+    _rows_check(bad, what)
+
+
+def _rows_power_domain(a, b, zero, fraction):
+    whole = b == np.floor(b)
+    at_zero = whole & (a == 0.0) & (b < 0.0)
+    bad = at_zero | (~whole & (a <= 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _domain_error(*(zero if at_zero[i] else fraction), i)
+
+
+def _point_check(bad, what):
+    if bad:
+        raise _domain_error(*what, 0)
+
+
+def _point_overflow(val, what, *inputs):
+    if not math.isfinite(val) and all(map(math.isfinite, inputs)):
+        raise _domain_error(*what, 0)
+
+
+def _point_power_domain(a, b, zero, fraction):
+    whole = math.isinf(b) or b.is_integer()   # b == floor(b)
+    if whole and a == 0.0 and b < 0.0:
+        raise _domain_error(*zero, 0)
+    if not whole and a <= 0.0:
+        raise _domain_error(*fraction, 0)
+
+
+def _point_neg_inv_sq(a):
+    """-1/a^2 as numpy divides: -inf where a^2 underflows to 0."""
+    s = a * a
+    return -1.0 / s if s else -math.inf
+
+
+def _on_floats(f):
+    return lambda x: float(f(x))
+
+
+_ARRAYS = {
+    **{name: getattr(np, name) for name in _DERIVATIVES},
+    "pw": operator.pow, "vpow": np.power,
+    "neg_inv_sq": lambda a: -1.0 / (a * a),
+    "check": _rows_check, "overflow": _rows_overflow,
+    "powcheck": _rows_power_domain, "fail": _fail,
+}
+_FLOATS = {
+    **{name: _on_floats(getattr(np, name)) for name in _DERIVATIVES},
+    "pw": lambda v, e: float(np.power(v, e)),
+    # an array exponent takes none of the shortcuts of a scalar one
+    "vpow": lambda a, b: float(np.power((a,), (b,))[0]),
+    "neg_inv_sq": _point_neg_inv_sq,
+    "check": _point_check, "overflow": _point_overflow,
+    "powcheck": _point_power_domain, "fail": _fail,
+}
+# the float names that call numpy, which may warn
+_NUMPY_NAMES = frozenset(_DERIVATIVES) | {"pw", "vpow"}
+
+
+def _emit(e, order):
+    """(code, K, E, cols, pairs) of e's sweep at the given order: the
+    compiled text, its bound constants and messages, and the columns
+    and (i, j) entries of its non-zero partials.  The text returns the
+    value, all m first partials and the non-zero second ones."""
+    em = _Emitter(order, {name: j for j, name in enumerate(e.chart_vars)})
+    v, d1, d2 = em.as_jet(em.visit(e.ast))
+    pairs = sorted(d2)
+    first = "None"
+    if order:
+        first = "(" + "".join(d1.get(j, "0.0") + ", "
+                              for j in range(len(e.chart_vars))) + ")"
+    second = "(" + "".join(d2[ij] + ", " for ij in pairs) + ")"
+    code = em.compile(f"{v}, {first}, {second if order == 2 else None}")
+    return code, tuple(em.consts), tuple(em.errors), sorted(d1), pairs
+
+
+def _quiet(run):
     def quiet(x):
         with np.errstate(all="ignore"):
-            return f(x)
+            return run(x)
 
     return quiet
+
+
+def _sweep(e, order, point):
+    """(run, cols, pairs): e's sweep at the given order, bound to the
+    float namespace for one point or to the array one for the columns
+    of a stack, with the columns and entries of its non-zero partials.
+    Both share the text, emitted once per order."""
+    kernels = e._kernels
+    found = kernels.get((order, point))
+    if found is not None:
+        return found
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+    emitted = kernels.get(order) or kernels.setdefault(order, _emit(e, order))
+    code, consts, errors, cols, pairs = emitted
+    run = _bind(code, _FLOATS if point else _ARRAYS, consts, errors)
+    if point and not _NUMPY_NAMES.isdisjoint(run.__code__.co_names):
+        run = _quiet(run)   # float arithmetic neither warns nor raises
+    return kernels.setdefault((order, point), (run, cols, pairs))
+
+
+def _symmetric(out, pairs, second):
+    for (i, j), x in zip(pairs, second):
+        out[..., i, j] = out[..., j, i] = x
+    return out
 
 
 def _size_error(X, m):
@@ -873,12 +811,7 @@ def point_jet(e, point, order=1):
         raise _size_error(x, m)
     if order not in (0, 1):
         raise ValueError(f"order must be 0 or 1 at one point, got {order!r}")
-    kernels = e._kernels
-    run = kernels.get(("point", order))
-    if run is None:
-        with np.errstate(all="ignore"):
-            run = kernels.setdefault(("point", order), _point_kernel(e, order))
-    v, d1, _ = run(x.tolist())
+    v, d1, _ = _sweep(e, order, True)[0](x.tolist())
     return v, d1
 
 
@@ -889,30 +822,34 @@ def jet(e, points, order=2):
     points is one point (m,) in chart order or a stack (N, m); the
     results are then a float, (m,) and (m, m), or (N,), (N, m) and
     (N, m, m).  The gradient is None at order 0 and the hessian below
-    order 2.  The shape picks the target: one point at order 0 or 1
-    runs the float sweep of point_jet(), anything else the stacked
-    array sweep (one point as a stack of one).  Both give the same
-    numbers.  A DomainError names the failing subexpression and the
-    first failing row (0 for a single point).
+    order 2.  One point runs on Python floats, a stack on its numpy
+    columns; both give the same numbers.  A DomainError names the
+    failing subexpression and the first failing row (0 for a single
+    point).
     """
     X = np.asarray(points, dtype=float)
     m = len(e.chart_vars)
-    if X.ndim == 1 and order in (0, 1):
-        v, d1 = point_jet(e, X, order)
-        return v, None if d1 is None else np.array(d1), None
-    single = X.ndim == 1
-    if single:
-        X = X[None]
-    if X.ndim != 2 or X.shape[1] != m:
+    if X.ndim not in (1, 2) or X.shape[-1] != m:
         raise _size_error(X, m)
-    kernels = e._kernels
-    with np.errstate(all="ignore"):
-        run = kernels.get(order) or kernels.setdefault(order,
-                                                       _array_kernel(e, order))
-        v, d1, d2 = run(X)
+    single = X.ndim == 1
+    run, cols, pairs = _sweep(e, order, single)
     if single:
-        return (float(v[0]), None if d1 is None else d1[0],
-                None if d2 is None else d2[0])
+        v, d1, d2 = run(X.tolist())
+        if d2 is not None:
+            d2 = _symmetric(np.zeros((m, m)), pairs, d2)
+        return v, None if d1 is None else np.array(d1), d2
+    n = len(X)
+    with np.errstate(all="ignore"):
+        v, d1, d2 = run(X.T)
+    if type(v) is float or v.base is not None:
+        v = np.full(n, v)   # a constant, or a column of X
+    if d1 is not None:
+        g = np.zeros((n, m))
+        for j in cols:
+            g[:, j] = d1[j]
+        d1 = g
+    if d2 is not None:
+        d2 = _symmetric(np.zeros((n, m, m)), pairs, d2)
     return v, d1, d2
 
 

@@ -44,6 +44,7 @@ import numpy as np
 
 from . import transform
 from .geometry import canonical_eps
+from .transform import CONDITION_LIMIT
 
 __all__ = [
     "InvolutionResult",
@@ -59,7 +60,6 @@ __all__ = [
 ]
 
 KMAX_LIMIT = 10
-CONDITION_LIMIT = 1e12
 
 
 class SingularPullback(ValueError):

@@ -573,6 +573,25 @@ def test_overflowing_expressions_never_pass(kind, target, base, blowup, check):
     assert result["verdict"] != "pass", result
 
 
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS),
+       eps=st.floats(min_value=1e-20, max_value=1e-13),
+       check=st.sampled_from(CHECK_NAMES))
+def test_ill_conditioned_maps_never_pass(kind, eps, check):
+    # p -> eps*p has det(J) = eps != 0 but cond(J) = 1/eps: no residual
+    # drawn from it is meaningful
+    chart = GeometryKind(kind, 1).chart_vars
+    transform = {v: v for v in chart}
+    transform["p1"] = f"{eps!r}*p1"
+    cfg = validate_config(n1_config(kind, transform))
+    try:
+        result = cli._run_checks(cfg, (check,), None)[check]
+    except CheckError as e:
+        assert "transform Jacobian is singular" in str(e)
+        return
+    assert result["verdict"] != "pass", result
+
+
 def test_flag_overrides(tmp_path):
     path = write_config(tmp_path, base_config())
     out = str(tmp_path / "out")

@@ -18,7 +18,7 @@ import pytest
 from canonoid import expr, geometry, transform
 from canonoid.geometry import GeometryKind, WrongGeometry
 from canonoid.transform import (
-    NonCanonoid, SingularReeb, TransformMap, candidate_K_gradient,
+    NonCanonoid, SingularReeb, SingularTransform, TransformMap, candidate_K_gradient,
     check_canonical, check_canonoid, jacobian, jacobian_and_hessians,
     lagrange_brackets, lagrange_derivative, recover_K,
 )
@@ -484,6 +484,28 @@ def test_non_finite_jacobian_is_rejected_before_the_singularity_test():
                        match="non-finite residual at sample 1 in transform "
                              "component p1"):
         jacobian_and_hessians(F, [[1.0, 1.0], [1e10, 1.0], [1e20, 1.0]])
+
+
+def test_non_finite_state_is_rejected_at_its_sample():
+    # at an inf state the sweeps give 0.0 for partials no rule reaches,
+    # but the value and the reached partials are NaN: still rejected
+    F = tmap(SYMP1, ["sin(q1)", "p1 + q1^3"])
+    with pytest.raises(transform.NonFiniteResidual,
+                       match="non-finite residual at sample 2 in transform "
+                             "component q1"):
+        jacobian_and_hessians(F, [[0.5, 1.0], [1.0, 1.0], [np.inf, 1.0]])
+
+
+def test_ill_conditioned_jacobian_rejected():
+    # det(J) = 1e-15 is not 0, but J = [[1, 0], [p, q]] has cond(J)
+    # about 2e15 at q = 1e-15: no residual means anything there
+    F = tmap(SYMP1, ["q1", "q1*p1"])
+    with pytest.raises(SingularTransform,
+                       match=r"transform Jacobian is singular at sample 1 "
+                             r".*: cond\(J\) = 2\.000e\+15 > 1e\+12"):
+        lagrange_brackets(F, [[0.5, 1.0], [1e-15, 1.0]])
+    # fine where it is well-conditioned
+    assert lagrange_brackets(F, [[0.5, 1.0]])[0, 0, 1] == 0.5
 
 
 def test_recover_K_stack_matches_single_points():
