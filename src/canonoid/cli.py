@@ -30,7 +30,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -345,28 +345,28 @@ def trace_observables(g, F, kmax):
 # individual checks
 
 
+def _entry(cfg, tol_name, residual, **details):
+    """A check's report entry: its verdict on residual against the
+    tolerance tol_name, the residual and the tolerance, plus details."""
+    tol = cfg.tolerances[tol_name]
+    return {"verdict": "pass" if residual <= tol else "fail",
+            "residual": residual, "tolerance": tol, **details}
+
+
 def _check_canonical(cfg, samples):
     res = transform.check_canonical(cfg.geometry, cfg.transform, samples,
                                     tol=cfg.tolerances["canonical"])
-    return {
-        "verdict": "pass" if res.canonical else "fail",
-        "residual": float(res.max_residual),
-        "tolerance": cfg.tolerances["canonical"],
-    }
+    return _entry(cfg, "canonical", float(res.max_residual))
 
 
-def _check_canonoid(cfg, samples):
+def _check_canonoid(cfg, jets):
     res = transform.check_canonoid(cfg.geometry, cfg.transform,
-                                   cfg.hamiltonian, samples,
+                                   cfg.hamiltonian, jets,
                                    tol=cfg.tolerances["canonoid"])
-    return {
-        "verdict": "pass" if res.canonoid else "fail",
-        "residual": float(res.max_residual),
-        "tolerance": cfg.tolerances["canonoid"],
-        "components": {k: float(v) for k, v in res.components.items()},
-        "K_probe": None if res.K_probe is None
-        else [float(v) for v in res.K_probe],
-    }
+    return _entry(
+        cfg, "canonoid", float(res.max_residual),
+        components={k: float(v) for k, v in res.components.items()},
+        K_probe=None if res.K_probe is None else res.K_probe.tolist())
 
 
 def _check_traces(cfg, out_dir):
@@ -380,110 +380,77 @@ def _check_traces(cfg, out_dir):
         _write_csv(out_dir / "invariants.csv", traj, obs)
     worst = float(transform.fold_max(
         [d.max_rel_drift for d in rep.observables.values()], "observable"))
-    drift = {
-        name: {
-            "initial": float(d.initial),
-            "max_abs_drift": float(d.max_abs_drift),
-            "max_rel_drift": float(d.max_rel_drift),
-            "slope": float(d.slope),
-        }
-        for name, d in rep.observables.items()
-    }
-    return {
-        "verdict": "pass" if worst <= cfg.tolerances["drift"] else "fail",
-        "residual": float(worst),
-        "tolerance": cfg.tolerances["drift"],
-        "method": tr["method"],
-        "steps": tr["steps"],
-        "drift": drift,
-    }
+    drift = {name: asdict(d) for name, d in rep.observables.items()}
+    return _entry(cfg, "drift", worst, method=tr["method"],
+                  steps=tr["steps"], drift=drift)
 
 
-def _check_torsion(cfg, samples):
-    N = stensor.nijenhuis_torsion(cfg.geometry, cfg.transform, samples)
-    rows = np.abs(N).reshape(len(samples), -1)
-    worst = float(transform.fold_max(np.max(rows, axis=1)))
-    return {
-        "verdict": "pass" if worst <= cfg.tolerances["torsion"] else "fail",
-        "residual": worst,
-        "tolerance": cfg.tolerances["torsion"],
-    }
+def _check_torsion(cfg, jets):
+    N = stensor.nijenhuis_torsion(cfg.geometry, cfg.transform, jets)
+    rows = np.abs(N).reshape(len(jets), -1)
+    return _entry(cfg, "torsion",
+                  float(transform.fold_max(np.max(rows, axis=1))))
 
 
-def _check_lenard(cfg, samples):
+def _check_lenard(cfg, jets):
     kmax = max(1, min(3, cfg.kmax - 1))
     worst_k = transform.fold_max(stensor.lenard_identity_residual(
-        cfg.geometry, cfg.transform, samples, kmax))
+        cfg.geometry, cfg.transform, jets, kmax))
     per_k = {str(k): float(r) for k, r in enumerate(worst_k, start=1)}
-    worst = max(per_k.values())
-    return {
-        "verdict": "pass" if worst <= cfg.tolerances["lenard"] else "fail",
-        "residual": worst,
-        "tolerance": cfg.tolerances["lenard"],
-        "per_k": per_k,
-    }
+    return _entry(cfg, "lenard", max(per_k.values()), per_k=per_k)
 
 
-def _check_involution(cfg, samples):
-    tol = cfg.tolerances["involution"]
+def _check_involution(cfg, jets):
     try:
-        res = stensor.involution_matrix(cfg.geometry, cfg.transform, samples,
+        res = stensor.involution_matrix(cfg.geometry, cfg.transform, jets,
                                         cfg.kmax)
     except SingularPullback as e:
         return {
             "verdict": "not-applicable",
             "residual": None,
-            "tolerance": tol,
+            "tolerance": cfg.tolerances["involution"],
             "detail": str(e),
         }
     unb = float(np.max(res.unbarred))
     brd = float(np.max(res.barred))
-    worst = max(unb, brd)   # involution_matrix rejects non-finite brackets
-    return {
-        "verdict": "pass" if worst <= tol else "fail",
-        "residual": worst,
-        "tolerance": tol,
-        "unbarred_max": unb,
-        "barred_max": brd,
-        "skipped": res.skipped,
-        "max_condition": float(res.max_condition),
-    }
+    # involution_matrix rejects non-finite brackets
+    return _entry(cfg, "involution", max(unb, brd), unbarred_max=unb,
+                  barred_max=brd, skipped=res.skipped,
+                  max_condition=float(res.max_condition))
 
 
-def _check_lie_derivative(cfg, samples):
+def _check_lie_derivative(cfg, jets):
     g = cfg.geometry
-    tol = cfg.tolerances["lie_derivative"]
     ti = g.t_index
     lie = np.abs(dynamics.lie_derivative_S(g, cfg.transform, cfg.hamiltonian,
-                                           samples))
+                                           jets))
     if ti is None:
-        cols = [np.max(lie, axis=(1, 2)), np.zeros(len(samples))]
+        cols = [np.max(lie, axis=(1, 2)), np.zeros(len(jets))]
     else:
         # the dt-column is the one slot a time-dependent K may
         # legitimately occupy; measured separately
         cols = [np.max(np.delete(lie, ti, axis=2), axis=(1, 2)),
                 np.max(lie[:, :, ti], axis=1)]
     worst, t_col = map(float, transform.fold_max(np.stack(cols, axis=1)))
-    return {
-        "verdict": "pass" if worst <= tol else "fail",
-        "residual": worst,
-        "tolerance": tol,
-        "time_column_max": t_col if ti is not None else None,
-    }
+    return _entry(cfg, "lie_derivative", worst,
+                  time_column_max=t_col if ti is not None else None)
 
 
 def _run_checks(cfg, names, out_dir):
     results = {}
     samples = draw_samples(cfg.geometry, cfg.sample_box, cfg.sample_count,
                            cfg.seed)
+    # F's jets at the samples, shared by every structural check but
+    # canonical; the one sweep runs in the first check that reads them
+    jets = transform.Jets(cfg.transform, samples)
     runners = {
         "canonical": lambda: _check_canonical(cfg, samples),
-        "canonoid": lambda: _check_canonoid(cfg, samples),
+        "canonoid": lambda: _check_canonoid(cfg, jets),
         "traces": lambda: _check_traces(cfg, out_dir),
-        "torsion": lambda: _check_torsion(cfg, samples),
-        "lenard": lambda: _check_lenard(cfg, samples),
-        "involution": lambda: _check_involution(cfg, samples),
-        "lie_derivative": lambda: _check_lie_derivative(cfg, samples),
+        "torsion": lambda: _check_torsion(cfg, jets),
+        "lenard": lambda: _check_lenard(cfg, jets),
+        "involution": lambda: _check_involution(cfg, jets),
+        "lie_derivative": lambda: _check_lie_derivative(cfg, jets),
     }
     for name in CHECK_NAMES:
         if name not in names:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import stensor
+from . import stensor, transform
 from .geometry import dynamical_vf, dynamical_vf_jacobian
 
 __all__ = [
@@ -219,11 +219,12 @@ def drift_report(traj, observables):
 def lie_derivative_S(g, F, H, x):
     """(L_V S)^A_B = V^n dS^A_B/dx^n - S^n_B dV^A/dx^n + S^A_n dV^n/dx^B
     with V the dynamical field of the geometry, over the full chart, at
-    one state or a stack of states.
+    one state or a stack of states, or F's Jets at them.
 
     S and dS come from stensor.s_and_ds.
     """
+    jets = transform.Jets.of(F, x)
     with np.errstate(all="ignore"):
-        S, dS = stensor.s_and_ds(g, F, x)
-        V, dV = dynamical_vf_jacobian(g, H, x)
+        S, dS = stensor.s_and_ds(g, F, jets)
+        V, dV = dynamical_vf_jacobian(g, H, jets.x)
         return np.einsum("...n,...nab->...ab", V, dS) - dV @ S + S @ dV

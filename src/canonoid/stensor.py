@@ -18,22 +18,25 @@ contraction cancel identically, leaving only the normalized trace
 gradients.
 
 One assembler, s_and_ds, builds S and dS by the product rule from the
-bracket derivatives; torsion, the Lenard left side, the involution
-trace gradients d tr(S^k) = k tr(S^(k-1) dS) and the Lie derivative
-all take S and dS from it.  The Lenard right side alone takes its trace
-gradients from a matrix jet (value plus tangent stack, pushed through
-the matrix powers of the x-block), so lenard_identity_residual compares
-two disjoint derivative routes, which makes it a strong end-to-end
-check of every derivative in this module.
+bracket derivatives of a transform.Jets bundle; torsion, the Lenard
+left side, the involution trace gradients d tr(S^k) = k tr(S^(k-1) dS)
+and the Lie derivative all take S and dS from it.  The Lenard right
+side alone takes its trace gradients from a matrix jet (value plus
+tangent stack, built from the bundle's J and component Hessians and
+pushed through the matrix powers of the x-block), never from the
+bundle's bracket derivatives, so lenard_identity_residual compares two
+derivative routes that share only the component sweep, which makes it
+a strong end-to-end check of every derivative in this module.
 
 Torsion and the Lenard identity live on the x-block only; the trace
 and involution computations use the full matrix, whose constrained
 rows keep the extra columns out of the trace algebra.
 
 Every function takes one state (d,) or a stack of states (N, d) and
-returns the single or the stacked result: the matrix algebra runs over
-a leading sample axis, under np.errstate, so a non-finite entry reaches
-the caller's residual fold instead of a floating-point warning.
+returns the single or the stacked result; those built on s_and_ds also
+take F's Jets at the states.  The matrix algebra runs over a leading
+sample axis, under np.errstate, so a non-finite entry reaches the
+caller's residual fold instead of a floating-point warning.
 """
 
 from __future__ import annotations
@@ -129,17 +132,17 @@ def trace_powers(g, F, x, kmax):
 
 def s_and_ds(g, F, x):
     """Full-chart S and dS[nu] = dS/dx^nu, assembled by the product rule
-    from the bracket derivatives.  The structural rows are
-    differentiated through their defining constraints: the t-row stays
-    zero and the z-row picks up the derivative of its momentum
+    from the bracket derivatives of F's Jets at x.  The structural rows
+    are differentiated through their defining constraints: the t-row
+    stays zero and the z-row picks up the derivative of its momentum
     weights."""
-    x = g.check_states(x)
-    _, _, _, lam, dLam = transform.bracket_jet(F, x)
-    S = _assemble(g, lam, x)
-    dS = _assemble(g, dLam, x)
-    if g.z_index is not None:
-        for qi, pi in zip(g.q_indices, g.p_indices):
-            dS[..., pi, g.z_index, :] += S[..., qi, :]
+    jets = transform.Jets.of(F, x)
+    with np.errstate(all="ignore"):
+        S = _assemble(g, jets.lam, jets.x)
+        dS = _assemble(g, jets.dLam, jets.x)
+        if g.z_index is not None:
+            for qi, pi in zip(g.q_indices, g.p_indices):
+                dS[..., pi, g.z_index, :] += S[..., qi, :]
     return S, dS
 
 
@@ -196,14 +199,14 @@ def _jet_mul(A, B):
     return a @ b, da @ b[..., None, :, :] + a[..., None, :, :] @ db
 
 
-def _trace_grads(g, F, x, kmax):
+def _trace_grads(g, jets, kmax):
     """Gradients over the x-directions of tr(A^k), k = 1..kmax, for the
-    x-block A of S: the jet of J from the component Hessians is pushed
-    through Lam, A and the powers of A.  Shape (kmax, nd), or
-    (N, kmax, nd) for a stack."""
-    x = g.check_states(x)
+    x-block A of S: the jet of J from the component Hessians of the
+    Jets is pushed through Lam, A and the powers of A, never reading
+    the bundle's Lam or dLam.  Shape (kmax, nd), or (N, kmax, nd) for a
+    stack."""
     xs = g.x_slice
-    _, J, Hc = transform.jacobian_and_hessians(F, x)
+    _, J, Hc = jets.sweep
     J = J[..., xs]
     dJ = np.moveaxis(Hc[..., xs, xs], -1, -3)
     qs, ps = g.q_slice, g.p_slice
@@ -213,7 +216,7 @@ def _trace_grads(g, F, x, kmax):
     eps_inv = canonical_eps(g.n).T
     A = (eps_inv @ (b - np.swapaxes(b, -1, -2)),
          eps_inv @ (db - np.swapaxes(db, -1, -2)))
-    grads = np.zeros(x.shape[:-1] + (kmax, A[0].shape[-1]))
+    grads = np.zeros(jets.x.shape[:-1] + (kmax, A[0].shape[-1]))
     P = A
     with np.errstate(all="ignore"):
         for k in range(kmax):
@@ -237,10 +240,10 @@ def lenard_identity_residual(g, F, x, kmax):
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     if kmax + 1 > KMAX_LIMIT:
         raise ValueError(f"kmax + 1 exceeds the power limit {KMAX_LIMIT}")
-    x = g.check_states(x)
-    A, dA = _x_block(g, *s_and_ds(g, F, x))
-    grads = _trace_grads(g, F, x, kmax + 1)
-    out = np.zeros(x.shape[:-1] + (kmax,))
+    jets = transform.Jets.of(F, x)
+    A, dA = _x_block(g, *s_and_ds(g, F, jets))
+    grads = _trace_grads(g, jets, kmax + 1)
+    out = np.zeros(jets.x.shape[:-1] + (kmax,))
     with np.errstate(all="ignore"):
         N = _torsion(A, dA)
         AT = np.swapaxes(A, -1, -2)
@@ -268,8 +271,8 @@ def involution_matrix(g, F, samples, kmax):
     transform.NonFiniteResidual.
     """
     kmax = _check_kmax(kmax)
-    samples = g.check_states(transform.as_samples(samples))
-    S, dS = s_and_ds(g, F, samples)
+    jets = transform.Jets.of(F, samples, stack=True)
+    S, dS = s_and_ds(g, F, jets)
     grads = _explicit_trace_grads(g, S, dS, kmax)
     gT = np.swapaxes(grads, 1, 2)
     eps = canonical_eps(g.n)
@@ -279,7 +282,7 @@ def involution_matrix(g, F, samples, kmax):
         cond = np.linalg.cond(L)
     usable = np.isfinite(cond) & (cond <= CONDITION_LIMIT)
     unbarred = transform.fold_max(unbarred)
-    n = samples.shape[0]
+    n = len(jets)
     if not usable.any():
         raise SingularPullback(f"Lagrange x-block singular at all {n} samples")
     # skipped samples keep a zero row, so fold indices stay sample indices

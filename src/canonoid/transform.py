@@ -6,10 +6,12 @@ chart ordering.  From its Jacobian we assemble Lagrange brackets
     [x^mu, x^nu] = sum_i dQ^i/dx^mu dP_i/dx^nu - dQ^i/dx^nu dP_i/dx^mu
 
 (the components of the pulled-back two-form; only the (Q, P) component
-pairs enter, never T or Z).  On top of those this module decides
-canonical status (pullback reproduces the structure), canonoid status
-(the original dynamics stays Hamiltonian for some new K with respect to
-the pulled-back structure), and recovers K numerically.
+pairs enter, never T or Z).  A Jets bundle holds the map's values, J,
+Hessians, brackets and bracket derivatives at a stack of states from
+one sweep, which every check of the stack reads.  On top of those this
+module decides canonical status (pullback reproduces the structure),
+canonoid status (the original dynamics stays Hamiltonian for some new K
+with respect to the pulled-back structure), and recovers K numerically.
 
 Canonoid detection is residual-based on sample points: closedness of a
 candidate dK can be certified on a sampled region only.  Charts are
@@ -51,7 +53,7 @@ __all__ = [
     "jacobian_and_hessians",
     "lagrange_brackets",
     "lagrange_derivative",
-    "bracket_jet",
+    "Jets",
     "as_samples",
     "check_canonical",
     "candidate_K_gradient",
@@ -252,9 +254,9 @@ def lagrange_brackets(F, x):
 
 def lagrange_derivative(F, x):
     """dLam[nu, mu, mu'] = d[x^mu, x^mu']/dx^nu, assembled by the
-    product rule from component Jacobians and (symmetric) Hessians."""
-    _, J, H = _eval_components(F, x, order=2)
-    return _lagrange_derivative_from(F.geometry, J, H)
+    product rule from component Jacobians and (symmetric) Hessians.
+    Raises like jacobian() at a singular point."""
+    return Jets(F, x).dLam
 
 
 def _lagrange_derivative_from(g, J, H):
@@ -265,13 +267,40 @@ def _lagrange_derivative_from(g, J, H):
     return a - np.swapaxes(a, -1, -2)
 
 
-def bracket_jet(F, x):
-    """(values, J, Hessians, Lam, dLam) at x from one second-order sweep
-    of the components; raises at a singular Jacobian."""
-    vals, J, Hc = jacobian_and_hessians(F, x)
-    g = F.geometry
-    return (vals, J, Hc, _lagrange_from_jacobian(g, J),
-            _lagrange_derivative_from(g, J, Hc))
+class Jets:
+    """F's second-order jets at one state (d,) or a stack (N, d), each
+    computed on its first read: `sweep` (values, J, component Hessians)
+    from one jacobian_and_hessians call, the Lagrange matrix `lam` and
+    its derivative `dLam`."""
+
+    def __init__(self, F, x):
+        self.F = F
+        self.x = F.geometry.check_states(x)
+
+    @classmethod
+    def of(cls, F, x, stack=False):
+        """x itself when it is a bundle of F, else F's bundle at the
+        states x (a non-empty (N, d) stack when stack is set)."""
+        if not isinstance(x, cls):
+            return cls(F, as_samples(x) if stack else x)
+        if x.F is not F:
+            raise ValueError("the jets were taken of another transform")
+        return x
+
+    def __len__(self):
+        return len(self.x)
+
+    @functools.cached_property
+    def sweep(self):
+        return jacobian_and_hessians(self.F, self.x)
+
+    @functools.cached_property
+    def lam(self):
+        return _lagrange_from_jacobian(self.F.geometry, self.sweep[1])
+
+    @functools.cached_property
+    def dLam(self):
+        return _lagrange_derivative_from(self.F.geometry, *self.sweep[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +353,17 @@ def _x_block(g, M):
 
 def _k_gradient_pieces(g, F, H, x):
     """G = (X_H contracted into the pulled-back two-form, x-part) and
-    its derivative matrix dG over all chart directions.
+    its derivative matrix dG over all chart directions, at the states
+    or the Jets x.
 
     G_mu = sum L_{mu nu} (eps_inv grad_x H)_nu with L the x-block of the
     Lagrange matrix; this is the bracket form of the K-gradient
     relations for the (q, p) components of dK.
     """
+    jets = Jets.of(F, x)
     with np.errstate(all="ignore"):
-        _, _, _, lam, dLam = bracket_jet(F, x)
-        _, gradH, hessH = expr.value_and_derivatives(H, x)
+        lam, dLam = jets.lam, jets.dLam
+        _, gradH, hessH = expr.value_and_derivatives(H, jets.x)
         eps = canonical_eps(g.n)
         L = _x_block(g, lam)
         u = gradH[..., g.x_slice] @ eps              # eps_inv @ grad_x H
@@ -451,17 +482,17 @@ def check_canonoid(g, F, H, samples, tol=DEFAULT_TOL):
 
     K_probe holds K at the samples: recovered by line integral for the
     symplectic kinds (only when the verdict passed), algebraic for the
-    contact kinds.
+    contact kinds.  samples may be F's Jets at them.
     """
-    samples = as_samples(samples)
+    jets = Jets.of(F, samples, stack=True)
     if g.kind in ("symplectic", "cosymplectic"):
-        return _check_canonoid_symplectic(g, F, H, samples, tol)
-    return _check_canonoid_contact(g, F, H, samples, tol)
+        return _check_canonoid_symplectic(g, F, H, jets, tol)
+    return _check_canonoid_contact(g, F, H, jets, tol)
 
 
-def _check_canonoid_symplectic(g, F, H, samples, tol):
+def _check_canonoid_symplectic(g, F, H, jets, tol):
     ti = g.t_index
-    _, dG, lam = _k_gradient_pieces(g, F, H, samples)
+    _, dG, lam = _k_gradient_pieces(g, F, H, jets)
     cols = [_closedness_defect(g, dG)]
     if ti is not None:
         cols.append(np.max(np.abs(lam[:, :, ti]), axis=1))
@@ -470,9 +501,7 @@ def _check_canonoid_symplectic(g, F, H, samples, tol):
                   for name, v in zip(("closedness", "time_bracket"), worst)}
     worst = max(components.values())
     ok = worst <= tol
-    K_probe = None
-    if ok:
-        K_probe = recover_K(g, F, H, samples, samples[0], tol=tol)
+    K_probe = recover_K(g, F, H, jets.x, jets.x[0], tol=tol) if ok else None
     return CanonoidResult(canonoid=ok, max_residual=worst,
                           K_probe=K_probe, components=components)
 
@@ -490,16 +519,18 @@ def _solve_reeb(M, rhs, what):
 
 
 def _contact_point_data(g, F, H, x):
-    """J, Lagrange matrix, theta_bar, X_H, K and dK at x."""
+    """J, Lagrange matrix, theta_bar, X_H, K and dK at the states or the
+    Jets x."""
+    jets = Jets.of(F, x)
     with np.errstate(all="ignore"):
         try:
-            vals, J, Hc = jacobian_and_hessians(F, x)
+            vals, J, Hc = jets.sweep
         except SingularTransform as e:
             # no pulled-back coframe determines a Reeb field there
             raise SingularReeb(str(e)) from e
-        lam = _lagrange_from_jacobian(g, J)
+        lam = jets.lam
         theta_bar = _pullback_theta(g, vals, J)
-        X, dX = hamiltonian_vf_jacobian(g, H, x)
+        X, dX = hamiltonian_vf_jacobian(g, H, jets.x)
         # dtheta[mu, a] = d theta_bar_mu / dx^a; the dP_i factor sits in the
         # derivative slot a
         dtheta = Hc[..., g.z_index, :, :].copy()
@@ -511,34 +542,30 @@ def _contact_point_data(g, F, H, x):
         return J, lam, theta_bar, X, K, dK
 
 
-def _check_canonoid_contact(g, F, H, samples, tol):
-    J, lam, theta_bar, X, K, dK = _contact_point_data(g, F, H, samples)
+def _check_canonoid_contact(g, F, H, jets, tol):
+    J, lam, theta_bar, X, K, dK = _contact_point_data(g, F, H, jets)
     resid = contract(lam, X) - dK
-    if g.kind == "contact":
-        M = np.concatenate([theta_bar[:, None, :],
-                            np.swapaxes(lam, 1, 2)], axis=1)
-        rhs = np.zeros(g.dim + 1)
-        rhs[0] = 1.0
-        R = np.array([_solve_reeb(Mi, rhs, "contact Reeb") for Mi in M])
-        resid += np.einsum("ni,ni->n", dK, R)[:, None] * theta_bar
-        rows = np.max(np.abs(resid), axis=1)[:, None]
-    else:
-        eta_bar = J[:, g.t_index, :]
-        M = np.concatenate([theta_bar[:, None, :], eta_bar[:, None, :],
-                            np.swapaxes(lam, 1, 2)], axis=1)
-        rhs_z = np.zeros(g.dim + 2)
-        rhs_z[0] = 1.0
-        rhs_t = np.zeros(g.dim + 2)
-        rhs_t[1] = 1.0
-        Rz = np.array([_solve_reeb(Mi, rhs_z, "cocontact z-Reeb") for Mi in M])
-        Rt = np.array([_solve_reeb(Mi, rhs_t, "cocontact t-Reeb") for Mi in M])
-        resid += (np.einsum("ni,ni->n", dK, Rz)[:, None] * theta_bar
-                  + np.einsum("ni,ni->n", dK, Rt)[:, None] * eta_bar)
-        rows = np.stack([np.max(np.abs(resid), axis=1),
-                         np.abs(np.einsum("ni,ni->n", eta_bar, X)),
-                         np.max(np.abs(lam[:, :, g.t_index]), axis=1)], axis=1)
+    # one Reeb field per pulled-back one-form: R_i pairs to delta_ij with
+    # the forms and lies in the kernel of the pulled-back two-form
+    forms = {"": theta_bar}
+    if g.kind == "cocontact":
+        forms = {"z-": theta_bar, "t-": J[:, g.t_index, :]}
+    M = np.concatenate([f[:, None, :] for f in forms.values()]
+                       + [np.swapaxes(lam, 1, 2)], axis=1)
+    rhs = np.eye(M.shape[1])
+    terms = []
+    for i, (axis, form) in enumerate(forms.items()):
+        R = np.array([_solve_reeb(Mi, rhs[i], f"{g.kind} {axis}Reeb")
+                      for Mi in M])
+        terms.append(np.einsum("ni,ni->n", dK, R)[:, None] * form)
+    resid += sum(terms[1:], terms[0])
+    rows = [np.max(np.abs(resid), axis=1)]
+    if g.kind == "cocontact":
+        rows += [np.abs(np.einsum("ni,ni->n", forms["t-"], X)),
+                 np.max(np.abs(lam[:, :, g.t_index]), axis=1)]
     names = ("contact_condition", "eta_contraction", "time_bracket")
-    components = {name: float(v) for name, v in zip(names, fold_max(rows))}
+    components = {name: float(v) for name, v in
+                  zip(names, fold_max(np.stack(rows, axis=1)))}
     worst = max(components.values())
     return CanonoidResult(canonoid=worst <= tol, max_residual=worst,
                           K_probe=K, components=components)

@@ -519,24 +519,6 @@ def test_singular_transform_is_an_execution_error(tmp_path, capsys):
     assert "transform Jacobian is singular" in err
 
 
-def test_lenard_check_makes_two_second_order_sweeps(monkeypatch):
-    # one sweep for the explicit S and dS, one for the matrix jet, for
-    # every k at once
-    calls = []
-    sweep = transform.jacobian_and_hessians
-
-    def counting(F, x):
-        calls.append(len(x))
-        return sweep(F, x)
-
-    monkeypatch.setattr(transform, "jacobian_and_hessians", counting)
-    cfg = validate_config(base_config())
-    samples = draw_samples(cfg.geometry, cfg.sample_box, cfg.sample_count,
-                           cfg.seed)
-    result = cli._check_lenard(cfg, samples)
-    assert list(result["per_k"]) == ["1", "2", "3"]
-    assert calls == [cfg.sample_count] * 2
-
 def n1_config(kind, transform):
     g = GeometryKind(kind, 1)
     H = "p1^2/2 + q1^2/2" + (" + 0.1*z" if g.z_index is not None else "")
@@ -551,6 +533,53 @@ def n1_config(kind, transform):
         "trajectory": {"x0": [0.0 if v == "t" else 0.5 for v in g.chart_vars],
                        "t_span": [0.0, 1.0], "steps": 5, "method": "rk4"},
     }
+
+
+def count_sample_sweeps(monkeypatch, cfg, names):
+    """Run the checks `names` of cfg: their results, and the number of
+    second-order sweeps of F over its sample stack."""
+    samples = draw_samples(cfg.geometry, cfg.sample_box, cfg.sample_count,
+                           cfg.seed)
+    calls = []
+    sweep = transform.jacobian_and_hessians
+
+    def counting(F, x):
+        calls.append(np.array_equal(x, samples))
+        return sweep(F, x)
+
+    monkeypatch.setattr(transform, "jacobian_and_hessians", counting)
+    return cli._run_checks(cfg, names, None), sum(calls)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_structural_checks_make_one_sample_sweep(monkeypatch, kind):
+    # every structural check reads F's jets from one bundle per config;
+    # K recovery's own sweeps run on panel midpoints, not the samples
+    cfg = validate_config(n1_config(kind, {v: v for v in
+                                           GeometryKind(kind, 1).chart_vars}))
+    results, sweeps = count_sample_sweeps(monkeypatch, cfg, STRUCTURAL_CHECKS)
+    assert sweeps == 1
+    assert list(results["lenard"]["per_k"]) == ["1", "2", "3"]
+
+
+@pytest.mark.parametrize("names", [("canonical",), ("traces",)])
+def test_checks_that_read_no_jets_make_no_sweep(monkeypatch, names):
+    cfg = validate_config(base_config())
+    assert count_sample_sweeps(monkeypatch, cfg, names)[1] == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_singular_map_is_attributed_to_the_first_check_reading_jets(kind):
+    # canonical reads first-order data only and fails on P = 0*p; the
+    # shared sweep then raises under canonoid, the first check to read it
+    chart = GeometryKind(kind, 1).chart_vars
+    data = n1_config(kind, {v: v for v in chart})
+    data["transform"]["p1"] = "0*p1"
+    cfg = validate_config(data)
+    with pytest.raises(CheckError) as info:
+        cli._run_checks(cfg, STRUCTURAL_CHECKS, None)
+    assert info.value.check == "canonoid"
+    assert "transform Jacobian is singular" in str(info.value)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -645,3 +645,41 @@ def test_point_hessian_where_the_log_base_square_underflows():
     assert v == sv[0] and np.array_equal(d1, sd1[0])
     assert np.array_equal(d2, sd2[0], equal_nan=True)
     assert math.isnan(d2[0, 0])
+
+
+def _dense_rule(rule, a, b):
+    """The order-2 product or quotient rule on dense stacked jets
+    (value (N,), gradient (N, m), Hessian (N, m, m)), summed in the
+    emitter's float order."""
+    (av, a1, a2), (bv, b1, b2) = a, b
+
+    def outer(u, w):   # u_i w_j + u_j w_i
+        return u[:, :, None] * w[:, None, :] + u[:, None, :] * w[:, :, None]
+
+    if rule == "*":
+        return (av * bv, a1 * bv[:, None] + b1 * av[:, None],
+                (a2 * bv[:, None, None] + b2 * av[:, None, None])
+                + outer(a1, b1))
+    q = av / bv
+    q1 = (a1 - b1 * q[:, None]) / bv[:, None]
+    return (q, q1, ((a2 - b2 * q[:, None, None]) - outer(b1, q1))
+            / bv[:, None, None])
+
+
+@pytest.mark.parametrize("rule", ["*", "/"])
+def test_order_two_rules_keep_their_float_association(rule):
+    # the emitter's jet of sin(q1) <rule> exp(q1) equals, bit for bit,
+    # the dense rule over the jets of its factors: a rule summed in
+    # another order differs in the last bit at some of these points
+    x = np.linspace(-2.0, 2.0, 257)
+    X = np.stack([x, np.full_like(x, 0.5)], axis=1)
+    e0 = np.array([1.0, 0.0])
+    h00 = np.zeros((len(x), 2, 2))
+    h00[:, 0, 0] = 1.0
+    s, c, ex = np.sin(x), np.cos(x), np.exp(x)
+    sin_jet = (s, c[:, None] * e0, -s[:, None, None] * h00)
+    exp_jet = (ex, ex[:, None] * e0, ex[:, None, None] * h00)
+    want = _dense_rule(rule, sin_jet, exp_jet)
+    got = expr.jet(expr.parse(f"sin(q1) {rule} exp(q1)", ["q1", "p1"]), X)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)

@@ -414,3 +414,41 @@ def test_stacked_layers_match_single_points():
             for k in (1, 2, 3):
                 assert close(stacked["lenard"][i, k - 1], single[k - 1])
             assert close(stacked["lie"][i], lie_derivative_S(g, F, H, x))
+
+
+def test_entries_read_one_jets_bundle_as_their_states(monkeypatch):
+    # each entry given F's Jets at the states returns what it returns
+    # for the states themselves, and all of them share one sweep
+    rng = np.random.default_rng(11)
+    sweep = transform.jacobian_and_hessians
+    for g, sources in LENARD_CASES:
+        F = tmap(g, sources)
+        H = g.parse("q1^2/2 + p1^3/3"
+                    + (" + 0.2*z" if g.z_index is not None else ""))
+        X = rng.uniform(0.5, 1.4, size=(5, g.dim))
+        entries = [
+            lambda x: nijenhuis_torsion(g, F, x),
+            lambda x: lenard_identity_residual(g, F, x, 3),
+            lambda x: involution_matrix(g, F, x, 3).unbarred,
+            lambda x: lie_derivative_S(g, F, H, x),
+            lambda x: list(
+                transform.check_canonoid(g, F, H, x).components.values()),
+        ]
+        expected = [entry(X) for entry in entries]
+        calls = []
+        monkeypatch.setattr(transform, "jacobian_and_hessians",
+                            lambda F, x: calls.append(x) or sweep(F, x))
+        jets = transform.Jets(F, X)
+        for entry, want in zip(entries, expected):
+            assert np.array_equal(entry(jets), want)
+        monkeypatch.undo()
+        assert sum(np.array_equal(x, X) for x in calls) == 1
+        assert len(jets) == 5
+
+
+def test_jets_of_another_transform_are_rejected():
+    F, G = tmap(SYMP1, ["q1", "p1^3/3"]), tmap(SYMP1, ["q1", "2*p1"])
+    jets = transform.Jets(F, [[0.5, 1.0]])
+    assert transform.Jets.of(F, jets) is jets
+    with pytest.raises(ValueError, match="another transform"):
+        nijenhuis_torsion(SYMP1, G, jets)
