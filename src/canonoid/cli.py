@@ -467,13 +467,14 @@ def _run_checks(cfg, names, out_dir):
 
 
 def _write_csv(path, traj, observables):
-    names = [name for name, _ in observables]
-    lines = ["time," + ",".join(names)]
-    cols = [np.asarray(fn(traj.states)) for _, fn in observables]
-    for i, t in enumerate(traj.times):
-        row = [f"{t:.17g}"] + [f"{col[i]:.17g}" for col in cols]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    table = np.column_stack(
+        [traj.times] + [fn(traj.states) for _, fn in observables])
+    with open(path, "w") as out:
+        out.write("time," + ",".join(name for name, _ in observables) + "\n")
+        # row by row from Python floats: neither whole columns as lists
+        # nor the whole text are ever held at once
+        for row in table:
+            out.write(",".join([f"{v:.17g}" for v in row.tolist()]) + "\n")
 
 
 def _report_dict(cfg, config_hash, results):

@@ -4,6 +4,13 @@ Equations of motion are the Hamiltonian field for symplectic and
 contact charts and the evolution field (with dt/dt = 1) for the
 time-extended ones.  Two steppers: classic fixed-step RK4 and an
 embedded Dormand-Prince 5(4) pair with proportional step control.
+Each stage calls geometry.dynamical_vf once, on the state as a list of
+Python floats.  RK4 carries its state as such a list and forms each
+stage on floats, with the float operations of the (d,) array formulas
+in their order.  Dormand-Prince keeps its stages and error norm on
+numpy arrays: its tableau products are BLAS dot products, which do not
+sum left to right, so float sums would move its trajectories in the
+last bit.
 
 For the time-extended geometries the t-coordinate is pinned to the
 accumulated integration time after every step: its exact equation is
@@ -88,14 +95,6 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-def _rk4_step(f, y, h):
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _dp_step(f, y, h):
     K = np.empty((len(_DP_A), y.size))
     K[0] = f(y)
@@ -128,9 +127,6 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
         raise ValueError(
             f"x0 has t = {y[ti]} but integration starts at t = {t0}")
 
-    def f(state):
-        return dynamical_vf(g, H, state)
-
     # a non-finite field value propagates into the states, where the
     # guards of the trace checks report it; numpy stays quiet
     with np.errstate(all="ignore"):
@@ -141,15 +137,29 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
             if ti is not None:
                 y[ti] = t0
             states[0] = y
-            for k in range(steps):
-                y = _rk4_step(f, y, h)
+            # the state is a list of floats; each entry takes the float
+            # operations, in their order, of y + (0.5*h)*k for the
+            # middle stages and y + (h/6)*(((k1 + 2 k2) + 2 k3) + k4)
+            y = y.tolist()
+            half, sixth = 0.5 * h, h / 6.0
+            for k in range(1, steps + 1):
+                k1 = dynamical_vf(g, H, y)
+                k2 = dynamical_vf(g, H, [a + half * b for a, b in zip(y, k1)])
+                k3 = dynamical_vf(g, H, [a + half * b for a, b in zip(y, k2)])
+                k4 = dynamical_vf(g, H, [a + h * b for a, b in zip(y, k3)])
+                y = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
                 if ti is not None:
-                    y[ti] = times[k + 1]
-                states[k + 1] = y
+                    y[ti] = float(times[k])
+                states[k] = y
             return Trajectory(times=times, states=states, geometry=g,
                               hamiltonian=H)
 
-        # rk45-adaptive
+        # rk45-adaptive: stages on numpy arrays, handed to the field as
+        # lists of floats
+        def f(state):
+            return dynamical_vf(g, H, state.tolist())
+
         span = t1 - t0
         h = span / steps
         h_min = 1e-14 * span

@@ -159,7 +159,8 @@ class Expression:
     def _kernels(self):
         """Compiled sweeps, filled on first use: the emitted code keyed
         by derivative order, the sweeps bound to a namespace by
-        (order, whether for one point)."""
+        (order, whether for one point), and under "vf" the one-state
+        field that geometry builds from the order-1 float sweep."""
         return {}
 
     def __getstate__(self):

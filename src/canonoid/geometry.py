@@ -233,20 +233,42 @@ def _assemble_vf(g, X, x, Hval, grad):
         X[zi] = p_dH - Hval
 
 
+def _point_field(g, H):
+    """X_H at one state on Python floats: a function from a list of
+    g.dim floats to a fresh list, built from H's order-1 float sweep.
+    It is cached on H with the geometry it was built for and found
+    again by identity: hashing the GeometryKind dataclass would cost
+    about 0.4 us a call, close to half of a one-point sweep."""
+    found = H._kernels.get("vf")
+    if found is not None and found[0] is g:
+        return found[1]
+    if H.chart_vars != g.chart_vars:
+        raise ValueError(f"H is written on {H.chart_vars}, the chart of "
+                         f"{g.kind} n={g.n} is {g.chart_vars}")
+    run = expr._sweep(H, 1, True)[0]
+    d = g.dim
+
+    def field(x):
+        Hval, grad, _ = run(x)
+        X = [0.0] * d
+        _assemble_vf(g, X, x, Hval, grad)
+        return X
+
+    H._kernels["vf"] = (g, field)
+    return field
+
+
 def hamiltonian_vf(g, H, x):
     """Components of the Hamiltonian vector field X_H at x, one state
     (d,) or a stack (N, d).
 
     symplectic/cosymplectic: (dH/dp, -dH/dq), zero t-component;
     contact/cocontact: (dH/dp, -(dH/dq + p dH/dz), p.dH/dp - H), zero
-    t-component.  One state runs on Python floats (expr.point_jet).
+    t-component.  One state runs on Python floats (_point_field).
     """
     x = g.check_states(x)
     if x.ndim == 1:
-        Hval, grad = expr.point_jet(H, x)
-        X = [0.0] * g.dim
-        _assemble_vf(g, X, x.tolist(), Hval, grad)
-        return np.array(X)
+        return np.array(_point_field(g, H)(x.tolist()))
     Hval, grad, _ = expr.jet(H, x, order=1)
     X = np.zeros(x.shape)
     _assemble_vf(g, X.T, x.T, Hval, grad.T)
@@ -286,7 +308,20 @@ def _add_time(g, X):
 def dynamical_vf(g, H, x):
     """The field whose integral curves are the physical trajectories:
     X_H for symplectic/contact, and for cosymplectic/cocontact the
-    evolution field E_H = X_H + d/dt."""
+    evolution field E_H = X_H + d/dt.
+
+    x is one state (d,) or a stack (N, d), and the field comes back in
+    the same shape.  One state may also be a Python list of d floats,
+    the form the Runge-Kutta loops carry: the field is then a fresh
+    list, with the same numbers as for the state as an array.  Any
+    other list is read as an array.
+    """
+    if type(x) is list and len(x) == g.dim and type(x[0]) is float:
+        V = _point_field(g, H)(x)
+        ti = g.t_index
+        if ti is not None:
+            V[ti] += 1.0
+        return V
     return _add_time(g, hamiltonian_vf(g, H, x))
 
 

@@ -369,3 +369,51 @@ def test_criterion_9_deterministic_reports(tmp_path):
              a == b and vectors_ok,
              f"report.json {len(a)} bytes identical across runs, "
              f"generator vectors match documentation")
+
+
+# ---------------------------------------------------------------------------
+# 10: a canonoid family whose traces vary over phase space
+
+
+def test_criterion_10_varying_traces(tmp_path):
+    # F scales (q, p) by 1 + E with E the oscillator's own energy: det J
+    # depends on E alone, so F is canonoid for H, and tr S^k depends on
+    # E, so a trajectory that leaves its energy level drifts the traces
+    energy = "((q1^2 + p1^2)/2)"
+    family = {"q1": f"q1*(1 + {energy})", "p1": f"p1*(1 + {energy})"}
+    control = {"q1": "q1", "p1": "p1^3/3"}
+    verdicts = {}
+    for name, tf in (("family", family), ("control", control)):
+        config = {
+            "schema": 1,
+            "geometry": {"kind": "symplectic", "n": 1},
+            "hamiltonian": "(q1^2 + p1^2)/2",
+            "transform": tf,
+            "sample_box": {"q1": [0.5, 1.5], "p1": [0.5, 1.5]},
+            "sample_count": 25,
+            "seed": 7,
+            "checks": ["canonoid", "traces"],
+            "kmax": 4,
+            "trajectory": {"x0": [1.0, 0.5], "t_span": [0.0, 10.0],
+                           "steps": 1000, "method": "rk4"},
+        }
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        checks = cli.run(str(path), tmp_path / name)["checks"]
+        verdicts[name] = {c: (checks[c]["verdict"], checks[c]["residual"])
+                          for c in ("canonoid", "traces")}
+
+    F = TransformMap.parse(SYMP1, [family["q1"], family["p1"]])
+    rng = np.random.default_rng(10)
+    spread = np.ptp(stensor.trace_powers(
+        SYMP1, F, rng.uniform(0.5, 1.5, size=(25, 2)), 4), axis=0)
+
+    fam, ctl = verdicts["family"], verdicts["control"]
+    conclude(10, "varying-traces",
+             all(v == "pass" for v, _ in fam.values())
+             and all(v == "fail" for v, _ in ctl.values())
+             and float(np.min(spread)) > 1.0,
+             f"family canonoid {fam['canonoid'][1]:.1e}, trace drift "
+             f"{fam['traces'][1]:.1e} over traces spread >= "
+             f"{float(np.min(spread)):.1f}; control canonoid "
+             f"{ctl['canonoid'][1]:.1f}, drift {ctl['traces'][1]:.1f}")

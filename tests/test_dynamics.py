@@ -15,16 +15,22 @@ Oracles:
   coordinate frozen.
 """
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canonoid import stensor, transform
 from canonoid.dynamics import (
     StepFailure, drift_report, integrate, lie_derivative_S,
 )
 from canonoid.expr import DomainError
-from canonoid.geometry import GeometryKind
+from canonoid.geometry import GeometryKind, dynamical_vf
 from canonoid.transform import TransformMap
+
+from test_geometry import kind_hamiltonian_states
 
 SYMP1 = GeometryKind("symplectic", 1)
 COSY1 = GeometryKind("cosymplectic", 1)
@@ -148,6 +154,90 @@ def test_finite_time_blowup_fails_loudly():
     with pytest.raises((StepFailure, DomainError, OverflowError)):
         integrate(SYMP1, H, [1.0, 1.0], (0.0, 2.0), 100,
                   method="rk45-adaptive")
+
+
+# ---------------------------------------------------------------------------
+# rk4 against a reference on numpy arrays
+
+
+def _reference_rk4_step(f, y, h):
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_rk4(g, H, x0, t_span, steps):
+    """(times, states) of rk4 with every stage on a (d,) array and the
+    field taken from a one-row stack, so nothing of the float path of
+    integrate() is shared but the field's numbers."""
+    t0, t1 = t_span
+    h = (t1 - t0) / steps
+    times = t0 + h * np.arange(steps + 1)
+    y = np.array(x0, dtype=float)
+    ti = g.t_index
+    if ti is not None:
+        y[ti] = t0
+    states = np.zeros((steps + 1, g.dim))
+    states[0] = y
+
+    def f(state):
+        return dynamical_vf(g, H, state[None, :])[0]
+
+    with np.errstate(all="ignore"):
+        for k in range(steps):
+            y = _reference_rk4_step(f, y, h)
+            if ti is not None:
+                y[ti] = times[k + 1]
+            states[k + 1] = y
+    return times, states
+
+
+def _outcome(run):
+    try:
+        return run()
+    except DomainError as e:
+        return str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=kind_hamiltonian_states(), steps=st.integers(1, 12),
+       span=st.floats(min_value=0.01, max_value=0.5))
+def test_rk4_equals_array_reference(case, steps, span):
+    g, H, X = case
+    x0 = X[0]
+    t0 = 0.0 if g.t_index is None else float(x0[g.t_index])
+    t_span = (t0, t0 + span)
+    got = _outcome(lambda: integrate(g, H, x0, t_span, steps, "rk4"))
+    ref = _outcome(lambda: reference_rk4(g, H, x0, t_span, steps))
+    if isinstance(ref, str):
+        assert got == ref, (g, str(H))
+        return
+    times, states = ref
+    assert np.array_equal(got.times, times)
+    assert np.array_equal(got.states, states, equal_nan=True), (g, str(H))
+
+
+def test_rk4_blowup_matches_reference():
+    # the field overflows in the first stage of some step: the same
+    # DomainError as the reference, not a Python OverflowError
+    H = SYMP1.parse("q1^2*p1")
+    for run in (lambda: integrate(SYMP1, H, [1.0, 1.0], (0.0, 2.0), 100),
+                lambda: reference_rk4(SYMP1, H, [1.0, 1.0], (0.0, 2.0), 100)):
+        with pytest.raises(DomainError,
+                           match=re.escape("overflow in 'q1^2.0' at row 0")):
+            run()
+    # large steps, and stages whose own arithmetic overflows to inf and
+    # then NaN: the same states as the reference, and no OverflowError
+    # or ZeroDivisionError from the float arithmetic
+    for src, x0, t_span, steps in (("p1^4", [0.0, 3.0], (0.0, 1e3), 10),
+                                   ("1e300*p1*q1", [1.0, 1.0], (0.0, 1e10), 5)):
+        H = SYMP1.parse(src)
+        traj = integrate(SYMP1, H, x0, t_span, steps)
+        _, states = reference_rk4(SYMP1, H, x0, t_span, steps)
+        assert np.array_equal(traj.states, states, equal_nan=True), src
+    assert np.isnan(traj.states[-1, 1])
 
 
 # ---------------------------------------------------------------------------

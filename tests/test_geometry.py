@@ -207,8 +207,8 @@ FIELD_TERMS = [
 
 
 @st.composite
-def kind_hamiltonian_states(draw):
-    g = GeometryKind(draw(st.sampled_from(geometry.KINDS)),
+def kind_hamiltonian_states(draw, kinds=geometry.KINDS):
+    g = GeometryKind(draw(st.sampled_from(kinds)),
                      draw(st.sampled_from([1, 2])))
     names = st.sampled_from(g.chart_vars)
     terms = draw(st.lists(st.tuples(st.sampled_from(FIELD_TERMS), names, names,
@@ -233,6 +233,23 @@ def test_one_state_fields_equal_stacked_rows(case):
             single = field(g, H, x)
             assert single.shape == (g.dim,)
             assert np.array_equal(single, stacked[i]), (g, str(H), x)
+
+
+@pytest.mark.parametrize("kind", geometry.KINDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_list_state_field_equals_array_field(kind, data):
+    # the list form the Runge-Kutta loops carry: the same numbers as
+    # Python floats, in a fresh list each call
+    g, H, X = data.draw(kind_hamiltonian_states(kinds=(kind,)))
+    for x in X:
+        expected = dynamical_vf(g, H, x).tolist()
+        got = dynamical_vf(g, H, x.tolist())
+        assert type(got) is list and all(type(v) is float for v in got)
+        assert got == expected, (g, str(H), x)
+        got[0] = float("nan")
+        got.append(0.0)
+        assert dynamical_vf(g, H, x.tolist()) == expected
 
 
 # ---------------------------------------------------------------------------
