@@ -4,13 +4,14 @@ Equations of motion are the Hamiltonian field for symplectic and
 contact charts and the evolution field (with dt/dt = 1) for the
 time-extended ones.  Two steppers: classic fixed-step RK4 and an
 embedded Dormand-Prince 5(4) pair with proportional step control.
-Each stage calls geometry.dynamical_vf once, on the state as a list of
-Python floats.  RK4 carries its state as such a list and forms each
-stage on floats, with the float operations of the (d,) array formulas
-in their order.  Dormand-Prince keeps its stages and error norm on
-numpy arrays: its tableau products are BLAS dot products, which do not
-sum left to right, so float sums would move its trajectories in the
-last bit.
+Both carry the state as a list of Python floats and call
+dynamical_vf(g, H, state) once per stage, seven times per Dormand-Prince
+attempt; its list form runs the one-state field geometry.point_field
+emits once per Hamiltonian.  RK4 forms each stage with the float
+operations of the (d,) array formulas, in their order.  Dormand-Prince
+sums each stage's weighted stages, the 5th-order update and the error
+estimate left to right with the zero weights dropped, so its steps do
+not depend on a BLAS library.
 
 For the time-extended geometries the t-coordinate is pinned to the
 accumulated integration time after every step: its exact equation is
@@ -25,6 +26,8 @@ conserved quantities near zero do not blow up the ratio.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,30 +82,72 @@ class DriftReport:
 # ---------------------------------------------------------------------------
 # steppers
 
-# Dormand-Prince 5(4) tableau; row i of _DP_A weights the stages before i
-_DP_A = np.array([
-    [0, 0, 0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
-    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
-])
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192,
-                   -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math.
+# 6 (1980) 19-26): row i weights the stages before stage i + 2.  The
+# last row is also the 5th-order weights.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+          187 / 2100, 1 / 40)
+# the error weights b5 - b4
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_A[-1] + (0.0,), _DP_B4))
 
 
-def _dp_step(f, y, h):
-    K = np.empty((len(_DP_A), y.size))
-    K[0] = f(y)
-    for i in range(1, len(_DP_A)):
-        K[i] = f(y + h * (_DP_A[i, :i] @ K[:i]))
-    y5 = y + h * (_DP_B5 @ K)
-    err = h * ((_DP_B5 - _DP_B4) @ K)
-    return y5, err
+def _dp_stepper(f):
+    """One Dormand-Prince attempt on Python floats with the one-state
+    field f: step(y, h) -> (y5, err) from the state y and the step h.
+    Every stage and the error sum their weighted stages left to right,
+    with the zero weights dropped; the tableau is bound once, here."""
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6) = _DP_A
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
+
+    def step(y, h):
+        k1 = f(y)
+        k2 = f([a + h * (a21 * c1) for a, c1 in zip(y, k1)])
+        k3 = f([a + h * (a31 * c1 + a32 * c2)
+                for a, c1, c2 in zip(y, k1, k2)])
+        k4 = f([a + h * (a41 * c1 + a42 * c2 + a43 * c3)
+                for a, c1, c2, c3 in zip(y, k1, k2, k3)])
+        k5 = f([a + h * (a51 * c1 + a52 * c2 + a53 * c3 + a54 * c4)
+                for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)])
+        k6 = f([a + h * (a61 * c1 + a62 * c2 + a63 * c3 + a64 * c4
+                         + a65 * c5)
+                for a, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5)])
+        y5 = [a + h * (b1 * c1 + b3 * c3 + b4 * c4 + b5 * c5 + b6 * c6)
+              for a, c1, c3, c4, c5, c6 in zip(y, k1, k3, k4, k5, k6)]
+        k7 = f(y5)
+        err = [h * (e1 * c1 + e3 * c3 + e4 * c4 + e5 * c5 + e6 * c6
+                    + e7 * c7)
+               for c1, c3, c4, c5, c6, c7 in zip(k1, k3, k4, k5, k6, k7)]
+        return y5, err
+
+    return step
+
+
+def _error_ratio(err, y, y_new, rtol, atol):
+    """RMS of err / (atol + rtol max(|y|, |y_new|)) over the components,
+    summed left to right, which is numpy's mean bit for bit for d < 8
+    (from 8 terms numpy's pairwise sum rounds differently), with numpy's
+    semantics: the max keeps a NaN, x/0 is inf and 0/0 NaN, and a ratio
+    that is not finite is inf, so the step is rejected.  Squares are
+    e*e, which unlike e**2 cannot raise OverflowError."""
+    s = 0.0
+    for e, a, b in zip(err, y, y_new):
+        a, b = abs(a), abs(b)
+        scale = atol + rtol * (a if a > b or a != a else b)
+        if scale == 0.0:
+            return math.inf
+        r = e / scale
+        s += r * r
+    ratio = math.sqrt(s / len(err))
+    return ratio if math.isfinite(ratio) else math.inf
 
 
 def integrate(g, H, x0, t_span, steps, method="rk4",
@@ -126,6 +171,11 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
     if ti is not None and abs(y[ti] - t0) > T0_MATCH_TOL:
         raise ValueError(
             f"x0 has t = {y[ti]} but integration starts at t = {t0}")
+    if ti is not None:
+        y[ti] = t0
+    # each stage calls dynamical_vf by the name bound here, so a wrapper
+    # installed on that name sees every stage
+    f = functools.partial(dynamical_vf, g, H)
 
     # a non-finite field value propagates into the states, where the
     # guards of the trace checks report it; numpy stays quiet
@@ -134,8 +184,6 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
             h = (t1 - t0) / steps
             times = t0 + h * np.arange(steps + 1)
             states = np.zeros((steps + 1, g.dim))
-            if ti is not None:
-                y[ti] = t0
             states[0] = y
             # the state is a list of floats; each entry takes the float
             # operations, in their order, of y + (0.5*h)*k for the
@@ -143,10 +191,10 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
             y = y.tolist()
             half, sixth = 0.5 * h, h / 6.0
             for k in range(1, steps + 1):
-                k1 = dynamical_vf(g, H, y)
-                k2 = dynamical_vf(g, H, [a + half * b for a, b in zip(y, k1)])
-                k3 = dynamical_vf(g, H, [a + half * b for a, b in zip(y, k2)])
-                k4 = dynamical_vf(g, H, [a + h * b for a, b in zip(y, k3)])
+                k1 = f(y)
+                k2 = f([a + half * b for a, b in zip(y, k1)])
+                k3 = f([a + half * b for a, b in zip(y, k2)])
+                k4 = f([a + h * b for a, b in zip(y, k3)])
                 y = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
                 if ti is not None:
@@ -155,33 +203,25 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
             return Trajectory(times=times, states=states, geometry=g,
                               hamiltonian=H)
 
-        # rk45-adaptive: stages on numpy arrays, handed to the field as
-        # lists of floats
-        def f(state):
-            return dynamical_vf(g, H, state.tolist())
-
         span = t1 - t0
         h = span / steps
         h_min = 1e-14 * span
         t = t0
-        if ti is not None:
-            y[ti] = t0
+        y = y.tolist()
         times = [t0]
-        states = [y.copy()]
+        states = [y]
+        step = _dp_stepper(f)
         while t < t1 - 1e-14 * span:
             h = min(h, t1 - t)
-            y_new, err = _dp_step(f, y, h)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            ratio = np.sqrt(np.mean((err / scale) ** 2))
-            if not np.isfinite(ratio):
-                ratio = np.inf
+            y_new, err = step(y, h)
+            ratio = _error_ratio(err, y, y_new, rtol, atol)
             if ratio <= 1.0:
                 t = t + h
                 y = y_new
                 if ti is not None:
                     y[ti] = t
                 times.append(t)
-                states.append(y.copy())
+                states.append(y)
             factor = (5.0 if ratio == 0.0
                       else min(5.0, max(0.2, 0.9 * ratio ** -0.2)))
             h = h * factor

@@ -15,9 +15,11 @@ columns, giving the values (N,), the exact first partials (N, m) and
 the second partials (N, m, m) over the m chart variables.  Each float
 operation is the one numpy performs on an entry, so a point gives the
 numbers of its row in a stacked sweep bit for bit.  jet() takes one
-point or a stack; point_jet() gives one point's partials as floats, and
-evaluate(), gradient(), hessian() and value_and_derivatives() are the
-forms of jet() the other modules call.
+point or a stack, and evaluate(), gradient(), hessian() and
+value_and_derivatives() are the forms of jet() the other modules call.
+point_function() writes a formula of one point's value and first
+partials after its float sweep, into one straight-line function: the
+integrators' one-state field.
 
 Domain checks are masks over the stack (plain tests at one point): a
 DomainError names the subexpression and the first failing row.
@@ -60,7 +62,6 @@ __all__ = [
     "parse",
     "evaluate",
     "jet",
-    "point_jet",
     "gradient",
     "hessian",
     "value_and_derivatives",
@@ -160,7 +161,7 @@ class Expression:
         """Compiled sweeps, filled on first use: the emitted code keyed
         by derivative order, the sweeps bound to a namespace by
         (order, whether for one point), and under "vf" the one-state
-        field that geometry builds from the order-1 float sweep."""
+        dynamical field that geometry emits with point_function()."""
         return {}
 
     def __getstate__(self):
@@ -745,13 +746,19 @@ _FLOATS = {
 _NUMPY_NAMES = frozenset(_DERIVATIVES) | {"pw", "vpow"}
 
 
+def _visit(e, order):
+    """(emitter, value, first, second): e's sweep at the given order
+    written into a fresh emitter, with the jet of its result."""
+    em = _Emitter(order, {name: j for j, name in enumerate(e.chart_vars)})
+    return (em, *em.as_jet(em.visit(e.ast)))
+
+
 def _emit(e, order):
     """(code, K, E, cols, pairs) of e's sweep at the given order: the
     compiled text, its bound constants and messages, and the columns
     and (i, j) entries of its non-zero partials.  The text returns the
     value, all m first partials and the non-zero second ones."""
-    em = _Emitter(order, {name: j for j, name in enumerate(e.chart_vars)})
-    v, d1, d2 = em.as_jet(em.visit(e.ast))
+    em, v, d1, d2 = _visit(e, order)
     pairs = sorted(d2)
     first = "None"
     if order:
@@ -770,6 +777,15 @@ def _quiet(run):
     return quiet
 
 
+def _bound(code, consts, errors, point):
+    """code bound to the float namespace for one point or to the array
+    one for the columns of a stack."""
+    run = _bind(code, _FLOATS if point else _ARRAYS, consts, errors)
+    if point and not _NUMPY_NAMES.isdisjoint(run.__code__.co_names):
+        run = _quiet(run)   # float arithmetic neither warns nor raises
+    return run
+
+
 def _sweep(e, order, point):
     """(run, cols, pairs): e's sweep at the given order, bound to the
     float namespace for one point or to the array one for the columns
@@ -783,10 +799,49 @@ def _sweep(e, order, point):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     emitted = kernels.get(order) or kernels.setdefault(order, _emit(e, order))
     code, consts, errors, cols, pairs = emitted
-    run = _bind(code, _FLOATS if point else _ARRAYS, consts, errors)
-    if point and not _NUMPY_NAMES.isdisjoint(run.__code__.co_names):
-        run = _quiet(run)   # float arithmetic neither warns nor raises
+    run = _bound(code, consts, errors, point)
     return kernels.setdefault((order, point), (run, cols, pairs))
+
+
+class _Term:
+    """A float of the emitted text: +, - and * of terms write the text
+    of that one float operation, parenthesised, so a formula run on
+    terms writes its own operations in its own association."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+    def __add__(self, other):
+        return _Term(f"({self.text} + {other.text})")
+
+    def __sub__(self, other):
+        return _Term(f"({self.text} - {other.text})")
+
+    def __mul__(self, other):
+        return _Term(f"({self.text} * {other.text})")
+
+    def __neg__(self):
+        return _Term(f"(-{self.text})")
+
+
+def point_function(e, formula):
+    """Compile formula(x, value, gradient) after e's order-1 float sweep
+    into one straight-line function from a point's list of m floats to
+    a fresh list of floats.  formula runs once, on terms standing for
+    the point's coordinates, e's value and its m first partials, and
+    returns a list of terms and float constants; each term's text
+    repeats the float operations formula performed, in their order, so
+    the function gives formula's numbers on floats bit for bit."""
+    em, v, d1, _ = _visit(e, 1)
+    m = len(e.chart_vars)
+    # a coordinate is the sweep's local of X[j] where it has one
+    x = [_Term(em.names.get(f"X[{j}]", f"X[{j}]")) for j in range(m)]
+    out = formula(x, _Term(v), [_Term(d1.get(j, "0.0")) for j in range(m)])
+    items = [o.text if type(o) is _Term else repr(float(o)) for o in out]
+    code = em.compile("[" + ", ".join(items) + "]")
+    return _bound(code, tuple(em.consts), tuple(em.errors), True)
 
 
 def _symmetric(out, pairs, second):
@@ -798,22 +853,6 @@ def _symmetric(out, pairs, second):
 def _size_error(X, m):
     size = X.shape[-1] if X.ndim else 1
     return ValueError(f"point has {size} components, chart has {m}")
-
-
-def point_jet(e, point, order=1):
-    """(value, partials) of e at one point (m,) in chart order, as a
-    float and a tuple of m floats (None at order 0), from the float
-    sweep: equal bit for bit to the point's row of a stacked jet().
-    Order 0 or 1; a DomainError names the failing subexpression and
-    row 0."""
-    x = np.asarray(point, dtype=float)
-    m = len(e.chart_vars)
-    if x.shape != (m,):
-        raise _size_error(x, m)
-    if order not in (0, 1):
-        raise ValueError(f"order must be 0 or 1 at one point, got {order!r}")
-    v, d1, _ = _sweep(e, order, True)[0](x.tolist())
-    return v, d1
 
 
 def jet(e, points, order=2):

@@ -34,6 +34,7 @@ __all__ = [
     "hamiltonian_vf_jacobian",
     "dynamical_vf",
     "dynamical_vf_jacobian",
+    "point_field",
     "poisson_bracket",
     "jacobi_bracket",
     "canonical_eps",
@@ -217,8 +218,9 @@ def structure_at_point(g, x=None):
 
 def _assemble_vf(g, X, x, Hval, grad):
     """Write X_H into X from the value and gradient of H, coordinate by
-    coordinate: X[i], x[i] and grad[i] are floats at one state and
-    columns (N,) over a stack, so both run this one formula."""
+    coordinate: X[i], x[i] and grad[i] are columns (N,) over a stack and
+    the terms of expr.point_function at one state, so both run this one
+    formula."""
     zi = g.z_index
     p_dH = None   # p.dH/dp, summed left to right as numpy sums n <= 7 terms
     for q, p in zip(g.q_indices, g.p_indices):
@@ -233,27 +235,28 @@ def _assemble_vf(g, X, x, Hval, grad):
         X[zi] = p_dH - Hval
 
 
-def _point_field(g, H):
-    """X_H at one state on Python floats: a function from a list of
-    g.dim floats to a fresh list, built from H's order-1 float sweep.
-    It is cached on H with the geometry it was built for and found
-    again by identity: hashing the GeometryKind dataclass would cost
-    about 0.4 us a call, close to half of a one-point sweep."""
+def point_field(g, H):
+    """The dynamical field of (g, H) at one state: a function from a
+    list of g.dim floats to a fresh list, one straight-line text that
+    writes _assemble_vf after H's order-1 float sweep, with the constant
+    t-component of the evolution field.  It is emitted once and cached
+    on H with the geometry it was built for, found again by identity:
+    hashing the GeometryKind dataclass would cost about 0.4 us a call."""
     found = H._kernels.get("vf")
     if found is not None and found[0] is g:
         return found[1]
     if H.chart_vars != g.chart_vars:
         raise ValueError(f"H is written on {H.chart_vars}, the chart of "
                          f"{g.kind} n={g.n} is {g.chart_vars}")
-    run = expr._sweep(H, 1, True)[0]
-    d = g.dim
 
-    def field(x):
-        Hval, grad, _ = run(x)
-        X = [0.0] * d
-        _assemble_vf(g, X, x, Hval, grad)
-        return X
+    def formula(x, Hval, grad):
+        V = [0.0] * g.dim
+        _assemble_vf(g, V, x, Hval, grad)
+        if g.t_index is not None:
+            V[g.t_index] = 1.0
+        return V
 
+    field = expr.point_function(H, formula)
     H._kernels["vf"] = (g, field)
     return field
 
@@ -264,11 +267,14 @@ def hamiltonian_vf(g, H, x):
 
     symplectic/cosymplectic: (dH/dp, -dH/dq), zero t-component;
     contact/cocontact: (dH/dp, -(dH/dq + p dH/dz), p.dH/dp - H), zero
-    t-component.  One state runs on Python floats (_point_field).
+    t-component.
     """
     x = g.check_states(x)
     if x.ndim == 1:
-        return np.array(_point_field(g, H)(x.tolist()))
+        X = np.array(point_field(g, H)(x.tolist()))
+        if g.t_index is not None:
+            X[g.t_index] = 0.0   # the evolution field's dt/dt
+        return X
     Hval, grad, _ = expr.jet(H, x, order=1)
     X = np.zeros(x.shape)
     _assemble_vf(g, X.T, x.T, Hval, grad.T)
@@ -311,17 +317,17 @@ def dynamical_vf(g, H, x):
     evolution field E_H = X_H + d/dt.
 
     x is one state (d,) or a stack (N, d), and the field comes back in
-    the same shape.  One state may also be a Python list of d floats,
-    the form the Runge-Kutta loops carry: the field is then a fresh
-    list, with the same numbers as for the state as an array.  Any
-    other list is read as an array.
+    the same shape.  One state may also be a Python list of d floats:
+    the field is then a fresh list, with the same numbers as for the
+    state as an array.  Any other list is read as an array.  One state
+    runs point_field(g, H); the integrators call this list form once
+    per stage.
     """
     if type(x) is list and len(x) == g.dim and type(x[0]) is float:
-        V = _point_field(g, H)(x)
-        ti = g.t_index
-        if ti is not None:
-            V[ti] += 1.0
-        return V
+        return point_field(g, H)(x)
+    x = g.check_states(x)
+    if x.ndim == 1:
+        return np.array(point_field(g, H)(x.tolist()))
     return _add_time(g, hamiltonian_vf(g, H, x))
 
 

@@ -15,19 +15,20 @@ Oracles:
   coordinate frozen.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from canonoid import stensor, transform
+from canonoid import dynamics, stensor, transform
 from canonoid.dynamics import (
     StepFailure, drift_report, integrate, lie_derivative_S,
 )
 from canonoid.expr import DomainError
-from canonoid.geometry import GeometryKind, dynamical_vf
+from canonoid.geometry import GeometryKind, dynamical_vf, point_field
 from canonoid.transform import TransformMap
 
 from test_geometry import kind_hamiltonian_states
@@ -149,9 +150,17 @@ def test_adaptive_step_underflow():
                   method="rk45-adaptive", rtol=0.0, atol=0.0)
 
 
+def test_adaptive_zero_state_without_tolerance_fails_at_start():
+    # err = 0 against a zero scale: 0/0 is NaN as in numpy, so the ratio
+    # is inf and every attempt is rejected, never a ZeroDivisionError
+    with pytest.raises(StepFailure, match=re.escape("underflow at t = 0.0 ")):
+        integrate(SYMP1, HARMONIC, [0.0, 0.0], (0.0, 1.0), 10,
+                  method="rk45-adaptive", rtol=0.0, atol=0.0)
+
+
 def test_finite_time_blowup_fails_loudly():
     H = SYMP1.parse("q1^2*p1")
-    with pytest.raises((StepFailure, DomainError, OverflowError)):
+    with pytest.raises((StepFailure, DomainError)):
         integrate(SYMP1, H, [1.0, 1.0], (0.0, 2.0), 100,
                   method="rk45-adaptive")
 
@@ -238,6 +247,90 @@ def test_rk4_blowup_matches_reference():
         _, states = reference_rk4(SYMP1, H, x0, t_span, steps)
         assert np.array_equal(traj.states, states, equal_nan=True), src
     assert np.isnan(traj.states[-1, 1])
+
+
+# ---------------------------------------------------------------------------
+# Dormand-Prince on floats against the array formulas
+
+# the tableau as the (7, 7) matrix whose row i weights the stages before i
+_A = np.zeros((7, 7))
+for _i, _row in enumerate(dynamics._DP_A, start=1):
+    _A[_i, :_i] = _row
+_B5 = _A[6]
+_B4 = np.array(dynamics._DP_B4)
+
+
+def _reference_dp_step(f, y, h):
+    """(y5, err, stages) of one Dormand-Prince step with every stage,
+    tableau product and the error estimate on (d,) arrays: the products
+    are BLAS dot products, which need not sum left to right."""
+    K = np.empty((7, y.size))
+    K[0] = f(y)
+    for i in range(1, 7):
+        K[i] = f(y + h * (_A[i, :i] @ K[:i]))
+    return y + h * (_B5 @ K), h * ((_B5 - _B4) @ K), K
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=kind_hamiltonian_states(), h=st.floats(1e-3, 0.05))
+def test_dp_step_matches_array_reference(case, h):
+    # the same step to within rounding: 4 ulps of each component's scale
+    # |y| + h max |K|, for the new state and for the error estimate (the
+    # difference of two such updates; the stages' inputs differ by
+    # rounding at that scale, and a field component that cancels to
+    # rounding noise, as the z-row of X_H may, passes it on)
+    g, H, X = case
+    y = X[0]
+    f = point_field(g, H)
+    with np.errstate(all="ignore"):
+        ref = _outcome(lambda: _reference_dp_step(
+            lambda state: dynamical_vf(g, H, state[None, :])[0], y, h))
+    got = _outcome(lambda: dynamics._dp_stepper(f)(y.tolist(), h))
+    if isinstance(ref, str) or isinstance(got, str):
+        assert got == ref, (g, str(H))
+        return
+    y5, err, K = ref
+    reach = h * np.max(np.abs(K), axis=0)
+    # a step that moves the state by more than a tenth of its size, or
+    # through a field that overflows, amplifies the stages' rounding
+    # differences by more than a few ulps
+    assume(np.isfinite(K).all() and np.all(reach <= 0.1 * (1 + np.abs(y))))
+    got_y5, got_err = got
+    ulps = 4 * np.finfo(float).eps * (np.abs(y) + reach)
+    assert np.all(np.abs(np.array(got_y5) - y5) <= ulps), (g, str(H))
+    assert np.all(np.abs(np.array(got_err) - err) <= ulps), (g, str(H))
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1e300, -1e300,
+                  math.inf, -math.inf, math.nan]
+
+
+def _numpy_error_ratio(err, y, y_new, rtol, atol):
+    with np.errstate(all="ignore"):
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        ratio = np.sqrt(np.mean((np.array(err) / scale) ** 2))
+    return float(ratio) if np.isfinite(ratio) else math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.integers(2, 12),
+       rtol=st.sampled_from([0.0, 1e-10, 1e-3]),
+       atol=st.sampled_from([0.0, 1e-12, 1.0]))
+def test_error_ratio_keeps_numpy_semantics(data, d, rtol, atol):
+    # the float norm sums left to right, which is numpy's mean bit for
+    # bit for d < 8; from 8 terms numpy sums pairwise, and the two agree
+    # to rounding.  inf wherever numpy's is not finite (x/0, 0/0, NaN,
+    # overflow), and it never raises
+    entries = st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                                 st.floats(allow_nan=True)),
+                       min_size=d, max_size=d)
+    err, y, y_new = (data.draw(entries) for _ in range(3))
+    got = dynamics._error_ratio(err, y, y_new, rtol, atol)
+    ref = _numpy_error_ratio(err, y, y_new, rtol, atol)
+    if d < 8:
+        assert got == ref
+    else:
+        assert got == ref or math.isclose(got, ref, rel_tol=d * 2.0 ** -52)
 
 
 # ---------------------------------------------------------------------------

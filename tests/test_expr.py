@@ -466,6 +466,13 @@ def test_evaluated_expression_pickles():
 # one point: the float sweep against a one-row stack
 
 
+def float_sweep(e, x, order):
+    """(value, partials) of e at one point from its float sweep: a float
+    and a tuple of m floats (None at order 0)."""
+    v, d1, _ = expr._sweep(e, order, True)[0]([float(c) for c in x])
+    return v, d1
+
+
 def stack_of_one(e, x, order):
     v, d1, _ = expr.jet(e, np.asarray(x, dtype=float)[None], order)
     return v[0], None if d1 is None else d1[0]
@@ -475,7 +482,7 @@ def point_and_stack_agree(e, x, order):
     """Both routes raise the same DomainError, or give the same numbers
     (NaN in the same places)."""
     try:
-        v, d1 = expr.point_jet(e, x, order)
+        v, d1 = float_sweep(e, x, order)
     except DomainError as err:
         with pytest.raises(DomainError) as stacked:
             stack_of_one(e, x, order)
@@ -575,7 +582,7 @@ def test_point_powers_match_a_stack_bit_for_bit(src, order):
                          np.tile(SPECIAL_EXPONENTS, 100)])
     v, d1, _ = expr.jet(e, X, order)
     for i, x in enumerate(X):
-        pv, pd1 = expr.point_jet(e, x, order)
+        pv, pd1 = float_sweep(e, x, order)
         assert pv == v[i], (src, x)
         if order:
             assert np.array_equal(pd1, d1[i]), (src, x)
@@ -603,19 +610,9 @@ def test_point_jet_equals_stacked_rows(src, points, order):
         assert (jd1 is None) if order == 0 else np.array_equal(jd1, d1[i])
         assert (jd2 is None) if order < 2 else np.array_equal(jd2, d2[i])
         if order < 2:
-            pv, pd1 = expr.point_jet(e, x, order)
+            pv, pd1 = float_sweep(e, x, order)
             assert pv == jv
             assert (pd1 is None) if order == 0 else np.array_equal(pd1, jd1)
-
-
-def test_point_jet_checks_size_and_order():
-    e = expr.parse("q1*p1", ["q1", "p1"])
-    with pytest.raises(ValueError, match="3 components, chart has 2"):
-        expr.point_jet(e, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="order must be 0 or 1"):
-        expr.point_jet(e, [1.0, 2.0], order=2)
-    assert expr.point_jet(expr.parse("2.5", ["q1", "p1"]), [1.0, 2.0]) == \
-        (2.5, (0.0, 0.0))
 
 
 def test_structurally_zero_partials_stay_zero_on_non_finite_input():
@@ -632,7 +629,7 @@ def test_structurally_zero_partials_stay_zero_on_non_finite_input():
     assert np.isfinite(d1[0]).all() and np.isfinite(d2[0]).all()
     assert math.isnan(d1[1, 0]) and d1[1, 1] == 0.0
     assert d2[1, 0, 1] == d2[1, 1, 0] == d2[1, 1, 1] == 0.0
-    assert expr.point_jet(e, [INF, 1.0])[1][1] == 0.0
+    assert float_sweep(e, [INF, 1.0], 1)[1][1] == 0.0
 
 
 def test_point_hessian_where_the_log_base_square_underflows():

@@ -253,6 +253,29 @@ def test_torsionful_map_against_finite_differences():
     assert np.max(np.abs(N - N_fd)) < FD_TOL
 
 
+def _hand_torsion(x):
+    """N of TORSIONFUL at x.  F = (q1, q2, p1 + q2 p1^2, p2) pulls omega
+    back to a dq1^dp1 + p1^2 dq1^dq2 + dq2^dp2, a = 1 + 2 q2 p1, so over
+    (q1, q2, p1, p2) S has the rows (a, 0, 0, 0), (0, 1, 0, 0),
+    (0, p1^2, a, 0) and (-p1^2, 0, 0, 1).  Three components of N^l_bg
+    are independent and non-zero, N^0_01 = N^2_21 = N^3_02 = 2 q2 p1^2,
+    with their antisymmetric partners."""
+    c = 2 * x[1] * x[2] ** 2
+    N = np.zeros((4, 4, 4))
+    for lo, b, gam in ((0, 0, 1), (2, 2, 1), (3, 0, 2)):
+        N[lo, b, gam], N[lo, gam, b] = c, -c
+    return N
+
+
+def test_torsionful_map_hand_computed():
+    x = [0.25, 0.5, 1.0, 2.0]   # every intermediate is exact: c = 1
+    assert np.array_equal(nijenhuis_torsion(SYMP2, TORSIONFUL, x),
+                          _hand_torsion(x))
+    x = [0.3, 0.7, 1.3, 0.2]
+    assert np.allclose(nijenhuis_torsion(SYMP2, TORSIONFUL, x),
+                       _hand_torsion(x), rtol=1e-14, atol=0.0)
+
+
 def test_contact_torsion_against_finite_differences():
     g = CONT1
     F = tmap(g, ["q1 + z", "p1 + q1^2", "z + 0.3*q1*p1"])
@@ -354,6 +377,28 @@ def test_momentum_only_traces_in_involution():
     res = involution_matrix(SYMP1, F, samples, 3)
     assert np.max(res.unbarred) == 0.0
     assert np.max(res.barred) == 0.0
+
+
+def test_involution_bracket_hand_computed():
+    # F = (q1, q2, p1 + q2 p1^2, p2 + q1 p2^2) has S = [[B, 0], [C, B]]
+    # with B = diag(l, m), l = 1 + 2 q2 p1, m = 1 + 2 q1 p2, so
+    # tr S^k = 2 l^k + 2 m^k and, with {l, m} = 4 (q1 p1 - q2 p2),
+    #   {tr S, tr S^2}   = 8 (m - l) {l, m},
+    #   {tr S, tr S^3}   = 12 (m^2 - l^2) {l, m},
+    #   {tr S^2, tr S^3} = 24 l m (m - l) {l, m}.
+    # At the first sample l = 1.25, m = 3 and {l, m} = 1; at the second
+    # l = 2, m = 1.25 and {l, m} = 1.5, where every bracket is smaller,
+    # so the entries are the first sample's, not the two summed.
+    F = tmap(SYMP2, ["q1", "q2", "p1 + q2*p1^2", "p2 + q1*p2^2"])
+    samples = np.array([[1.0, 0.25, 0.5, 1.0], [0.5, 0.5, 1.0, 0.25]])
+    res = involution_matrix(SYMP2, F, samples, 3)
+    assert np.array_equal(res.unbarred, [[0.0, 14.0, 89.25],
+                                         [14.0, 0.0, 157.5],
+                                         [89.25, 157.5, 0.0]])
+    res = involution_matrix(SYMP2, F, samples[1:], 3)
+    assert np.array_equal(res.unbarred, [[0.0, 9.0, 43.875],
+                                         [9.0, 0.0, 67.5],
+                                         [43.875, 67.5, 0.0]])
 
 
 def test_torsion_free_samples_are_in_involution():

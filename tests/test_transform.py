@@ -270,6 +270,24 @@ def test_shear_product_is_not_canonoid():
     assert res.K_probe is None
 
 
+def test_closedness_defect_is_the_largest_asymmetric_entry():
+    # over (q1, q2, p1, p2) the asymmetric part dGx - dGx^T holds +-2 at
+    # (0, 1) and +-0.5 at (2, 3): the defect is their largest magnitude,
+    # 2, not the 5 of the magnitudes summed (nor the 0 of the signed sum)
+    dG = np.zeros((4, 4))
+    dG[0, 1], dG[1, 0] = 3.0, 1.0
+    dG[2, 3], dG[3, 2] = 0.25, 0.75
+    dG[1, 2] = dG[2, 1] = 7.0   # symmetric: closed
+    assert transform._closedness_defect(SYMP2, dG) == 2.0
+    assert np.array_equal(
+        transform._closedness_defect(SYMP2, np.stack([dG, -4.0 * dG])),
+        [2.0, 8.0])
+    # the t-column of a cosymplectic candidate takes no part
+    dGt = np.zeros((2, 3))
+    dGt[0, 1], dGt[1, 0], dGt[0, 2] = 1.5, -1.0, 9.0
+    assert transform._closedness_defect(COSY1, dGt) == 2.5
+
+
 def test_canonical_implies_canonoid():
     g = SYMP1
     F = tmap(g, ["cos(0.7)*q1 + sin(0.7)*p1",

@@ -6,8 +6,10 @@ Runs every job of the benchmark workloads (bench/workloads.py) on seeds 1
 and 2 through each tree's ``canonoid.cli.main``, in this process, one tree
 after the other. Then it compares, job by job, the exit code, the standard
 error and the bytes of every output file except ``report_meta.json``
-(which holds a wall-clock timestamp). It prints the first difference and
-exits 1, or prints a summary and exits 0.
+(which holds a wall-clock timestamp). It prints every difference and
+exits 1, or prints a summary and exits 0. A differing JSON or CSV file
+whose numbers are the only difference is reported with the largest
+absolute and relative difference among them.
 
 Each tree is imported from its own ``src`` directory. Jobs run from a
 scratch directory with relative paths, so a path that reaches an error
@@ -20,6 +22,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -83,27 +86,97 @@ def run_tree(tree, work):
     return results
 
 
-def first_difference(work_a, runs_a, work_b, runs_b):
-    """Text of the first difference between the two runs, or None; and
-    the number of output files compared."""
+class _Mismatch(Exception):
+    """Two outputs differ in more than their numbers."""
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _cells(data):
+    """The cells of a CSV file, one list per line."""
+    return [line.split(",") for line in data.decode().splitlines()]
+
+
+def _leaves(a, b):
+    """The pairs of numbers at the same place in two parsed outputs;
+    _Mismatch where anything else differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            raise _Mismatch(f"keys {sorted(a)} != {sorted(b)}")
+        for key in a:
+            yield from _leaves(a[key], b[key])
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise _Mismatch(f"lengths {len(a)} != {len(b)}")
+        for x, y in zip(a, b):
+            yield from _leaves(x, y)
+    elif type(a) in (int, float) and type(b) in (int, float):
+        yield a, b
+    elif isinstance(a, str) and isinstance(b, str) \
+            and _number(a) is not None and _number(b) is not None:
+        yield _number(a), _number(b)   # CSV cells
+    elif a != b:
+        raise _Mismatch(f"{a!r} != {b!r}")
+
+
+def number_difference(fname, data_a, data_b):
+    """Text of the largest absolute and relative difference among the
+    numbers of two JSON or CSV files, or of how they differ otherwise."""
+    try:
+        if fname.endswith(".json"):
+            pairs = list(_leaves(json.loads(data_a), json.loads(data_b)))
+        elif fname.endswith(".csv"):
+            pairs = list(_leaves(_cells(data_a), _cells(data_b)))
+        else:
+            return "differs"
+    except _Mismatch as e:
+        return f"differs beyond its numbers: {e}"
+    worst_abs = worst_rel = 0.0
+    moved = 0
+    for x, y in pairs:
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        moved += 1
+        d = abs(x - y)
+        if not d < math.inf:   # an inf, or a NaN against a number
+            worst_abs = worst_rel = math.inf
+            continue
+        worst_abs = max(worst_abs, d)
+        worst_rel = max(worst_rel, d / max(abs(x), abs(y)))
+    return (f"differs in {moved} of {len(pairs)} numbers: largest absolute "
+            f"difference {worst_abs:.3e}, relative {worst_rel:.3e}")
+
+
+def differences(work_a, runs_a, work_b, runs_b):
+    """The text of every difference between the two runs, and the
+    number of output files compared."""
+    found = []
     files = 0
     for name in runs_a:
         (code_a, err_a), (code_b, err_b) = runs_a[name], runs_b[name]
         if code_a != code_b:
-            return f"{name}: exit code {code_a} != {code_b}", files
+            found.append(f"{name}: exit code {code_a} != {code_b}")
         if err_a != err_b:
-            return f"{name}: stderr {err_a!r} != {err_b!r}", files
+            found.append(f"{name}: stderr {err_a!r} != {err_b!r}")
         out_a, out_b = work_a / name / "out", work_b / name / "out"
         names_a = {p.name for p in out_a.iterdir()} - SKIPPED
         names_b = {p.name for p in out_b.iterdir()} - SKIPPED
         if names_a != names_b:
-            return (f"{name}: output files {sorted(names_a)} != "
-                    f"{sorted(names_b)}"), files
-        for fname in sorted(names_a):
+            found.append(f"{name}: output files {sorted(names_a)} != "
+                         f"{sorted(names_b)}")
+        for fname in sorted(names_a & names_b):
             files += 1
-            if (out_a / fname).read_bytes() != (out_b / fname).read_bytes():
-                return f"{name}: {fname} differs", files
-    return None, files
+            data_a = (out_a / fname).read_bytes()
+            data_b = (out_b / fname).read_bytes()
+            if data_a != data_b:
+                found.append(f"{name}: {fname} "
+                             + number_difference(fname, data_a, data_b))
+    return found, files
 
 
 def main(argv):
@@ -116,9 +189,12 @@ def main(argv):
         for tree, work in zip(trees, works):
             work.mkdir()
             runs.append(run_tree(tree, work))
-        diff, files = first_difference(works[0], runs[0], works[1], runs[1])
-    if diff is not None:
+        found, files = differences(works[0], runs[0], works[1], runs[1])
+    for diff in found:
         print(f"difference: {diff}")
+    if found:
+        print(f"{len(found)} differences: {len(runs[0])} jobs, {files} "
+              f"output files, exit codes and stderr")
         return 1
     print(f"no difference: {len(runs[0])} jobs, {files} output files, "
           f"exit codes and stderr")
