@@ -30,12 +30,11 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dynamics, stensor, transform
+from . import __version__, dynamics, expr, stensor, transform
 from .geometry import KINDS, GeometryKind
 from .stensor import SingularPullback
 from .transform import TransformMap
@@ -71,6 +70,8 @@ DEFAULT_TOLERANCES = {
 }
 DEFAULT_KMAX = 4
 DEFAULT_SAMPLE_COUNT = 25
+# rows of invariants.csv formatted per write
+CSV_BLOCK_ROWS = 256
 
 _MASK64 = (1 << 64) - 1
 _XS_MULT = 2685821657736338717
@@ -116,18 +117,10 @@ class Xorshift64Star:
         return lo + (hi - lo) * self.uniform()
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    geometry: GeometryKind
-    hamiltonian: object
-    transform: TransformMap
-    sample_box: dict
-    sample_count: int
-    seed: int
-    checks: tuple
-    kmax: int
-    trajectory: dict | None
-    tolerances: dict
+class ExperimentConfig(expr.Record):
+    __slots__ = ("geometry", "hamiltonian", "transform", "sample_box",
+                 "sample_count", "seed", "checks", "kmax", "trajectory",
+                 "tolerances")
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +373,9 @@ def _check_traces(cfg, out_dir):
         _write_csv(out_dir / "invariants.csv", traj, obs)
     worst = float(transform.fold_max(
         [d.max_rel_drift for d in rep.observables.values()], "observable"))
-    drift = {name: asdict(d) for name, d in rep.observables.items()}
+    drift = {name: {"initial": d.initial, "max_abs_drift": d.max_abs_drift,
+                    "max_rel_drift": d.max_rel_drift, "slope": d.slope}
+             for name, d in rep.observables.items()}
     return _entry(cfg, "drift", worst, method=tr["method"],
                   steps=tr["steps"], drift=drift)
 
@@ -469,12 +464,14 @@ def _run_checks(cfg, names, out_dir):
 def _write_csv(path, traj, observables):
     table = np.column_stack(
         [traj.times] + [fn(traj.states) for _, fn in observables])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as out:
         out.write("time," + ",".join(name for name, _ in observables) + "\n")
-        # row by row from Python floats: neither whole columns as lists
-        # nor the whole text are ever held at once
-        for row in table:
-            out.write(",".join([f"{v:.17g}" for v in row.tolist()]) + "\n")
+        # one % operation per block of Python floats: neither whole
+        # columns as lists nor the whole text are ever held at once
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            out.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _report_dict(cfg, config_hash, results):

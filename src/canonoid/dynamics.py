@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import stensor, transform
+from . import expr, stensor, transform
 from .geometry import dynamical_vf, dynamical_vf_jacobian
 
 __all__ = [
@@ -58,25 +57,16 @@ class StepFailure(RuntimeError):
     minimum without meeting the error tolerance."""
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray
-    states: np.ndarray
-    geometry: object
-    hamiltonian: object
+class Trajectory(expr.Record):
+    __slots__ = ("times", "states", "geometry", "hamiltonian")
 
 
-@dataclass(frozen=True)
-class ObservableDrift:
-    initial: float
-    max_abs_drift: float
-    max_rel_drift: float
-    slope: float
+class ObservableDrift(expr.Record):
+    __slots__ = ("initial", "max_abs_drift", "max_rel_drift", "slope")
 
 
-@dataclass(frozen=True)
-class DriftReport:
-    observables: dict
+class DriftReport(expr.Record):
+    __slots__ = ("observables",)
 
 
 # ---------------------------------------------------------------------------

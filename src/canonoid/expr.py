@@ -50,7 +50,6 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,74 +83,105 @@ class UnknownFunction(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+class Record:
+    """Base of canonoid's immutable value types.  __init__ (positional
+    or keyword), structural == and hash, repr and pickling are written
+    once here over each subclass's __slots__, so importing canonoid
+    generates no code.  A record that caches properties lists "__dict__"
+    in its __slots__; the cache stays out of ==, hash and pickles."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(s for s in cls.__slots__ if s != "__dict__")
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        items = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({items})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+# ---------------------------------------------------------------------------
 # AST nodes
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
-    value: float
+class Const(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
-    arg: "Node"
+class Neg(Record):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True, slots=True)
-class Add:
-    left: "Node"
-    right: "Node"
+class Add(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
-class Sub:
-    left: "Node"
-    right: "Node"
+class Sub(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
-class Mul:
-    left: "Node"
-    right: "Node"
+class Mul(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
-class Div:
-    left: "Node"
-    right: "Node"
+class Div(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
-class Pow:
-    base: "Node"
-    exponent: "Node"
+class Pow(Record):
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
-    func: str
-    arg: "Node"
+class Call(Record):
+    __slots__ = ("func", "arg")
 
 
 Node = Const | Var | Neg | Add | Sub | Mul | Div | Pow | Call
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(Record):
     """A parsed expression together with its variable context.
 
     free_vars lists the chart variables that actually occur, in chart
     order.  Instances are immutable and safe to share across threads.
     """
 
-    ast: Node
-    free_vars: tuple[str, ...]
-    chart_vars: tuple[str, ...]
+    __slots__ = ("ast", "free_vars", "chart_vars", "__dict__")
 
     def __str__(self):
         return serialize(self)
@@ -163,12 +193,6 @@ class Expression:
         (order, whether for one point), and under "vf" the one-state
         dynamical field that geometry emits with point_function()."""
         return {}
-
-    def __getstate__(self):
-        # the compiled sweeps cannot be pickled; they are rebuilt
-        state = dict(self.__dict__)
-        state.pop("_kernels", None)
-        return state
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ is M.T @ X for a two-form with matrix M (see contract()).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,18 +47,17 @@ class WrongGeometry(TypeError):
     """Operation not defined for this geometry kind."""
 
 
-@dataclass(frozen=True)
-class GeometryKind:
+class GeometryKind(expr.Record):
     """One of the four phase-space structures with n degrees of freedom."""
 
-    kind: str
-    n: int
+    __slots__ = ("kind", "n", "__dict__")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+    def __init__(self, kind, n):
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        super().__init__(kind, n)
 
     @functools.cached_property
     def dim(self):
@@ -167,8 +165,7 @@ def contract(two_form, X):
     return (np.swapaxes(M, -1, -2) @ np.asarray(X)[..., None])[..., 0]
 
 
-@dataclass(frozen=True)
-class StructureAtPoint:
+class StructureAtPoint(expr.Record):
     """Constant Darboux-form structure data at a point.
 
     two_form is the full chart-dimension matrix (the canonical eps block
@@ -176,9 +173,7 @@ class StructureAtPoint:
     vectors, None where the geometry has no such form.
     """
 
-    two_form: np.ndarray
-    theta: np.ndarray | None = None
-    eta: np.ndarray | None = None
+    __slots__ = ("two_form", "theta", "eta")
 
 
 def full_two_form(g):
@@ -201,7 +196,7 @@ def structure_at_point(g, x=None):
         eta = np.zeros(d)
         eta[g.t_index] = 1.0
     if g.z_index is None:
-        return StructureAtPoint(two_form=M, eta=eta)
+        return StructureAtPoint(two_form=M, theta=None, eta=eta)
     # theta = dz - p_i dq^i needs the point for its p-components
     if x is None:
         raise ValueError(f"{g.kind} structure needs the evaluation point")
@@ -241,7 +236,8 @@ def point_field(g, H):
     writes _assemble_vf after H's order-1 float sweep, with the constant
     t-component of the evolution field.  It is emitted once and cached
     on H with the geometry it was built for, found again by identity:
-    hashing the GeometryKind dataclass would cost about 0.4 us a call."""
+    a lookup keyed by the GeometryKind would hash and compare it, about
+    1.5 us a call."""
     found = H._kernels.get("vf")
     if found is not None and found[0] is g:
         return found[1]

@@ -41,11 +41,9 @@ caller's residual fold instead of a floating-point warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import transform
+from . import expr, transform
 from .geometry import canonical_eps
 from .transform import CONDITION_LIMIT
 
@@ -70,17 +68,13 @@ class SingularPullback(ValueError):
     so the barred bracket variant could not be computed anywhere."""
 
 
-@dataclass(frozen=True)
-class InvolutionResult:
+class InvolutionResult(expr.Record):
     """Pairwise bracket magnitudes of the trace functions: entry (i, j)
     holds max |{tr S^(i+1), tr S^(j+1)}| over the samples.  skipped
     counts samples where the barred variant was dropped because the
     Lagrange x-block was singular or too ill-conditioned."""
 
-    unbarred: np.ndarray
-    barred: np.ndarray
-    skipped: int
-    max_condition: float
+    __slots__ = ("unbarred", "barred", "skipped", "max_condition")
 
 
 def _check_kmax(kmax):

@@ -29,14 +29,13 @@ field sound.  Both components are reported separately.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr
 from .geometry import (
-    GeometryKind, WrongGeometry, canonical_eps, contract,
-    hamiltonian_vf_jacobian, structure_at_point,
+    WrongGeometry, canonical_eps, contract, hamiltonian_vf_jacobian,
+    structure_at_point,
 )
 
 __all__ = [
@@ -105,15 +104,14 @@ def fold_max(residuals, label="sample"):
     return r.max(axis=0, initial=0.0)
 
 
-@dataclass(frozen=True)
-class TransformMap:
+class TransformMap(expr.Record):
     """A diffeomorphism candidate, one component expression per target
     coordinate in chart order."""
 
-    geometry: GeometryKind
-    components: tuple
+    __slots__ = ("geometry", "components")
 
-    def __post_init__(self):
+    def __init__(self, geometry, components):
+        super().__init__(geometry, components)
         g = self.geometry
         if len(self.components) != g.dim:
             raise ValueError(
@@ -148,28 +146,20 @@ class TransformMap:
         return cls.parse(g, list(g.chart_vars))
 
 
-@dataclass(frozen=True)
-class CanonicalResult:
-    canonical: bool
-    max_residual: float
+class CanonicalResult(expr.Record):
+    __slots__ = ("canonical", "max_residual")
 
 
-@dataclass(frozen=True)
-class CanonoidResult:
-    canonoid: bool
-    max_residual: float
-    K_probe: np.ndarray | None
-    components: dict
+class CanonoidResult(expr.Record):
+    __slots__ = ("canonoid", "max_residual", "K_probe", "components")
 
 
-@dataclass(frozen=True)
-class KGradient:
-    """Candidate gradient of K: the (q, p) part from the bracket
-    relations, plus the separately-completed t-partial where the
+class KGradient(expr.Record):
+    """Candidate gradient of K: the (q, p) part d_x from the bracket
+    relations, plus the separately-completed t-partial d_t where the
     geometry has time (None otherwise)."""
 
-    d_x: np.ndarray
-    d_t: float | None
+    __slots__ = ("d_x", "d_t")
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +411,13 @@ def _gl_rule():
     return np.polynomial.legendre.leggauss(GL_NODES_PER_UNIT)
 
 
-@dataclass(frozen=True)
-class _Panels:
+class _Panels(expr.Record):
     """Composite Gauss-Legendre rule on N straight segments a_i -> b_i,
     parameterized over s in [0, 1]: one 32-node panel per unit of
     segment length.  *_owner give the segment of each panel and node."""
 
-    seg: np.ndarray
-    panel_owner: np.ndarray
-    mids: np.ndarray
-    node_owner: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("seg", "panel_owner", "mids", "node_owner", "nodes",
+                 "weights")
 
 
 def _gl_panels(a_pts, b_pts):

@@ -319,6 +319,54 @@ def test_csv_round_trips_17_digits(tmp_path):
     assert float(row[2]) == np.e
 
 
+def per_row_csv(times, columns):
+    """invariants.csv as one f-string per value, row by row."""
+    table = np.column_stack([times] + columns)
+    lines = ["time," + ",".join(f"c{k}" for k in range(len(columns)))]
+    lines += [",".join([f"{v:.17g}" for v in row.tolist()]) for row in table]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("rows", [1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1,
+                                  "special"])
+def test_csv_blocks_equal_per_value_formatting(tmp_path, rows):
+    from canonoid.dynamics import Trajectory
+    if rows == "special":
+        special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, -1e300,
+                   1 / 3, np.pi]
+        states = np.array([special, special[::-1]]).T
+    else:
+        states = np.random.default_rng(rows).standard_normal((rows, 2)) * 1e5
+    times = np.linspace(0.0, 1.0, len(states))
+    traj = Trajectory(times=times, states=states,
+                      geometry=GeometryKind("symplectic", 1), hamiltonian=None)
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, traj, [("c0", lambda X: X[:, 0]),
+                                ("c1", lambda X: X[:, 1])])
+    assert path.read_bytes() == per_row_csv(times, [states[:, 0], states[:, 1]])
+
+
+def test_import_generates_no_code():
+    # the records are plain classes: importing the CLI loads no
+    # dataclasses and compiles no source text, as a @dataclass or a
+    # namedtuple does per class.  numpy and the standard library that
+    # canonoid imports load before the hook, so it sees canonoid alone.
+    code = (
+        "import argparse, datetime, functools, hashlib, json, math\n"
+        "import operator, pathlib, re, sys\n"
+        "import numpy\n"
+        "generated = []\n"
+        "sys.addaudithook(lambda event, args: generated.append(args)\n"
+        "                 if event == 'compile' and args[1] == '<string>'\n"
+        "                 else None)\n"
+        "import canonoid.cli\n"
+        "print('dataclasses' in sys.modules, len(generated))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False", "0"]
+
+
 # ---------------------------------------------------------------------------
 # subcommands and exit codes
 

@@ -131,6 +131,35 @@ def test_mixed_precedence():
     assert expr.evaluate(e, {}) == 27.0
 
 
+def test_nodes_are_immutable_values():
+    a = Add(Var("q1"), Mul(Const(2.0), Var("p1")))
+    b = Add(Var("q1"), Mul(Const(2.0), Var("p1")))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Sub(Var("q1"), Mul(Const(2.0), Var("p1")))
+    assert Add(Var("q1"), Var("p1")) != Add(Var("p1"), Var("q1"))
+    assert Const(1.0) != 1.0 and Var("q1") != "q1"
+    assert Call(func="sin", arg=Var("t")) == Call("sin", Var("t"))
+    assert repr(Pow(Var("q1"), Const(2.0))) == (
+        "Pow(base=Var(name='q1'), exponent=Const(value=2.0))")
+    with pytest.raises(AttributeError):
+        a.left = Var("p1")
+    with pytest.raises(AttributeError):
+        del a.right
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    with pytest.raises(TypeError):
+        Add(Var("q1"))
+    with pytest.raises(TypeError):
+        Add(Var("q1"), Var("p1"), right=Var("t"))
+    e = expr.parse("q1 + 2*p1", ["q1", "p1"])
+    assert e.ast == a
+    assert e == expr.parse("q1 + 2*p1", ["q1", "p1"])
+    assert hash(e) == hash(expr.parse("q1 + 2*p1", ["q1", "p1"]))
+    assert e != expr.parse("q1 + 2*p1", ["q1", "p1", "t"])
+    with pytest.raises(AttributeError):
+        e.ast = Var("q1")
+
+
 def test_free_vars_chart_order_not_occurrence_order():
     e = expr.parse("p1 + q1", ["q1", "p1"])
     assert e.free_vars == ("q1", "p1")
@@ -457,8 +486,9 @@ def test_evaluated_expression_pickles():
     # the compiled sweeps cached on an expression stay out of its pickle
     e = expr.parse("sin(q1)*p1^2", ["q1", "p1"])
     g = expr.gradient(e, [0.3, 0.4])
+    assert "_kernels" in vars(e)
     e2 = pickle.loads(pickle.dumps(e))
-    assert e2 == e
+    assert e2 == e and "_kernels" not in vars(e2)
     assert np.array_equal(expr.gradient(e2, [0.3, 0.4]), g)
 
 

@@ -44,10 +44,24 @@ def test_index_helpers_cocontact():
 
 
 def test_kind_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="kind must be one of"):
         GeometryKind("sympletcic", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be a positive integer, got 0"):
         GeometryKind("symplectic", 0)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        GeometryKind(kind="symplectic", n=1.0)
+
+
+def test_kind_is_an_immutable_value():
+    g = GeometryKind("contact", 2)
+    assert g.dim == 5   # cached on the instance, outside == and hash
+    assert g == GeometryKind(kind="contact", n=2)
+    assert hash(g) == hash(GeometryKind("contact", 2))
+    assert g != GeometryKind("contact", 1) and g != CONT1
+    assert g != GeometryKind("symplectic", 2)
+    assert repr(g) == "GeometryKind(kind='contact', n=2)"
+    with pytest.raises(AttributeError):
+        g.n = 3
 
 
 def test_eps_convention():
