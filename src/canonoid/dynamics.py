@@ -4,14 +4,16 @@ Equations of motion are the Hamiltonian field for symplectic and
 contact charts and the evolution field (with dt/dt = 1) for the
 time-extended ones.  Two steppers: classic fixed-step RK4 and an
 embedded Dormand-Prince 5(4) pair with proportional step control.
-Both carry the state as a list of Python floats and call
-dynamical_vf(g, H, state) once per stage, seven times per Dormand-Prince
-attempt; its list form runs the one-state field geometry.point_field
-emits once per Hamiltonian.  RK4 forms each stage with the float
-operations of the (d,) array formulas, in their order.  Dormand-Prince
-sums each stage's weighted stages, the 5th-order update and the error
-estimate left to right with the zero weights dropped, so its steps do
-not depend on a BLAS library.
+Both carry the state as a list of Python floats.  RK4 takes each step
+from one straight-line text emitted once per (H, geometry), with H's
+float sweep written in it at all four stages; each stage and the
+update take the float operations of the (d,) array formulas, in their
+order.  Dormand-Prince calls dynamical_vf(g, H, state) once per stage,
+seven times per attempt; its list form runs the one-state field
+geometry.point_field emits once per Hamiltonian.  It sums each stage's
+weighted stages, the 5th-order update and the error estimate left to
+right with the zero weights dropped, so its steps do not depend on a
+BLAS library.
 
 For the time-extended geometries the t-coordinate is pinned to the
 accumulated integration time after every step: its exact equation is
@@ -32,7 +34,7 @@ import math
 import numpy as np
 
 from . import expr, stensor, transform
-from .geometry import dynamical_vf, dynamical_vf_jacobian
+from .geometry import dynamical_vf, dynamical_vf_jacobian, field_function
 
 __all__ = [
     "Trajectory",
@@ -40,6 +42,7 @@ __all__ = [
     "DriftReport",
     "StepFailure",
     "integrate",
+    "rk4_step",
     "drift_report",
     "lie_derivative_S",
     "METHODS",
@@ -87,6 +90,25 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 # the error weights b5 - b4
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_A[-1] + (0.0,), _DP_B4))
+
+
+def _rk4(y, f, h, half, sixth):
+    """One RK4 step of the field f from the state y: each entry takes
+    the float operations, in their order, of y + (0.5*h)*k for the
+    middle stages and y + (h/6)*(((k1 + 2 k2) + 2 k3) + k4)."""
+    k1 = f(y)
+    k2 = f([a + half * b for a, b in zip(y, k1)])
+    k3 = f([a + half * b for a, b in zip(y, k2)])
+    k4 = f([a + h * b for a, b in zip(y, k3)])
+    return [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
+def rk4_step(g, H):
+    """_rk4 on H's field, emitted as one straight-line float function
+    step(y, h, half, sixth) of a state as a list of g.dim floats, with
+    half = 0.5*h and sixth = h/6, and cached on H."""
+    return field_function(g, H, "rk4", _rk4, ("h", "half", "sixth"))
 
 
 def _dp_stepper(f):
@@ -163,10 +185,6 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
             f"x0 has t = {y[ti]} but integration starts at t = {t0}")
     if ti is not None:
         y[ti] = t0
-    # each stage calls dynamical_vf by the name bound here, so a wrapper
-    # installed on that name sees every stage
-    f = functools.partial(dynamical_vf, g, H)
-
     # a non-finite field value propagates into the states, where the
     # guards of the trace checks report it; numpy stays quiet
     with np.errstate(all="ignore"):
@@ -175,18 +193,11 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
             times = t0 + h * np.arange(steps + 1)
             states = np.zeros((steps + 1, g.dim))
             states[0] = y
-            # the state is a list of floats; each entry takes the float
-            # operations, in their order, of y + (0.5*h)*k for the
-            # middle stages and y + (h/6)*(((k1 + 2 k2) + 2 k3) + k4)
+            step = rk4_step(g, H)
             y = y.tolist()
             half, sixth = 0.5 * h, h / 6.0
             for k in range(1, steps + 1):
-                k1 = f(y)
-                k2 = f([a + half * b for a, b in zip(y, k1)])
-                k3 = f([a + half * b for a, b in zip(y, k2)])
-                k4 = f([a + h * b for a, b in zip(y, k3)])
-                y = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+                y = step(y, h, half, sixth)
                 if ti is not None:
                     y[ti] = float(times[k])
                 states[k] = y
@@ -200,7 +211,9 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
         y = y.tolist()
         times = [t0]
         states = [y]
-        step = _dp_stepper(f)
+        # each stage calls dynamical_vf by the name bound here, so a
+        # wrapper installed on that name sees every stage
+        step = _dp_stepper(functools.partial(dynamical_vf, g, H))
         while t < t1 - 1e-14 * span:
             h = min(h, t1 - t)
             y_new, err = step(y, h)

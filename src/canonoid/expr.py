@@ -17,9 +17,10 @@ operation is the one numpy performs on an entry, so a point gives the
 numbers of its row in a stacked sweep bit for bit.  jet() takes one
 point or a stack, and evaluate(), gradient(), hessian() and
 value_and_derivatives() are the forms of jet() the other modules call.
-point_function() writes a formula of one point's value and first
-partials after its float sweep, into one straight-line function: the
-integrators' one-state field.
+point_function() writes a formula over the value and first partials of
+one or more float sweeps, each at its own input terms, into one
+straight-line float function: the integrators' one-state field and the
+RK4 step with its four stages.
 
 Domain checks are masks over the stack (plain tests at one point): a
 DomainError names the subexpression and the first failing row.
@@ -190,8 +191,9 @@ class Expression(Record):
     def _kernels(self):
         """Compiled sweeps, filled on first use: the emitted code keyed
         by derivative order, the sweeps bound to a namespace by
-        (order, whether for one point), and under "vf" the one-state
-        dynamical field that geometry emits with point_function()."""
+        (order, whether for one point), and under "vf" and "rk4" the
+        one-state dynamical field and the RK4 step that geometry and
+        dynamics emit with point_function()."""
         return {}
 
 
@@ -358,7 +360,11 @@ def parse(source, chart_vars):
 # on one entry), in -1/a^2 (which Python floats cannot divide into when
 # a^2 underflows) and in float() around numpy's ufuncs, which libm's
 # differ from in the last bit.  So a point's jet equals its row of a
-# stacked sweep bit for bit.
+# stacked sweep bit for bit.  A text of point_function() is bound to
+# the float namespace only, and writes its checks as inline tests.
+#
+# The text keeps every check and the values that its result or a check
+# reads; it drops every other value.
 #
 # A structurally zero partial is 0.0 even at non-finite input, where the
 # dense product would give the NaN of 0*inf; the callers' finiteness
@@ -432,6 +438,23 @@ def _children(node):
     return (node.left, node.right)
 
 
+# the emitter's locals, as they appear in a text
+_LOCAL = re.compile(r"\bt\d+\b")
+
+
+def _render(call, guards):
+    """The line of a check: a call, or with guards an inline test that
+    calls only when the check fires."""
+    name, *args = call
+    text = f"{name}({', '.join(args)})"
+    if guards and name == "check":
+        return f"if {args[0]}: fail({args[1]})"
+    if guards and name == "overflow":
+        # v - v is 0.0 for a finite v and NaN, which is true, otherwise
+        return f"if {args[0]} - {args[0]}: {text}"
+    return text
+
+
 class _Emitter:
     """Writes the sweep of one expression at one order.
 
@@ -440,15 +463,23 @@ class _Emitter:
     partials that are not structurally zero.  A constant subtree is a
     float.  Second partials vanish outside the pairs of columns with a
     first partial, which every rule keeps true.
+
+    Variable j reads the text inputs[j], X[j] unless a caller sets
+    other inputs between sweeps written into one emitter.  Equal
+    constants and equal (message, node) pairs share one bound entry,
+    and a check written once on a local is not written again.
     """
 
     def __init__(self, order, index):
         self.order = order
         self.index = index
-        self.lines = []
+        self.inputs = [f"X[{j}]" for j in range(len(index))]
+        self.lines = []   # (local, text) of a value, (None, call) of a check
         self.consts = []
         self.errors = []
         self.names = {}
+        self.slots = {}
+        self.written = set()
 
     def let(self, text):
         """The local holding text, written on its first use: equal
@@ -459,16 +490,27 @@ class _Emitter:
         if name is None:
             name = self.names[text] = f"t{len(self.names)}"
             # a text that opens with a parenthesis is one group
-            self.lines.append(f"{name} = "
-                              + (text[1:-1] if text[0] == "(" else text))
+            self.lines.append((name, text[1:-1] if text[0] == "(" else text))
         return name
+
+    def bind(self, a):
+        """A float a, or a term's text held in a local."""
+        return a if type(a) is float else _Term(self.let(a.text))
+
+    def slot(self, table, key, item):
+        """The index of item in table, appended on the first use of key."""
+        i = self.slots.get(key)
+        if i is None:
+            i = self.slots[key] = len(table)
+            table.append(item)
+        return i
 
     def partials(self, items):
         return {k: self.let(t) for k, t in items if t is not None}
 
     def const(self, c):
-        self.consts.append(c)
-        return f"K[{len(self.consts) - 1}]"
+        key = ("K", c.hex() if type(c) is float else id(c))
+        return f"K[{self.slot(self.consts, key, c)}]"
 
     def as_jet(self, a):
         """a, or the jet of a constant a."""
@@ -484,11 +526,13 @@ class _Emitter:
 
     def error(self, msg, node):
         """The text of the bound (msg, node) that a DomainError names."""
-        self.errors.append((msg, node))
-        return f"E[{len(self.errors) - 1}]"
+        return f"E[{self.slot(self.errors, (msg, id(node)), (msg, node))}]"
 
     def call(self, name, *args):
-        self.lines.append(f"{name}({', '.join(args)})")
+        call = (name, *args)
+        if call not in self.written:
+            self.written.add(call)
+            self.lines.append((None, call))
 
     def check(self, test, msg, node):
         self.call("check", test, self.error(msg, node))
@@ -497,9 +541,24 @@ class _Emitter:
         """An infinite or NaN val from finite inputs is an overflow."""
         self.call("overflow", val, self.error("overflow", node), *inputs)
 
-    def compile(self, result):
-        body = [*self.lines, f"return {result}"]
-        source = "\n    ".join(["def run(X):", *body])
+    def compile(self, result, params=("X",), guards=False):
+        """The code of run(*params) returning the text result.  It keeps
+        every check and the values that result or a check reads, in
+        their order, and drops every other value.  With guards (a text
+        bound to floats only) each check is an inline test."""
+        live = set(_LOCAL.findall(result))
+        body = [f"return {result}"]
+        for name, line in reversed(self.lines):
+            if name is None:
+                line = _render(line, guards)
+            elif name in live:
+                line = f"{name} = {line}"
+            else:
+                continue
+            live.update(_LOCAL.findall(line))
+            body.append(line)
+        source = "\n    ".join([f"def run({', '.join(params)}):",
+                                 *reversed(body)])
         return compile(source, "<jet>", "exec")
 
     def visit(self, node):
@@ -512,7 +571,8 @@ class _Emitter:
             except KeyError:
                 raise UnknownVariable(
                     f"unbound variable {node.name!r}") from None
-            return self.let(f"X[{j}]"), {j: _ONE} if self.order else {}, {}
+            first = {j: _ONE} if self.order else {}
+            return self.let(self.inputs[j]), first, {}
         kids = [self.visit(k) for k in _children(node)]
         if all(type(k) is float for k in kids):
             return _fold(node, kids)
@@ -770,11 +830,8 @@ _FLOATS = {
 _NUMPY_NAMES = frozenset(_DERIVATIVES) | {"pw", "vpow"}
 
 
-def _visit(e, order):
-    """(emitter, value, first, second): e's sweep at the given order
-    written into a fresh emitter, with the jet of its result."""
-    em = _Emitter(order, {name: j for j, name in enumerate(e.chart_vars)})
-    return (em, *em.as_jet(em.visit(e.ast)))
+def _emitter(e, order):
+    return _Emitter(order, {name: j for j, name in enumerate(e.chart_vars)})
 
 
 def _emit(e, order):
@@ -782,7 +839,8 @@ def _emit(e, order):
     compiled text, its bound constants and messages, and the columns
     and (i, j) entries of its non-zero partials.  The text returns the
     value, all m first partials and the non-zero second ones."""
-    em, v, d1, d2 = _visit(e, order)
+    em = _emitter(e, order)
+    v, d1, d2 = em.as_jet(em.visit(e.ast))
     pairs = sorted(d2)
     first = "None"
     if order:
@@ -794,9 +852,9 @@ def _emit(e, order):
 
 
 def _quiet(run):
-    def quiet(x):
+    def quiet(*args):
         with np.errstate(all="ignore"):
-            return run(x)
+            return run(*args)
 
     return quiet
 
@@ -827,10 +885,16 @@ def _sweep(e, order, point):
     return kernels.setdefault((order, point), (run, cols, pairs))
 
 
+def _text(a):
+    """The text of a term or of a finite float constant."""
+    return a.text if type(a) is _Term else repr(float(a))
+
+
 class _Term:
-    """A float of the emitted text: +, - and * of terms write the text
-    of that one float operation, parenthesised, so a formula run on
-    terms writes its own operations in its own association."""
+    """A float of the emitted text: +, - and * of terms, or of a term
+    and a float constant (c * term too), write the text of that one
+    float operation, parenthesised, so a formula run on terms writes its
+    own operations in its own association."""
 
     __slots__ = ("text",)
 
@@ -838,33 +902,53 @@ class _Term:
         self.text = text
 
     def __add__(self, other):
-        return _Term(f"({self.text} + {other.text})")
+        return _Term(f"({self.text} + {_text(other)})")
 
     def __sub__(self, other):
-        return _Term(f"({self.text} - {other.text})")
+        return _Term(f"({self.text} - {_text(other)})")
 
     def __mul__(self, other):
-        return _Term(f"({self.text} * {other.text})")
+        return _Term(f"({self.text} * {_text(other)})")
+
+    def __rmul__(self, other):
+        return _Term(f"({_text(other)} * {self.text})")
 
     def __neg__(self):
         return _Term(f"(-{self.text})")
 
 
-def point_function(e, formula):
-    """Compile formula(x, value, gradient) after e's order-1 float sweep
-    into one straight-line function from a point's list of m floats to
-    a fresh list of floats.  formula runs once, on terms standing for
-    the point's coordinates, e's value and its m first partials, and
-    returns a list of terms and float constants; each term's text
-    repeats the float operations formula performed, in their order, so
-    the function gives formula's numbers on floats bit for bit."""
-    em, v, d1, _ = _visit(e, 1)
+def point_function(e, formula, field, params=()):
+    """Compile formula into one straight-line function run(X, *params)
+    from a point's list of m floats X and the floats named by params to
+    a fresh list of floats.
+
+    formula(x, f, *args) runs once, on terms: x stands for X's
+    coordinates and args for the params.  f(inputs) writes e's order-1
+    float sweep at the m input terms into the text and returns the
+    terms of field(inputs, value, gradient), each held in a local, with
+    e's value and m first partials at the inputs.  formula may call f
+    any number of times, and returns a list of terms and float
+    constants.  Each term's text repeats the float operations formula
+    and field performed, in their order, so run gives their numbers on
+    floats bit for bit, and its checks raise the DomainErrors of the
+    sweeps in the order formula made them.  Only the values that the
+    result or a check reads are computed.  The text is bound to the
+    float namespace only, and each check in it is an inline test that
+    makes no call unless it fires."""
+    em = _emitter(e, 1)
     m = len(e.chart_vars)
-    # a coordinate is the sweep's local of X[j] where it has one
-    x = [_Term(em.names.get(f"X[{j}]", f"X[{j}]")) for j in range(m)]
-    out = formula(x, _Term(v), [_Term(d1.get(j, "0.0")) for j in range(m)])
-    items = [o.text if type(o) is _Term else repr(float(o)) for o in out]
-    code = em.compile("[" + ", ".join(items) + "]")
+
+    def f(inputs):
+        inputs = [em.bind(a) for a in inputs]
+        em.inputs = [_text(a) for a in inputs]
+        v, d1, _ = em.as_jet(em.visit(e.ast))
+        grad = [_Term(d1.get(j, "0.0")) for j in range(m)]
+        return [em.bind(a) for a in field(inputs, _Term(v), grad)]
+
+    x = [em.bind(_Term(f"X[{j}]")) for j in range(m)]
+    out = formula(x, f, *map(_Term, params))
+    code = em.compile("[" + ", ".join(map(_text, out)) + "]",
+                      ("X", *params), guards=True)
     return _bound(code, tuple(em.consts), tuple(em.errors), True)
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "dynamical_vf",
     "dynamical_vf_jacobian",
     "point_field",
+    "field_function",
     "poisson_bracket",
     "jacobi_bracket",
     "canonical_eps",
@@ -230,31 +231,42 @@ def _assemble_vf(g, X, x, Hval, grad):
         X[zi] = p_dH - Hval
 
 
-def point_field(g, H):
-    """The dynamical field of (g, H) at one state: a function from a
-    list of g.dim floats to a fresh list, one straight-line text that
-    writes _assemble_vf after H's order-1 float sweep, with the constant
-    t-component of the evolution field.  It is emitted once and cached
-    on H with the geometry it was built for, found again by identity:
-    a lookup keyed by the GeometryKind would hash and compare it, about
-    1.5 us a call."""
-    found = H._kernels.get("vf")
+def _field(g, x, Hval, grad):
+    """The dynamical field as a list, _assemble_vf with the constant
+    t-component of the evolution field."""
+    V = [0.0] * g.dim
+    _assemble_vf(g, V, x, Hval, grad)
+    if g.t_index is not None:
+        V[g.t_index] = 1.0
+    return V
+
+
+def field_function(g, H, key, formula, params=()):
+    """expr.point_function of formula(x, f, *args) over H, where
+    f(inputs) gives the terms of the dynamical field of (g, H) at the
+    input terms: one straight-line float function run(x, *params) of a
+    state as a list of g.dim floats.  It is emitted once and cached on
+    H under key with the geometry it was built for, found again by
+    identity: a lookup keyed by the GeometryKind would hash and compare
+    it, about 1.5 us a call."""
+    found = H._kernels.get(key)
     if found is not None and found[0] is g:
         return found[1]
     if H.chart_vars != g.chart_vars:
         raise ValueError(f"H is written on {H.chart_vars}, the chart of "
                          f"{g.kind} n={g.n} is {g.chart_vars}")
+    run = expr.point_function(H, formula, functools.partial(_field, g),
+                              params)
+    H._kernels[key] = (g, run)
+    return run
 
-    def formula(x, Hval, grad):
-        V = [0.0] * g.dim
-        _assemble_vf(g, V, x, Hval, grad)
-        if g.t_index is not None:
-            V[g.t_index] = 1.0
-        return V
 
-    field = expr.point_function(H, formula)
-    H._kernels["vf"] = (g, field)
-    return field
+def point_field(g, H):
+    """The dynamical field of (g, H) at one state: a function from a
+    list of g.dim floats to a fresh list, one straight-line text that
+    writes _assemble_vf after H's order-1 float sweep, with the constant
+    t-component of the evolution field, cached on H under "vf"."""
+    return field_function(g, H, "vf", lambda x, f: f(x))
 
 
 def hamiltonian_vf(g, H, x):
@@ -316,8 +328,9 @@ def dynamical_vf(g, H, x):
     the same shape.  One state may also be a Python list of d floats:
     the field is then a fresh list, with the same numbers as for the
     state as an array.  Any other list is read as an array.  One state
-    runs point_field(g, H); the integrators call this list form once
-    per stage.
+    runs point_field(g, H).  rk45-adaptive calls this list form once
+    per stage, seven times per attempt; rk4 takes its steps from one
+    emitted text and never calls it.
     """
     if type(x) is list and len(x) == g.dim and type(x[0]) is float:
         return point_field(g, H)(x)

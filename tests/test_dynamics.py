@@ -17,6 +17,7 @@ Oracles:
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from canonoid.expr import DomainError
 from canonoid.geometry import GeometryKind, dynamical_vf, point_field
 from canonoid.transform import TransformMap
 
-from test_geometry import kind_hamiltonian_states
+from test_geometry import count_ops, kind_hamiltonian_states
 
 SYMP1 = GeometryKind("symplectic", 1)
 COSY1 = GeometryKind("cosymplectic", 1)
@@ -177,10 +178,11 @@ def _reference_rk4_step(f, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def reference_rk4(g, H, x0, t_span, steps):
+def reference_rk4(g, H, x0, t_span, steps, stages=None):
     """(times, states) of rk4 with every stage on a (d,) array and the
     field taken from a one-row stack, so nothing of the float path of
-    integrate() is shared but the field's numbers."""
+    integrate() is shared but the field's numbers.  A list given as
+    stages gets one entry per field call."""
     t0, t1 = t_span
     h = (t1 - t0) / steps
     times = t0 + h * np.arange(steps + 1)
@@ -192,6 +194,8 @@ def reference_rk4(g, H, x0, t_span, steps):
     states[0] = y
 
     def f(state):
+        if stages is not None:
+            stages.append(state)
         return dynamical_vf(g, H, state[None, :])[0]
 
     with np.errstate(all="ignore"):
@@ -247,6 +251,92 @@ def test_rk4_blowup_matches_reference():
         _, states = reference_rk4(SYMP1, H, x0, t_span, steps)
         assert np.array_equal(traj.states, states, equal_nan=True), src
     assert np.isnan(traj.states[-1, 1])
+
+
+# (H, x0, t1, steps, step, stage) on the symplectic n = 1 chart from
+# t = 0: the reference's first DomainError arises in that stage of that
+# step, after a stage 1 that passed its checks
+STAGE_ERRORS = [
+    ("-p1 + 1/q1", [0.25, -1.0], 0.5, 1, 1, 2),
+    ("-p1 + log(q1)", [0.1, -1.0], 0.5, 1, 1, 2),
+    ("p1*q1^3", [0.75, -1.0], 2.0, 4, 4, 2),
+    ("p1^2/2 - 1/q1", [0.5, -1.0], 0.5, 1, 1, 3),
+    ("-p1^3/3 + log(q1)", [0.1, -1.0], 0.6, 3, 1, 3),
+    ("p1*q1^3", [0.75, -1.0], 1.5, 5, 5, 3),
+    ("-p1 + 1/q1", [0.25, -1.0], 1.0, 4, 1, 4),
+    ("-p1 + log(q1)", [0.1, -1.0], 0.6, 3, 1, 4),
+    ("p1*q1^3", [2.0, -1.0], 1.0, 2, 2, 4),
+]
+
+
+@pytest.mark.parametrize("src, x0, t1, steps, step, stage", STAGE_ERRORS)
+def test_rk4_raises_the_first_error_of_any_stage(src, x0, t1, steps, step,
+                                                  stage):
+    # every stage's checks stay in the emitted step, in stage order, so
+    # the first DomainError is the reference's whichever stage raises it
+    H = SYMP1.parse(src)
+    calls = []
+    with pytest.raises(DomainError) as ref:
+        reference_rk4(SYMP1, H, x0, (0.0, t1), steps, calls)
+    assert divmod(len(calls) - 1, 4) == (step - 1, stage - 1)
+    with pytest.raises(DomainError) as got:
+        integrate(SYMP1, H, x0, (0.0, t1), steps)
+    assert str(got.value) == str(ref.value)
+
+
+def test_rk4_with_sin_t_runs_quietly():
+    # a step that calls numpy runs under np.errstate: the same states as
+    # the reference, and an overflow in stage 4 of np.power's cube is the
+    # reference's DomainError, not a RuntimeWarning
+    g = COSY1
+    H = g.parse("p1*q1 + sin(t)*q1^3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(g, H, [0.3, 0.7, 0.5], (0.5, 2.5), 100)
+        times, states = reference_rk4(g, H, [0.3, 0.7, 0.5], (0.5, 2.5), 100)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+        calls = []
+        x0 = [3e102, 1.0, 0.5]
+        message = re.escape("overflow in 'q1^3.0' at row 0")
+        for run in (lambda: reference_rk4(g, H, x0, (0.5, 1.5), 1, calls),
+                    lambda: integrate(g, H, x0, (0.5, 1.5), 1)):
+            with pytest.raises(DomainError, match=message):
+                run()
+    assert len(calls) == 4
+
+
+def test_rk4_step_forms_only_the_inputs_the_sweep_reads():
+    # p1^2/2 does not read q: the step forms no q input for stages 2-4.
+    # Its one stage-4 input is p's, and stages 2 and 3 share p's input
+    # (dH/dq is the constant -0.0), so the overflow check of p1^2 is
+    # written once for both: stages 1, 2 = 3 and 4
+    step = dynamics.rk4_step(SYMP1, SYMP1.parse("p1^2/2"))
+    assert count_ops(step, "h") == 1
+    assert count_ops(step, "half") == 1
+    assert count_ops(step, "overflow") == 3
+    assert step([0.25, 3.0], 0.5, 0.25, 0.5 / 6.0) == [1.75, 3.0]
+
+
+def test_only_rk45_dispatches_through_dynamical_vf(monkeypatch):
+    # the benchmark tracer infers Dormand-Prince attempts from calls of
+    # the name dynamics binds, seven per attempt; rk4 makes none
+    calls = []
+
+    def counting(g, H, x):
+        calls.append(x)
+        return dynamical_vf(g, H, x)
+
+    monkeypatch.setattr(dynamics, "dynamical_vf", counting)
+    traj = integrate(CONT1, CONT1.parse("(q1^2 + p1^2)/2 + 0.2*z"),
+                     [1.0, 0.0, 0.0], (0.0, 3.0), 30)
+    assert len(traj.times) == 31 and calls == []
+    traj = integrate(CONT1, CONT1.parse("(q1^2 + p1^2)/2 + 0.2*z"),
+                     [1.0, 0.0, 0.0], (0.0, 30.0), 10,
+                     method="rk45-adaptive")
+    accepted = len(traj.times) - 1
+    assert accepted > 0
+    assert len(calls) % 7 == 0 and len(calls) >= 7 * accepted
 
 
 # ---------------------------------------------------------------------------

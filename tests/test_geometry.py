@@ -1,5 +1,9 @@
 """Structure tensors, Hamiltonian/evolution fields, and bracket axioms."""
 
+import dis
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +12,8 @@ from hypothesis import strategies as st
 from canonoid import expr, geometry
 from canonoid.geometry import (
     GeometryKind, WrongGeometry, canonical_eps, contract, dynamical_vf,
-    hamiltonian_vf, hamiltonian_vf_jacobian, jacobi_bracket, poisson_bracket,
-    structure_at_point,
+    hamiltonian_vf, hamiltonian_vf_jacobian, jacobi_bracket, point_field,
+    poisson_bracket, structure_at_point,
 )
 
 AXIOM_TOL = 1e-9
@@ -264,6 +268,52 @@ def test_list_state_field_equals_array_field(kind, data):
         got[0] = float("nan")
         got.append(0.0)
         assert dynamical_vf(g, H, x.tolist()) == expected
+
+
+def count_ops(run, op):
+    """How often the bytecode of an emitted function divides (op "/")
+    or loads the name op."""
+    if op == "/":   # BINARY_TRUE_DIVIDE before Python 3.11
+        return sum(i.opname == "BINARY_TRUE_DIVIDE"
+                   or (i.opname == "BINARY_OP" and i.argrepr == "/")
+                   for i in dis.get_instructions(run))
+    return sum(i.opname.startswith("LOAD") and i.argval == op
+               for i in dis.get_instructions(run))
+
+
+def test_point_field_drops_the_dead_value():
+    # X_H of p1^2/2 reads dH/dp = (2*p1)/2 only: H's own value p1^2/2 is
+    # not divided out, while its overflow check stays
+    f = point_field(SYMP1, SYMP1.parse("p1^2/2"))
+    assert count_ops(f, "/") == 1
+    assert count_ops(f, "overflow") == 1
+    assert f([0.25, 3.0]) == [3.0, -0.0]
+    with pytest.raises(expr.DomainError,
+                       match=re.escape("overflow in 'p1^2.0' at row 0")):
+        f([0.25, 1e200])
+
+
+def test_point_field_checks_make_no_call_until_they_fire():
+    g = SYMP1
+    f = point_field(g, g.parse("p1^2/2 + 1/q1"))
+    events = []
+
+    def profile(frame, event, arg):
+        events.append((event, frame.f_code.co_name if arg is None
+                       else getattr(arg, "__name__", arg)))
+
+    sys.setprofile(profile)
+    try:
+        v = f([0.5, 3.0])
+    finally:
+        sys.setprofile(None)
+    assert v == [3.0, 4.0]
+    # the field's own frame, then the call that ends the profile: no
+    # check was called
+    assert [e for e in events if e[0].endswith("call")] == \
+        [("call", "run"), ("c_call", "setprofile")]
+    with pytest.raises(expr.DomainError, match="division by zero in '1.0/q1'"):
+        f([0.0, 3.0])
 
 
 # ---------------------------------------------------------------------------

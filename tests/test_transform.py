@@ -504,6 +504,19 @@ def test_non_finite_jacobian_is_rejected_before_the_singularity_test():
         jacobian_and_hessians(F, [[1.0, 1.0], [1e10, 1.0], [1e20, 1.0]])
 
 
+def test_fold_max_rejects_a_nan_residual():
+    # max(0.0, nan) is 0.0: a NaN folded as a number would read as a pass
+    assert np.array_equal(
+        transform.fold_max([[1e-9, 3.0], [2e-9, 1.0]]), [2e-9, 3.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(transform.NonFiniteResidual,
+                           match="non-finite residual at sample 1$"):
+            transform.fold_max([[0.0, 1.0], [bad, 0.0], [np.nan, 0.0]])
+    with pytest.raises(transform.NonFiniteResidual,
+                       match="non-finite residual at point 0"):
+        transform.fold_max([np.nan, 0.0], label="point")
+
+
 def test_non_finite_state_is_rejected_at_its_sample():
     # at an inf state the sweeps give 0.0 for partials no rule reaches,
     # but the value and the reached partials are NaN: still rejected

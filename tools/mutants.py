@@ -1,0 +1,150 @@
+"""Run the tier-1 tests against named mutants of the source tree.
+
+    python3 tools/mutants.py [NAME ...]
+
+Each mutant is one textual edit of one file under src/: a known wrong
+formula that some tier-1 test must reject.  For each mutant (all of
+them, or the ones named) the tool copies src/, tests/ and
+pyproject.toml into a temporary directory, applies the edit there (its
+text must occur exactly once, so a refactor that moves the code fails
+loudly instead of testing nothing), and runs the tier-1 tests with -x.
+A mutant is killed when a test fails; the tool prints the test that
+killed it.  It exits 1 if any mutant survives or no longer applies.
+The working tree is never modified.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT_S = 600
+
+# name: (file, text, replacement)
+MUTANTS = {
+    "closedness-sums-asymmetry": (
+        "src/canonoid/transform.py",
+        "return np.max(np.abs(dGx - np.swapaxes(dGx, -1, -2)), axis=(-2, -1))",
+        "return np.sum(np.abs(dGx - np.swapaxes(dGx, -1, -2)), axis=(-2, -1))"),
+    "torsion-second-term-sign": (
+        "src/canonoid/stensor.py",
+        '         + np.einsum("...gnb,...ln->...lbg", dA, A))',
+        '         - np.einsum("...gnb,...ln->...lbg", dA, A))'),
+    "trace-gradient-k-for-k+1": (
+        "src/canonoid/stensor.py",
+        'grads[..., k, :] = (k + 1) * np.einsum(',
+        'grads[..., k, :] = k * np.einsum('),
+    "involution-sums-samples": (
+        "src/canonoid/stensor.py",
+        "unbarred = transform.fold_max(unbarred)",
+        "unbarred = np.sum(unbarred, axis=0)"),
+    "product-rule-association": (
+        "src/canonoid/expr.py",
+        """(ij, _plus(_plus(_times(a2.get(ij), bv),
+                                     _times(b2.get(ij), av)),
+                               _outer(a1, b1, *ij)))""",
+        """(ij, _plus(_times(a2.get(ij), bv),
+                               _plus(_times(b2.get(ij), av),
+                                     _outer(a1, b1, *ij))))"""),
+    "fold-max-nan-to-zero": (
+        "src/canonoid/transform.py",
+        "r = np.asarray(residuals, dtype=float)",
+        "r = np.nan_to_num(np.asarray(residuals, dtype=float), nan=0.0)"),
+    "rk4-stage4-half-step": (
+        "src/canonoid/dynamics.py",
+        "k4 = f([a + h * b for a, b in zip(y, k3)])",
+        "k4 = f([a + half * b for a, b in zip(y, k3)])"),
+    "rk4-weight-of-k3": (
+        "src/canonoid/dynamics.py",
+        "(((b1 + 2.0 * b2) + 2.0 * b3) + b4)",
+        "(((b1 + 2.0 * b2) + b3) + b4)"),
+    "rk4-t-pin-dropped": (
+        "src/canonoid/dynamics.py",
+        "y[ti] = float(times[k])",
+        "pass"),
+    "emitter-keeps-dead-values": (
+        "src/canonoid/expr.py",
+        "elif name in live:",
+        "elif True:"),
+    "checks-written-per-stage": (
+        "src/canonoid/expr.py",
+        "if call not in self.written:",
+        "if True:"),
+    "float-checks-as-calls": (
+        "src/canonoid/expr.py",
+        '("X", *params), guards=True)',
+        '("X", *params), guards=False)'),
+}
+
+
+def apply(tree, name):
+    """Apply mutant name inside tree; False if its text is not there
+    exactly once."""
+    rel, text, replacement = MUTANTS[name]
+    path = tree / rel
+    source = path.read_text()
+    if source.count(text) != 1:
+        return False
+    path.write_text(source.replace(text, replacement))
+    return True
+
+
+def run_tests(tree):
+    """(exit code, lines naming the failed tests) of tier-1 with -x."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
+         "-p", "no:cacheprovider", "--continue-on-collection-errors"],
+        cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    killers = [line.split(" - ")[0].split(" ", 1)[1]
+               for line in proc.stdout.splitlines()
+               if line.startswith(("FAILED ", "ERROR "))]
+    return proc.returncode, killers
+
+
+def main(argv):
+    names = argv or list(MUTANTS)
+    unknown = [n for n in names if n not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}; "
+              f"known: {', '.join(MUTANTS)}", file=sys.stderr)
+        return 2
+    bad = []
+    for name in names:
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory(prefix="canonoid-mutant-") as tmp:
+            tree = Path(tmp)
+            for rel in COPIED:
+                src = ROOT / rel
+                if src.is_dir():
+                    shutil.copytree(src, tree / rel,
+                                    ignore=shutil.ignore_patterns(
+                                        "__pycache__", ".hypothesis"))
+                else:
+                    shutil.copy2(src, tree / rel)
+            if not apply(tree, name):
+                print(f"STALE     {name}: its text is not in "
+                      f"{MUTANTS[name][0]} exactly once")
+                bad.append(name)
+                continue
+            code, killers = run_tests(tree)
+        secs = time.perf_counter() - start
+        if code == 0:
+            print(f"SURVIVED  {name} ({secs:.0f} s)")
+            bad.append(name)
+        else:
+            by = ", ".join(killers) or f"pytest exit code {code}"
+            print(f"killed    {name} by {by} ({secs:.0f} s)")
+    print(f"{len(names) - len(bad)} of {len(names)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
