@@ -7,23 +7,25 @@ Evaluating Derivatives, 2nd ed., ch. 3 and 6).  On its first evaluation
 at a given derivative order an expression is compiled, once, into the
 straight-line Python source of its sweep, cached on the expression: one
 local per value and per first and second partial that is not
-structurally zero.  The same text runs on two namespaces, picked by the
-shape of the input: one point (m,) on Python floats, where numpy's
-overhead per call would cost more than the arithmetic (the integrators
-sweep one state per Runge-Kutta stage), and a stack (N, m) on its numpy
-columns, giving the values (N,), the exact first partials (N, m) and
-the second partials (N, m, m) over the m chart variables.  Each float
-operation is the one numpy performs on an entry, so a point gives the
-numbers of its row in a stacked sweep bit for bit.  jet() takes one
-point or a stack, and evaluate(), gradient(), hessian() and
-value_and_derivatives() are the forms of jet() the other modules call.
-point_function() writes a formula over the value and first partials of
-one or more float sweeps, each at its own input terms, into one
-straight-line float function: the integrators' one-state field and the
-RK4 step with its four stages.
+structurally zero.  The sweep runs on the numpy columns of a stack
+(N, m), giving the values (N,), the exact first partials (N, m) and the
+second partials (N, m, m) over the m chart variables; one point (m,)
+is the one-row stack, so it gets the numbers of its row in any stack
+bit for bit.  jet() takes one point or a stack, and evaluate(),
+gradient() and value_and_derivatives() are the forms of jet() the
+other modules call.
 
-Domain checks are masks over the stack (plain tests at one point): a
-DomainError names the subexpression and the first failing row.
+Python floats appear only in the texts of point_function(), which
+writes a formula over the value and first partials of one or more
+order-1 sweeps, each at its own input terms, into one straight-line
+float function: the integrators' one-state field and the RK4 step with
+its four stages, where numpy's overhead per call would cost more than
+the arithmetic.  Each float operation is the one numpy performs on an
+entry, so such a function gives the numbers of the array formulas bit
+for bit.
+
+Domain checks are masks over the stack (inline tests in a float
+text): a DomainError names the subexpression and the first failing row.
 Overflow from finite input in a power, exp, sinh or cosh is a
 DomainError too, while a product or sum that overflows gives inf, as
 float arithmetic does, for the callers' finiteness guards to report.
@@ -63,7 +65,6 @@ __all__ = [
     "evaluate",
     "jet",
     "gradient",
-    "hessian",
     "value_and_derivatives",
     "serialize",
 ]
@@ -189,11 +190,10 @@ class Expression(Record):
 
     @functools.cached_property
     def _kernels(self):
-        """Compiled sweeps, filled on first use: the emitted code keyed
-        by derivative order, the sweeps bound to a namespace by
-        (order, whether for one point), and under "vf" and "rk4" the
-        one-state dynamical field and the RK4 step that geometry and
-        dynamics emit with point_function()."""
+        """Compiled sweeps, filled on first use: the array sweep with
+        its partials' columns and entries keyed by derivative order, and
+        under "vf" and "rk4" the one-state dynamical field and the RK4
+        step that geometry and dynamics emit with point_function()."""
         return {}
 
 
@@ -351,17 +351,15 @@ def parse(source, chart_vars):
 # is the unit, by which nothing is multiplied.  Every second-order rule
 # is symmetric in (i, j), so Hessians are symmetric to the last bit.
 #
-# The same text runs against two namespaces.  X is one point's m Python
-# floats in the float namespace and the (N,) columns of a stack in the
-# array one, whose results are scattered into fresh (N, m) and
-# (N, m, m) arrays.  The namespaces differ only in the domain and
-# overflow checks (a test, or a mask that names the first failing row),
-# in the powers (numpy's shortcuts for a scalar exponent, or np.power
-# on one entry), in -1/a^2 (which Python floats cannot divide into when
-# a^2 underflows) and in float() around numpy's ufuncs, which libm's
-# differ from in the last bit.  So a point's jet equals its row of a
-# stacked sweep bit for bit.  A text of point_function() is bound to
-# the float namespace only, and writes its checks as inline tests.
+# A jet's text runs on the array namespace: X is the (N,) columns of a
+# stack, and the results are scattered into fresh (N, m) and (N, m, m)
+# arrays.  One point runs as the one-row stack.  The texts of
+# point_function() are order 1 and run on the float namespace, which
+# differs from the array one only in the checks (an inline test, not a
+# mask that names the first failing row), in the powers (numpy's
+# shortcuts for a scalar exponent, or np.power on one entry) and in
+# float() around numpy's ufuncs, which libm's differ from in the last
+# bit.  So both give the numbers of a row bit for bit.
 #
 # The text keeps every check and the values that its result or a check
 # reads; it drops every other value.
@@ -690,7 +688,8 @@ class _Emitter:
             av = a[0]
             self.check(f"{av} <= 0.0", "variable power of a non-positive base",
                        node)
-            c2 = self.let(f"neg_inv_sq({av})") if self.order == 2 else None
+            c2 = (self.let(f"(-1.0 / ({av} * {av}))") if self.order == 2
+                  else None)
             p = self._mul(node, b, self.chain(a, self.let(f"log({av})"),
                                               self.let(f"(1.0 / {av})"), c2))
         # a^b = exp(p); every derivative of exp is the value
@@ -782,38 +781,26 @@ def _rows_power_domain(a, b, zero, fraction):
         raise _domain_error(*(zero if at_zero[i] else fraction), i)
 
 
-def _point_check(bad, what):
-    if bad:
-        raise _domain_error(*what, 0)
-
-
 def _point_overflow(val, what, *inputs):
     if not math.isfinite(val) and all(map(math.isfinite, inputs)):
         raise _domain_error(*what, 0)
-
-
-def _point_power_domain(a, b, zero, fraction):
-    whole = math.isinf(b) or b.is_integer()   # b == floor(b)
-    if whole and a == 0.0 and b < 0.0:
-        raise _domain_error(*zero, 0)
-    if not whole and a <= 0.0:
-        raise _domain_error(*fraction, 0)
-
-
-def _point_neg_inv_sq(a):
-    """-1/a^2 as numpy divides: -inf where a^2 underflows to 0."""
-    s = a * a
-    return -1.0 / s if s else -math.inf
 
 
 def _on_floats(f):
     return lambda x: float(f(x))
 
 
+def _vpow(a, b):
+    """a**b with an array exponent.  numpy takes its shortcuts for a
+    scalar exponent (1/a, sqrt, a*a) wherever the exponent's stride is
+    0, as in a broadcast stack or one made by x[None]; a copy has a
+    stride, so a row's power does not depend on the stack's layout."""
+    return np.power(a, b if b.strides[0] else b.copy())
+
+
 _ARRAYS = {
     **{name: getattr(np, name) for name in _DERIVATIVES},
-    "pw": operator.pow, "vpow": np.power,
-    "neg_inv_sq": lambda a: -1.0 / (a * a),
+    "pw": operator.pow, "vpow": _vpow,
     "check": _rows_check, "overflow": _rows_overflow,
     "powcheck": _rows_power_domain, "fail": _fail,
 }
@@ -822,9 +809,7 @@ _FLOATS = {
     "pw": lambda v, e: float(np.power(v, e)),
     # an array exponent takes none of the shortcuts of a scalar one
     "vpow": lambda a, b: float(np.power((a,), (b,))[0]),
-    "neg_inv_sq": _point_neg_inv_sq,
-    "check": _point_check, "overflow": _point_overflow,
-    "powcheck": _point_power_domain, "fail": _fail,
+    "overflow": _point_overflow, "fail": _fail,
 }
 # the float names that call numpy, which may warn
 _NUMPY_NAMES = frozenset(_DERIVATIVES) | {"pw", "vpow"}
@@ -834,11 +819,16 @@ def _emitter(e, order):
     return _Emitter(order, {name: j for j, name in enumerate(e.chart_vars)})
 
 
-def _emit(e, order):
-    """(code, K, E, cols, pairs) of e's sweep at the given order: the
-    compiled text, its bound constants and messages, and the columns
-    and (i, j) entries of its non-zero partials.  The text returns the
-    value, all m first partials and the non-zero second ones."""
+def _sweep(e, order):
+    """(run, cols, pairs): e's sweep at the given order, bound to the
+    array namespace and emitted once per order, with the columns and
+    (i, j) entries of its non-zero partials.  run returns the value,
+    all m first partials and the non-zero second ones."""
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+    found = e._kernels.get(order)
+    if found is not None:
+        return found
     em = _emitter(e, order)
     v, d1, d2 = em.as_jet(em.visit(e.ast))
     pairs = sorted(d2)
@@ -848,7 +838,8 @@ def _emit(e, order):
                               for j in range(len(e.chart_vars))) + ")"
     second = "(" + "".join(d2[ij] + ", " for ij in pairs) + ")"
     code = em.compile(f"{v}, {first}, {second if order == 2 else None}")
-    return code, tuple(em.consts), tuple(em.errors), sorted(d1), pairs
+    run = _bind(code, _ARRAYS, tuple(em.consts), tuple(em.errors))
+    return e._kernels.setdefault(order, (run, sorted(d1), pairs))
 
 
 def _quiet(run):
@@ -857,32 +848,6 @@ def _quiet(run):
             return run(*args)
 
     return quiet
-
-
-def _bound(code, consts, errors, point):
-    """code bound to the float namespace for one point or to the array
-    one for the columns of a stack."""
-    run = _bind(code, _FLOATS if point else _ARRAYS, consts, errors)
-    if point and not _NUMPY_NAMES.isdisjoint(run.__code__.co_names):
-        run = _quiet(run)   # float arithmetic neither warns nor raises
-    return run
-
-
-def _sweep(e, order, point):
-    """(run, cols, pairs): e's sweep at the given order, bound to the
-    float namespace for one point or to the array one for the columns
-    of a stack, with the columns and entries of its non-zero partials.
-    Both share the text, emitted once per order."""
-    kernels = e._kernels
-    found = kernels.get((order, point))
-    if found is not None:
-        return found
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    emitted = kernels.get(order) or kernels.setdefault(order, _emit(e, order))
-    code, consts, errors, cols, pairs = emitted
-    run = _bound(code, consts, errors, point)
-    return kernels.setdefault((order, point), (run, cols, pairs))
 
 
 def _text(a):
@@ -949,7 +914,10 @@ def point_function(e, formula, field, params=()):
     out = formula(x, f, *map(_Term, params))
     code = em.compile("[" + ", ".join(map(_text, out)) + "]",
                       ("X", *params), guards=True)
-    return _bound(code, tuple(em.consts), tuple(em.errors), True)
+    run = _bind(code, _FLOATS, tuple(em.consts), tuple(em.errors))
+    if not _NUMPY_NAMES.isdisjoint(run.__code__.co_names):
+        run = _quiet(run)   # float arithmetic neither warns nor raises
+    return run
 
 
 def _symmetric(out, pairs, second):
@@ -970,22 +938,19 @@ def jet(e, points, order=2):
     points is one point (m,) in chart order or a stack (N, m); the
     results are then a float, (m,) and (m, m), or (N,), (N, m) and
     (N, m, m).  The gradient is None at order 0 and the hessian below
-    order 2.  One point runs on Python floats, a stack on its numpy
-    columns; both give the same numbers.  A DomainError names the
-    failing subexpression and the first failing row (0 for a single
-    point).
+    order 2.  One point runs as the one-row stack, so it gives the
+    numbers of its row in any stack.  A DomainError names the failing
+    subexpression and the first failing row (0 for a single point).
     """
     X = np.asarray(points, dtype=float)
     m = len(e.chart_vars)
     if X.ndim not in (1, 2) or X.shape[-1] != m:
         raise _size_error(X, m)
-    single = X.ndim == 1
-    run, cols, pairs = _sweep(e, order, single)
-    if single:
-        v, d1, d2 = run(X.tolist())
-        if d2 is not None:
-            d2 = _symmetric(np.zeros((m, m)), pairs, d2)
-        return v, None if d1 is None else np.array(d1), d2
+    if X.ndim == 1:
+        v, d1, d2 = jet(e, X.reshape(1, m), order)
+        return (float(v[0]), None if d1 is None else d1[0],
+                None if d2 is None else d2[0])
+    run, cols, pairs = _sweep(e, order)
     n = len(X)
     with np.errstate(all="ignore"):
         v, d1, d2 = run(X.T)
@@ -1013,11 +978,6 @@ def evaluate(e, env):
 def gradient(e, point):
     """First partials of e with respect to every chart variable."""
     return jet(e, point, order=1)[1]
-
-
-def hessian(e, point):
-    """Symmetric matrix of second partials over the chart variables."""
-    return jet(e, point)[2]
 
 
 def value_and_derivatives(e, point):

@@ -214,9 +214,9 @@ def structure_at_point(g, x=None):
 
 def _assemble_vf(g, X, x, Hval, grad):
     """Write X_H into X from the value and gradient of H, coordinate by
-    coordinate: X[i], x[i] and grad[i] are columns (N,) over a stack and
-    the terms of expr.point_function at one state, so both run this one
-    formula."""
+    coordinate: X[i], x[i] and grad[i] are columns (N,) over a stack,
+    entries at one state (d,), and the terms of expr.point_function in
+    an emitted float text, so all of them run this one formula."""
     zi = g.z_index
     p_dH = None   # p.dH/dp, summed left to right as numpy sums n <= 7 terms
     for q, p in zip(g.q_indices, g.p_indices):
@@ -278,11 +278,6 @@ def hamiltonian_vf(g, H, x):
     t-component.
     """
     x = g.check_states(x)
-    if x.ndim == 1:
-        X = np.array(point_field(g, H)(x.tolist()))
-        if g.t_index is not None:
-            X[g.t_index] = 0.0   # the evolution field's dt/dt
-        return X
     Hval, grad, _ = expr.jet(H, x, order=1)
     X = np.zeros(x.shape)
     _assemble_vf(g, X.T, x.T, Hval, grad.T)
@@ -325,18 +320,16 @@ def dynamical_vf(g, H, x):
     evolution field E_H = X_H + d/dt.
 
     x is one state (d,) or a stack (N, d), and the field comes back in
-    the same shape.  One state may also be a Python list of d floats:
-    the field is then a fresh list, with the same numbers as for the
-    state as an array.  Any other list is read as an array.  One state
-    runs point_field(g, H).  rk45-adaptive calls this list form once
-    per stage, seven times per attempt; rk4 takes its steps from one
-    emitted text and never calls it.
+    the same shape, from H's stacked jet (one state is the one-row
+    stack).  One state may also be a Python list of d floats: the field
+    is then a fresh list from point_field(g, H), H's emitted float
+    function, with the same numbers as for the state as an array.  Any
+    other list is read as an array.  rk45-adaptive calls this list form
+    once per stage, seven times per attempt; rk4 takes its steps from
+    one emitted text and never calls it.
     """
     if type(x) is list and len(x) == g.dim and type(x[0]) is float:
         return point_field(g, H)(x)
-    x = g.check_states(x)
-    if x.ndim == 1:
-        return np.array(point_field(g, H)(x.tolist()))
     return _add_time(g, hamiltonian_vf(g, H, x))
 
 

@@ -281,19 +281,19 @@ def test_gradient_constant_expression():
 
 def test_every_derivative_entry_checks_the_point_size():
     e = expr.parse("q1*p1", ["q1", "p1"])
-    for fn in (expr.gradient, expr.hessian, expr.value_and_derivatives):
+    for fn in (expr.gradient, expr.jet, expr.value_and_derivatives):
         with pytest.raises(ValueError, match="3 components, chart has 2"):
             fn(e, [1.0, 2.0, 3.0])
 
 
 def test_hessian_bilinear():
     e = expr.parse("q1*p1", ["q1", "p1"])
-    assert np.array_equal(expr.hessian(e, [2.0, 7.0]), [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(expr.jet(e, [2.0, 7.0])[2], [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_hessian_cubic():
     e = expr.parse("p1^3/3", ["q1", "p1"])
-    H = expr.hessian(e, [0.0, 2.0])
+    H = expr.jet(e, [0.0, 2.0])[2]
     assert H[1, 1] == 4.0
 
 
@@ -303,7 +303,7 @@ def test_polynomial_exactness_degree_four():
     q, p = 0.5, 0.25
     g = expr.gradient(e, [q, p])
     assert np.array_equal(g, [4 * q**3 + 6 * q * p, 3 * q**2 - 2 * p])
-    H = expr.hessian(e, [q, p])
+    H = expr.jet(e, [q, p])[2]
     assert np.array_equal(H, [[12 * q**2 + 6 * p, 6 * q], [6 * q, -2.0]])
 
 
@@ -319,7 +319,7 @@ def test_gradient_matches_finite_differences():
 def test_hessian_matches_finite_differences():
     for src in FD_CORPUS:
         e = expr.parse(src, QPTZ)
-        ad = expr.hessian(e, FD_POINT)
+        ad = expr.jet(e, FD_POINT)[2]
         fd = fd_hessian(e, FD_POINT)
         err = np.max(np.abs(ad - fd) / np.maximum(np.abs(fd), 1.0))
         assert err < HESS_RTOL, f"{src}: {err}"
@@ -328,7 +328,7 @@ def test_hessian_matches_finite_differences():
 def test_hessian_symmetric_by_construction():
     for src in FD_CORPUS:
         e = expr.parse(src, QPTZ)
-        H = expr.hessian(e, FD_POINT)
+        H = expr.jet(e, FD_POINT)[2]
         assert np.array_equal(H, H.T)
 
 
@@ -493,13 +493,22 @@ def test_evaluated_expression_pickles():
 
 
 # ---------------------------------------------------------------------------
-# one point: the float sweep against a one-row stack
+# one point: the float text of point_function() and the point's jet
+# against a one-row stack
 
 
 def float_sweep(e, x, order):
-    """(value, partials) of e at one point from its float sweep: a float
-    and a tuple of m floats (None at order 0)."""
-    v, d1, _ = expr._sweep(e, order, True)[0]([float(c) for c in x])
+    """(value, partials) of e at one point: at order 1 a float and a
+    list of m floats from the float text that expr.point_function emits
+    for them, cached on e, the text the integrators run; at order 0 the
+    value of jet() at the point and None."""
+    if order == 0:
+        return expr.jet(e, x, 0)[0], None
+    run = e._kernels.get("test-sweep")
+    if run is None:
+        run = e._kernels["test-sweep"] = expr.point_function(
+            e, lambda x, f: f(x), lambda inputs, v, grad: [v, *grad])
+    v, *d1 = run([float(c) for c in x])
     return v, d1
 
 
@@ -523,7 +532,7 @@ def point_and_stack_agree(e, x, order):
     assert type(v) is float
     assert np.array_equal(v, sv, equal_nan=True), (v, sv)
     if order:
-        assert type(d1) is tuple and all(type(c) is float for c in d1)
+        assert all(type(c) is float for c in d1)
         assert np.array_equal(d1, sd1, equal_nan=True), (d1, sd1)
     return None
 
@@ -618,6 +627,28 @@ def test_point_powers_match_a_stack_bit_for_bit(src, order):
             assert np.array_equal(pd1, d1[i]), (src, x)
 
 
+@pytest.mark.parametrize("src", ["q1^p1", "2^p1", "(q1 + 1)^(p1*2)"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_point_jet_does_not_depend_on_the_stack_layout(src, order):
+    # an exponent column of stride 0, as in x[None] or a broadcast stack,
+    # would let numpy's power take its scalar-exponent shortcuts; the
+    # point and every one-point stack give the row of an ordinary stack
+    e = expr.parse(src, ["q1", "p1"])
+    rng = np.random.default_rng(3)
+    X = np.column_stack([rng.uniform(0.1, 3.0, 600),
+                         np.tile(SPECIAL_EXPONENTS, 100)])
+    want = expr.jet(e, X, order)
+    for i, x in enumerate(X):
+        row = [None if w is None else w[i] for w in want]
+        stacks = (x[None], np.array([x]), np.broadcast_to(x, (3, 2)))
+        for stack in stacks:
+            for got, w in zip(expr.jet(e, stack, order), row):
+                assert (got is None) if w is None else (got == w).all(), \
+                    (src, x, stack.strides)
+        for got, w in zip(expr.jet(e, x, order), row):
+            assert (got is None) if w is None else np.array_equal(got, w)
+
+
 @settings(max_examples=60, deadline=None)
 @given(src=st.sampled_from(ROUND_TRIP_CORPUS + FD_CORPUS), points=BOX_POINTS,
        order=st.sampled_from([0, 1, 2]))
@@ -634,7 +665,7 @@ def test_point_jet_equals_stacked_rows(src, points, order):
         assert str(single.value) == f"{head} 0"
         return
     for i, x in enumerate(X):
-        # jet() runs one point on the float sweep, at every order
+        # jet() runs one point as the one-row stack, at every order
         jv, jd1, jd2 = expr.jet(e, x, order)
         assert jv == v[i]
         assert (jd1 is None) if order == 0 else np.array_equal(jd1, d1[i])
@@ -663,8 +694,8 @@ def test_structurally_zero_partials_stay_zero_on_non_finite_input():
 
 
 def test_point_hessian_where_the_log_base_square_underflows():
-    # d2 log(q1)/dq1^2 = -1/q1^2 is -inf once q1^2 underflows, on floats
-    # as in numpy, where a float division by 0.0 would raise
+    # d2 log(q1)/dq1^2 = -1/q1^2 is -inf once q1^2 underflows, at one
+    # point as in a stack
     e = expr.parse("q1^p1", ["q1", "p1"])
     x = [1e-170, 2.5]
     v, d1, d2 = expr.jet(e, x, 2)

@@ -77,10 +77,18 @@ MUTANTS = {
         "src/canonoid/expr.py",
         "if call not in self.written:",
         "if True:"),
-    "float-checks-as-calls": (
+    "float-overflow-check-as-call": (
         "src/canonoid/expr.py",
-        '("X", *params), guards=True)',
-        '("X", *params), guards=False)'),
+        'if guards and name == "overflow":',
+        "if False:"),
+    "vpow-takes-stride-0-shortcuts": (
+        "src/canonoid/expr.py",
+        "return np.power(a, b if b.strides[0] else b.copy())",
+        "return np.power(a, b)"),
+    "float-vpow-scalar-exponent": (
+        "src/canonoid/expr.py",
+        '"vpow": lambda a, b: float(np.power((a,), (b,))[0]),',
+        '"vpow": lambda a, b: float(np.power(a, b)),'),
 }
 
 
