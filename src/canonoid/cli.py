@@ -10,6 +10,14 @@ path.  Checks execute in dependency order
 and the report records one entry per requested check with a verdict in
 {pass, fail, not-applicable} plus the measured residual.
 
+Every command, and run(), goes through one runner, _execute, from a
+loaded config to the command's file in the output directory (COMMANDS
+names them): check.json holds the structural checks the config
+requests, trajectory.csv the integrated states, invariants.json the
+traces check, and report.json every requested check.  report, and
+run() with it, reuses the entries of check.json and invariants.json
+written under the same config hash and computes the rest.
+
 Determinism: sampling uses xorshift64*, a fixed 64-bit generator (state
 update x ^= x >> 12; x ^= x << 25; x ^= x >> 27; output is the state
 times 2685821657736338717 mod 2^64; uniforms take the top 53 bits).
@@ -19,7 +27,8 @@ report.json; wall-clock timestamps go to a separate meta file so they
 never perturb the report bytes.
 
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
-2 configuration or execution error.
+2 configuration or execution error, a config file that does not decode
+as JSON included.
 """
 
 from __future__ import annotations
@@ -288,7 +297,9 @@ def load_config(path, kmax=None, tol=None, seed=None):
     same effective config."""
     try:
         data = json.loads(Path(path).read_bytes())
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # invalid JSON, invalid UTF-8, or nesting beyond the decoder's
+        # recursion limit
         raise ConfigError(f"config: invalid JSON ({e})") from e
     if isinstance(data, dict):
         if kmax is not None:
@@ -362,22 +373,24 @@ def _check_canonoid(cfg, jets):
         K_probe=None if res.K_probe is None else res.K_probe.tolist())
 
 
+def _trajectory(cfg):
+    # the trajectory dict's keys are integrate's parameter names
+    return dynamics.integrate(cfg.geometry, cfg.hamiltonian, **cfg.trajectory)
+
+
 def _check_traces(cfg, out_dir):
-    g = cfg.geometry
-    tr = cfg.trajectory
-    traj = dynamics.integrate(g, cfg.hamiltonian, tr["x0"], tr["t_span"],
-                              tr["steps"], tr["method"])
-    obs = trace_observables(g, cfg.transform, cfg.kmax)
+    traj = _trajectory(cfg)
+    obs = trace_observables(cfg.geometry, cfg.transform, cfg.kmax)
     rep = dynamics.drift_report(traj, obs)
     if out_dir is not None:
         _write_csv(out_dir / "invariants.csv", traj, obs)
     worst = float(transform.fold_max(
-        [d.max_rel_drift for d in rep.observables.values()], "observable"))
+        [d.max_rel_drift for d in rep.values()], "observable"))
     drift = {name: {"initial": d.initial, "max_abs_drift": d.max_abs_drift,
                     "max_rel_drift": d.max_rel_drift, "slope": d.slope}
-             for name, d in rep.observables.items()}
-    return _entry(cfg, "drift", worst, method=tr["method"],
-                  steps=tr["steps"], drift=drift)
+             for name, d in rep.items()}
+    return _entry(cfg, "drift", worst, method=cfg.trajectory["method"],
+                  steps=cfg.trajectory["steps"], drift=drift)
 
 
 def _check_torsion(cfg, jets):
@@ -492,86 +505,76 @@ def _write_json(path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_meta(out_dir, name):
-    meta = {"written_at": datetime.datetime.now(datetime.timezone.utc)
-            .isoformat()}
-    _write_json(out_dir / f"{name}_meta.json", meta)
-
-
-def _exit_code(results):
-    return 1 if any(r.get("verdict") == "fail" for r in results.values()) \
-        else 0
-
-
-def run(config_path, out_dir, kmax=None, tol=None, seed=None):
-    """Full pipeline: all requested checks, report.json plus CSV output.
-    Returns the report dict; files land in out_dir."""
-    cfg, config_hash = load_config(config_path, kmax=kmax, tol=tol, seed=seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    results = _run_checks(cfg, cfg.checks, out)
-    report = _report_dict(cfg, config_hash, results)
-    _write_json(out / "report.json", report)
-    _write_meta(out, "report")
-    return report
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-
-def _cmd_check(cfg, config_hash, out):
-    names = tuple(c for c in cfg.checks if c in STRUCTURAL_CHECKS)
-    results = _run_checks(cfg, names, out)
-    _write_json(out / "check.json", _report_dict(cfg, config_hash, results))
-    return _exit_code(results)
-
-
-def _cmd_integrate(cfg, config_hash, out):
-    if cfg.trajectory is None:
-        raise ConfigError("trajectory: required for 'integrate'")
-    g = cfg.geometry
-    tr = cfg.trajectory
-    traj = dynamics.integrate(g, cfg.hamiltonian, tr["x0"], tr["t_span"],
-                              tr["steps"], tr["method"])
-    coords = [(name, lambda X, j=j: X[:, j])
-              for j, name in enumerate(g.chart_vars)]
-    _write_csv(out / "trajectory.csv", traj, coords)
-    return 0
+# name: (help text, output file)
+COMMANDS = {
+    "check": ("run the structural checks only", "check.json"),
+    "integrate": ("integrate the configured trajectory to CSV",
+                  "trajectory.csv"),
+    "invariants": ("integrate and measure trace drift", "invariants.json"),
+    "report": ("run everything and write the merged report", "report.json"),
+}
 
 
-def _cmd_invariants(cfg, config_hash, out):
-    if cfg.trajectory is None:
-        raise ConfigError("trajectory: required for 'invariants'")
-    results = _run_checks(cfg, ("traces",), out)
-    _write_json(out / "invariants.json",
-                _report_dict(cfg, config_hash, results))
-    return _exit_code(results)
-
-
-def _cmd_report(cfg, config_hash, out):
-    """Merge prior check/invariants outputs when present and consistent
-    with this config; compute whatever is missing."""
+def _prior_results(cfg, config_hash, out):
+    """The entries of cfg.checks held by check.json and invariants.json
+    in out that were written under config_hash.  A file that is not a
+    UTF-8 JSON object with an object "checks" is skipped."""
     results = {}
-    for fname in ("check.json", "invariants.json"):
-        path = out / fname
-        if not path.exists():
-            continue
+    for command in ("check", "invariants"):
         try:
-            prior = json.loads(path.read_text())
-        except json.JSONDecodeError:
+            prior = json.loads((out / COMMANDS[command][1])
+                               .read_text(encoding="utf-8"))
+        except (FileNotFoundError, ValueError, RecursionError):
             continue
-        if prior.get("config_hash") != config_hash:
+        if not isinstance(prior, dict) \
+                or prior.get("config_hash") != config_hash \
+                or not isinstance(prior.get("checks"), dict):
             continue
-        for name, entry in prior.get("checks", {}).items():
-            if name in cfg.checks:
-                results[name] = entry
-    missing = tuple(c for c in cfg.checks if c not in results)
-    results.update(_run_checks(cfg, missing, out))
+        results.update((name, entry) for name, entry in prior["checks"].items()
+                       if name in cfg.checks and isinstance(entry, dict))
+    return results
+
+
+def _execute(command, cfg, config_hash, out):
+    """Run command on the loaded cfg and write its output file into the
+    directory out: (the report dict, None for integrate; exit code)."""
+    target = out / COMMANDS[command][1]
+    if command in ("integrate", "invariants") and cfg.trajectory is None:
+        raise ConfigError(f"trajectory: required for '{command}'")
+    if command == "integrate":
+        coords = [(name, lambda X, j=j: X[:, j])
+                  for j, name in enumerate(cfg.geometry.chart_vars)]
+        _write_csv(target, _trajectory(cfg), coords)
+        return None, 0
+    results = {}
+    if command == "check":
+        names = [c for c in cfg.checks if c in STRUCTURAL_CHECKS]
+    elif command == "invariants":
+        names = ["traces"]
+    else:
+        results = _prior_results(cfg, config_hash, out)
+        names = [c for c in cfg.checks if c not in results]
+    results.update(_run_checks(cfg, names, out))
     report = _report_dict(cfg, config_hash, results)
-    _write_json(out / "report.json", report)
-    _write_meta(out, "report")
-    return _exit_code(results)
+    _write_json(target, report)
+    if command == "report":
+        _write_json(out / "report_meta.json", {
+            "written_at": datetime.datetime.now(datetime.timezone.utc)
+            .isoformat()})
+    failed = any(r.get("verdict") == "fail" for r in results.values())
+    return report, 1 if failed else 0
+
+
+def run(config_path, out_dir, kmax=None, tol=None, seed=None):
+    """`canonoid report` as a function: returns the report dict.  Files
+    land in out_dir, where same-config prior outputs are reused."""
+    cfg, config_hash = load_config(config_path, kmax=kmax, tol=tol, seed=seed)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return _execute("report", cfg, config_hash, out)[0]
 
 
 def main(argv=None):
@@ -580,11 +583,7 @@ def main(argv=None):
         description="verify canonical/canonoid transformations and their "
                     "conserved quantities")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("check", "run the structural checks only"),
-            ("integrate", "integrate the configured trajectory to CSV"),
-            ("invariants", "integrate and measure trace drift"),
-            ("report", "run everything and write the merged report")):
+    for name, (help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
@@ -593,18 +592,12 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
-    commands = {
-        "check": _cmd_check,
-        "integrate": _cmd_integrate,
-        "invariants": _cmd_invariants,
-        "report": _cmd_report,
-    }
     try:
         cfg, config_hash = load_config(args.config, kmax=args.kmax,
                                        tol=args.tol, seed=args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return commands[args.command](cfg, config_hash, out)
+        return _execute(args.command, cfg, config_hash, out)[1]
     except (ConfigError, CheckError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -19,10 +19,12 @@ For the time-extended geometries the t-coordinate is pinned to the
 accumulated integration time after every step: its exact equation is
 dt/dt = 1, which every Runge-Kutta scheme integrates without
 truncation error, so the assignment only removes rounding noise and
-keeps the Trajectory invariant exact.
+keeps the Trajectory invariant exact.  A Trajectory holds the times
+(T,) and the states (T, d), nothing else.
 
 Drift statistics quantify "constant along the trajectory" for a list
-of observables; relative drift is measured against max(|f(0)|, 1) so
+of observables: drift_report maps each observable's name to its
+ObservableDrift.  Relative drift is measured against max(|f(0)|, 1) so
 conserved quantities near zero do not blow up the ratio.
 """
 
@@ -39,7 +41,6 @@ from .geometry import dynamical_vf, dynamical_vf_jacobian, field_function
 __all__ = [
     "Trajectory",
     "ObservableDrift",
-    "DriftReport",
     "StepFailure",
     "integrate",
     "rk4_step",
@@ -61,15 +62,11 @@ class StepFailure(RuntimeError):
 
 
 class Trajectory(expr.Record):
-    __slots__ = ("times", "states", "geometry", "hamiltonian")
+    __slots__ = ("times", "states")
 
 
 class ObservableDrift(expr.Record):
     __slots__ = ("initial", "max_abs_drift", "max_rel_drift", "slope")
-
-
-class DriftReport(expr.Record):
-    __slots__ = ("observables",)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +198,7 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
                 if ti is not None:
                     y[ti] = float(times[k])
                 states[k] = y
-            return Trajectory(times=times, states=states, geometry=g,
-                              hamiltonian=H)
+            return Trajectory(times=times, states=states)
 
         span = t1 - t0
         h = span / steps
@@ -231,8 +227,7 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
             if h < h_min:
                 raise StepFailure(
                     f"step size underflow at t = {t} (h = {h:.3e})")
-        return Trajectory(times=np.array(times), states=np.array(states),
-                          geometry=g, hamiltonian=H)
+        return Trajectory(times=np.array(times), states=np.array(states))
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +235,10 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
 
 
 def drift_report(traj, observables):
-    """Summarize (name, f) pairs over the trajectory: each f maps the
-    stack of stored states (T, d) to its (T,) values in one call, and
-    the report measures the deviation from the initial value."""
+    """name -> ObservableDrift for the (name, f) pairs over the
+    trajectory: each f maps the stack of stored states (T, d) to its
+    (T,) values in one call, and its drift is the deviation from the
+    initial value."""
     T = traj.states.shape[0]
     if T < 1:
         raise ValueError("trajectory has no states")
@@ -262,7 +258,7 @@ def drift_report(traj, observables):
             slope = 0.0
         out[name] = ObservableDrift(initial=float(f0), max_abs_drift=max_abs,
                                     max_rel_drift=rel, slope=slope)
-    return DriftReport(observables=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

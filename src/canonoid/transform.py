@@ -527,6 +527,9 @@ def _contact_point_data(g, F, H, x):
         return J, lam, theta_bar, X, K, dK
 
 
+# an overflowing H leaves inf in X_H and dK: numpy stays quiet while the
+# residual is assembled, and fold_max reports it as non-finite
+@np.errstate(all="ignore")
 def _check_canonoid_contact(g, F, H, jets, tol):
     J, lam, theta_bar, X, K, dK = _contact_point_data(g, F, H, jets)
     resid = contract(lam, X) - dK

@@ -110,7 +110,7 @@ def test_criterion_2_momentum_family_traces():
         obs = cli.trace_observables(SYMP1, F, 4)
         rep = dynamics.drift_report(traj, obs)
         worst = max(worst,
-                    max(d.max_rel_drift for d in rep.observables.values()))
+                    max(d.max_rel_drift for d in rep.values()))
 
     # negative control: q-dependent momentum scaling is not canonoid
     bad = TransformMap.parse(SYMP1, ["q1", "q1*p1"])
@@ -145,7 +145,7 @@ def test_criterion_3_cosymplectic_family():
 
     traj = dynamics.integrate(g, H, [1.0, 0.5, 0.0], (0.0, 5.0), 5000)
     rep = dynamics.drift_report(traj, cli.trace_observables(g, F, 4))
-    drift_worst = max(d.max_rel_drift for d in rep.observables.values())
+    drift_worst = max(d.max_rel_drift for d in rep.values())
 
     # K = 1.5 H, so the mixed q-t second derivative is 1.5 and the only
     # legitimate Lie-derivative entry is (p row, dt column) = -1.5
@@ -222,7 +222,7 @@ def test_criterion_4_contact_scalings():
                                         cli.trace_observables(g, F, 4))
             drift_worst = max(drift_worst,
                               max(d.max_rel_drift
-                                  for d in rep.observables.values()))
+                                  for d in rep.values()))
 
     conclude(4, "contact-scalings",
              cond_worst < 1e-8 and drift_worst < 1e-7,

@@ -187,6 +187,18 @@ def test_invalid_json_is_config_error(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("content", [
+    b'{"schema": 1, "hamiltonian": "p1\xff"}',
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["invalid-utf8", "beyond-recursion-limit"])
+def test_undecodable_config_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert run_cli(["check", "--config", str(path),
+                    "--out", str(tmp_path / "out")]) == 2
+    assert "config: invalid JSON" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # run() and report content
 
@@ -305,11 +317,8 @@ def test_invariants_csv_format(tmp_path):
 def test_csv_round_trips_17_digits(tmp_path):
     from canonoid.cli import _write_csv
     from canonoid.dynamics import Trajectory
-    from canonoid.geometry import GeometryKind
-    g = GeometryKind("symplectic", 1)
     states = np.array([[0.1, 1 / 3], [np.pi, np.e]])
-    traj = Trajectory(times=np.array([0.0, 0.1]), states=states,
-                      geometry=g, hamiltonian=None)
+    traj = Trajectory(times=np.array([0.0, 0.1]), states=states)
     path = tmp_path / "t.csv"
     _write_csv(path, traj, [("q1", lambda X: X[:, 0]), ("p1", lambda X: X[:, 1])])
     lines = path.read_text().splitlines()
@@ -338,8 +347,7 @@ def test_csv_blocks_equal_per_value_formatting(tmp_path, rows):
     else:
         states = np.random.default_rng(rows).standard_normal((rows, 2)) * 1e5
     times = np.linspace(0.0, 1.0, len(states))
-    traj = Trajectory(times=times, states=states,
-                      geometry=GeometryKind("symplectic", 1), hamiltonian=None)
+    traj = Trajectory(times=times, states=states)
     path = tmp_path / "t.csv"
     cli._write_csv(path, traj, [("c0", lambda X: X[:, 0]),
                                 ("c1", lambda X: X[:, 1])])
@@ -399,6 +407,49 @@ def test_report_merges_prior_outputs(tmp_path):
     merged = (tmp_path / "merged" / "report.json").read_bytes()
     direct = (tmp_path / "direct" / "report.json").read_bytes()
     assert merged == direct
+
+
+@pytest.mark.parametrize("prior", [False, True])
+def test_run_writes_the_report_of_the_report_command(tmp_path, monkeypatch,
+                                                     prior):
+    path = write_config(tmp_path, base_config())
+    by_run, by_cli = tmp_path / "run", tmp_path / "cli"
+    if prior:
+        for out in (by_run, by_cli):
+            run_cli(["check", "--config", path, "--out", str(out)])
+            run_cli(["invariants", "--config", path, "--out", str(out)])
+    computed = []
+    run_checks = cli._run_checks
+
+    def recording(cfg, names, out):
+        computed.extend(names)
+        return run_checks(cfg, names, out)
+
+    monkeypatch.setattr(cli, "_run_checks", recording)
+    cli.run(path, by_run)
+    # with same-config prior outputs run() reuses them all
+    assert computed == ([] if prior else list(CHECK_NAMES))
+    run_cli(["report", "--config", path, "--out", str(by_cli)])
+    assert (by_run / "report.json").read_bytes() == \
+        (by_cli / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("prior", [
+    lambda h: b"[]",
+    lambda h: b'{"config_hash": "\xff"}',
+    lambda h: json.dumps({"config_hash": h, "checks": []}).encode(),
+    lambda h: json.dumps({"config_hash": h,
+                          "checks": {"canonical": []}}).encode(),
+], ids=["array", "invalid-utf8", "checks-array", "entry-array"])
+def test_report_skips_unusable_prior_outputs(tmp_path, prior):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "check.json").write_bytes(prior(load_config(path)[1]))
+    assert run_cli(["report", "--config", path, "--out", str(out)]) == 1
+    run_cli(["report", "--config", path, "--out", str(tmp_path / "fresh")])
+    assert (out / "report.json").read_bytes() == \
+        (tmp_path / "fresh" / "report.json").read_bytes()
 
 
 def test_stale_prior_outputs_ignored(tmp_path):
@@ -520,7 +571,6 @@ def test_report_ignores_outputs_of_other_overrides(tmp_path):
 # non-finite residuals
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("check", ["canonical", "torsion", "lie_derivative"])
 def test_overflow_is_an_execution_error(tmp_path, capsys, check):
     # float products overflow to inf without raising; every residual
@@ -583,6 +633,17 @@ def n1_config(kind, transform):
     }
 
 
+@pytest.mark.parametrize("kind", ["contact", "cocontact"])
+def test_overflowing_contact_hamiltonian_is_a_non_finite_residual(kind):
+    # X_H and dK come out infinite; assembling the residual from them
+    # must leave the verdict to the guard, not raise a RuntimeWarning
+    data = n1_config(kind, {v: v for v in GeometryKind(kind, 1).chart_vars})
+    data["hamiltonian"] = "p1^2/2*1e200*1e200"
+    with pytest.raises(CheckError) as info:
+        cli._run_checks(validate_config(data), ("canonoid",), None)
+    assert isinstance(info.value.cause, transform.NonFiniteResidual)
+
+
 def count_sample_sweeps(monkeypatch, cfg, names):
     """Run the checks `names` of cfg: their results, and the number of
     second-order sweeps of F over its sample stack."""
@@ -630,7 +691,6 @@ def test_singular_map_is_attributed_to_the_first_check_reading_jets(kind):
     assert "transform Jacobian is singular" in str(info.value)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(KINDS),
        target=st.sampled_from(["q1", "p1"]),

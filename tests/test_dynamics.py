@@ -54,7 +54,7 @@ def test_harmonic_oscillator_returns():
 def test_harmonic_energy_drift_small():
     traj = integrate(SYMP1, HARMONIC, [1.0, 0.0], (0.0, 10.0), 10000)
     rep = drift_report(traj, [("H", lambda X: (X[:, 0] ** 2 + X[:, 1] ** 2) / 2)])
-    assert rep.observables["H"].max_rel_drift < 1e-6
+    assert rep["H"].max_rel_drift < 1e-6
 
 
 def test_rk4_grid_uniform_and_increasing():
@@ -438,10 +438,10 @@ def test_free_particle_traces_exactly_conserved():
 
     rep = drift_report(traj, [(f"trS^{k}", trace_k(k)) for k in (1, 2, 3, 4)])
     for k in (1, 2, 3, 4):
-        d = rep.observables[f"trS^{k}"]
+        d = rep[f"trS^{k}"]
         assert d.max_abs_drift < 1e-10
         assert d.max_rel_drift < 1e-10
-    assert abs(rep.observables["trS^1"].initial - 2 * 1.5 ** 2) < 1e-14
+    assert abs(rep["trS^1"].initial - 2 * 1.5 ** 2) < 1e-14
 
 
 def test_negative_control_drifts():
@@ -451,19 +451,19 @@ def test_negative_control_drifts():
     traj = integrate(g, HARMONIC, [1.0, 0.0], (0.0, 3.0), 300)
     rep = drift_report(
         traj, [("trS", lambda X: stensor.trace_powers(g, F, X, 1)[:, 0])])
-    assert rep.observables["trS"].max_abs_drift > 1e-2
+    assert rep["trS"].max_abs_drift > 1e-2
 
 
 def test_drift_report_fields():
     traj = integrate(SYMP1, HARMONIC, [1.0, 0.0], (0.0, 1.0), 10)
     rep = drift_report(traj, [("q", lambda X: X[:, 0])])
-    d = rep.observables["q"]
+    d = rep["q"]
     assert d.initial == 1.0
     assert d.max_abs_drift >= 0.0
     assert d.slope < 0.0  # q decreases over [0, 1]
     # relative drift of a tiny-initial observable divides by 1, not |f0|
     rep2 = drift_report(traj, [("p", lambda X: X[:, 1])])
-    d2 = rep2.observables["p"]
+    d2 = rep2["p"]
     assert d2.max_rel_drift == d2.max_abs_drift
 
 

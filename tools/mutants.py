@@ -8,9 +8,10 @@ them, or the ones named) the tool copies src/, tests/ and
 pyproject.toml into a temporary directory, applies the edit there (its
 text must occur exactly once, so a refactor that moves the code fails
 loudly instead of testing nothing), and runs the tier-1 tests with -x.
-A mutant is killed when a test fails; the tool prints the test that
-killed it.  It exits 1 if any mutant survives or no longer applies.
-The working tree is never modified.
+A mutant is killed when pytest exits 1 and names at least one FAILED or
+ERROR test; the tool prints the tests that killed it.  A run that
+outlives TIMEOUT_S prints TIMEOUT.  It exits 1 if any mutant survives,
+times out or no longer applies.  The working tree is never modified.
 """
 
 from __future__ import annotations
@@ -89,6 +90,14 @@ MUTANTS = {
         "src/canonoid/expr.py",
         '"vpow": lambda a, b: float(np.power((a,), (b,))[0]),',
         '"vpow": lambda a, b: float(np.power(a, b)),'),
+    "report-reuses-other-configs": (
+        "src/canonoid/cli.py",
+        '                or prior.get("config_hash") != config_hash \\\n',
+        ""),
+    "check-runs-every-check": (
+        "src/canonoid/cli.py",
+        "names = [c for c in cfg.checks if c in STRUCTURAL_CHECKS]",
+        "names = list(cfg.checks)"),
 }
 
 
@@ -105,7 +114,8 @@ def apply(tree, name):
 
 
 def run_tests(tree):
-    """(exit code, lines naming the failed tests) of tier-1 with -x."""
+    """(exit code, lines naming the failed tests) of tier-1 with -x;
+    raises subprocess.TimeoutExpired after TIMEOUT_S."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
@@ -142,14 +152,19 @@ def main(argv):
                       f"{MUTANTS[name][0]} exactly once")
                 bad.append(name)
                 continue
-            code, killers = run_tests(tree)
+            try:
+                code, killers = run_tests(tree)
+            except subprocess.TimeoutExpired:
+                print(f"TIMEOUT   {name} (over {TIMEOUT_S} s)")
+                bad.append(name)
+                continue
         secs = time.perf_counter() - start
-        if code == 0:
-            print(f"SURVIVED  {name} ({secs:.0f} s)")
-            bad.append(name)
+        if code == 1 and killers:
+            print(f"killed    {name} by {', '.join(killers)} ({secs:.0f} s)")
         else:
-            by = ", ".join(killers) or f"pytest exit code {code}"
-            print(f"killed    {name} by {by} ({secs:.0f} s)")
+            print(f"SURVIVED  {name} (pytest exit code {code}, "
+                  f"{len(killers)} failed tests, {secs:.0f} s)")
+            bad.append(name)
     print(f"{len(names) - len(bad)} of {len(names)} mutants killed")
     return 1 if bad else 0
 
