@@ -26,6 +26,10 @@ a fixed point.  Identical config and seed give byte-identical
 report.json; wall-clock timestamps go to a separate meta file so they
 never perturb the report bytes.
 
+Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is
+already set, so a CLI process starts numpy without an OpenBLAS worker
+thread it would never use.
+
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
 2 configuration or execution error, a config file that does not decode
 as JSON included.
@@ -38,8 +42,16 @@ import datetime
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+# canonoid's matrices are at most (2n+2) x (2n+2) per sample, far too
+# small for a threaded BLAS to pay off, yet OpenBLAS starts a worker
+# thread at `import numpy`, and that worker costs about as much CPU as
+# the import itself.  So the CLI asks for one thread before numpy loads;
+# a user's own OPENBLAS_NUM_THREADS wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -177,6 +189,9 @@ def validate_config(data):
     n = _require(geo, "n", int, "geometry.n")
     if isinstance(n, bool) or n < 1:
         raise ConfigError("geometry.n: must be a positive integer")
+    extra = [k for k in geo if k not in ("kind", "n")]
+    if extra:
+        raise ConfigError(f"geometry: unexpected key(s) {extra}")
     g = GeometryKind(kind, n)
 
     ham_src = _require(data, "hamiltonian", str, "hamiltonian")
@@ -259,6 +274,10 @@ def validate_config(data):
         if g.t_index is not None and abs(x0[g.t_index] - t0) > 1e-9:
             raise ConfigError(
                 "trajectory.x0: t coordinate must equal t_span[0]")
+        extra = [k for k in traj
+                 if k not in ("x0", "t_span", "steps", "method")]
+        if extra:
+            raise ConfigError(f"trajectory: unexpected key(s) {extra}")
         traj = {"x0": x0, "t_span": (t0, t1), "steps": steps,
                 "method": method}
     if "traces" in checks and traj is None:

@@ -2,6 +2,7 @@
 output, subcommand exit codes, and flag overrides."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -110,6 +111,7 @@ def test_draw_samples_deterministic_and_in_box():
     (lambda d: d.update(schema=2), "schema"),
     (lambda d: d["geometry"].update(kind="elliptic"), "geometry.kind"),
     (lambda d: d["geometry"].update(n=0), "geometry.n"),
+    (lambda d: d["geometry"].update(dimension=7), "geometry: unexpected"),
     (lambda d: d.pop("hamiltonian"), "hamiltonian"),
     (lambda d: d.update(hamiltonian="p1*("), "hamiltonian"),
     (lambda d: d["transform"].pop("p1"), "transform"),
@@ -129,6 +131,7 @@ def test_draw_samples_deterministic_and_in_box():
     (lambda d: d["trajectory"].update(t_span=[3.0, 1.0]), "trajectory.t_span"),
     (lambda d: d["trajectory"].update(steps=0), "trajectory.steps"),
     (lambda d: d["trajectory"].update(method="euler"), "trajectory.method"),
+    (lambda d: d["trajectory"].update(rtol=1e-3), "trajectory: unexpected"),
     (lambda d: d.update(tolerances={"bogus": 1e-8}), "tolerances.bogus"),
     (lambda d: d.update(tolerances={"drift": -1.0}), "tolerances.drift"),
     (lambda d: d.update(surprise=1), "config"),
@@ -373,6 +376,30 @@ def test_import_generates_no_code():
                        text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["False", "0"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task to count threads")
+def test_cli_starts_numpy_with_one_blas_thread():
+    # canonoid.cli sets OPENBLAS_NUM_THREADS to 1 before numpy loads, so
+    # a fresh import runs as many threads as numpy alone told to use one
+    # BLAS thread (a count, not the number 1, so any BLAS build agrees);
+    # a value the user set stays.
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+
+    def child(module, **extra):
+        code = (f"import os, {module}\n"
+                "print(len(os.listdir('/proc/self/task')),\n"
+                "      os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+        r = subprocess.run([sys.executable, "-c", code],
+                           env=dict(env, **extra), capture_output=True,
+                           text=True)
+        assert r.returncode == 0, r.stderr
+        return r.stdout.split()
+
+    assert child("canonoid.cli") == child("numpy", OPENBLAS_NUM_THREADS="1")
+    assert child("canonoid.cli", OPENBLAS_NUM_THREADS="2")[1] == "2"
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,16 @@ MUTANTS = {
         "src/canonoid/cli.py",
         "names = [c for c in cfg.checks if c in STRUCTURAL_CHECKS]",
         "names = list(cfg.checks)"),
+    "blas-threads-default-dropped": (
+        "src/canonoid/cli.py",
+        'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n',
+        ""),
+    "blas-threads-set-after-numpy": (
+        "src/canonoid/cli.py",
+        'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n\n'
+        "import numpy as np\n",
+        "import numpy as np\n"
+        'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n'),
 }
 
 

@@ -3,30 +3,28 @@
     python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE
 
 Runs every job of the benchmark workloads (bench/workloads.py) on seeds 1
-and 2 through each tree's ``canonoid.cli.main``, in this process, one tree
-after the other. Then it compares, job by job, the exit code, the standard
-error and the bytes of every output file except ``report_meta.json``
-(which holds a wall-clock timestamp). It prints every difference and
-exits 1, or prints a summary and exits 0. A differing JSON or CSV file
-whose numbers are the only difference is reported with the largest
-absolute and relative difference among them.
+and 2 as one ``python3 -m canonoid.cli`` process per job, with the tree's
+``src`` first on PYTHONPATH, as bench/run.py runs them: one tree after the
+other, so whatever a fresh CLI process does before numpy loads is part of
+what is compared. Then it compares, job by job, the exit code, the
+standard error and the bytes of every output file except
+``report_meta.json`` (which holds a wall-clock timestamp). It prints every
+difference and exits 1, or prints a summary and exits 0. A differing JSON
+or CSV file whose numbers are the only difference is reported with the
+largest absolute and relative difference among them.
 
-Each tree is imported from its own ``src`` directory. Jobs run from a
-scratch directory with relative paths, so a path that reaches an error
-message reads the same for both trees.
+Jobs run from a scratch directory with relative paths, so a path that
+reaches an error message reads the same for both trees.
 """
 
 from __future__ import annotations
 
-import contextlib
-import importlib
-import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
-import traceback
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -44,45 +42,29 @@ def all_jobs():
                 yield f"{workload}/seed{seed}/{job.name}", job
 
 
-def import_cli(tree):
-    """canonoid.cli of `tree`, with any canonoid imported before dropped."""
-    for name in [m for m in sys.modules
-                 if m == "canonoid" or m.startswith("canonoid.")]:
-        del sys.modules[name]
-    src = (tree / "src").resolve()
-    sys.path.insert(0, str(src))
-    try:
-        cli = importlib.import_module("canonoid.cli")
-    finally:
-        sys.path.remove(str(src))
-    if not Path(cli.__file__).resolve().is_relative_to(src):
-        sys.exit(f"canonoid.cli of {tree} loaded from {cli.__file__}")
-    return cli
-
-
 def run_tree(tree, work):
-    """Run every job through tree's CLI with `work` as the working
+    """Run every job as a CLI process of tree with `work` as the working
     directory; job directory -> (exit code, standard error)."""
-    cli = import_cli(tree)
+    src = (tree / "src").resolve()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    where = subprocess.run(
+        [sys.executable, "-c", "import canonoid; print(canonoid.__file__)"],
+        env=env, capture_output=True, text=True).stdout.strip()
+    if not where or not Path(where).resolve().is_relative_to(src):
+        sys.exit(f"canonoid of {tree} loaded from {where!r}, not {src}")
     results = {}
-    cwd = os.getcwd()
-    os.chdir(work)
-    try:
-        for name, job in all_jobs():
-            Path(name).mkdir(parents=True)
-            config = f"{name}/config.json"
-            Path(config).write_text(json.dumps(job.config, indent=1))
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main([job.command, "--config", config,
-                                     "--out", f"{name}/out"])
-                except Exception:
-                    code = "exception"
-                    err.write(traceback.format_exc())
-            results[name] = (code, err.getvalue())
-    finally:
-        os.chdir(cwd)
+    for name, job in all_jobs():
+        (work / name).mkdir(parents=True)
+        config = f"{name}/config.json"
+        (work / config).write_text(json.dumps(job.config, indent=1))
+        proc = subprocess.run(
+            [sys.executable, "-m", "canonoid.cli", job.command,
+             "--config", config, "--out", f"{name}/out"],
+            cwd=work, env=env, stdin=subprocess.DEVNULL,
+            capture_output=True, text=True)
+        results[name] = (proc.returncode, proc.stderr)
     return results
 
 
