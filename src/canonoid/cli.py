@@ -28,7 +28,8 @@ never perturb the report bytes.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is
 already set, so a CLI process starts numpy without an OpenBLAS worker
-thread it would never use.
+thread it would never use; once numpy has loaded it removes the
+variable again if it set it.
 
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
 2 configuration or execution error, a config file that does not decode
@@ -49,11 +50,17 @@ from pathlib import Path
 # canonoid's matrices are at most (2n+2) x (2n+2) per sample, far too
 # small for a threaded BLAS to pay off, yet OpenBLAS starts a worker
 # thread at `import numpy`, and that worker costs about as much CPU as
-# the import itself.  So the CLI asks for one thread before numpy loads;
-# a user's own OPENBLAS_NUM_THREADS wins.
+# the import itself.  So the CLI asks for one thread before numpy loads,
+# and takes the request back once it has: OpenBLAS reads it only at
+# load, and a program that imports canonoid.cli keeps its environment.
+# A user's own OPENBLAS_NUM_THREADS wins and stays.
+_blas_unset = "OPENBLAS_NUM_THREADS" not in os.environ
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
+
+if _blas_unset:
+    os.environ.pop("OPENBLAS_NUM_THREADS", None)
 
 from . import __version__, dynamics, expr, stensor, transform
 from .geometry import KINDS, GeometryKind

@@ -12,6 +12,9 @@ one sweep, which every check of the stack reads.  On top of those this
 module decides canonical status (pullback reproduces the structure),
 canonoid status (the original dynamics stays Hamiltonian for some new K
 with respect to the pulled-back structure), and recovers K numerically.
+On the contact kinds K = -theta_bar(X_H) is algebraic, and the residual
+reads the Reeb field(s) of the pulled-back structure, from one SVD per
+sample over the stack.
 
 Canonoid detection is residual-based on sample points: closedness of a
 candidate dK can be certified on a sampled region only.  Charts are
@@ -34,15 +37,13 @@ import numpy as np
 
 from . import expr
 from .geometry import (
-    WrongGeometry, canonical_eps, contract, hamiltonian_vf_jacobian,
-    structure_at_point,
+    canonical_eps, contract, hamiltonian_vf_jacobian, structure_at_point,
 )
 
 __all__ = [
     "TransformMap",
     "CanonicalResult",
     "CanonoidResult",
-    "KGradient",
     "SingularReeb",
     "SingularTransform",
     "NonCanonoid",
@@ -55,7 +56,6 @@ __all__ = [
     "Jets",
     "as_samples",
     "check_canonical",
-    "candidate_K_gradient",
     "check_canonoid",
     "recover_K",
     "DEFAULT_TOL",
@@ -152,14 +152,6 @@ class CanonicalResult(expr.Record):
 
 class CanonoidResult(expr.Record):
     __slots__ = ("canonoid", "max_residual", "K_probe", "components")
-
-
-class KGradient(expr.Record):
-    """Candidate gradient of K: the (q, p) part d_x from the bracket
-    relations, plus the separately-completed t-partial d_t where the
-    geometry has time (None otherwise)."""
-
-    __slots__ = ("d_x", "d_t")
 
 
 # ---------------------------------------------------------------------------
@@ -378,32 +370,6 @@ def _closedness_defect(g, dG):
     return np.max(np.abs(dGx - np.swapaxes(dGx, -1, -2)), axis=(-2, -1))
 
 
-def candidate_K_gradient(g, F, H, x, base_point=None):
-    """The (q, p) gradient of the candidate K from the Lagrange-bracket
-    relations; for cosymplectic the t-partial is completed separately by
-    integrating the t-derivative of the x-gradient from the base point
-    (gauge: K vanishes on the base fiber for every t)."""
-    if g.kind in ("contact", "cocontact"):
-        raise WrongGeometry("K is algebraic for contact kinds; use recover_K")
-    x = g.check_state(x)
-    G, dG, _ = _k_gradient_pieces(g, F, H, x)
-    if g.kind == "symplectic":
-        return KGradient(d_x=G, d_t=None)
-    ti = g.t_index
-    if base_point is None:
-        base = np.zeros(g.dim)
-    else:
-        base = g.check_state(base_point)
-    base = base.copy()
-    base[ti] = x[ti]
-
-    def dGt(y):
-        return _k_gradient_pieces(g, F, H, y)[1][..., ti]
-
-    d_t = _segment_integrals(g, base[None], x[None], dGt)[0]
-    return KGradient(d_x=G, d_t=float(d_t))
-
-
 @functools.cache
 def _gl_rule():
     """Gauss-Legendre nodes and weights on [-1, 1]; cached because a
@@ -436,13 +402,11 @@ def _gl_panels(a_pts, b_pts):
                    weights=(half[:, None] * weights).ravel())
 
 
-def _segment_integrals(g, a_pts, b_pts, covector_fn, panels=None):
+def _segment_integrals(g, a_pts, b_pts, covector_fn, panels):
     """Integrals of a covector field along the x-parts of the straight
-    segments a_pts[i] -> b_pts[i] (only x-coordinates vary); the
-    quadrature nodes of all segments are evaluated together, in blocks
-    of QUADRATURE_BLOCK nodes."""
-    if panels is None:
-        panels = _gl_panels(a_pts, b_pts)
+    segments a_pts[i] -> b_pts[i] (only x-coordinates vary), on their
+    _Panels; the quadrature nodes of all segments are evaluated
+    together, in blocks of QUADRATURE_BLOCK nodes."""
     own = panels.node_owner
     seg = panels.seg[own]
     Y = a_pts[own] + panels.nodes[:, None] * seg
@@ -462,8 +426,8 @@ def check_canonoid(g, F, H, samples, tol=DEFAULT_TOL):
     plus the time-bracket structural component.  contact/cocontact:
     K := -theta_bar(X_H), and the residual is the defect of the
     remaining defining condition(s), with the Reeb field(s) of the
-    pulled-back structure solved pointwise; cocontact adds the
-    eta_bar-contraction and time-bracket components.
+    pulled-back structure from one SVD per sample over the stack;
+    cocontact adds the eta_bar-contraction and time-bracket components.
 
     K_probe holds K at the samples: recovered by line integral for the
     symplectic kinds (only when the verdict passed), algebraic for the
@@ -491,15 +455,31 @@ def _check_canonoid_symplectic(g, F, H, jets, tol):
                           K_probe=K_probe, components=components)
 
 
-def _solve_reeb(M, rhs, what):
-    d = M.shape[1]
-    if np.linalg.matrix_rank(M) < d:
-        raise SingularReeb(f"{what}: pulled-back coframe is rank-deficient")
-    R, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    defect = float(np.max(np.abs(M @ R - rhs)))
-    if defect > 1e-8 * max(1.0, float(np.max(np.abs(M)))):
-        raise SingularReeb(f"{what}: no consistent Reeb solution "
-                           f"(defect {defect:.3e})")
+def _reeb_fields(M, k, what):
+    """The k Reeb fields, as the columns of R (N, d, k), of the stacked
+    coframe matrices M (N, k + d, d): column i solves M R_i = e_i, so
+    it pairs to delta_ij with the k one-forms in M's first rows and
+    lies in the kernel of the two-form in the rows after them.  One SVD
+    per sample over the stack gives the rank test (with matrix_rank's
+    tolerance), the least-squares solutions and their defect.  Raises
+    SingularReeb at the first sample where M is rank-deficient or
+    M R = e has no solution."""
+    d = M.shape[2]
+    rhs = np.eye(k + d)[:, :k]
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    deficient = s[:, -1] <= s[:, 0] * (k + d) * np.finfo(float).eps
+    if deficient.any():
+        i = int(np.argmax(deficient))
+        raise SingularReeb(
+            f"{what}: pulled-back coframe is rank-deficient at sample {i}")
+    R = np.swapaxes(Vt, 1, 2) @ ((np.swapaxes(U, 1, 2) @ rhs) / s[..., None])
+    defect = np.max(np.abs(M @ R - rhs), axis=(1, 2))
+    bound = 1e-8 * np.maximum(1.0, np.max(np.abs(M), axis=(1, 2)))
+    inconsistent = ~(defect <= bound)
+    if inconsistent.any():
+        i = int(np.argmax(inconsistent))
+        raise SingularReeb(f"{what}: no consistent Reeb solution at sample "
+                           f"{i} (defect {defect[i]:.3e})")
     return R
 
 
@@ -535,21 +515,17 @@ def _check_canonoid_contact(g, F, H, jets, tol):
     resid = contract(lam, X) - dK
     # one Reeb field per pulled-back one-form: R_i pairs to delta_ij with
     # the forms and lies in the kernel of the pulled-back two-form
-    forms = {"": theta_bar}
+    forms = [theta_bar]
     if g.kind == "cocontact":
-        forms = {"z-": theta_bar, "t-": J[:, g.t_index, :]}
-    M = np.concatenate([f[:, None, :] for f in forms.values()]
+        forms.append(J[:, g.t_index, :])
+    M = np.concatenate([f[:, None, :] for f in forms]
                        + [np.swapaxes(lam, 1, 2)], axis=1)
-    rhs = np.eye(M.shape[1])
-    terms = []
-    for i, (axis, form) in enumerate(forms.items()):
-        R = np.array([_solve_reeb(Mi, rhs[i], f"{g.kind} {axis}Reeb")
-                      for Mi in M])
-        terms.append(np.einsum("ni,ni->n", dK, R)[:, None] * form)
-    resid += sum(terms[1:], terms[0])
+    R = _reeb_fields(M, len(forms), f"{g.kind} Reeb")
+    resid += sum(np.einsum("ni,ni->n", dK, R[:, :, i])[:, None] * form
+                 for i, form in enumerate(forms))
     rows = [np.max(np.abs(resid), axis=1)]
     if g.kind == "cocontact":
-        rows += [np.abs(np.einsum("ni,ni->n", forms["t-"], X)),
+        rows += [np.abs(np.einsum("ni,ni->n", forms[1], X)),
                  np.max(np.abs(lam[:, :, g.t_index]), axis=1)]
     names = ("contact_condition", "eta_contraction", "time_bracket")
     components = {name: float(v) for name, v in

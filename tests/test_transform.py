@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 from canonoid import expr, geometry, transform
-from canonoid.geometry import GeometryKind, WrongGeometry
+from canonoid.geometry import GeometryKind
 from canonoid.transform import (
-    NonCanonoid, SingularReeb, SingularTransform, TransformMap, candidate_K_gradient,
-    check_canonical, check_canonoid, jacobian, jacobian_and_hessians,
+    NonCanonoid, SingularReeb, SingularTransform, TransformMap, check_canonical, check_canonoid, jacobian, jacobian_and_hessians,
     lagrange_brackets, lagrange_derivative, recover_K,
 )
 
@@ -196,10 +195,9 @@ def test_identity_gradient_recovers_dH():
     F = TransformMap.identity(g)
     H = g.parse("q1^2/2 + p1^4/4")
     for x in ([0.3, 0.9], [1.2, -0.4]):
-        kg = candidate_K_gradient(g, F, H, x)
-        grad = expr.gradient(H, np.asarray(x, dtype=float))
-        assert np.max(np.abs(kg.d_x - grad)) < EXACT
-        assert kg.d_t is None
+        x = np.array(x)
+        G, _, _ = transform._k_gradient_pieces(g, F, H, x)
+        assert np.max(np.abs(G - expr.gradient(H, x))) < EXACT
 
 
 def test_cubic_momentum_gradient():
@@ -207,8 +205,8 @@ def test_cubic_momentum_gradient():
     F = tmap(g, ["q1", "p1^3/3"])
     H = g.parse("p1^2/2")
     for p in (0.5, 1.5, 2.0):
-        kg = candidate_K_gradient(g, F, H, [0.4, p])
-        assert np.max(np.abs(kg.d_x - np.array([0.0, p ** 3]))) < EXACT
+        G, _, _ = transform._k_gradient_pieces(g, F, H, np.array([0.4, p]))
+        assert np.max(np.abs(G - np.array([0.0, p ** 3]))) < EXACT
 
 
 def test_shear_product_gradient_has_curl():
@@ -221,24 +219,6 @@ def test_shear_product_gradient_has_curl():
     dGx = dG[:, [0, 1]]
     assert np.allclose(dGx, [[0.0, 0.0], [x[1], x[0]]], atol=EXACT)
     assert abs(np.max(np.abs(dGx - dGx.T)) - x[1]) < EXACT
-
-
-def test_contact_kind_has_no_gradient_candidate():
-    F = TransformMap.identity(CONT1)
-    H = CONT1.parse("p1^2/2")
-    with pytest.raises(WrongGeometry):
-        candidate_K_gradient(CONT1, F, H, [0.1, 0.2, 0.3])
-
-
-def test_cosymplectic_gradient_with_time_part():
-    g = COSY1
-    F = tmap(g, ["q1", "1.5*p1", "t"])
-    H = g.parse("p1^2/2 + t*q1")
-    q, p, t = 0.8, 1.3, 2.0
-    kg = candidate_K_gradient(g, F, H, [q, p, t])
-    assert np.max(np.abs(kg.d_x - np.array([1.5 * t, 1.5 * p]))) < EXACT
-    # dK/dt from the x-line integral at fixed t: 1.5*q
-    assert abs(kg.d_t - 1.5 * q) < NUMERIC
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +366,32 @@ def test_cocontact_scaling_is_canonoid():
     assert np.max(np.abs(res.K_probe - 3.0 * hvals)) < EXACT
 
 
+def _contact_coframes(count):
+    """count copies of the identity's contact coframe at p = 0 for n = 1:
+    the row of theta = dz, then the rows of the transposed Lagrange
+    matrix of dq ^ dp.  Its Reeb field is d/dz."""
+    M = np.zeros((count, 4, 3))
+    M[:, 0, 2] = 1.0
+    M[:, 1, 1] = -1.0
+    M[:, 2, 0] = 1.0
+    return M
+
+
 def test_reeb_solve_rejects_degenerate_coframe():
-    M = np.zeros((4, 3))
-    M[0] = [1.0, 0.0, 0.0]
-    rhs = np.array([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(SingularReeb):
-        transform._solve_reeb(M, rhs, "test coframe")
+    M = _contact_coframes(4)
+    M[2, 1:] = 0.0      # sample 2 keeps its one-form, loses its two-form
+    with pytest.raises(SingularReeb, match="rank-deficient at sample 2"):
+        transform._reeb_fields(M, 1, "test coframe")
+
+
+def test_reeb_inconsistent_coframe_is_named():
+    # full rank, but the one-form dz also lies in the two-form's rows, so
+    # no field pairs to 1 with it and lies in the kernel of the rows
+    M = _contact_coframes(3)
+    M[1, 3] = [0.0, 0.0, 1.0]
+    with pytest.raises(SingularReeb,
+                       match="no consistent Reeb solution at sample 1"):
+        transform._reeb_fields(M, 1, "test coframe")
 
 
 def test_nearly_singular_pullback_raises():
@@ -400,6 +400,81 @@ def test_nearly_singular_pullback_raises():
     H = g.parse("p1^2/2")
     with pytest.raises(SingularReeb):
         check_canonoid(g, F, H, [[0.5, 1.0, 0.2]])
+
+
+# ---------------------------------------------------------------------------
+# cross-kind lifts: a symplectic pair lifted to cosymplectic and a contact
+# pair lifted to cocontact, with t -> t and H free of t, at the same
+# (q, p[, z]) samples and t = 0.7.  The canonoid computation is shared
+# on the symplectic kinds, so the lift agrees bit for bit; the cocontact
+# residual solves two Reeb fields instead of one and moves by rounding.
+
+LIFT_T = 0.7
+
+
+def _lift_pair(kind, n, F_sources, H_source, samples):
+    """check_canonoid of F, H on `kind`, and of their lift with t at the
+    same samples."""
+    lifted = {"symplectic": "cosymplectic", "contact": "cocontact"}[kind]
+    t = np.full((len(samples), 1), LIFT_T)
+    out = []
+    for k, X in ((kind, samples),
+                 (lifted, np.hstack([samples, t]) if kind == "symplectic"
+                  else np.hstack([t, samples]))):
+        g = GeometryKind(k, n)
+        F = dict(F_sources, t="t") if g.t_index is not None else F_sources
+        out.append(check_canonoid(g, tmap(g, F), g.parse(H_source), X))
+    return out
+
+
+def _bench_cubic(n):
+    F = {}
+    for i in range(1, n + 1):
+        F.update({f"q{i}": f"q{i}", f"p{i}": f"p{i}^3/3 + sin(p{i})/2"})
+    return F, " + ".join(f"p{i}^2/2" for i in range(1, n + 1))
+
+
+def _oscillator_scaling(n):
+    # criterion 10's family: (q_i, p_i) scaled by 1 + a_i E_i, with E_i
+    # the i-th oscillator's energy and H the sum of them
+    F, energies = {}, []
+    for i, a in zip(range(1, n + 1), (1.0, 0.5)):
+        e = f"((q{i}^2 + p{i}^2)/2)"
+        F.update({f"q{i}": f"q{i}*(1 + {a}*{e})",
+                  f"p{i}": f"p{i}*(1 + {a}*{e})"})
+        energies.append(e)
+    return F, " + ".join(energies)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("family", [_bench_cubic, _oscillator_scaling])
+def test_symplectic_lift_keeps_canonoid_bit_for_bit(family, n):
+    samples = np.random.default_rng(80 + n).uniform(0.5, 1.5, (25, 2 * n))
+    base, lift = _lift_pair("symplectic", n, *family(n), samples)
+    assert base.canonoid and lift.canonoid
+    assert lift.max_residual == base.max_residual
+    assert lift.components == dict(base.components, time_bracket=0.0)
+    assert np.array_equal(lift.K_probe, base.K_probe)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("c", [2, 3])
+def test_contact_lift_keeps_canonoid(c, n):
+    # the scaling (q, c*p, c*z) with a z-dependent H, so that both Reeb
+    # fields of the cocontact lift enter its residual
+    F = {"z": f"{c}*z"}
+    for i in range(1, n + 1):
+        F.update({f"q{i}": f"q{i}", f"p{i}": f"{c}*p{i}"})
+    H = " + ".join(f"(q{i}^2 + p{i}^2)/2" for i in range(1, n + 1))
+    samples = np.random.default_rng(90 + n).uniform(0.5, 1.5, (25, 2 * n + 1))
+    base, lift = _lift_pair("contact", n, F, H + " + 0.2*z", samples)
+    assert base.canonoid and lift.canonoid
+    assert np.array_equal(lift.K_probe, base.K_probe)
+    gap = (lift.components["contact_condition"]
+           - base.components["contact_condition"])
+    assert abs(gap) <= 1e-14
+    assert lift.components["eta_contraction"] == 0.0
+    assert lift.components["time_bracket"] == 0.0
 
 
 # ---------------------------------------------------------------------------

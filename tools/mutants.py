@@ -108,6 +108,22 @@ MUTANTS = {
         "import numpy as np\n",
         "import numpy as np\n"
         'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n'),
+    "blas-env-left-set": (
+        "src/canonoid/cli.py",
+        'os.environ.pop("OPENBLAS_NUM_THREADS", None)',
+        "pass"),
+    "reeb-rank-test-dropped": (
+        "src/canonoid/transform.py",
+        "if deficient.any():",
+        "if False:"),
+    "reeb-defect-test-dropped": (
+        "src/canonoid/transform.py",
+        "if inconsistent.any():",
+        "if False:"),
+    "reeb-fields-swapped": (
+        "src/canonoid/transform.py",
+        "rhs = np.eye(k + d)[:, :k]",
+        "rhs = np.eye(k + d)[:, k - 1::-1]"),
 }
 
 
