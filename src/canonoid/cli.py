@@ -355,7 +355,7 @@ def draw_samples(g, box, count, seed):
     return out
 
 
-def trace_observables(g, F, kmax):
+def trace_observables(F, kmax):
     """(name, evaluator) pairs for tr(S^k), k = 1..kmax.  An evaluator
     maps a stack of states (T, d) to (T,) values; all of them share one
     trace computation per stack."""
@@ -364,7 +364,7 @@ def trace_observables(g, F, kmax):
     def table(X):
         key = X.tobytes()
         if key not in cache:
-            cache[key] = stensor.trace_powers(g, F, X, kmax)
+            cache[key] = stensor.trace_powers(F, X, kmax)
         return cache[key]
 
     return [(f"trS{k}", lambda X, k=k: table(X)[:, k - 1])
@@ -384,14 +384,13 @@ def _entry(cfg, tol_name, residual, **details):
 
 
 def _check_canonical(cfg, samples):
-    res = transform.check_canonical(cfg.geometry, cfg.transform, samples,
+    res = transform.check_canonical(cfg.transform, samples,
                                     tol=cfg.tolerances["canonical"])
     return _entry(cfg, "canonical", float(res.max_residual))
 
 
 def _check_canonoid(cfg, jets):
-    res = transform.check_canonoid(cfg.geometry, cfg.transform,
-                                   cfg.hamiltonian, jets,
+    res = transform.check_canonoid(cfg.transform, cfg.hamiltonian, jets,
                                    tol=cfg.tolerances["canonoid"])
     return _entry(
         cfg, "canonoid", float(res.max_residual),
@@ -406,7 +405,7 @@ def _trajectory(cfg):
 
 def _check_traces(cfg, out_dir):
     traj = _trajectory(cfg)
-    obs = trace_observables(cfg.geometry, cfg.transform, cfg.kmax)
+    obs = trace_observables(cfg.transform, cfg.kmax)
     rep = dynamics.drift_report(traj, obs)
     if out_dir is not None:
         _write_csv(out_dir / "invariants.csv", traj, obs)
@@ -420,7 +419,7 @@ def _check_traces(cfg, out_dir):
 
 
 def _check_torsion(cfg, jets):
-    N = stensor.nijenhuis_torsion(cfg.geometry, cfg.transform, jets)
+    N = stensor.nijenhuis_torsion(cfg.transform, jets)
     rows = np.abs(N).reshape(len(jets), -1)
     return _entry(cfg, "torsion",
                   float(transform.fold_max(np.max(rows, axis=1))))
@@ -429,15 +428,14 @@ def _check_torsion(cfg, jets):
 def _check_lenard(cfg, jets):
     kmax = max(1, min(3, cfg.kmax - 1))
     worst_k = transform.fold_max(stensor.lenard_identity_residual(
-        cfg.geometry, cfg.transform, jets, kmax))
+        cfg.transform, jets, kmax))
     per_k = {str(k): float(r) for k, r in enumerate(worst_k, start=1)}
     return _entry(cfg, "lenard", max(per_k.values()), per_k=per_k)
 
 
 def _check_involution(cfg, jets):
     try:
-        res = stensor.involution_matrix(cfg.geometry, cfg.transform, jets,
-                                        cfg.kmax)
+        res = stensor.involution_matrix(cfg.transform, jets, cfg.kmax)
     except SingularPullback as e:
         return {
             "verdict": "not-applicable",
@@ -454,9 +452,8 @@ def _check_involution(cfg, jets):
 
 
 def _check_lie_derivative(cfg, jets):
-    g = cfg.geometry
-    ti = g.t_index
-    lie = np.abs(dynamics.lie_derivative_S(g, cfg.transform, cfg.hamiltonian,
+    ti = cfg.geometry.t_index
+    lie = np.abs(dynamics.lie_derivative_S(cfg.transform, cfg.hamiltonian,
                                            jets))
     if ti is None:
         cols = [np.max(lie, axis=(1, 2)), np.zeros(len(jets))]

@@ -265,15 +265,18 @@ def drift_report(traj, observables):
 # Lie derivative of S along the dynamical field
 
 
-def lie_derivative_S(g, F, H, x):
+def lie_derivative_S(F, H, x):
     """(L_V S)^A_B = V^n dS^A_B/dx^n - S^n_B dV^A/dx^n + S^A_n dV^n/dx^B
-    with V the dynamical field of the geometry, over the full chart, at
-    one state or a stack of states, or F's Jets at them.
+    with V the dynamical field of H on F.geometry, over the full chart,
+    at one state or a stack of states, or F's Jets at them.
 
-    S and dS come from stensor.s_and_ds.
+    The geometry is F's: a function takes it only where no other
+    argument carries it (F does, an Expression does not).  S and dS
+    come from stensor.s_and_ds; H on another chart than F's raises
+    ValueError from geometry.dynamical_vf_jacobian.
     """
     jets = transform.Jets.of(F, x)
     with np.errstate(all="ignore"):
-        S, dS = stensor.s_and_ds(g, F, jets)
-        V, dV = dynamical_vf_jacobian(g, H, jets.x)
+        S, dS = stensor.s_and_ds(F, jets)
+        V, dV = dynamical_vf_jacobian(F.geometry, H, jets.x)
         return np.einsum("...n,...nab->...ab", V, dS) - dV @ S + S @ dV

@@ -144,6 +144,14 @@ class GeometryKind(expr.Record):
                 f"state has shape {x.shape}, chart dimension is {self.dim}")
         return x
 
+    def check_chart(self, e, name="H"):
+        """Raise ValueError, naming both charts, unless the expression e
+        is written on this geometry's chart: its partials are read by
+        position in chart order."""
+        if e.chart_vars != self.chart_vars:
+            raise ValueError(f"{name} is written on {e.chart_vars}, the chart "
+                             f"of {self.kind} n={self.n} is {self.chart_vars}")
+
     def env(self, x):
         return dict(zip(self.chart_vars, self.check_state(x)))
 
@@ -252,9 +260,7 @@ def field_function(g, H, key, formula, params=()):
     found = H._kernels.get(key)
     if found is not None and found[0] is g:
         return found[1]
-    if H.chart_vars != g.chart_vars:
-        raise ValueError(f"H is written on {H.chart_vars}, the chart of "
-                         f"{g.kind} n={g.n} is {g.chart_vars}")
+    g.check_chart(H)
     run = expr.point_function(H, formula, functools.partial(_field, g),
                               params)
     H._kernels[key] = (g, run)
@@ -277,6 +283,7 @@ def hamiltonian_vf(g, H, x):
     contact/cocontact: (dH/dp, -(dH/dq + p dH/dz), p.dH/dp - H), zero
     t-component.
     """
+    g.check_chart(H)
     x = g.check_states(x)
     Hval, grad, _ = expr.jet(H, x, order=1)
     X = np.zeros(x.shape)
@@ -287,6 +294,7 @@ def hamiltonian_vf(g, H, x):
 def hamiltonian_vf_jacobian(g, H, x):
     """(X_H, dX_H) with the Jacobian assembled from the gradient and
     Hessian of H; row = component, column = derivative direction."""
+    g.check_chart(H)
     x = g.check_states(x)
     Hval, grad, hess = expr.value_and_derivatives(H, x)
     X = np.zeros(x.shape)
@@ -349,6 +357,8 @@ def poisson_bracket(g, f, h, x):
     df/dp dh/dq); t-derivatives never enter."""
     if g.kind not in ("symplectic", "cosymplectic"):
         raise WrongGeometry(f"Poisson bracket undefined for {g.kind}")
+    g.check_chart(f, "f")
+    g.check_chart(h, "h")
     x = g.check_state(x)
     gf = expr.gradient(f, x)
     gh = expr.gradient(h, x)
@@ -361,6 +371,8 @@ def jacobi_bracket(g, f, h, x):
     df/dz (p.dh/dp - h) - dh/dz (p.df/dp - f)."""
     if g.kind not in ("contact", "cocontact"):
         raise WrongGeometry(f"Jacobi bracket undefined for {g.kind}")
+    g.check_chart(f, "f")
+    g.check_chart(h, "h")
     x = g.check_state(x)
     fval, gf, _ = expr.jet(f, x, order=1)
     hval, gh, _ = expr.jet(h, x, order=1)

@@ -32,6 +32,13 @@ Torsion and the Lenard identity live on the x-block only; the trace
 and involution computations use the full matrix, whose constrained
 rows keep the extra columns out of the trace algebra.
 
+The transform F carries its geometry, so the public functions read the
+kind from F.geometry and take no GeometryKind: s_tensor(F, x),
+s_and_ds(F, x), trace_powers(F, x, kmax), nijenhuis_torsion(F, x),
+lenard_identity_residual(F, x, kmax) and involution_matrix(F, samples,
+kmax).  A function takes the geometry only where no other argument
+carries it: F does, an array does not (_assemble, _x_block).
+
 Every function takes one state (d,) or a stack of states (N, d) and
 returns the single or the stacked result; those built on s_and_ds also
 take F's Jets at the states.  The matrix algebra runs over a leading
@@ -102,18 +109,19 @@ def _assemble(g, lam, x):
     return S
 
 
-def s_tensor(g, F, x):
+def s_tensor(F, x):
     """S^A_B at x, rows = output index; a stack of states gives a stack
     of matrices."""
+    g = F.geometry
     x = g.check_states(x)
     return _assemble(g, transform.lagrange_brackets(F, x), x)
 
 
-def trace_powers(g, F, x, kmax):
+def trace_powers(F, x, kmax):
     """tr(S^k) for k = 1..kmax, by repeated multiplication: (kmax,) at
     one state, (N, kmax) for a stack."""
     kmax = _check_kmax(kmax)
-    S = s_tensor(g, F, x)
+    S = s_tensor(F, x)
     out = np.zeros(S.shape[:-2] + (kmax,))
     P = S
     out[..., 0] = np.trace(P, axis1=-2, axis2=-1)
@@ -124,12 +132,13 @@ def trace_powers(g, F, x, kmax):
     return out
 
 
-def s_and_ds(g, F, x):
+def s_and_ds(F, x):
     """Full-chart S and dS[nu] = dS/dx^nu, assembled by the product rule
     from the bracket derivatives of F's Jets at x.  The structural rows
     are differentiated through their defining constraints: the t-row
     stays zero and the z-row picks up the derivative of its momentum
     weights."""
+    g = F.geometry
     jets = transform.Jets.of(F, x)
     with np.errstate(all="ignore"):
         S = _assemble(g, jets.lam, jets.x)
@@ -155,11 +164,11 @@ def _torsion(A, dA):
     return M - np.swapaxes(M, -1, -2)
 
 
-def nijenhuis_torsion(g, F, x):
+def nijenhuis_torsion(F, x):
     """N^l_{bg} = dA^l_g/dx^n A^n_b - dA^l_b/dx^n A^n_g
     + (dA^n_b/dx^g - dA^n_g/dx^b) A^l_n, over the x-block; antisymmetric
     in the two lower slots."""
-    A, dA = _x_block(g, *s_and_ds(g, F, x))
+    A, dA = _x_block(F.geometry, *s_and_ds(F, x))
     with np.errstate(all="ignore"):
         return _torsion(A, dA)
 
@@ -193,12 +202,13 @@ def _jet_mul(A, B):
     return a @ b, da @ b[..., None, :, :] + a[..., None, :, :] @ db
 
 
-def _trace_grads(g, jets, kmax):
+def _trace_grads(jets, kmax):
     """Gradients over the x-directions of tr(A^k), k = 1..kmax, for the
     x-block A of S: the jet of J from the component Hessians of the
     Jets is pushed through Lam, A and the powers of A, never reading
     the bundle's Lam or dLam.  Shape (kmax, nd), or (N, kmax, nd) for a
     stack."""
+    g = jets.F.geometry
     xs = g.x_slice
     _, J, Hc = jets.sweep
     J = J[..., xs]
@@ -220,7 +230,7 @@ def _trace_grads(g, jets, kmax):
     return grads
 
 
-def lenard_identity_residual(g, F, x, kmax):
+def lenard_identity_residual(F, x, kmax):
     """Sup-norm gap between the two sides of the trace identity at x for
     every k = 1..kmax: shape (kmax,) at one state, (N, kmax) for a stack.
 
@@ -235,8 +245,8 @@ def lenard_identity_residual(g, F, x, kmax):
     if kmax + 1 > KMAX_LIMIT:
         raise ValueError(f"kmax + 1 exceeds the power limit {KMAX_LIMIT}")
     jets = transform.Jets.of(F, x)
-    A, dA = _x_block(g, *s_and_ds(g, F, jets))
-    grads = _trace_grads(g, jets, kmax + 1)
+    A, dA = _x_block(F.geometry, *s_and_ds(F, jets))
+    grads = _trace_grads(jets, kmax + 1)
     out = np.zeros(jets.x.shape[:-1] + (kmax,))
     with np.errstate(all="ignore"):
         N = _torsion(A, dA)
@@ -250,7 +260,7 @@ def lenard_identity_residual(g, F, x, kmax):
     return out
 
 
-def involution_matrix(g, F, samples, kmax):
+def involution_matrix(F, samples, kmax):
     """Pairwise brackets of the trace functions over samples.
 
     unbarred entry (i, j): max |{tr S^(i+1), tr S^(j+1)}| with the flat
@@ -265,8 +275,9 @@ def involution_matrix(g, F, samples, kmax):
     transform.NonFiniteResidual.
     """
     kmax = _check_kmax(kmax)
+    g = F.geometry
     jets = transform.Jets.of(F, samples, stack=True)
-    S, dS = s_and_ds(g, F, jets)
+    S, dS = s_and_ds(F, jets)
     grads = _explicit_trace_grads(g, S, dS, kmax)
     gT = np.swapaxes(grads, 1, 2)
     eps = canonical_eps(g.n)

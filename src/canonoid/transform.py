@@ -21,6 +21,14 @@ candidate dK can be certified on a sampled region only.  Charts are
 assumed star-shaped around the integration base point so that closed
 implies exact.
 
+A TransformMap carries its geometry, so the checks read the kind from
+F.geometry and take no GeometryKind: check_canonical(F, samples),
+check_canonoid(F, H, samples) and recover_K(F, H, x, base_point).  A
+function takes the geometry only where no other argument carries it:
+F does, an Expression or an array does not.  H must be written on the
+chart of F.geometry; check_canonoid and recover_K raise ValueError,
+naming both charts, when it is not.
+
 For the time-dependent geometries the time component T must be the
 literal expression "t"; construction rejects anything else.  Their
 canonoid residual includes the time-bracket structural component
@@ -305,10 +313,11 @@ def as_samples(samples):
     return samples
 
 
-def check_canonical(g, F, samples, tol=DEFAULT_TOL):
-    """Does F preserve the structure?  Residual is the max over samples
-    of the sup-norm difference between pulled-back and original
-    structure tensors."""
+def check_canonical(F, samples, tol=DEFAULT_TOL):
+    """Does F preserve the structure of F.geometry?  Residual is the max
+    over samples of the sup-norm difference between pulled-back and
+    original structure tensors."""
+    g = F.geometry
     samples = as_samples(samples)
     vals, J, _ = _eval_components(F, samples, order=1)
     s = structure_at_point(g, samples)
@@ -333,15 +342,17 @@ def _x_block(g, M):
     return M[..., g.x_slice, g.x_slice]
 
 
-def _k_gradient_pieces(g, F, H, x):
-    """G = (X_H contracted into the pulled-back two-form, x-part) and
-    its derivative matrix dG over all chart directions, at the states
-    or the Jets x.
+def _k_gradient_pieces(F, H, x):
+    """(dG, lam): the derivative matrix dG over all chart directions of
+    G = (X_H contracted into the pulled-back two-form, x-part), and the
+    Lagrange matrix, at the states or the Jets x.
 
     G_mu = sum L_{mu nu} (eps_inv grad_x H)_nu with L the x-block of the
     Lagrange matrix; this is the bracket form of the K-gradient
-    relations for the (q, p) components of dK.
+    relations for the (q, p) components of dK.  _k_gradient_only gives
+    G itself.
     """
+    g = F.geometry
     jets = Jets.of(F, x)
     with np.errstate(all="ignore"):
         lam, dLam = jets.lam, jets.dLam
@@ -349,15 +360,15 @@ def _k_gradient_pieces(g, F, H, x):
         eps = canonical_eps(g.n)
         L = _x_block(g, lam)
         u = gradH[..., g.x_slice] @ eps              # eps_inv @ grad_x H
-        G = (L @ u[..., None])[..., 0]
         # dG[:, a] = dLam[a]_xx @ u + L @ eps_inv @ hessH[x, a]
         along = (_x_block(g, dLam) @ u[..., None, :, None])[..., 0]
         dG = np.swapaxes(along, -1, -2) + L @ (eps.T @ hessH[..., g.x_slice, :])
-        return G, dG, lam
+        return dG, lam
 
 
-def _k_gradient_only(g, F, H, x):
+def _k_gradient_only(F, H, x):
     """G alone, from first-order data (quadrature inner loop)."""
+    g = F.geometry
     with np.errstate(all="ignore"):
         L = _x_block(g, lagrange_brackets(F, x))
         u = expr.gradient(H, x)[..., g.x_slice] @ canonical_eps(g.n)
@@ -418,8 +429,9 @@ def _segment_integrals(g, a_pts, b_pts, covector_fn, panels):
     return np.bincount(own, weights=terms, minlength=len(a_pts))
 
 
-def check_canonoid(g, F, H, samples, tol=DEFAULT_TOL):
-    """Is F canonoid for the dynamics of H, on the sampled region?
+def check_canonoid(F, H, samples, tol=DEFAULT_TOL):
+    """Is F canonoid for the dynamics of H, on the sampled region of
+    F.geometry?
 
     symplectic: residual is the closedness defect of the candidate dK
     (max asymmetric part of its x-Jacobian).  cosymplectic: the same
@@ -431,17 +443,20 @@ def check_canonoid(g, F, H, samples, tol=DEFAULT_TOL):
 
     K_probe holds K at the samples: recovered by line integral for the
     symplectic kinds (only when the verdict passed), algebraic for the
-    contact kinds.  samples may be F's Jets at them.
+    contact kinds.  samples may be F's Jets at them.  H must be written
+    on the chart of F.geometry.
     """
+    F.geometry.check_chart(H)
     jets = Jets.of(F, samples, stack=True)
-    if g.kind in ("symplectic", "cosymplectic"):
-        return _check_canonoid_symplectic(g, F, H, jets, tol)
-    return _check_canonoid_contact(g, F, H, jets, tol)
+    if F.geometry.kind in ("symplectic", "cosymplectic"):
+        return _check_canonoid_symplectic(F, H, jets, tol)
+    return _check_canonoid_contact(F, H, jets, tol)
 
 
-def _check_canonoid_symplectic(g, F, H, jets, tol):
+def _check_canonoid_symplectic(F, H, jets, tol):
+    g = F.geometry
     ti = g.t_index
-    _, dG, lam = _k_gradient_pieces(g, F, H, jets)
+    dG, lam = _k_gradient_pieces(F, H, jets)
     cols = [_closedness_defect(g, dG)]
     if ti is not None:
         cols.append(np.max(np.abs(lam[:, :, ti]), axis=1))
@@ -450,7 +465,7 @@ def _check_canonoid_symplectic(g, F, H, jets, tol):
                   for name, v in zip(("closedness", "time_bracket"), worst)}
     worst = max(components.values())
     ok = worst <= tol
-    K_probe = recover_K(g, F, H, jets.x, jets.x[0], tol=tol) if ok else None
+    K_probe = recover_K(F, H, jets.x, jets.x[0], tol=tol) if ok else None
     return CanonoidResult(canonoid=ok, max_residual=worst,
                           K_probe=K_probe, components=components)
 
@@ -483,9 +498,10 @@ def _reeb_fields(M, k, what):
     return R
 
 
-def _contact_point_data(g, F, H, x):
+def _contact_point_data(F, H, x):
     """J, Lagrange matrix, theta_bar, X_H, K and dK at the states or the
     Jets x."""
+    g = F.geometry
     jets = Jets.of(F, x)
     with np.errstate(all="ignore"):
         try:
@@ -510,8 +526,9 @@ def _contact_point_data(g, F, H, x):
 # an overflowing H leaves inf in X_H and dK: numpy stays quiet while the
 # residual is assembled, and fold_max reports it as non-finite
 @np.errstate(all="ignore")
-def _check_canonoid_contact(g, F, H, jets, tol):
-    J, lam, theta_bar, X, K, dK = _contact_point_data(g, F, H, jets)
+def _check_canonoid_contact(F, H, jets, tol):
+    g = F.geometry
+    J, lam, theta_bar, X, K, dK = _contact_point_data(F, H, jets)
     resid = contract(lam, X) - dK
     # one Reeb field per pulled-back one-form: R_i pairs to delta_ij with
     # the forms and lies in the kernel of the pulled-back two-form
@@ -535,8 +552,9 @@ def _check_canonoid_contact(g, F, H, jets, tol):
                           K_probe=K, components=components)
 
 
-def recover_K(g, F, H, x, base_point, tol=DEFAULT_TOL):
-    """K at x: a float for one state, an (N,) array for a stack.
+def recover_K(F, H, x, base_point, tol=DEFAULT_TOL):
+    """K at x, on F.geometry: a float for one state, an (N,) array for
+    a stack.  H must be written on the chart of F.geometry.
 
     contact/cocontact: K = -theta_bar(X_H), exactly (base_point is not
     used; K is determined algebraically, no gauge freedom).
@@ -550,10 +568,12 @@ def recover_K(g, F, H, x, base_point, tol=DEFAULT_TOL):
     sweep, and the quadrature nodes of all states integrated in
     another.
     """
+    g = F.geometry
+    g.check_chart(H)
     x = g.check_states(x)
     X = x.reshape(-1, g.dim)
     if g.kind in ("contact", "cocontact"):
-        K = _contact_point_data(g, F, H, X)[4]
+        K = _contact_point_data(F, H, X)[4]
     else:
         base = np.repeat(g.check_state(base_point)[None], len(X), axis=0)
         if g.kind == "cosymplectic":
@@ -561,7 +581,7 @@ def recover_K(g, F, H, x, base_point, tol=DEFAULT_TOL):
         panels = _gl_panels(base, X)
         own = panels.panel_owner
         mids = base[own] + panels.mids[:, None] * panels.seg[own]
-        _, dG, _ = _k_gradient_pieces(g, F, H, mids)
+        dG, _ = _k_gradient_pieces(F, H, mids)
         defect = _closedness_defect(g, dG)
         open_ = ~(defect <= tol)
         if open_.any():
@@ -570,6 +590,6 @@ def recover_K(g, F, H, x, base_point, tol=DEFAULT_TOL):
                 f"candidate K-gradient is not closed near {mids[i]} "
                 f"(defect {defect[i]:.3e} > {tol:.1e})")
         K = _segment_integrals(g, base, X,
-                               lambda y: _k_gradient_only(g, F, H, y),
+                               lambda y: _k_gradient_only(F, H, y),
                                panels)
     return float(K[0]) if x.ndim == 1 else K

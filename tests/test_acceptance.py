@@ -107,7 +107,7 @@ def test_criterion_2_momentum_family_traces():
     worst = 0.0
     for f_src in ("p1^3/3", "p1 + p1^3", "exp(p1)"):
         F = TransformMap.parse(SYMP1, ["q1", f_src])
-        obs = cli.trace_observables(SYMP1, F, 4)
+        obs = cli.trace_observables(F, 4)
         rep = dynamics.drift_report(traj, obs)
         worst = max(worst,
                     max(d.max_rel_drift for d in rep.values()))
@@ -116,7 +116,7 @@ def test_criterion_2_momentum_family_traces():
     bad = TransformMap.parse(SYMP1, ["q1", "q1*p1"])
     rng = np.random.default_rng(4)
     samples = rng.uniform(0.5, 1.5, size=(20, 2))
-    res = transform.check_canonoid(SYMP1, bad, H, samples)
+    res = transform.check_canonoid(bad, H, samples)
     control_ok = (not res.canonoid) and res.components["closedness"] > 1e-2
 
     elapsed = time.perf_counter() - started
@@ -140,11 +140,11 @@ def test_criterion_3_cosymplectic_family():
     samples = np.column_stack([rng.uniform(0.5, 1.5, 20),
                                rng.uniform(0.5, 1.5, 20),
                                rng.uniform(0.0, 2.0, 20)])
-    res = transform.check_canonoid(g, F, H, samples)
+    res = transform.check_canonoid(F, H, samples)
     canonoid_worst = res.max_residual
 
     traj = dynamics.integrate(g, H, [1.0, 0.5, 0.0], (0.0, 5.0), 5000)
-    rep = dynamics.drift_report(traj, cli.trace_observables(g, F, 4))
+    rep = dynamics.drift_report(traj, cli.trace_observables(F, 4))
     drift_worst = max(d.max_rel_drift for d in rep.values())
 
     # K = 1.5 H, so the mixed q-t second derivative is 1.5 and the only
@@ -153,7 +153,7 @@ def test_criterion_3_cosymplectic_family():
     lie_worst = 0.0
     ti = g.t_index
     for x in samples:
-        lie = dynamics.lie_derivative_S(g, F, H, x)
+        lie = dynamics.lie_derivative_S(F, H, x)
         lie_worst = max(lie_worst,
                         float(np.max(np.abs(lie[:, ti] - expected_col))),
                         float(np.max(np.abs(np.delete(lie, ti, axis=1)))))
@@ -206,7 +206,7 @@ def test_criterion_4_contact_scalings():
         samples = np.column_stack(cols)
         for c in (0.5, 2.0, 3.0):
             F = TransformMap.parse(g, build(c))
-            res = transform.check_canonoid(g, F, H, samples)
+            res = transform.check_canonoid(F, H, samples)
             cond_worst = max(cond_worst, res.max_residual)
             # second defining condition, assembled independently:
             # contraction of the pulled-back form with the dynamics
@@ -219,7 +219,7 @@ def test_criterion_4_contact_scalings():
                                  abs(float(theta @ X) + k_val),
                                  abs(k_val - c * h_val))
             rep = dynamics.drift_report(traj,
-                                        cli.trace_observables(g, F, 4))
+                                        cli.trace_observables(F, 4))
             drift_worst = max(drift_worst,
                               max(d.max_rel_drift
                                   for d in rep.values()))
@@ -241,7 +241,7 @@ def test_criterion_5_lenard_identities():
         F = TransformMap.parse(g, sources)
         for _ in range(50):
             x = rng.uniform(0.5, 1.4, size=g.dim)
-            r = stensor.lenard_identity_residual(g, F, x, 3)
+            r = stensor.lenard_identity_residual(F, x, 3)
             for k in (1, 2, 3):
                 worst = max(worst, r[k - 1])
     conclude(5, "lenard-identities", worst < 1e-8,
@@ -271,11 +271,11 @@ def test_criterion_6_torsion_implies_involution():
         samples = rng.uniform(0.6, 1.4, size=(10, g.dim))
         torsion = max(
             float(np.max(np.abs(
-                stensor.nijenhuis_torsion(g, F, x))))
+                stensor.nijenhuis_torsion(F, x))))
             for x in samples)
         if torsion < 1e-10:
             premise_true += 1
-            res = stensor.involution_matrix(g, F, samples, kmax=4)
+            res = stensor.involution_matrix(F, samples, kmax=4)
             involution_worst = max(involution_worst,
                                    float(np.max(res.unbarred)),
                                    float(np.max(res.barred)))
@@ -406,7 +406,7 @@ def test_criterion_10_varying_traces(tmp_path):
     F = TransformMap.parse(SYMP1, [family["q1"], family["p1"]])
     rng = np.random.default_rng(10)
     spread = np.ptp(stensor.trace_powers(
-        SYMP1, F, rng.uniform(0.5, 1.5, size=(25, 2)), 4), axis=0)
+        F, rng.uniform(0.5, 1.5, size=(25, 2)), 4), axis=0)
 
     fam, ctl = verdicts["family"], verdicts["control"]
     conclude(10, "varying-traces",

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from canonoid import dynamics, stensor, transform
+from canonoid import dynamics, geometry, stensor, transform
 from canonoid.dynamics import (
     StepFailure, drift_report, integrate, lie_derivative_S,
 )
@@ -35,6 +35,7 @@ from canonoid.transform import TransformMap
 from test_geometry import count_ops, kind_hamiltonian_states
 
 SYMP1 = GeometryKind("symplectic", 1)
+SYMP2 = GeometryKind("symplectic", 2)
 COSY1 = GeometryKind("cosymplectic", 1)
 CONT1 = GeometryKind("contact", 1)
 COCO1 = GeometryKind("cocontact", 1)
@@ -134,6 +135,51 @@ def test_argument_validation():
         integrate(SYMP1, HARMONIC, [1.0, 0.0], (0.0, 1.0), 0)
     with pytest.raises(ValueError, match="t_span"):
         integrate(SYMP1, HARMONIC, [1.0, 0.0], (1.0, 1.0), 10)
+
+
+# An oscillator parsed on the cocontact n = 1 chart (t, q1, p1, z) and
+# read on the symplectic n = 2 chart (q1, q2, p1, p2), and the other way
+# round for the Jacobi bracket: both charts have four coordinates, so
+# reading H's partials by position would go unnoticed.  SHEAR2 is not
+# canonoid for H misread as q2^2/2 + p1^2/2, so check_canonoid does not
+# reach recover_K.
+SHEAR2 = TransformMap.parse(SYMP2, ["q1", "q2", "q1*p1", "p2"])
+X4 = np.array([0.6, 0.8, 1.1, 0.9])
+H_COCO = COCO1.parse("q1^2/2 + p1^2/2")
+H_SYMP = SYMP2.parse("q1^2/2 + p1^2/2")
+# name: (H, the geometry that reads it, the call)
+CHART_ENTRIES = {
+    "hamiltonian_vf": (H_COCO, SYMP2, lambda H: geometry.hamiltonian_vf(
+        SYMP2, H, X4)),
+    "hamiltonian_vf_jacobian": (
+        H_COCO, SYMP2,
+        lambda H: geometry.hamiltonian_vf_jacobian(SYMP2, H, X4)),
+    "dynamical_vf": (H_COCO, SYMP2, lambda H: dynamical_vf(SYMP2, H, X4)),
+    "point_field": (H_COCO, SYMP2, lambda H: point_field(SYMP2, H)),
+    "poisson_bracket": (H_COCO, SYMP2, lambda H: geometry.poisson_bracket(
+        SYMP2, SYMP2.parse("q1"), H, X4)),
+    "jacobi_bracket": (H_SYMP, COCO1, lambda H: geometry.jacobi_bracket(
+        COCO1, COCO1.parse("q1"), H, X4)),
+    "check_canonoid": (H_COCO, SYMP2,
+                       lambda H: transform.check_canonoid(SHEAR2, H, [X4])),
+    "recover_K": (H_COCO, SYMP2,
+                  lambda H: transform.recover_K(SHEAR2, H, X4, X4 / 2)),
+    "lie_derivative_S": (H_COCO, SYMP2,
+                         lambda H: lie_derivative_S(SHEAR2, H, X4)),
+    "integrate-rk4": (H_COCO, SYMP2,
+                      lambda H: integrate(SYMP2, H, X4, (0.0, 1.0), 4)),
+    "integrate-rk45": (H_COCO, SYMP2, lambda H: integrate(
+        SYMP2, H, X4, (0.0, 1.0), 4, method="rk45-adaptive")),
+}
+
+
+@pytest.mark.parametrize("entry", CHART_ENTRIES)
+def test_hamiltonian_on_another_chart_is_rejected(entry):
+    H, g, call = CHART_ENTRIES[entry]
+    with pytest.raises(ValueError, match=re.escape(
+            f"is written on {H.chart_vars}, the chart of {g.kind} n={g.n} "
+            f"is {g.chart_vars}")):
+        call(H)
 
 
 def test_adaptive_matches_closed_form():
@@ -434,7 +480,7 @@ def test_free_particle_traces_exactly_conserved():
     traj = integrate(g, H, [0.0, 1.5], (0.0, 5.0), 500)
 
     def trace_k(k):
-        return lambda X: stensor.trace_powers(g, F, X, 4)[:, k - 1]
+        return lambda X: stensor.trace_powers(F, X, 4)[:, k - 1]
 
     rep = drift_report(traj, [(f"trS^{k}", trace_k(k)) for k in (1, 2, 3, 4)])
     for k in (1, 2, 3, 4):
@@ -450,7 +496,7 @@ def test_negative_control_drifts():
     F = TransformMap.parse(g, ["q1", "q1*p1"])
     traj = integrate(g, HARMONIC, [1.0, 0.0], (0.0, 3.0), 300)
     rep = drift_report(
-        traj, [("trS", lambda X: stensor.trace_powers(g, F, X, 1)[:, 0])])
+        traj, [("trS", lambda X: stensor.trace_powers(F, X, 1)[:, 0])])
     assert rep["trS"].max_abs_drift > 1e-2
 
 
@@ -476,7 +522,7 @@ def test_lie_derivative_vanishes_for_canonoid_pair():
     F = TransformMap.parse(g, ["q1", "p1^3/3"])
     H = g.parse("p1^2/2")
     for x in ([0.4, 1.2], [1.0, 0.7], [-0.5, 1.6]):
-        lie = lie_derivative_S(g, F, H, x)
+        lie = lie_derivative_S(F, H, x)
         assert np.max(np.abs(lie)) < 1e-9
 
 
@@ -484,7 +530,7 @@ def test_lie_derivative_negative_control():
     g = SYMP1
     F = TransformMap.parse(g, ["q1", "q1*p1"])
     H = g.parse("p1^2/2")
-    lie = lie_derivative_S(g, F, H, [0.5, 1.2])
+    lie = lie_derivative_S(F, H, [0.5, 1.2])
     # S = q I and dS/dq = I, so L_V S = p I exactly
     assert np.allclose(lie, 1.2 * np.eye(2), atol=1e-12)
 
@@ -494,7 +540,7 @@ def test_lie_derivative_cosymplectic_time_column():
     F = TransformMap.parse(g, ["q1", "1.5*p1", "t"])
     H = g.parse("p1^2/2 + t*q1")
     x = np.array([0.8, 1.3, 2.0])
-    lie = lie_derivative_S(g, F, H, x)
+    lie = lie_derivative_S(F, H, x)
     xi = list(g.x_indices)
     ti = g.t_index
     # x-block vanishes; only the dt-column survives
@@ -502,7 +548,7 @@ def test_lie_derivative_cosymplectic_time_column():
     assert np.max(np.abs(lie[ti, :])) < 1e-12
     # and it equals the time derivative of the K-gradient rotated by
     # the inverse structure matrix (assembled through a separate path)
-    _, dG, _ = transform._k_gradient_pieces(g, F, H, x)
+    dG, _ = transform._k_gradient_pieces(F, H, x)
     eps_inv = np.array([[0.0, -1.0], [1.0, 0.0]])
     expected = -eps_inv @ dG[:, ti]
     assert np.max(np.abs(lie[xi, ti] - expected)) < 1e-8
@@ -513,7 +559,7 @@ def test_lie_derivative_contact_scaling():
     g = CONT1
     F = TransformMap.parse(g, ["q1", "2*p1", "2*z"])
     H = g.parse("(q1^2 + p1^2)/2")
-    lie = lie_derivative_S(g, F, H, [0.6, 0.8, 0.1])
+    lie = lie_derivative_S(F, H, [0.6, 0.8, 0.1])
     assert np.max(np.abs(lie)) < 1e-9
 
 
@@ -521,5 +567,5 @@ def test_lie_derivative_cocontact_scaling():
     g = COCO1
     F = TransformMap.parse(g, ["t", "q1", "3*p1", "3*z"])
     H = g.parse("(q1^2 + p1^2)/2")
-    lie = lie_derivative_S(g, F, H, [0.5, 0.6, 0.8, 0.1])
+    lie = lie_derivative_S(F, H, [0.5, 0.6, 0.8, 0.1])
     assert np.max(np.abs(lie)) < 1e-9

@@ -132,7 +132,7 @@ def test_rotation_is_canonical():
     F = tmap(SYMP1, ["cos(0.7)*q1 + sin(0.7)*p1",
                      "cos(0.7)*p1 - sin(0.7)*q1"])
     samples = np.array([[0.1, 0.2], [1.0, -1.0], [3.0, 0.5]])
-    res = check_canonical(SYMP1, F, samples)
+    res = check_canonical(F, samples)
     assert res.canonical
     assert res.max_residual < EXACT
 
@@ -142,7 +142,7 @@ def test_shear_of_rotation_is_canonical():
     rot_q = "cos(0.7)*q1 + sin(0.7)*p1"
     rot_p = "cos(0.7)*p1 - sin(0.7)*q1"
     F = tmap(SYMP1, [f"{rot_q} + 0.3*({rot_p})", rot_p])
-    res = check_canonical(SYMP1, F, [[0.4, 1.7], [-2.0, 0.3]])
+    res = check_canonical(F, [[0.4, 1.7], [-2.0, 0.3]])
     assert res.canonical
     assert res.max_residual < EXACT
 
@@ -150,7 +150,7 @@ def test_shear_of_rotation_is_canonical():
 def test_cubic_momentum_not_canonical():
     F = tmap(SYMP1, ["q1", "p1^3/3"])
     samples = np.array([[0.0, 0.5], [0.0, 1.0], [0.0, 2.0]])
-    res = check_canonical(SYMP1, F, samples)
+    res = check_canonical(F, samples)
     assert not res.canonical
     expected = max(abs(p * p - 1.0) for p in samples[:, 1])
     assert abs(res.max_residual - expected) < EXACT
@@ -158,17 +158,17 @@ def test_cubic_momentum_not_canonical():
 
 def test_contact_scaling_canonical_residual():
     F = tmap(CONT1, ["q1", "2*p1", "2*z"])
-    res = check_canonical(CONT1, F, [[1.0, 0.5, 0.0]])
+    res = check_canonical(F, [[1.0, 0.5, 0.0]])
     # theta_bar - theta = (-p, 0, 1) at the sample
     assert not res.canonical
     assert abs(res.max_residual - 1.0) < EXACT
-    res = check_canonical(CONT1, F, [[1.0, 3.0, 0.0]])
+    res = check_canonical(F, [[1.0, 3.0, 0.0]])
     assert abs(res.max_residual - 3.0) < EXACT
 
 
 def test_contact_identity_canonical():
     F = TransformMap.identity(CONT1)
-    res = check_canonical(CONT1, F, [[0.3, 1.4, -0.2]])
+    res = check_canonical(F, [[0.3, 1.4, -0.2]])
     assert res.canonical
     assert res.max_residual == 0.0
 
@@ -181,7 +181,7 @@ def test_cosymplectic_eta_pullback_exact():
 
 def test_cocontact_identity_canonical():
     F = TransformMap.identity(COCO1)
-    res = check_canonical(COCO1, F, [[0.5, 0.3, 1.4, -0.2]])
+    res = check_canonical(F, [[0.5, 0.3, 1.4, -0.2]])
     assert res.canonical
     assert res.max_residual == 0.0
 
@@ -196,7 +196,7 @@ def test_identity_gradient_recovers_dH():
     H = g.parse("q1^2/2 + p1^4/4")
     for x in ([0.3, 0.9], [1.2, -0.4]):
         x = np.array(x)
-        G, _, _ = transform._k_gradient_pieces(g, F, H, x)
+        G = transform._k_gradient_only(F, H, x)
         assert np.max(np.abs(G - expr.gradient(H, x))) < EXACT
 
 
@@ -205,7 +205,7 @@ def test_cubic_momentum_gradient():
     F = tmap(g, ["q1", "p1^3/3"])
     H = g.parse("p1^2/2")
     for p in (0.5, 1.5, 2.0):
-        G, _, _ = transform._k_gradient_pieces(g, F, H, np.array([0.4, p]))
+        G = transform._k_gradient_only(F, H, np.array([0.4, p]))
         assert np.max(np.abs(G - np.array([0.0, p ** 3]))) < EXACT
 
 
@@ -214,7 +214,8 @@ def test_shear_product_gradient_has_curl():
     F = tmap(g, ["q1", "q1*p1"])
     H = g.parse("p1^2/2")
     x = np.array([0.8, 1.3])
-    G, dG, _ = transform._k_gradient_pieces(g, F, H, x)
+    G = transform._k_gradient_only(F, H, x)
+    dG, _ = transform._k_gradient_pieces(F, H, x)
     assert np.max(np.abs(G - np.array([0.0, x[0] * x[1]]))) < EXACT
     dGx = dG[:, [0, 1]]
     assert np.allclose(dGx, [[0.0, 0.0], [x[1], x[0]]], atol=EXACT)
@@ -230,7 +231,7 @@ def test_cubic_momentum_is_canonoid():
     F = tmap(g, ["q1", "p1^3/3"])
     H = g.parse("p1^2/2")
     samples = np.array([[0.0, 0.5], [0.5, 1.0], [1.0, 2.0]])
-    res = check_canonoid(g, F, H, samples)
+    res = check_canonoid(F, H, samples)
     assert res.canonoid
     assert res.max_residual < EXACT
     assert set(res.components) == {"closedness"}
@@ -244,7 +245,7 @@ def test_shear_product_is_not_canonoid():
     F = tmap(g, ["q1", "q1*p1"])
     H = g.parse("p1^2/2")
     samples = np.array([[0.5, 0.5], [1.0, 1.5]])
-    res = check_canonoid(g, F, H, samples)
+    res = check_canonoid(F, H, samples)
     assert not res.canonoid
     assert abs(res.max_residual - 1.5) < EXACT
     assert res.K_probe is None
@@ -274,7 +275,7 @@ def test_canonical_implies_canonoid():
                  "cos(0.7)*p1 - sin(0.7)*q1"])
     H = g.parse("q1^2*p1 + sin(q1)")
     samples = np.array([[0.2, 0.1], [0.9, -0.7], [1.4, 0.8]])
-    res = check_canonoid(g, F, H, samples)
+    res = check_canonoid(F, H, samples)
     assert res.canonoid
     assert res.max_residual < 1e-12
     assert np.all(np.isfinite(res.K_probe))
@@ -284,8 +285,8 @@ def test_constant_shift_of_H_changes_nothing():
     g = SYMP1
     F = tmap(g, ["q1", "p1^3/3"])
     samples = np.array([[0.2, 0.4], [1.0, 1.1]])
-    r1 = check_canonoid(g, F, g.parse("p1^2/2"), samples)
-    r2 = check_canonoid(g, F, g.parse("p1^2/2 + 5"), samples)
+    r1 = check_canonoid(F, g.parse("p1^2/2"), samples)
+    r2 = check_canonoid(F, g.parse("p1^2/2 + 5"), samples)
     assert r1.components == r2.components
     assert np.array_equal(r1.K_probe, r2.K_probe)
 
@@ -295,7 +296,7 @@ def test_cosymplectic_scaling_is_canonoid():
     F = tmap(g, ["q1", "1.5*p1", "t"])
     H = g.parse("p1^2/2 + t*q1")
     samples = np.array([[0.0, 0.0, 0.0], [0.5, 1.0, 1.0], [1.0, -0.5, 2.0]])
-    res = check_canonoid(g, F, H, samples)
+    res = check_canonoid(F, H, samples)
     assert res.canonoid
     assert res.max_residual < EXACT
     assert set(res.components) == {"closedness", "time_bracket"}
@@ -312,7 +313,7 @@ def test_time_dependent_scaling_fails_structurally():
     F = tmap(g, ["q1", "p1 + t*p1", "t"])
     H = g.parse("p1^2/2")
     samples = np.array([[0.3, 0.8, 0.5], [1.0, 1.2, 1.5]])
-    res = check_canonoid(g, F, H, samples)
+    res = check_canonoid(F, H, samples)
     assert not res.canonoid
     assert res.components["closedness"] < EXACT
     assert abs(res.components["time_bracket"] - 1.2) < EXACT
@@ -323,7 +324,7 @@ def test_contact_scaling_is_canonoid_with_K_equal_2H():
     F = tmap(g, ["q1", "2*p1", "2*z"])
     H = g.parse("(q1^2 + p1^2)/2")
     samples = np.array([[0.6, 0.8, 0.1], [1.0, -0.3, 0.4]])
-    res = check_canonoid(g, F, H, samples)
+    res = check_canonoid(F, H, samples)
     assert res.canonoid
     assert res.max_residual < EXACT
     hvals = np.array([expr.evaluate(H, g.env(x)) for x in samples])
@@ -337,7 +338,7 @@ def test_contact_scaling_canonoid_for_any_H():
     F = tmap(g, ["q1", "0.5*p1", "0.5*z"])
     H = g.parse("q1^2*p1 + sin(z) + exp(q1)/2")
     samples = np.array([[0.4, 1.1, 0.2], [0.9, 0.7, -0.5]])
-    res = check_canonoid(g, F, H, samples)
+    res = check_canonoid(F, H, samples)
     assert res.canonoid
     assert res.max_residual < 1e-12
 
@@ -346,7 +347,7 @@ def test_contact_nonexample_reported():
     g = CONT1
     F = tmap(g, ["q1", "p1^2", "z"])
     H = g.parse("(q1^2 + p1^2)/2")
-    res = check_canonoid(g, F, H, [[0.7, 1.2, 0.3]])
+    res = check_canonoid(F, H, [[0.7, 1.2, 0.3]])
     assert not res.canonoid
     assert res.max_residual > 1e-2
 
@@ -356,7 +357,7 @@ def test_cocontact_scaling_is_canonoid():
     F = tmap(g, ["t", "q1", "3*p1", "3*z"])
     H = g.parse("(q1^2 + p1^2)/2")
     samples = np.array([[0.0, 0.6, 0.8, 0.1], [1.0, 1.0, -0.3, 0.4]])
-    res = check_canonoid(g, F, H, samples)
+    res = check_canonoid(F, H, samples)
     assert res.canonoid
     assert set(res.components) == {"contact_condition", "eta_contraction",
                                    "time_bracket"}
@@ -399,7 +400,7 @@ def test_nearly_singular_pullback_raises():
     F = tmap(g, ["q1", "p1/1000000000000000000000000000000", "z"])
     H = g.parse("p1^2/2")
     with pytest.raises(SingularReeb):
-        check_canonoid(g, F, H, [[0.5, 1.0, 0.2]])
+        check_canonoid(F, H, [[0.5, 1.0, 0.2]])
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +424,7 @@ def _lift_pair(kind, n, F_sources, H_source, samples):
                   else np.hstack([t, samples]))):
         g = GeometryKind(k, n)
         F = dict(F_sources, t="t") if g.t_index is not None else F_sources
-        out.append(check_canonoid(g, tmap(g, F), g.parse(H_source), X))
+        out.append(check_canonoid(tmap(g, F), g.parse(H_source), X))
     return out
 
 
@@ -457,17 +458,21 @@ def test_symplectic_lift_keeps_canonoid_bit_for_bit(family, n):
     assert np.array_equal(lift.K_probe, base.K_probe)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("c", [2, 3])
-def test_contact_lift_keeps_canonoid(c, n):
+def _contact_scaling(c, n):
     # the scaling (q, c*p, c*z) with a z-dependent H, so that both Reeb
     # fields of the cocontact lift enter its residual
     F = {"z": f"{c}*z"}
     for i in range(1, n + 1):
         F.update({f"q{i}": f"q{i}", f"p{i}": f"{c}*p{i}"})
     H = " + ".join(f"(q{i}^2 + p{i}^2)/2" for i in range(1, n + 1))
+    return F, H + " + 0.2*z"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("c", [2, 3])
+def test_contact_lift_keeps_canonoid(c, n):
     samples = np.random.default_rng(90 + n).uniform(0.5, 1.5, (25, 2 * n + 1))
-    base, lift = _lift_pair("contact", n, F, H + " + 0.2*z", samples)
+    base, lift = _lift_pair("contact", n, *_contact_scaling(c, n), samples)
     assert base.canonoid and lift.canonoid
     assert np.array_equal(lift.K_probe, base.K_probe)
     gap = (lift.components["contact_condition"]
@@ -487,7 +492,7 @@ def test_recover_K_quartic():
     H = g.parse("p1^2/2")
     base = np.array([0.0, 0.0])
     for q, p in [(0.5, 1.0), (1.0, 2.0), (-0.5, 1.7), (2.5, 3.0)]:
-        K = recover_K(g, F, H, [q, p], base)
+        K = recover_K(F, H, [q, p], base)
         assert abs(K - p ** 4 / 4) < NUMERIC
 
 
@@ -496,7 +501,7 @@ def test_recover_K_at_base_is_zero():
     F = tmap(g, ["q1", "p1^3/3"])
     H = g.parse("p1^2/2")
     base = np.array([0.4, 0.8])
-    assert recover_K(g, F, H, base, base) == 0.0
+    assert recover_K(F, H, base, base) == 0.0
 
 
 def test_recover_K_gauge_shift():
@@ -507,8 +512,8 @@ def test_recover_K_gauge_shift():
     b1 = np.array([0.0, 0.0])
     b2 = np.array([0.0, 1.0])
     x = np.array([0.7, 1.5])
-    K1 = recover_K(g, F, H, x, b1)
-    K2 = recover_K(g, F, H, x, b2)
+    K1 = recover_K(F, H, x, b1)
+    K2 = recover_K(F, H, x, b2)
     assert abs((K1 - K2) - 0.25) < NUMERIC  # K(b2) - K(b1) = 1/4
 
 
@@ -517,7 +522,7 @@ def test_recover_K_rejects_open_gradient():
     F = tmap(g, ["q1", "q1*p1"])
     H = g.parse("p1^2/2")
     with pytest.raises(NonCanonoid):
-        recover_K(g, F, H, [1.5, 1.5], np.array([0.5, 0.5]))
+        recover_K(F, H, [1.5, 1.5], np.array([0.5, 0.5]))
 
 
 def test_recover_K_cosymplectic_fixed_time_slice():
@@ -526,7 +531,7 @@ def test_recover_K_cosymplectic_fixed_time_slice():
     H = g.parse("p1^2/2 + t*q1")
     base = np.array([0.0, 0.0, 0.0])
     for q, p, t in [(0.5, 1.0, 0.0), (1.0, 0.5, 2.0), (-0.4, 1.2, 3.5)]:
-        K = recover_K(g, F, H, [q, p, t], base)
+        K = recover_K(F, H, [q, p, t], base)
         assert abs(K - 1.5 * (p * p / 2 + t * q)) < NUMERIC
 
 
@@ -535,7 +540,7 @@ def test_recover_K_contact_is_algebraic():
     F = tmap(g, ["q1", "2*p1", "2*z"])
     H = g.parse("(q1^2 + p1^2)/2 + 0.2*z")
     x = np.array([0.6, 0.8, 0.3])
-    K = recover_K(g, F, H, x, np.zeros(3))
+    K = recover_K(F, H, x, np.zeros(3))
     hval = expr.evaluate(H, g.env(x))
     assert abs(K - 2.0 * hval) < EXACT
 
@@ -623,8 +628,8 @@ def test_recover_K_stack_matches_single_points():
         rng = np.random.default_rng(17)
         X = rng.uniform(0.5, 2.5, size=(5, g.dim))
         base = X[0]
-        K = recover_K(g, F, H, X, base)
+        K = recover_K(F, H, X, base)
         assert K.shape == (5,)
         for i, x in enumerate(X):
-            single = recover_K(g, F, H, x, base)
+            single = recover_K(F, H, x, base)
             assert abs(K[i] - single) <= 1e-13 * max(1.0, abs(single))

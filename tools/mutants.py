@@ -124,6 +124,20 @@ MUTANTS = {
         "src/canonoid/transform.py",
         "rhs = np.eye(k + d)[:, :k]",
         "rhs = np.eye(k + d)[:, k - 1::-1]"),
+    "canonoid-skips-chart-check": (
+        "src/canonoid/transform.py",
+        "    F.geometry.check_chart(H)\n"
+        "    jets = Jets.of(F, samples, stack=True)\n",
+        "    jets = Jets.of(F, samples, stack=True)\n"),
+    "x-block-at-chart-origin": (
+        "src/canonoid/stensor.py",
+        "    xs = g.x_slice\n    return S[..., xs, xs], dS[..., xs, xs, xs]",
+        "    xs = slice(0, 2 * g.n)\n"
+        "    return S[..., xs, xs], dS[..., xs, xs, xs]"),
+    "jet-route-x-block-at-chart-origin": (
+        "src/canonoid/stensor.py",
+        "    g = jets.F.geometry\n    xs = g.x_slice\n",
+        "    g = jets.F.geometry\n    xs = slice(0, 2 * g.n)\n"),
 }
 
 
