@@ -8,12 +8,16 @@ Both carry the state as a list of Python floats.  RK4 takes each step
 from one straight-line text emitted once per (H, geometry), with H's
 float sweep written in it at all four stages; each stage and the
 update take the float operations of the (d,) array formulas, in their
-order.  Dormand-Prince calls dynamical_vf(g, H, state) once per stage,
-seven times per attempt; its list form runs the one-state field
-geometry.point_field emits once per Hamiltonian.  It sums each stage's
-weighted stages, the 5th-order update and the error estimate left to
-right with the zero weights dropped, so its steps do not depend on a
-BLAS library.
+order, and the rows are packed into one buffer of doubles, read once
+as the (T, d) array.  Dormand-Prince takes each attempt from one
+straight-line text emitted once per state dimension d, dp_step(d),
+written by running the list formula _dp_stepper on terms: it sums
+each stage's weighted stages, the 5th-order update and the error
+estimate left to right with the zero weights dropped, so its steps do
+not depend on a BLAS library.  The text does not depend on H: each of
+its seven stages calls the field it is given, which integrate makes
+dynamical_vf(g, H, state), whose list form runs the one-state field
+geometry.point_field emits once per Hamiltonian.
 
 For the time-extended geometries the t-coordinate is pinned to the
 accumulated integration time after every step: its exact equation is
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 
 import numpy as np
 
@@ -44,6 +49,7 @@ __all__ = [
     "StepFailure",
     "integrate",
     "rk4_step",
+    "dp_step",
     "drift_report",
     "lie_derivative_S",
     "METHODS",
@@ -109,10 +115,11 @@ def rk4_step(g, H):
 
 
 def _dp_stepper(f):
-    """One Dormand-Prince attempt on Python floats with the one-state
-    field f: step(y, h) -> (y5, err) from the state y and the step h.
-    Every stage and the error sum their weighted stages left to right,
-    with the zero weights dropped; the tableau is bound once, here."""
+    """One Dormand-Prince attempt with the one-state field f: step(y,
+    h) -> (y5, err) from the state y and the step h.  Every stage and
+    the error sum their weighted stages left to right, with the zero
+    weights dropped; the tableau is bound once, here.  dp_step emits
+    it as straight-line text, and the tests run it on floats."""
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6) = _DP_A
     e1, _, e3, e4, e5, e6, e7 = _DP_E
@@ -138,6 +145,16 @@ def _dp_stepper(f):
         return y5, err
 
     return step
+
+
+@functools.cache
+def dp_step(d):
+    """_dp_stepper on a state of d floats, emitted as one straight-line
+    float function step(y, h, f) -> (y5, err) with f the one-state
+    field: each stage is one call of f, seven per attempt, so the text
+    depends on d only and is cached per d."""
+    return expr.call_function(lambda x, f, h: _dp_stepper(f)(x, h), d,
+                              ("h",))
 
 
 def _error_ratio(err, y, y_new, rtol, atol):
@@ -188,16 +205,19 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
         if method == "rk4":
             h = (t1 - t0) / steps
             times = t0 + h * np.arange(steps + 1)
-            states = np.zeros((steps + 1, g.dim))
-            states[0] = y
             step = rk4_step(g, H)
             y = y.tolist()
+            # the rows are packed into one buffer of doubles, which holds
+            # no float objects, and read as the states array once
+            pack = struct.Struct(f"{g.dim}d").pack
+            flat = bytearray(pack(*y))
             half, sixth = 0.5 * h, h / 6.0
             for k in range(1, steps + 1):
                 y = step(y, h, half, sixth)
                 if ti is not None:
                     y[ti] = float(times[k])
-                states[k] = y
+                flat += pack(*y)
+            states = np.frombuffer(flat).reshape(steps + 1, g.dim)
             return Trajectory(times=times, states=states)
 
         span = t1 - t0
@@ -209,10 +229,11 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
         states = [y]
         # each stage calls dynamical_vf by the name bound here, so a
         # wrapper installed on that name sees every stage
-        step = _dp_stepper(functools.partial(dynamical_vf, g, H))
+        f = functools.partial(dynamical_vf, g, H)
+        step = dp_step(g.dim)
         while t < t1 - 1e-14 * span:
             h = min(h, t1 - t)
-            y_new, err = step(y, h)
+            y_new, err = step(y, h, f)
             ratio = _error_ratio(err, y, y_new, rtol, atol)
             if ratio <= 1.0:
                 t = t + h

@@ -22,7 +22,9 @@ float function: the integrators' one-state field and the RK4 step with
 its four stages, where numpy's overhead per call would cost more than
 the arithmetic.  Each float operation is the one numpy performs on an
 entry, so such a function gives the numbers of the array formulas bit
-for bit.
+for bit.  call_function() writes a formula the same way, but each
+field it calls stays a call of a function passed at run time, so its
+text holds no expression: the Dormand-Prince attempt.
 
 Domain checks are masks over the stack (inline tests in a float
 text): a DomainError names the subexpression and the first failing row.
@@ -50,6 +52,7 @@ caller; any other identifier is rejected at parse time.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
@@ -918,6 +921,50 @@ def point_function(e, formula, field, params=()):
     if not _NUMPY_NAMES.isdisjoint(run.__code__.co_names):
         run = _quiet(run)   # float arithmetic neither warns nor raises
     return run
+
+
+def call_function(formula, m, params=()):
+    """Compile formula into one straight-line function run(X, *params,
+    f) from a list of m floats X, the floats named by params and a
+    function f from a list of m floats to a sequence of m floats, to a
+    tuple of lists of floats.
+
+    formula(x, f, *args) runs once, on terms, as for point_function,
+    but no expression is written into the text: each call f(inputs)
+    writes a call of run's own argument f on the list of the input
+    terms, unpacks its m results into locals and returns their terms.
+    So run makes every call formula makes, in formula's order, whatever
+    f is.  formula returns a tuple of lists of terms, and each term's
+    text repeats the float operations formula performed, in their
+    order, so run gives formula's numbers on floats bit for bit (a
+    NaN's sign aside, which CPython's float operations do not fix)."""
+    lines = []
+    names = {}
+    new = map("t{}".format, itertools.count()).__next__
+
+    def let(a):
+        """The local holding a's text, written on its first use."""
+        if a.text.isidentifier():
+            return a.text
+        name = names.get(a.text)
+        if name is None:
+            name = names[a.text] = new()
+            lines.append(f"{name} = {a.text}")
+        return name
+
+    def f(inputs):
+        args = ", ".join(map(let, inputs))
+        out = [new() for _ in range(m)]
+        lines.append(f"{', '.join(out)}, = f([{args}])")
+        return list(map(_Term, out))
+
+    x = [new() for _ in range(m)]
+    lines.append(f"{', '.join(x)}, = X")
+    out = formula(list(map(_Term, x)), f, *map(_Term, params))
+    result = ", ".join(f"[{', '.join(map(let, part))}]" for part in out)
+    source = "\n    ".join([f"def run({', '.join(('X', *params, 'f'))}):",
+                            *lines, f"return {result}"])
+    return _bind(compile(source, "<call>", "exec"), {}, (), ())
 
 
 def _symmetric(out, pairs, second):

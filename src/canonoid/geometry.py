@@ -333,10 +333,15 @@ def dynamical_vf(g, H, x):
     is then a fresh list from point_field(g, H), H's emitted float
     function, with the same numbers as for the state as an array.  Any
     other list is read as an array.  rk45-adaptive calls this list form
-    once per stage, seven times per attempt; rk4 takes its steps from
-    one emitted text and never calls it.
+    once per stage, seven times per attempt, so it reads the field that
+    H caches under "vf" itself, with one lookup and the geometry's
+    identity test, and calls point_field only to emit it; rk4 takes its
+    steps from one emitted text and never calls it.
     """
     if type(x) is list and len(x) == g.dim and type(x[0]) is float:
+        found = H._kernels.get("vf")
+        if found is not None and found[0] is g:
+            return found[1](x)
         return point_field(g, H)(x)
     return _add_time(g, hamiltonian_vf(g, H, x))
 

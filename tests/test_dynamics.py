@@ -17,6 +17,7 @@ Oracles:
 
 import math
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -366,23 +367,30 @@ def test_rk4_step_forms_only_the_inputs_the_sweep_reads():
 
 def test_only_rk45_dispatches_through_dynamical_vf(monkeypatch):
     # the benchmark tracer infers Dormand-Prince attempts from calls of
-    # the name dynamics binds, seven per attempt; rk4 makes none
+    # the name dynamics binds, seven per attempt; rk4 makes none.  Each
+    # attempt ends in one _error_ratio call, which counts the attempts
     calls = []
+    seen = []   # the field calls made before each attempt's ratio
+    error_ratio = dynamics._error_ratio
 
     def counting(g, H, x):
         calls.append(x)
         return dynamical_vf(g, H, x)
 
+    def counting_ratio(*args):
+        seen.append(len(calls))
+        return error_ratio(*args)
+
     monkeypatch.setattr(dynamics, "dynamical_vf", counting)
-    traj = integrate(CONT1, CONT1.parse("(q1^2 + p1^2)/2 + 0.2*z"),
-                     [1.0, 0.0, 0.0], (0.0, 3.0), 30)
-    assert len(traj.times) == 31 and calls == []
-    traj = integrate(CONT1, CONT1.parse("(q1^2 + p1^2)/2 + 0.2*z"),
-                     [1.0, 0.0, 0.0], (0.0, 30.0), 10,
+    monkeypatch.setattr(dynamics, "_error_ratio", counting_ratio)
+    H = CONT1.parse("(q1^2 + p1^2)/2 + 0.2*z")
+    traj = integrate(CONT1, H, [1.0, 0.0, 0.0], (0.0, 3.0), 30)
+    assert len(traj.times) == 31 and calls == [] and seen == []
+    traj = integrate(CONT1, H, [1.0, 0.0, 0.0], (0.0, 30.0), 10,
                      method="rk45-adaptive")
-    accepted = len(traj.times) - 1
-    assert accepted > 0
-    assert len(calls) % 7 == 0 and len(calls) >= 7 * accepted
+    assert len(seen) >= len(traj.times) - 1 > 0
+    assert seen == [7 * a for a in range(1, len(seen) + 1)]
+    assert len(calls) == 7 * len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +429,7 @@ def test_dp_step_matches_array_reference(case, h):
     with np.errstate(all="ignore"):
         ref = _outcome(lambda: _reference_dp_step(
             lambda state: dynamical_vf(g, H, state[None, :])[0], y, h))
-    got = _outcome(lambda: dynamics._dp_stepper(f)(y.tolist(), h))
+    got = _outcome(lambda: dynamics.dp_step(g.dim)(y.tolist(), h, f))
     if isinstance(ref, str) or isinstance(got, str):
         assert got == ref, (g, str(H))
         return
@@ -439,6 +447,44 @@ def test_dp_step_matches_array_reference(case, h):
 
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1e300, -1e300,
                   math.inf, -math.inf, math.nan]
+SOME_FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                        st.floats(allow_nan=True))
+
+
+def _bits(values):
+    """The bytes of a list of floats, every NaN read as one NaN: -0.0
+    differs from 0.0, but the sign of a NaN does not count: where both
+    operands are NaN, CPython's generic float operations keep the sign
+    of one and its specialised ones that of the other."""
+    return struct.pack(f"{len(values)}d",
+                       *(math.nan if v != v else v for v in values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(2, 8))
+def test_emitted_dp_attempt_is_the_formula_on_floats(data, d):
+    # the emitted attempt makes the formula's seven field calls, on the
+    # same inputs, and returns its y5 and error bit for bit, also where
+    # stages, states or the step are inf or NaN
+    state = st.lists(SOME_FLOATS, min_size=d, max_size=d)
+    y, stages = data.draw(state), data.draw(st.lists(state, min_size=7,
+                                                     max_size=7))
+    h = data.draw(SOME_FLOATS)
+
+    def field(inputs):
+        returns = iter(stages)
+
+        def f(x):
+            inputs.append(_bits(x))
+            return next(returns)
+
+        return f
+
+    got_inputs, ref_inputs = [], []
+    got = dynamics.dp_step(d)(y, h, field(got_inputs))
+    ref = dynamics._dp_stepper(field(ref_inputs))(y, h)
+    assert got_inputs == ref_inputs and len(got_inputs) == 7
+    assert [_bits(v) for v in got] == [_bits(v) for v in ref]
 
 
 def _numpy_error_ratio(err, y, y_new, rtol, atol):
@@ -457,9 +503,7 @@ def test_error_ratio_keeps_numpy_semantics(data, d, rtol, atol):
     # bit for d < 8; from 8 terms numpy sums pairwise, and the two agree
     # to rounding.  inf wherever numpy's is not finite (x/0, 0/0, NaN,
     # overflow), and it never raises
-    entries = st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS),
-                                 st.floats(allow_nan=True)),
-                       min_size=d, max_size=d)
+    entries = st.lists(SOME_FLOATS, min_size=d, max_size=d)
     err, y, y_new = (data.draw(entries) for _ in range(3))
     got = dynamics._error_ratio(err, y, y_new, rtol, atol)
     ref = _numpy_error_ratio(err, y, y_new, rtol, atol)

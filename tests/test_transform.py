@@ -14,6 +14,8 @@ Oracle values used below are worked by hand:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canonoid import expr, geometry, transform
 from canonoid.geometry import GeometryKind
@@ -617,6 +619,86 @@ def test_ill_conditioned_jacobian_rejected():
         lagrange_brackets(F, [[0.5, 1.0], [1e-15, 1.0]])
     # fine where it is well-conditioned
     assert lagrange_brackets(F, [[0.5, 1.0]])[0, 0, 1] == 0.5
+
+
+def _unscreened_guard(J, x):
+    """The singularity test without its screen: np.linalg.cond(J, 1) of
+    every sample."""
+    cond = np.atleast_1d(np.linalg.cond(J, 1))
+    bad = ~(cond <= transform.CONDITION_LIMIT)
+    if bad.any():
+        i = int(np.argmax(bad))
+        point = np.asarray(x).reshape(-1, J.shape[-1])[i]
+        raise SingularTransform(
+            f"transform Jacobian is singular at sample {i} {point}: "
+            f"cond(J) = {cond[i]:.3e} > {transform.CONDITION_LIMIT:.0e}")
+
+
+def _guard_outcome(guard, J, x):
+    try:
+        guard(J, x)
+    except SingularTransform as e:
+        return str(e)
+    return None
+
+
+def _jacobian(kind, rng, d, exponent):
+    """One d x d Jacobian: "well" conditioned, "near" the limit (cond_1
+    close to 10**exponent), "singular" (two equal columns), or with an
+    "inf" or a "nan" entry."""
+    if kind == "near":
+        U, V = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in "UV")
+        s = np.ones(d)
+        s[-1] = 10.0 ** -exponent
+        # cond_1 scales with 1/s_d once s_d is far below the others
+        s[-1] *= np.linalg.cond((U * s) @ V, 1) * s[-1]
+        return (U * s) @ V
+    J = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    if kind == "singular":
+        J[:, -1] = J[:, 0]
+    elif kind in ("inf", "nan"):
+        J[tuple(rng.integers(0, d, 2))] = np.inf if kind == "inf" else np.nan
+    return J
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(2, 9),
+       kinds=st.lists(st.sampled_from(["well", "near", "singular", "inf",
+                                       "nan"]), min_size=1, max_size=8),
+       exponents=st.lists(st.floats(11.0, 13.0), min_size=8, max_size=8),
+       scale=st.sampled_from([1.0, 1e-300, 1e-162, 1e-149, 1e149, 1e155,
+                              1e300]),
+       seed=st.integers(0, 2**32 - 1))
+def test_screened_guard_raises_as_the_exact_cond_does(d, kinds, exponents,
+                                                      scale, seed):
+    # the screen certifies a sample only where its bound on cond_1 is
+    # below half the limit; every other sample takes np.linalg.cond, so
+    # the guard raises at the same sample with the same message, also
+    # at scales where the squares of J's entries under- or overflow
+    rng = np.random.default_rng(seed)
+    J = scale * np.array([_jacobian(k, rng, d, e)
+                          for k, e in zip(kinds, exponents)])
+    x = rng.uniform(0.5, 1.5, (len(J), d))
+    want = _guard_outcome(_unscreened_guard, J, x)
+    assert _guard_outcome(transform._require_nonsingular, J, x) == want
+    assert (_guard_outcome(transform._require_nonsingular, J[0], x[0])
+            == _guard_outcome(_unscreened_guard, J[0], x[0]))
+
+
+def test_guard_screen_keeps_its_margin():
+    # a nearly rank-one 2 x 2 Jacobian along u = (1, sqrt(2) - 1), where
+    # cond_1 is 0.73 of the bound B = 2 |J|_F^2/|det J|: just beyond the
+    # limit, with B below twice the limit.  Only a screen that sends
+    # every B above half the limit on to the exact cond rejects it
+    u = np.array([1.0, np.sqrt(2.0) - 1.0])
+    w = np.array([-u[1], u[0]])
+    J = np.outer(u, u) + 1.1e-12 * np.outer(w, w)
+    bound = 2 * np.sum(J * J) / abs(np.linalg.det(J))
+    limit = transform.CONDITION_LIMIT
+    assert limit < np.linalg.cond(J, 1) < bound < 2 * limit
+    with pytest.raises(SingularTransform,
+                       match=r"at sample 0 .*: cond\(J\) = 1\.325e\+12"):
+        transform._require_nonsingular(J[None], np.ones((1, 2)))
 
 
 def test_recover_K_stack_matches_single_points():

@@ -70,6 +70,28 @@ MUTANTS = {
         "src/canonoid/dynamics.py",
         "y[ti] = float(times[k])",
         "pass"),
+    "dp-stage-weight": (
+        "src/canonoid/dynamics.py",
+        "k4 = f([a + h * (a41 * c1 + a42 * c2 + a43 * c3)",
+        "k4 = f([a + h * (a41 * c1 + a43 * c2 + a42 * c3)"),
+    # the last stage stands in for the next attempt's first wherever its
+    # input equals the next attempt's state
+    "dp-six-stages": (
+        "src/canonoid/dynamics.py",
+        "        f = functools.partial(dynamical_vf, g, H)\n",
+        "        last = [None, None]\n\n"
+        "        def f(x, field=functools.partial(dynamical_vf, g, H)):\n"
+        "            if x != last[0]:\n"
+        "                last[:] = x, field(x)\n"
+        "            return last[1]\n\n"),
+    "guard-screen-no-margin": (
+        "src/canonoid/transform.py",
+        "lim = CONDITION_LIMIT / 2",
+        "lim = CONDITION_LIMIT * d"),
+    "guard-screen-passes-nan": (
+        "src/canonoid/transform.py",
+        "unsure = np.flatnonzero(~(bound <= lim))",
+        "unsure = np.flatnonzero(bound > lim)"),
     "emitter-keeps-dead-values": (
         "src/canonoid/expr.py",
         "elif name in live:",
