@@ -278,7 +278,8 @@ def validate_config(data):
         if method not in dynamics.METHODS:
             raise ConfigError(
                 f"trajectory.method: must be one of {list(dynamics.METHODS)}")
-        if g.t_index is not None and abs(x0[g.t_index] - t0) > 1e-9:
+        if (g.t_index is not None
+                and abs(x0[g.t_index] - t0) > dynamics.T0_MATCH_TOL):
             raise ConfigError(
                 "trajectory.x0: t coordinate must equal t_span[0]")
         extra = [k for k in traj

@@ -12,8 +12,7 @@ structurally zero.  The sweep runs on the numpy columns of a stack
 second partials (N, m, m) over the m chart variables; one point (m,)
 is the one-row stack, so it gets the numbers of its row in any stack
 bit for bit.  jet() takes one point or a stack, and evaluate(),
-gradient() and value_and_derivatives() are the forms of jet() the
-other modules call.
+gradient() and value_and_derivatives() are its named forms.
 
 Python floats appear only in the texts of point_function(), which
 writes a formula over the value and first partials of one or more

@@ -14,6 +14,12 @@ constant matrix eps = [[0, I], [-I, 0]] on the (q, p) block.
 
 Interior products use (X ⌟ omega)(Y) = omega(X, Y); in components that
 is M.T @ X for a two-form with matrix M (see contract()).
+
+This module is the one home of the Darboux formulas, which transform
+reads: omega and theta = dz - p dq, written once as their pullbacks by
+a map (pullback_two_form, pullback_theta and their derivatives), whose
+pullback by the identity is the canonical structure; X_H and its
+Jacobian; the chart layout, one table in GeometryKind.chart_vars.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ __all__ = [
     "StructureAtPoint",
     "WrongGeometry",
     "structure_at_point",
+    "pullback_two_form",
+    "pullback_two_form_derivative",
+    "pullback_theta",
+    "pullback_theta_derivative",
     "hamiltonian_vf",
     "hamiltonian_vf_jacobian",
     "dynamical_vf",
@@ -61,37 +71,43 @@ class GeometryKind(expr.Record):
         super().__init__(kind, n)
 
     @functools.cached_property
-    def dim(self):
-        base = 2 * self.n
-        if self.kind in ("cosymplectic", "contact"):
-            return base + 1
-        if self.kind == "cocontact":
-            return base + 2
-        return base
+    def chart_vars(self):
+        """The chart layout, the one table keyed by the kind: the
+        dimension and the positions of q, p, t and z are read off it."""
+        qs = tuple(f"q{i}" for i in range(1, self.n + 1))
+        ps = tuple(f"p{i}" for i in range(1, self.n + 1))
+        before, after = {"symplectic": ((), ()),
+                         "cosymplectic": ((), ("t",)),
+                         "contact": ((), ("z",)),
+                         "cocontact": (("t",), ("z",))}[self.kind]
+        return before + qs + ps + after
 
     @functools.cached_property
-    def chart_vars(self):
-        qs = [f"q{i}" for i in range(1, self.n + 1)]
-        ps = [f"p{i}" for i in range(1, self.n + 1)]
-        if self.kind == "symplectic":
-            return tuple(qs + ps)
-        if self.kind == "cosymplectic":
-            return tuple(qs + ps + ["t"])
-        if self.kind == "contact":
-            return tuple(qs + ps + ["z"])
-        return tuple(["t"] + qs + ps + ["z"])
+    def dim(self):
+        return len(self.chart_vars)
 
-    # -- index layout (computed once per instance) --------------------------
+    @functools.cached_property
+    def q_slice(self):
+        """The q block as a slice (the q, p and x blocks are contiguous),
+        so indexing with it gives a view instead of a fancy-index copy."""
+        q1 = self.chart_vars.index("q1")
+        return slice(q1, q1 + self.n)
+
+    @functools.cached_property
+    def p_slice(self):
+        return slice(self.q_slice.stop, self.q_slice.stop + self.n)
+
+    @functools.cached_property
+    def x_slice(self):
+        return slice(self.q_slice.start, self.p_slice.stop)
 
     @functools.cached_property
     def q_indices(self):
-        off = 1 if self.kind == "cocontact" else 0
-        return tuple(range(off, off + self.n))
+        return tuple(range(self.dim)[self.q_slice])
 
     @functools.cached_property
     def p_indices(self):
-        off = 1 if self.kind == "cocontact" else 0
-        return tuple(range(off + self.n, off + 2 * self.n))
+        return tuple(range(self.dim)[self.p_slice])
 
     @functools.cached_property
     def x_indices(self):
@@ -99,34 +115,13 @@ class GeometryKind(expr.Record):
         return self.q_indices + self.p_indices
 
     @functools.cached_property
-    def q_slice(self):
-        """q_indices as a slice (the q block is contiguous), so indexing
-        with it gives a view instead of a fancy-index copy."""
-        return slice(self.q_indices[0], self.q_indices[-1] + 1)
-
-    @functools.cached_property
-    def p_slice(self):
-        return slice(self.p_indices[0], self.p_indices[-1] + 1)
-
-    @functools.cached_property
-    def x_slice(self):
-        return slice(self.x_indices[0], self.x_indices[-1] + 1)
-
-    @functools.cached_property
     def t_index(self):
-        if self.kind == "cosymplectic":
-            return 2 * self.n
-        if self.kind == "cocontact":
-            return 0
-        return None
+        """Position of t, None where the chart has none; z_index is z's."""
+        return self.chart_vars.index("t") if "t" in self.chart_vars else None
 
     @functools.cached_property
     def z_index(self):
-        if self.kind == "contact":
-            return 2 * self.n
-        if self.kind == "cocontact":
-            return 2 * self.n + 1
-        return None
+        return self.chart_vars.index("z") if "z" in self.chart_vars else None
 
     def check_state(self, x):
         """x as one float state of shape (dim,)."""
@@ -174,46 +169,69 @@ def contract(two_form, X):
     return (np.swapaxes(M, -1, -2) @ np.asarray(X)[..., None])[..., 0]
 
 
-class StructureAtPoint(expr.Record):
-    """Constant Darboux-form structure data at a point.
+# ---------------------------------------------------------------------------
+# The Darboux forms pulled back by a map F, from its values vals (d,),
+# Jacobian J (d, d) (row = target coordinate) and component Hessians
+# hess (d, d, d), or stacks of them.  The canonical structure is the
+# pullback by the identity.
 
-    two_form is the full chart-dimension matrix (the canonical eps block
-    embedded at the x-indices).  theta/eta are one-form component
-    vectors, None where the geometry has no such form.
-    """
+
+def pullback_two_form(g, J):
+    """F*(dq^i ∧ dp_i): the Lagrange brackets [x^mu, x^nu] =
+    dQ^i/dx^mu dP_i/dx^nu - dQ^i/dx^nu dP_i/dx^mu."""
+    B = np.swapaxes(J[..., g.q_slice, :], -1, -2) @ J[..., g.p_slice, :]
+    return B - np.swapaxes(B, -1, -2)
+
+
+def pullback_two_form_derivative(g, J, hess):
+    """dLam[nu, mu, mu'] = d[x^mu, x^mu']/dx^nu, by the product rule."""
+    qs, ps = g.q_slice, g.p_slice
+    # a[nu] = sum_i outer(dJQ_i/dx^nu, JP_i) + outer(JQ_i, dJP_i/dx^nu)
+    a = (np.einsum("...inm,...ik->...nmk", hess[..., qs, :, :], J[..., ps, :])
+         + np.einsum("...im,...ink->...nmk", J[..., qs, :], hess[..., ps, :, :]))
+    return a - np.swapaxes(a, -1, -2)
+
+
+def pullback_theta(g, vals, J):
+    """F*(dz - p_i dq^i) = dZ - P_i dQ^i."""
+    theta = J[..., g.z_index, :].copy()
+    for qi, pi in zip(g.q_indices, g.p_indices):
+        theta -= vals[..., pi, None] * J[..., qi, :]
+    return theta
+
+
+def pullback_theta_derivative(g, vals, J, hess):
+    """dtheta[mu, a] = d(F*theta)_mu/dx^a; the dP_i factor sits in the
+    derivative slot a."""
+    dtheta = hess[..., g.z_index, :, :].copy()
+    for qi, pi in zip(g.q_indices, g.p_indices):
+        dtheta -= (J[..., qi, :, None] * J[..., pi, None, :]
+                   + vals[..., pi, None, None] * hess[..., qi, :, :])
+    return dtheta
+
+
+class StructureAtPoint(expr.Record):
+    """The structure tensors at a point: two_form is the chart-dimension
+    matrix of omega (d theta on the contact kinds), theta and eta the
+    one-form component vectors, None where the geometry has no such
+    form."""
 
     __slots__ = ("two_form", "theta", "eta")
 
 
-def full_two_form(g):
-    """The canonical two-form (omega, Omega, or d theta) on the full chart."""
-    d = g.dim
-    M = np.zeros((d, d))
-    xi = np.array(g.x_indices)
-    M[np.ix_(xi, xi)] = canonical_eps(g.n)
-    return M
-
-
 def structure_at_point(g, x=None):
-    """Structure tensors of g in Darboux form (point-independent except
-    for theta, which carries the p-coordinates of x).  For a stack of
-    states x (N, d) theta is the matching (N, d) stack."""
-    d = g.dim
-    M = full_two_form(g)
-    eta = None
-    if g.t_index is not None:
-        eta = np.zeros(d)
-        eta[g.t_index] = 1.0
-    if g.z_index is None:
-        return StructureAtPoint(two_form=M, theta=None, eta=eta)
-    # theta = dz - p_i dq^i needs the point for its p-components
+    """The structure of g in Darboux form at one state x (d,) or a stack
+    (N, d): its pullback by the identity, at values x and J = I.  Only
+    theta reads x, so the kinds without theta need none."""
     if x is None:
-        raise ValueError(f"{g.kind} structure needs the evaluation point")
+        if g.z_index is not None:
+            raise ValueError(f"{g.kind} structure needs the evaluation point")
+        x = np.zeros(g.dim)
     x = g.check_states(x)
-    theta = np.zeros(x.shape)
-    theta[..., g.z_index] = 1.0
-    theta[..., g.q_slice] = -x[..., g.p_slice]
-    return StructureAtPoint(two_form=M, theta=theta, eta=eta)
+    eye = np.broadcast_to(np.eye(g.dim), x.shape + (g.dim,))
+    theta = None if g.z_index is None else pullback_theta(g, x, eye)
+    eta = None if g.t_index is None else eye[..., g.t_index, :]
+    return StructureAtPoint(pullback_two_form(g, eye), theta, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -360,31 +378,28 @@ def dynamical_vf_jacobian(g, H, x):
 def poisson_bracket(g, f, h, x):
     """Canonical-coordinate Poisson bracket sum_i (df/dq dh/dp -
     df/dp dh/dq); t-derivatives never enter."""
-    if g.kind not in ("symplectic", "cosymplectic"):
-        raise WrongGeometry(f"Poisson bracket undefined for {g.kind}")
-    g.check_chart(f, "f")
-    g.check_chart(h, "h")
-    x = g.check_state(x)
-    gf = expr.gradient(f, x)
-    gh = expr.gradient(h, x)
-    qs, ps = g.q_slice, g.p_slice
-    return float(np.dot(gf[qs], gh[ps]) - np.dot(gf[ps], gh[qs]))
+    return _bracket(g, ("symplectic", "cosymplectic"), "Poisson", f, h, x)
 
 
 def jacobi_bracket(g, f, h, x):
     """Contact/cocontact Jacobi bracket: the Poisson terms plus
     df/dz (p.dh/dp - h) - dh/dz (p.df/dp - f)."""
-    if g.kind not in ("contact", "cocontact"):
-        raise WrongGeometry(f"Jacobi bracket undefined for {g.kind}")
+    return _bracket(g, ("contact", "cocontact"), "Jacobi", f, h, x)
+
+
+def _bracket(g, kinds, name, f, h, x):
+    if g.kind not in kinds:
+        raise WrongGeometry(f"{name} bracket undefined for {g.kind}")
     g.check_chart(f, "f")
     g.check_chart(h, "h")
     x = g.check_state(x)
     fval, gf, _ = expr.jet(f, x, order=1)
     hval, gh, _ = expr.jet(h, x, order=1)
-    qs, ps = g.q_slice, g.p_slice
-    zi = g.z_index
-    p = x[ps]
+    qs, ps, zi = g.q_slice, g.p_slice, g.z_index
     core = float(np.dot(gf[qs], gh[ps]) - np.dot(gf[ps], gh[qs]))
+    if zi is None:
+        return core
+    p = x[ps]
     return (core
             + gf[zi] * (float(np.dot(p, gh[ps])) - hval)
             - gh[zi] * (float(np.dot(p, gf[ps])) - fval))

@@ -1,17 +1,15 @@
 """Candidate transformations and their certification.
 
 A TransformMap holds one expression per target coordinate in the fixed
-chart ordering.  From its Jacobian we assemble Lagrange brackets
-
-    [x^mu, x^nu] = sum_i dQ^i/dx^mu dP_i/dx^nu - dQ^i/dx^nu dP_i/dx^mu
-
-(the components of the pulled-back two-form; only the (Q, P) component
-pairs enter, never T or Z).  A Jets bundle holds the map's values, J,
-Hessians, brackets and bracket derivatives at a stack of states from
-one sweep, which every check of the stack reads.  On top of those this
-module decides canonical status (pullback reproduces the structure),
-canonoid status (the original dynamics stays Hamiltonian for some new K
-with respect to the pulled-back structure), and recovers K numerically.
+chart ordering.  A Jets bundle holds the map's values, Jacobian J and
+Hessians at a stack of states from one sweep, which every check of the
+stack reads, with the pulled-back two-form (the Lagrange brackets) and
+its derivative.  The Darboux formulas all live in geometry: the
+pullbacks of omega and theta, the canonical structure, and X_H with its
+Jacobian.  On top of those this module decides canonical status
+(pullback reproduces the structure), canonoid status (the original
+dynamics stays Hamiltonian for some new K with respect to the
+pulled-back structure), and recovers K numerically.
 On the contact kinds K = -theta_bar(X_H) is algebraic, and the residual
 reads the Reeb field(s) of the pulled-back structure, from one SVD per
 sample over the stack.
@@ -45,7 +43,9 @@ import numpy as np
 
 from . import expr
 from .geometry import (
-    canonical_eps, contract, hamiltonian_vf_jacobian, structure_at_point,
+    contract, hamiltonian_vf, hamiltonian_vf_jacobian, pullback_theta,
+    pullback_theta_derivative, pullback_two_form,
+    pullback_two_form_derivative, structure_at_point,
 )
 
 __all__ = [
@@ -213,16 +213,19 @@ def _require_nonsingular(J, x):
     relative d*eps or so of J; at cond_1 <= 5e11 that moves the exact
     cond_1 and the value np.linalg.cond computes from its own LU inverse
     by a relative d*eps*cond_1 < 1e-3 each, far inside the factor 2.
-    Outside 1e-150 <= |J|_F <= 1e150 the squares in |J|_F, or the
-    inverse np.linalg.cond takes, may underflow or overflow, so those
-    samples, like those with a NaN or inf bound, take the exact cond:
-    the test raises where and as the exact one does."""
+    Each J is first scaled by the power of two that brings max |J| into
+    [0.5, 1), exactly short of entries 1e308 below the largest: no cond
+    changes, and neither |J|_F nor the inverse np.linalg.cond takes
+    under- or overflows for J's scale alone.  Samples with a NaN or inf
+    bound take the exact cond, which raises where and as it would
+    alone."""
     d = J.shape[-1]
     J = J.reshape(-1, d, d)
     with np.errstate(all="ignore"):
+        _, exp = np.frexp(np.max(np.abs(J), axis=(1, 2)))
+        J = np.ldexp(J, -exp[:, None, None])
         norm = np.sqrt(np.einsum("nij,nij->n", J, J))
         bound = d / np.abs(np.linalg.det(J / norm[:, None, None]))
-    bound[(norm < 1e-150) | (norm > 1e150)] = np.inf
     lim = CONDITION_LIMIT / 2
     unsure = np.flatnonzero(~(bound <= lim))
     if not unsure.size:
@@ -255,16 +258,11 @@ def jacobian_and_hessians(F, x):
     return vals, J, H
 
 
-def _lagrange_from_jacobian(g, J):
-    B = np.swapaxes(J[..., g.q_slice, :], -1, -2) @ J[..., g.p_slice, :]
-    return B - np.swapaxes(B, -1, -2)
-
-
 def lagrange_brackets(F, x):
     """Lagrange matrix [x^mu, x^nu] at x over the full coordinate list;
     antisymmetric by construction.  Raises like jacobian() at a
     singular point."""
-    return _lagrange_from_jacobian(F.geometry, jacobian(F, x))
+    return pullback_two_form(F.geometry, jacobian(F, x))
 
 
 def lagrange_derivative(F, x):
@@ -272,14 +270,6 @@ def lagrange_derivative(F, x):
     product rule from component Jacobians and (symmetric) Hessians.
     Raises like jacobian() at a singular point."""
     return Jets(F, x).dLam
-
-
-def _lagrange_derivative_from(g, J, H):
-    qs, ps = g.q_slice, g.p_slice
-    # a[nu] = sum_i outer(dJQ_i/dx^nu, JP_i) + outer(JQ_i, dJP_i/dx^nu)
-    a = (np.einsum("...inm,...ik->...nmk", H[..., qs, :, :], J[..., ps, :])
-         + np.einsum("...im,...ink->...nmk", J[..., qs, :], H[..., ps, :, :]))
-    return a - np.swapaxes(a, -1, -2)
 
 
 class Jets:
@@ -295,11 +285,15 @@ class Jets:
     @classmethod
     def of(cls, F, x, stack=False):
         """x itself when it is a bundle of F, else F's bundle at the
-        states x (a non-empty (N, d) stack when stack is set)."""
+        states x.  When stack is set the bundle is of a non-empty (N, d)
+        stack: one state, as an array or a bundle, is the one-row
+        stack."""
         if not isinstance(x, cls):
             return cls(F, as_samples(x) if stack else x)
         if x.F is not F:
             raise ValueError("the jets were taken of another transform")
+        if stack and x.x.ndim == 1:
+            return cls(F, x.x[None])
         return x
 
     def __len__(self):
@@ -311,23 +305,16 @@ class Jets:
 
     @functools.cached_property
     def lam(self):
-        return _lagrange_from_jacobian(self.F.geometry, self.sweep[1])
+        return pullback_two_form(self.F.geometry, self.sweep[1])
 
     @functools.cached_property
     def dLam(self):
-        return _lagrange_derivative_from(self.F.geometry, *self.sweep[1:])
+        return pullback_two_form_derivative(self.F.geometry,
+                                            *self.sweep[1:])
 
 
 # ---------------------------------------------------------------------------
 # Canonical check
-
-
-def _pullback_theta(g, vals, J):
-    """Components of F*theta = dZ - P_i dQ^i."""
-    theta = J[..., g.z_index, :].copy()
-    for qi, pi in zip(g.q_indices, g.p_indices):
-        theta -= vals[..., pi, None] * J[..., qi, :]
-    return theta
 
 
 def as_samples(samples):
@@ -347,10 +334,10 @@ def check_canonical(F, samples, tol=DEFAULT_TOL):
     vals, J, _ = _eval_components(F, samples, order=1)
     s = structure_at_point(g, samples)
     if s.theta is None:
-        gaps = [(_lagrange_from_jacobian(g, J) - s.two_form)
+        gaps = [(pullback_two_form(g, J) - s.two_form)
                 .reshape(len(samples), -1)]
     else:
-        gaps = [_pullback_theta(g, vals, J) - s.theta]
+        gaps = [pullback_theta(g, vals, J) - s.theta]
     if s.eta is not None:
         gaps.append(J[:, g.t_index, :] - s.eta)
     residuals = np.max(np.abs(np.concatenate(gaps, axis=1)), axis=1)
@@ -372,22 +359,21 @@ def _k_gradient_pieces(F, H, x):
     G = (X_H contracted into the pulled-back two-form, x-part), and the
     Lagrange matrix, at the states or the Jets x.
 
-    G_mu = sum L_{mu nu} (eps_inv grad_x H)_nu with L the x-block of the
-    Lagrange matrix; this is the bracket form of the K-gradient
-    relations for the (q, p) components of dK.  _k_gradient_only gives
-    G itself.
+    G_mu = -sum L_{mu nu} (X_H)_nu with L the x-block of the Lagrange
+    matrix; -X_H on the x-block is eps_inv grad_x H, so this is the
+    bracket form of the K-gradient relations for the (q, p) components
+    of dK.  _k_gradient_only gives G itself.
     """
     g = F.geometry
     jets = Jets.of(F, x)
     with np.errstate(all="ignore"):
         lam, dLam = jets.lam, jets.dLam
-        _, gradH, hessH = expr.value_and_derivatives(H, jets.x)
-        eps = canonical_eps(g.n)
+        X, dX = hamiltonian_vf_jacobian(g, H, jets.x)
         L = _x_block(g, lam)
-        u = gradH[..., g.x_slice] @ eps              # eps_inv @ grad_x H
-        # dG[:, a] = dLam[a]_xx @ u + L @ eps_inv @ hessH[x, a]
+        u = -X[..., g.x_slice]
+        # dG[:, a] = dLam[a]_xx @ u + L @ du/dx^a
         along = (_x_block(g, dLam) @ u[..., None, :, None])[..., 0]
-        dG = np.swapaxes(along, -1, -2) + L @ (eps.T @ hessH[..., g.x_slice, :])
+        dG = np.swapaxes(along, -1, -2) + L @ -dX[..., g.x_slice, :]
         return dG, lam
 
 
@@ -396,7 +382,7 @@ def _k_gradient_only(F, H, x):
     g = F.geometry
     with np.errstate(all="ignore"):
         L = _x_block(g, lagrange_brackets(F, x))
-        u = expr.gradient(H, x)[..., g.x_slice] @ canonical_eps(g.n)
+        u = -hamiltonian_vf(g, H, x)[..., g.x_slice]
         return (L @ u[..., None])[..., 0]
 
 
@@ -535,14 +521,9 @@ def _contact_point_data(F, H, x):
             # no pulled-back coframe determines a Reeb field there
             raise SingularReeb(str(e)) from e
         lam = jets.lam
-        theta_bar = _pullback_theta(g, vals, J)
+        theta_bar = pullback_theta(g, vals, J)
         X, dX = hamiltonian_vf_jacobian(g, H, jets.x)
-        # dtheta[mu, a] = d theta_bar_mu / dx^a; the dP_i factor sits in the
-        # derivative slot a
-        dtheta = Hc[..., g.z_index, :, :].copy()
-        for qi, pi in zip(g.q_indices, g.p_indices):
-            dtheta -= (J[..., qi, :, None] * J[..., pi, None, :]
-                       + vals[..., pi, None, None] * Hc[..., qi, :, :])
+        dtheta = pullback_theta_derivative(g, vals, J, Hc)
         K = -np.einsum("...i,...i->...", theta_bar, X)
         dK = -contract(dtheta, X) - contract(dX, theta_bar)
         return J, lam, theta_bar, X, K, dK

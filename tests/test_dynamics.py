@@ -143,8 +143,10 @@ def test_argument_validation():
 # round for the Jacobi bracket: both charts have four coordinates, so
 # reading H's partials by position would go unnoticed.  SHEAR2 is not
 # canonoid for H misread as q2^2/2 + p1^2/2, so check_canonoid does not
-# reach recover_K.
+# reach recover_K.  FLAT2 is singular everywhere: check_canonoid checks
+# H's chart before it sweeps the map, so the chart error is reported.
 SHEAR2 = TransformMap.parse(SYMP2, ["q1", "q2", "q1*p1", "p2"])
+FLAT2 = TransformMap.parse(SYMP2, ["q1", "q1", "p1", "p2"])
 X4 = np.array([0.6, 0.8, 1.1, 0.9])
 H_COCO = COCO1.parse("q1^2/2 + p1^2/2")
 H_SYMP = SYMP2.parse("q1^2/2 + p1^2/2")
@@ -163,6 +165,8 @@ CHART_ENTRIES = {
         COCO1, COCO1.parse("q1"), H, X4)),
     "check_canonoid": (H_COCO, SYMP2,
                        lambda H: transform.check_canonoid(SHEAR2, H, [X4])),
+    "check_canonoid-singular-map": (
+        H_COCO, SYMP2, lambda H: transform.check_canonoid(FLAT2, H, [X4])),
     "recover_K": (H_COCO, SYMP2,
                   lambda H: transform.recover_K(SHEAR2, H, X4, X4 / 2)),
     "lie_derivative_S": (H_COCO, SYMP2,

@@ -20,7 +20,7 @@ import pytest
 from canonoid import stensor, transform
 from canonoid.dynamics import lie_derivative_S
 from canonoid.expr import DomainError
-from canonoid.geometry import GeometryKind, full_two_form
+from canonoid.geometry import GeometryKind, structure_at_point
 from canonoid.stensor import (
     InvolutionResult, SingularPullback, involution_matrix,
     lenard_identity_residual, nijenhuis_torsion, s_tensor, trace_powers,
@@ -105,7 +105,7 @@ def test_reconstruction_roundtrip():
         x = np.linspace(0.5, 1.3, g.dim)
         S = s_tensor(F, x)
         lam = transform.lagrange_brackets(F, x)
-        omega = full_two_form(g)
+        omega = structure_at_point(g, x).two_form
         xi = list(g.x_indices)
         back = (S.T @ omega)[:, xi]
         assert np.max(np.abs(back - lam[:, xi])) < 1e-12, g.kind
@@ -501,6 +501,22 @@ def test_jets_of_another_transform_are_rejected():
     assert transform.Jets.of(F, jets) is jets
     with pytest.raises(ValueError, match="another transform"):
         nijenhuis_torsion(G, jets)
+
+
+def test_one_state_bundle_reads_as_its_one_row_stack():
+    # the checks over a stack of samples take one state's Jets as they
+    # take the state itself: as the one-row stack
+    for g, sources in LENARD_CASES:
+        F = tmap(g, sources)
+        H = g.parse("q1^2/2 + p1^3/3"
+                    + (" + 0.2*z" if g.z_index is not None else ""))
+        x = np.linspace(0.6, 1.3, g.dim)
+        for entry in (lambda s: transform.check_canonoid(F, H, s),
+                      lambda s: involution_matrix(F, s, 3)):
+            want, got = entry(x), entry(transform.Jets(F, x))
+            for a, b in zip(want._values(), got._values(), strict=True):
+                assert (np.array_equal(a, b) if isinstance(a, np.ndarray)
+                        else a == b), g.kind
 
 
 # ---------------------------------------------------------------------------

@@ -623,8 +623,11 @@ def test_ill_conditioned_jacobian_rejected():
 
 def _unscreened_guard(J, x):
     """The singularity test without its screen: np.linalg.cond(J, 1) of
-    every sample."""
-    cond = np.atleast_1d(np.linalg.cond(J, 1))
+    every sample, each J scaled by the power of two that brings max |J|
+    into [0.5, 1), as the guard scales it."""
+    J = J.reshape(-1, J.shape[-1], J.shape[-1])
+    _, exp = np.frexp(np.max(np.abs(J), axis=(1, 2)))
+    cond = np.linalg.cond(np.ldexp(J, -exp[:, None, None]), 1)
     bad = ~(cond <= transform.CONDITION_LIMIT)
     if bad.any():
         i = int(np.argmax(bad))
@@ -674,7 +677,8 @@ def test_screened_guard_raises_as_the_exact_cond_does(d, kinds, exponents,
     # the screen certifies a sample only where its bound on cond_1 is
     # below half the limit; every other sample takes np.linalg.cond, so
     # the guard raises at the same sample with the same message, also
-    # at scales where the squares of J's entries under- or overflow
+    # at scales where the squares of J's entries, or its inverse, would
+    # under- or overflow without the prescale
     rng = np.random.default_rng(seed)
     J = scale * np.array([_jacobian(k, rng, d, e)
                           for k, e in zip(kinds, exponents)])
@@ -683,6 +687,18 @@ def test_screened_guard_raises_as_the_exact_cond_does(d, kinds, exponents,
     assert _guard_outcome(transform._require_nonsingular, J, x) == want
     assert (_guard_outcome(transform._require_nonsingular, J[0], x[0])
             == _guard_outcome(_unscreened_guard, J[0], x[0]))
+
+
+def test_guard_reads_no_scale_as_singular():
+    # cond_1(J) = 1e10 at the scale 1e-300: unscaled, the inverse that
+    # np.linalg.cond takes overflows and reads as cond(J) = inf
+    F = tmap(SYMP1, ["1e-300*q1", "1e-310*p1"])
+    assert np.array_equal(jacobian(F, [0.5, 1.0]), np.diag([1e-300, 1e-310]))
+    assert np.isinf(np.linalg.cond(np.diag([1e-300, 1e-310]), 1))
+    # a singular J is still singular at that scale
+    F = tmap(SYMP1, ["1e-300*q1", "1e-300*q1 + 1e-320*p1"])
+    with pytest.raises(SingularTransform, match=r"cond\(J\) = 2\.000e\+20 "):
+        jacobian(F, [0.5, 1.0])
 
 
 def test_guard_screen_keeps_its_margin():

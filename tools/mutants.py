@@ -84,6 +84,18 @@ MUTANTS = {
         "            if x != last[0]:\n"
         "                last[:] = x, field(x)\n"
         "            return last[1]\n\n"),
+    "pullback-theta-term-sign": (
+        "src/canonoid/geometry.py",
+        "        theta -= vals[..., pi, None] * J[..., qi, :]",
+        "        theta += vals[..., pi, None] * J[..., qi, :]"),
+    "pullback-two-form-not-antisymmetrised": (
+        "src/canonoid/geometry.py",
+        "    return B - np.swapaxes(B, -1, -2)",
+        "    return B"),
+    "vf-jacobian-contact-diagonal-dropped": (
+        "src/canonoid/geometry.py",
+        "    dX[..., diag, diag] -= grad[..., zi, None]\n",
+        ""),
     "guard-screen-no-margin": (
         "src/canonoid/transform.py",
         "lim = CONDITION_LIMIT / 2",
