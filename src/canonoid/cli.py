@@ -2,21 +2,21 @@
 
 Configs are validated against a versioned schema (``"schema": 1``); any
 violation raises ConfigError naming the offending field by its dotted
-path.  Checks execute in dependency order
-
-    canonical, canonoid, traces, torsion, lenard, involution,
-    lie_derivative
-
-and the report records one entry per requested check with a verdict in
-{pass, fail, not-applicable} plus the measured residual.
+path.  One table, _CHECKS, holds each check once, in dependency order,
+with its tolerance key, its default tolerance and its runner;
+CHECK_NAMES, STRUCTURAL_CHECKS and DEFAULT_TOLERANCES are read off it.
+Checks run in that order whatever order the config lists them in, and
+_entry builds each one's report entry: a verdict in {pass, fail,
+not-applicable} and the measured residual.
 
 Every command, and run(), goes through one runner, _execute, from a
-loaded config to the command's file in the output directory (COMMANDS
+config file to the command's file in the output directory (COMMANDS
 names them): check.json holds the structural checks the config
 requests, trajectory.csv the integrated states, invariants.json the
 traces check, and report.json every requested check.  report, and
-run() with it, reuses the entries of check.json and invariants.json
-written under the same config hash and computes the rest.
+run() with it, reuses an entry of check.json or invariants.json only
+if it was written under the same config hash and _entry could have
+built it under that config; it computes the rest.
 
 Determinism: sampling uses xorshift64*, a fixed 64-bit generator (state
 update x ^= x >> 12; x ^= x << 25; x ^= x >> 27; output is the state
@@ -33,7 +33,7 @@ variable again if it set it.
 
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
 2 configuration or execution error, a config file that does not decode
-as JSON included.
+as JSON and a trajectory that integrate cannot finish included.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from .transform import TransformMap
 
 __all__ = [
     "ConfigError",
+    "ExecutionError",
     "CheckError",
     "ExperimentConfig",
     "Xorshift64Star",
@@ -83,19 +84,6 @@ __all__ = [
     "DEFAULT_TOLERANCES",
 ]
 
-CHECK_NAMES = ("canonical", "canonoid", "traces", "torsion", "lenard",
-               "involution", "lie_derivative")
-STRUCTURAL_CHECKS = ("canonical", "canonoid", "torsion", "lenard",
-                     "involution", "lie_derivative")
-DEFAULT_TOLERANCES = {
-    "canonical": 1e-8,
-    "canonoid": 1e-8,
-    "drift": 1e-7,
-    "torsion": 1e-10,
-    "lenard": 1e-8,
-    "involution": 1e-8,
-    "lie_derivative": 1e-8,
-}
 DEFAULT_KMAX = 4
 DEFAULT_SAMPLE_COUNT = 25
 # rows of invariants.csv formatted per write
@@ -111,8 +99,12 @@ class ConfigError(ValueError):
     of the offending field."""
 
 
-class CheckError(RuntimeError):
-    """A check failed to execute (as opposed to failing its verdict)."""
+class ExecutionError(RuntimeError):
+    """A command failed to execute (as opposed to failing a verdict)."""
+
+
+class CheckError(ExecutionError):
+    """A check failed to execute."""
 
     def __init__(self, check, cause):
         super().__init__(f"check '{check}' failed to execute: {cause}")
@@ -303,10 +295,8 @@ def validate_config(data):
             raise ConfigError(f"tolerances.{key}: must be positive")
         tol[key] = v
 
-    known = {"schema", "geometry", "hamiltonian", "transform", "sample_box",
-             "sample_count", "seed", "checks", "kmax", "trajectory",
-             "tolerances"}
-    unknown = [k for k in data if k not in known]
+    unknown = [k for k in data
+               if k != "schema" and k not in ExperimentConfig.__slots__]
     if unknown:
         raise ConfigError(f"config: unknown field(s) {unknown}")
 
@@ -376,27 +366,28 @@ def trace_observables(F, kmax):
 # individual checks
 
 
-def _entry(cfg, tol_name, residual, **details):
-    """A check's report entry: its verdict on residual against the
-    tolerance tol_name, the residual and the tolerance, plus details."""
-    tol = cfg.tolerances[tol_name]
-    return {"verdict": "pass" if residual <= tol else "fail",
-            "residual": residual, "tolerance": tol, **details}
+def _entry(cfg, name, residual, **details):
+    """Check name's report entry: the verdict on residual against its
+    tolerance (not-applicable if None), residual, tolerance, details."""
+    tol = cfg.tolerances[_CHECKS[name][0]]
+    verdict = ("not-applicable" if residual is None
+               else "pass" if residual <= tol else "fail")
+    return {"verdict": verdict, "residual": residual, "tolerance": tol,
+            **details}
 
 
-def _check_canonical(cfg, samples):
-    res = transform.check_canonical(cfg.transform, samples,
-                                    tol=cfg.tolerances["canonical"])
-    return _entry(cfg, "canonical", float(res.max_residual))
+def _check_canonical(cfg, jets, out_dir):
+    # an order-1 sweep of its own: canonical reads no Hessians
+    res = transform.check_canonical(cfg.transform, jets.x)
+    return float(res.max_residual), {}
 
 
-def _check_canonoid(cfg, jets):
+def _check_canonoid(cfg, jets, out_dir):
     res = transform.check_canonoid(cfg.transform, cfg.hamiltonian, jets,
                                    tol=cfg.tolerances["canonoid"])
-    return _entry(
-        cfg, "canonoid", float(res.max_residual),
-        components={k: float(v) for k, v in res.components.items()},
-        K_probe=None if res.K_probe is None else res.K_probe.tolist())
+    return float(res.max_residual), {
+        "components": {k: float(v) for k, v in res.components.items()},
+        "K_probe": None if res.K_probe is None else res.K_probe.tolist()}
 
 
 def _trajectory(cfg):
@@ -404,93 +395,97 @@ def _trajectory(cfg):
     return dynamics.integrate(cfg.geometry, cfg.hamiltonian, **cfg.trajectory)
 
 
-def _check_traces(cfg, out_dir):
+def _check_traces(cfg, jets, out_dir):
     traj = _trajectory(cfg)
     obs = trace_observables(cfg.transform, cfg.kmax)
     rep = dynamics.drift_report(traj, obs)
     if out_dir is not None:
         _write_csv(out_dir / "invariants.csv", traj, obs)
-    worst = float(transform.fold_max(
-        [d.max_rel_drift for d in rep.values()], "observable"))
-    drift = {name: {"initial": d.initial, "max_abs_drift": d.max_abs_drift,
-                    "max_rel_drift": d.max_rel_drift, "slope": d.slope}
+    for name, d in rep.items():
+        if not math.isfinite(d.max_rel_drift):
+            raise transform.NonFiniteResidual(
+                f"non-finite residual at observable {name}")
+    drift = {name: {key: getattr(d, key) for key in d.__slots__}
              for name, d in rep.items()}
-    return _entry(cfg, "drift", worst, method=cfg.trajectory["method"],
-                  steps=cfg.trajectory["steps"], drift=drift)
+    return float(max(d.max_rel_drift for d in rep.values())), {
+        "method": cfg.trajectory["method"],
+        "steps": cfg.trajectory["steps"], "drift": drift}
 
 
-def _check_torsion(cfg, jets):
+def _check_torsion(cfg, jets, out_dir):
     N = stensor.nijenhuis_torsion(cfg.transform, jets)
     rows = np.abs(N).reshape(len(jets), -1)
-    return _entry(cfg, "torsion",
-                  float(transform.fold_max(np.max(rows, axis=1))))
+    return float(transform.fold_max(np.max(rows, axis=1))), {}
 
 
-def _check_lenard(cfg, jets):
+def _check_lenard(cfg, jets, out_dir):
     kmax = max(1, min(3, cfg.kmax - 1))
     worst_k = transform.fold_max(stensor.lenard_identity_residual(
         cfg.transform, jets, kmax))
     per_k = {str(k): float(r) for k, r in enumerate(worst_k, start=1)}
-    return _entry(cfg, "lenard", max(per_k.values()), per_k=per_k)
+    return max(per_k.values()), {"per_k": per_k}
 
 
-def _check_involution(cfg, jets):
+def _check_involution(cfg, jets, out_dir):
     try:
         res = stensor.involution_matrix(cfg.transform, jets, cfg.kmax)
     except SingularPullback as e:
-        return {
-            "verdict": "not-applicable",
-            "residual": None,
-            "tolerance": cfg.tolerances["involution"],
-            "detail": str(e),
-        }
+        return None, {"detail": str(e)}
     unb = float(np.max(res.unbarred))
     brd = float(np.max(res.barred))
     # involution_matrix rejects non-finite brackets
-    return _entry(cfg, "involution", max(unb, brd), unbarred_max=unb,
-                  barred_max=brd, skipped=res.skipped,
-                  max_condition=float(res.max_condition))
+    return max(unb, brd), {"unbarred_max": unb, "barred_max": brd,
+                           "skipped": res.skipped,
+                           "max_condition": float(res.max_condition)}
 
 
-def _check_lie_derivative(cfg, jets):
+def _check_lie_derivative(cfg, jets, out_dir):
     ti = cfg.geometry.t_index
     lie = np.abs(dynamics.lie_derivative_S(cfg.transform, cfg.hamiltonian,
                                            jets))
     if ti is None:
-        cols = [np.max(lie, axis=(1, 2)), np.zeros(len(jets))]
-    else:
-        # the dt-column is the one slot a time-dependent K may
-        # legitimately occupy; measured separately
-        cols = [np.max(np.delete(lie, ti, axis=2), axis=(1, 2)),
-                np.max(lie[:, :, ti], axis=1)]
+        return float(transform.fold_max(np.max(lie, axis=(1, 2)))), {
+            "time_column_max": None}
+    # the dt-column is the one slot a time-dependent K may legitimately
+    # occupy; measured separately
+    cols = [np.max(np.delete(lie, ti, axis=2), axis=(1, 2)),
+            np.max(lie[:, :, ti], axis=1)]
     worst, t_col = map(float, transform.fold_max(np.stack(cols, axis=1)))
-    return _entry(cfg, "lie_derivative", worst,
-                  time_column_max=t_col if ti is not None else None)
+    return worst, {"time_column_max": t_col}
+
+
+# check: (tolerance key, default tolerance, runner), in dependency order.
+# A runner maps (cfg, F's jets at the samples, output directory or None)
+# to its residual and the details of its report entry.  traces is the
+# one check that integrates; the others are structural.
+_CHECKS = {
+    "canonical": ("canonical", 1e-8, _check_canonical),
+    "canonoid": ("canonoid", 1e-8, _check_canonoid),
+    "traces": ("drift", 1e-7, _check_traces),
+    "torsion": ("torsion", 1e-10, _check_torsion),
+    "lenard": ("lenard", 1e-8, _check_lenard),
+    "involution": ("involution", 1e-8, _check_involution),
+    "lie_derivative": ("lie_derivative", 1e-8, _check_lie_derivative),
+}
+CHECK_NAMES = tuple(_CHECKS)
+STRUCTURAL_CHECKS = tuple(c for c in CHECK_NAMES if c != "traces")
+DEFAULT_TOLERANCES = {key: tol for key, tol, _ in _CHECKS.values()}
 
 
 def _run_checks(cfg, names, out_dir):
-    results = {}
     samples = draw_samples(cfg.geometry, cfg.sample_box, cfg.sample_count,
                            cfg.seed)
     # F's jets at the samples, shared by every structural check but
     # canonical; the one sweep runs in the first check that reads them
     jets = transform.Jets(cfg.transform, samples)
-    runners = {
-        "canonical": lambda: _check_canonical(cfg, samples),
-        "canonoid": lambda: _check_canonoid(cfg, jets),
-        "traces": lambda: _check_traces(cfg, out_dir),
-        "torsion": lambda: _check_torsion(cfg, jets),
-        "lenard": lambda: _check_lenard(cfg, jets),
-        "involution": lambda: _check_involution(cfg, jets),
-        "lie_derivative": lambda: _check_lie_derivative(cfg, jets),
-    }
-    for name in CHECK_NAMES:
-        if name not in names:
-            continue
-        try:
-            results[name] = runners[name]()
-        except Exception as e:
-            raise CheckError(name, e) from e
+    results = {}
+    for name, (_, _, runner) in _CHECKS.items():
+        if name in names:
+            try:
+                residual, details = runner(cfg, jets, out_dir)
+            except Exception as e:
+                raise CheckError(name, e) from e
+            results[name] = _entry(cfg, name, residual, **details)
     return results
 
 
@@ -511,20 +506,6 @@ def _write_csv(path, traj, observables):
             out.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _report_dict(cfg, config_hash, results):
-    return {
-        "schema": 1,
-        "tool_version": __version__,
-        "config_hash": config_hash,
-        "geometry": {"kind": cfg.geometry.kind, "n": cfg.geometry.n},
-        "seed": cfg.seed,
-        "kmax": cfg.kmax,
-        "sample_count": cfg.sample_count,
-        "executed": [n for n in CHECK_NAMES if n in results],
-        "checks": results,
-    }
-
-
 def _write_json(path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -542,10 +523,21 @@ COMMANDS = {
 }
 
 
+def _reusable(cfg, name, entry):
+    """Whether _entry could have built the dict entry for check name
+    under cfg: cfg's tolerance and a finite residual with the verdict
+    the rule gives, or involution's not-applicable with a null one."""
+    residual = entry.get("residual")
+    if not (isinstance(residual, float) and 0.0 <= residual < math.inf
+            or residual is None and name == "involution"):
+        return False
+    return entry == {**entry, **_entry(cfg, name, residual)}
+
+
 def _prior_results(cfg, config_hash, out):
     """The entries of cfg.checks held by check.json and invariants.json
-    in out that were written under config_hash.  A file that is not a
-    UTF-8 JSON object with an object "checks" is skipped."""
+    in out, written under config_hash, that pass _reusable.  A file that
+    is not a UTF-8 JSON object with an object "checks" is skipped."""
     results = {}
     for command in ("check", "invariants"):
         try:
@@ -558,20 +550,29 @@ def _prior_results(cfg, config_hash, out):
                 or not isinstance(prior.get("checks"), dict):
             continue
         results.update((name, entry) for name, entry in prior["checks"].items()
-                       if name in cfg.checks and isinstance(entry, dict))
+                       if name in cfg.checks and isinstance(entry, dict)
+                       and _reusable(cfg, name, entry))
     return results
 
 
-def _execute(command, cfg, config_hash, out):
-    """Run command on the loaded cfg and write its output file into the
-    directory out: (the report dict, None for integrate; exit code)."""
+def _execute(command, config_path, out_dir, kmax=None, tol=None, seed=None):
+    """Run command on the config at config_path, with the overrides, and
+    write its output file into the directory out_dir, made if missing:
+    (the report dict, None for integrate; exit code)."""
+    cfg, config_hash = load_config(config_path, kmax=kmax, tol=tol, seed=seed)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     target = out / COMMANDS[command][1]
     if command in ("integrate", "invariants") and cfg.trajectory is None:
         raise ConfigError(f"trajectory: required for '{command}'")
     if command == "integrate":
         coords = [(name, lambda X, j=j: X[:, j])
                   for j, name in enumerate(cfg.geometry.chart_vars)]
-        _write_csv(target, _trajectory(cfg), coords)
+        try:
+            traj = _trajectory(cfg)
+        except Exception as e:
+            raise ExecutionError(f"integration failed: {e}") from e
+        _write_csv(target, traj, coords)
         return None, 0
     results = {}
     if command == "check":
@@ -582,7 +583,17 @@ def _execute(command, cfg, config_hash, out):
         results = _prior_results(cfg, config_hash, out)
         names = [c for c in cfg.checks if c not in results]
     results.update(_run_checks(cfg, names, out))
-    report = _report_dict(cfg, config_hash, results)
+    report = {
+        "schema": 1,
+        "tool_version": __version__,
+        "config_hash": config_hash,
+        "geometry": {"kind": cfg.geometry.kind, "n": cfg.geometry.n},
+        "seed": cfg.seed,
+        "kmax": cfg.kmax,
+        "sample_count": cfg.sample_count,
+        "executed": [n for n in CHECK_NAMES if n in results],
+        "checks": results,
+    }
     _write_json(target, report)
     if command == "report":
         _write_json(out / "report_meta.json", {
@@ -595,10 +606,7 @@ def _execute(command, cfg, config_hash, out):
 def run(config_path, out_dir, kmax=None, tol=None, seed=None):
     """`canonoid report` as a function: returns the report dict.  Files
     land in out_dir, where same-config prior outputs are reused."""
-    cfg, config_hash = load_config(config_path, kmax=kmax, tol=tol, seed=seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return _execute("report", cfg, config_hash, out)[0]
+    return _execute("report", config_path, out_dir, kmax, tol, seed)[0]
 
 
 def main(argv=None):
@@ -617,12 +625,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        cfg, config_hash = load_config(args.config, kmax=args.kmax,
-                                       tol=args.tol, seed=args.seed)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return _execute(args.command, cfg, config_hash, out)[1]
-    except (ConfigError, CheckError, OSError) as e:
+        return _execute(args.command, args.config, args.out, args.kmax,
+                        args.tol, args.seed)[1]
+    except (ConfigError, ExecutionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

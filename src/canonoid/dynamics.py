@@ -8,23 +8,23 @@ Both carry the state as a list of Python floats.  RK4 takes each step
 from one straight-line text emitted once per (H, geometry), with H's
 float sweep written in it at all four stages; each stage and the
 update take the float operations of the (d,) array formulas, in their
-order, and the rows are packed into one buffer of doubles, read once
-as the (T, d) array.  Dormand-Prince takes each attempt from one
-straight-line text emitted once per state dimension d, dp_step(d),
-written by running the list formula _dp_stepper on terms: it sums
-each stage's weighted stages, the 5th-order update and the error
-estimate left to right with the zero weights dropped, so its steps do
-not depend on a BLAS library.  The text does not depend on H: each of
-its seven stages calls the field it is given, which integrate makes
-dynamical_vf(g, H, state), whose list form runs the one-state field
-geometry.point_field emits once per Hamiltonian.
+order.  Dormand-Prince takes each attempt from one straight-line text
+emitted once per state dimension d, dp_step(d), written by running the
+list formula _dp_stepper on terms: it sums each stage's weighted
+stages, the 5th-order update and the error estimate left to right with
+the zero weights dropped, so its steps do not depend on a BLAS
+library.  The text does not depend on H: each of its seven stages
+calls the field it is given, which integrate makes dynamical_vf(g, H,
+state), whose list form runs the one-state field geometry.point_field
+emits once per Hamiltonian.
 
-For the time-extended geometries the t-coordinate is pinned to the
-accumulated integration time after every step: its exact equation is
-dt/dt = 1, which every Runge-Kutta scheme integrates without
-truncation error, so the assignment only removes rounding noise and
-keeps the Trajectory invariant exact.  A Trajectory holds the times
-(T,) and the states (T, d), nothing else.
+Both methods store an accepted step through one path.  It pins the
+t-coordinate of the time-extended geometries to the step's time, RK4's
+t0 + h*k or Dormand-Prince's accumulated time: its exact equation
+dt/dt = 1 every Runge-Kutta scheme integrates without truncation
+error, so the pin only removes rounding noise.  Then it packs the time
+and the row into buffers of doubles, read once as the Trajectory's
+times (T,) and states (T, d), which is all a Trajectory holds.
 
 Drift statistics quantify "constant along the trajectory" for a list
 of observables: drift_report maps each observable's name to its
@@ -34,6 +34,7 @@ conserved quantities near zero do not blow up the ratio.
 
 from __future__ import annotations
 
+import array
 import functools
 import math
 import struct
@@ -192,63 +193,56 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
     t0, t1 = (float(t_span[0]), float(t_span[1]))
     if not t1 > t0:
         raise ValueError(f"t_span must increase, got ({t0}, {t1})")
-    y = g.check_state(x0).copy()
+    y = g.check_state(x0).tolist()
     ti = g.t_index
     if ti is not None and abs(y[ti] - t0) > T0_MATCH_TOL:
         raise ValueError(
             f"x0 has t = {y[ti]} but integration starts at t = {t0}")
-    if ti is not None:
-        y[ti] = t0
+    # accept stores the state y reached at time t, t-coordinate pinned,
+    # in buffers of doubles, which hold no float objects, read once
+    times, rows = array.array("d"), bytearray()
+    record, extend = times.append, rows.extend
+    pack = struct.Struct(f"{g.dim}d").pack
+
+    def accept(t, y):
+        if ti is not None:
+            y[ti] = t
+        record(t)
+        extend(pack(*y))
+
+    accept(t0, y)
+    span = t1 - t0
+    h = span / steps
     # a non-finite field value propagates into the states, where the
     # guards of the trace checks report it; numpy stays quiet
     with np.errstate(all="ignore"):
         if method == "rk4":
-            h = (t1 - t0) / steps
-            times = t0 + h * np.arange(steps + 1)
-            step = rk4_step(g, H)
-            y = y.tolist()
-            # the rows are packed into one buffer of doubles, which holds
-            # no float objects, and read as the states array once
-            pack = struct.Struct(f"{g.dim}d").pack
-            flat = bytearray(pack(*y))
             half, sixth = 0.5 * h, h / 6.0
+            step = rk4_step(g, H)
             for k in range(1, steps + 1):
                 y = step(y, h, half, sixth)
-                if ti is not None:
-                    y[ti] = float(times[k])
-                flat += pack(*y)
-            states = np.frombuffer(flat).reshape(steps + 1, g.dim)
-            return Trajectory(times=times, states=states)
-
-        span = t1 - t0
-        h = span / steps
-        h_min = 1e-14 * span
-        t = t0
-        y = y.tolist()
-        times = [t0]
-        states = [y]
-        # each stage calls dynamical_vf by the name bound here, so a
-        # wrapper installed on that name sees every stage
-        f = functools.partial(dynamical_vf, g, H)
-        step = dp_step(g.dim)
-        while t < t1 - 1e-14 * span:
-            h = min(h, t1 - t)
-            y_new, err = step(y, h, f)
-            ratio = _error_ratio(err, y, y_new, rtol, atol)
-            if ratio <= 1.0:
-                t = t + h
-                y = y_new
-                if ti is not None:
-                    y[ti] = t
-                times.append(t)
-                states.append(y)
-            factor = (5.0 if ratio == 0.0
-                      else min(5.0, max(0.2, 0.9 * ratio ** -0.2)))
-            h = h * factor
-            if h < h_min:
-                raise StepFailure(
-                    f"step size underflow at t = {t} (h = {h:.3e})")
-        return Trajectory(times=np.array(times), states=np.array(states))
+                accept(t0 + h * k, y)
+        else:
+            t, h_min = t0, 1e-14 * span
+            # each stage calls dynamical_vf by the name bound here, so a
+            # wrapper installed on that name sees every stage
+            f = functools.partial(dynamical_vf, g, H)
+            step = dp_step(g.dim)
+            while t < t1 - h_min:
+                h = min(h, t1 - t)
+                y_new, err = step(y, h, f)
+                ratio = _error_ratio(err, y, y_new, rtol, atol)
+                if ratio <= 1.0:
+                    t, y = t + h, y_new
+                    accept(t, y)
+                factor = (5.0 if ratio == 0.0
+                          else min(5.0, max(0.2, 0.9 * ratio ** -0.2)))
+                h = h * factor
+                if h < h_min:
+                    raise StepFailure(
+                        f"step size underflow at t = {t} (h = {h:.3e})")
+    return Trajectory(times=np.frombuffer(times),
+                      states=np.frombuffer(rows).reshape(-1, g.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +264,13 @@ def drift_report(traj, observables):
             raise ValueError(f"observable {name!r} gave shape {vals.shape} "
                              f"for {T} states")
         f0 = vals[0]
-        dev = np.abs(vals - f0)
-        max_abs = float(np.max(dev))
-        rel = max_abs / max(abs(f0), 1.0)
-        if T > 1:
-            slope = float(np.polyfit(traj.times, vals, 1)[0])
-        else:
-            slope = 0.0
+        # a non-finite value gives a non-finite drift, for the caller's
+        # guard to report; numpy stays quiet
+        with np.errstate(all="ignore"):
+            max_abs = float(np.max(np.abs(vals - f0)))
+            rel = max_abs / max(abs(f0), 1.0)
+            slope = (float(np.polyfit(traj.times, vals, 1)[0]) if T > 1
+                     else 0.0)
         out[name] = ObservableDrift(initial=float(f0), max_abs_drift=max_abs,
                                     max_rel_drift=rel, slope=slope)
     return out

@@ -99,7 +99,7 @@ class NonFiniteResidual(ArithmeticError):
     Hamiltonian), so no verdict can be drawn from it."""
 
 
-def fold_max(residuals, label="sample"):
+def fold_max(residuals):
     """Largest of the stacked per-sample residuals (one row per sample),
     elementwise when each row is a vector of components.  A NaN or
     infinite entry raises NonFiniteResidual naming its first row: the
@@ -108,7 +108,7 @@ def fold_max(residuals, label="sample"):
     finite = np.isfinite(r.reshape(len(r), -1)).all(axis=1)
     if not finite.all():
         raise NonFiniteResidual(
-            f"non-finite residual at {label} {int(np.argmin(finite))}")
+            f"non-finite residual at sample {int(np.argmin(finite))}")
     return r.max(axis=0, initial=0.0)
 
 

@@ -183,6 +183,18 @@ def test_defaults_applied():
     assert cfg.tolerances == DEFAULT_TOLERANCES
 
 
+def test_checks_and_default_tolerances_are_the_documented_ones():
+    # literals, not the table they are derived from, so a wrong row shows
+    order = ("canonical", "canonoid", "traces", "torsion", "lenard",
+             "involution", "lie_derivative")
+    assert CHECK_NAMES == order
+    assert STRUCTURAL_CHECKS == order[:2] + order[3:]
+    assert list(DEFAULT_TOLERANCES.items()) == [
+        ("canonical", 1e-8), ("canonoid", 1e-8), ("drift", 1e-7),
+        ("torsion", 1e-10), ("lenard", 1e-8), ("involution", 1e-8),
+        ("lie_derivative", 1e-8)]
+
+
 def test_invalid_json_is_config_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -469,7 +481,20 @@ def test_run_writes_the_report_of_the_report_command(tmp_path, monkeypatch,
     lambda h: json.dumps({"config_hash": h, "checks": []}).encode(),
     lambda h: json.dumps({"config_hash": h,
                           "checks": {"canonical": []}}).encode(),
-], ids=["array", "invalid-utf8", "checks-array", "entry-array"])
+    # entries no check computed under this config: canonical fails here
+    lambda h: json.dumps({"config_hash": h, "checks": {
+        "canonical": {"verdict": "pass"}}}).encode(),
+    lambda h: json.dumps({"config_hash": h, "checks": {
+        "canonical": {"verdict": "pass", "residual": 1.0,
+                      "tolerance": 1e-8}}}).encode(),
+    lambda h: json.dumps({"config_hash": h, "checks": {
+        "canonical": {"verdict": "pass", "residual": float("nan"),
+                      "tolerance": 1e-8}}}).encode(),
+    lambda h: json.dumps({"config_hash": h, "checks": {
+        "canonical": {"verdict": "pass", "residual": 1.0,
+                      "tolerance": 10.0}}}).encode(),
+], ids=["array", "invalid-utf8", "checks-array", "entry-array", "bare-pass",
+        "verdict-against-residual", "nan-residual", "other-tolerance"])
 def test_report_skips_unusable_prior_outputs(tmp_path, prior):
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
@@ -479,6 +504,18 @@ def test_report_skips_unusable_prior_outputs(tmp_path, prior):
     run_cli(["report", "--config", path, "--out", str(tmp_path / "fresh")])
     assert (out / "report.json").read_bytes() == \
         (tmp_path / "fresh" / "report.json").read_bytes()
+
+
+def test_reusable_entries_are_the_ones_entry_builds():
+    cfg = validate_config(base_config())
+    assert cli._reusable(cfg, "canonical", cli._entry(cfg, "canonical", 0.5))
+    assert cli._reusable(cfg, "involution",
+                         cli._entry(cfg, "involution", None, detail="why"))
+    # only involution reports not-applicable
+    assert not cli._reusable(cfg, "canonical",
+                             cli._entry(cfg, "canonical", None))
+    assert not cli._reusable(cfg, "involution", {"verdict": "not-applicable",
+                                                 "tolerance": 1e-8})
 
 
 def test_stale_prior_outputs_ignored(tmp_path):
@@ -492,6 +529,11 @@ def test_stale_prior_outputs_ignored(tmp_path):
     assert run_cli(["report", "--config", path2, "--out", out]) == 1
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["seed"] == 777
+    # the prior entries are consistent with their residuals, so only the
+    # hash keeps them out
+    run_cli(["report", "--config", path2, "--out", str(tmp_path / "fresh")])
+    assert (tmp_path / "out" / "report.json").read_bytes() == \
+        (tmp_path / "fresh" / "report.json").read_bytes()
 
 
 def test_all_pass_exits_zero(tmp_path):
@@ -580,6 +622,28 @@ def test_execution_error_names_check(tmp_path, capsys):
                     "--out", str(tmp_path / "out")])
     assert code == 2
     assert "canonoid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method,cause", [
+    ("rk45-adaptive", "step size underflow at t = 0.99999999999"),
+    ("rk4", "overflow in 'q1^2.0' at row 0"),
+], ids=["rk45-adaptive", "rk4"])
+def test_failed_trajectory_is_an_execution_error(tmp_path, capsys, method,
+                                                 cause):
+    # q' = -q^2 from q = -1 blows up at t = 1
+    data = base_config()
+    data["hamiltonian"] = "-p1*q1^2"
+    data["transform"] = {"q1": "q1", "p1": "p1"}
+    data["trajectory"] = {"x0": [-1.0, 1.0], "t_span": [0, 3], "steps": 10,
+                          "method": method}
+    path = write_config(tmp_path, data)
+    for command in ("integrate", "invariants"):
+        assert run_cli([command, "--config", path,
+                        "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert cause in err
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
 def test_report_ignores_outputs_of_other_overrides(tmp_path):
@@ -671,6 +735,17 @@ def test_overflowing_contact_hamiltonian_is_a_non_finite_residual(kind):
     with pytest.raises(CheckError) as info:
         cli._run_checks(validate_config(data), ("canonoid",), None)
     assert isinstance(info.value.cause, transform.NonFiniteResidual)
+
+
+def test_non_finite_trace_names_its_observable():
+    # tr S^2 overflows at every state; its drift comes out NaN
+    data = base_config()
+    data["transform"] = {"q1": "1e100*q1", "p1": "1e100*p1"}
+    data["checks"] = ["traces"]
+    data["trajectory"]["steps"] = 10
+    with pytest.raises(CheckError,
+                       match="non-finite residual at observable trS2$"):
+        cli._run_checks(validate_config(data), ("traces",), None)
 
 
 def count_sample_sweeps(monkeypatch, cfg, names):

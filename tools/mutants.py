@@ -68,8 +68,8 @@ MUTANTS = {
         "(((b1 + 2.0 * b2) + b3) + b4)"),
     "rk4-t-pin-dropped": (
         "src/canonoid/dynamics.py",
-        "y[ti] = float(times[k])",
-        "pass"),
+        "            y[ti] = t\n",
+        "            pass\n"),
     "dp-stage-weight": (
         "src/canonoid/dynamics.py",
         "k4 = f([a + h * (a41 * c1 + a42 * c2 + a43 * c3)",
@@ -78,12 +78,12 @@ MUTANTS = {
     # input equals the next attempt's state
     "dp-six-stages": (
         "src/canonoid/dynamics.py",
-        "        f = functools.partial(dynamical_vf, g, H)\n",
-        "        last = [None, None]\n\n"
-        "        def f(x, field=functools.partial(dynamical_vf, g, H)):\n"
-        "            if x != last[0]:\n"
-        "                last[:] = x, field(x)\n"
-        "            return last[1]\n\n"),
+        "            f = functools.partial(dynamical_vf, g, H)\n",
+        "            last = [None, None]\n\n"
+        "            def f(x, field=functools.partial(dynamical_vf, g, H)):\n"
+        "                if x != last[0]:\n"
+        "                    last[:] = x, field(x)\n"
+        "                return last[1]\n\n"),
     "pullback-theta-term-sign": (
         "src/canonoid/geometry.py",
         "        theta -= vals[..., pi, None] * J[..., qi, :]",
@@ -124,6 +124,20 @@ MUTANTS = {
         "src/canonoid/expr.py",
         '"vpow": lambda a, b: float(np.power((a,), (b,))[0]),',
         '"vpow": lambda a, b: float(np.power(a, b)),'),
+    "reuse-trusts-prior-verdict": (
+        "src/canonoid/cli.py",
+        "                       and _reusable(cfg, name, entry))",
+        "                       )"),
+    "integrate-error-escapes": (
+        "src/canonoid/cli.py",
+        "        except Exception as e:\n"
+        '            raise ExecutionError(f"integration failed: {e}") from e',
+        "        except ZeroDivisionError as e:\n"
+        '            raise ExecutionError(f"integration failed: {e}") from e'),
+    "torsion-default-tolerance": (
+        "src/canonoid/cli.py",
+        '"torsion": ("torsion", 1e-10, _check_torsion),',
+        '"torsion": ("torsion", 1e-8, _check_torsion),'),
     "report-reuses-other-configs": (
         "src/canonoid/cli.py",
         '                or prior.get("config_hash") != config_hash \\\n',

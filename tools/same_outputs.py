@@ -13,6 +13,11 @@ difference and exits 1, or prints a summary and exits 0. A differing JSON
 or CSV file whose numbers are the only difference is reported with the
 largest absolute and relative difference among them.
 
+Then it runs the error-path jobs of ERROR_JOBS the same way, once each:
+no benchmark job reaches an error path, yet a change to one shows in its
+exit code and standard error.  A job with prior entries finds them in a
+check.json written under its config's hash, as `report` would reuse them.
+
 Jobs run from a scratch directory with relative paths, so a path that
 reaches an error message reads the same for both trees.
 """
@@ -34,12 +39,46 @@ SEEDS = (1, 2)
 SKIPPED = {"report_meta.json"}
 
 
+def _n1_config(hamiltonian, transform, checks, method="rk4"):
+    """A symplectic n = 1 config whose trajectory leaves from (-1, 1)."""
+    return {"schema": 1, "geometry": {"kind": "symplectic", "n": 1},
+            "hamiltonian": hamiltonian, "transform": transform,
+            "sample_box": {"q1": [0.5, 1.5], "p1": [0.5, 1.5]},
+            "sample_count": 10, "seed": 1, "checks": checks,
+            "trajectory": {"x0": [-1.0, 1.0], "t_span": [0, 3],
+                           "steps": 10, "method": method}}
+
+
+_IDENTITY = {"q1": "q1", "p1": "p1"}
+# (name, command, config, entries of a prior check.json or None)
+ERROR_JOBS = [
+    # q' = -q^2 from q = -1 blows up at t = 1
+    ("integrate-step-underflow", "integrate",
+     _n1_config("-p1*q1^2", _IDENTITY, ["traces"], "rk45-adaptive"), None),
+    ("integrate-overflow", "integrate",
+     _n1_config("-p1*q1^2", _IDENTITY, ["traces"]), None),
+    ("report-bare-prior-pass", "report",
+     _n1_config("p1^2/2", {"q1": "q1", "p1": "p1^3/3"}, ["canonical"]),
+     {"canonical": {"verdict": "pass"}}),
+    ("invariants-non-finite-trace", "invariants",
+     _n1_config("p1^2/2", {"q1": "1e100*q1", "p1": "1e100*p1"}, ["traces"]),
+     None),
+    ("check-overflowing-component", "check",
+     _n1_config("p1^2/2", {"q1": "q1", "p1": "p1*1e200*1e200*q1"},
+                ["canonical", "torsion", "lie_derivative"]), None),
+]
+
+
 def all_jobs():
-    """(job directory, job) for every job of every workload and seed."""
+    """(job directory, command, config, prior check.json entries or None)
+    for every job of every workload and seed, then the error-path jobs."""
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             for job in workloads.jobs(workload, seed):
-                yield f"{workload}/seed{seed}/{job.name}", job
+                yield (f"{workload}/seed{seed}/{job.name}", job.command,
+                       job.config, None)
+    for name, command, config, prior in ERROR_JOBS:
+        yield f"errors/{name}", command, config, prior
 
 
 def run_tree(tree, work):
@@ -55,12 +94,21 @@ def run_tree(tree, work):
     if not where or not Path(where).resolve().is_relative_to(src):
         sys.exit(f"canonoid of {tree} loaded from {where!r}, not {src}")
     results = {}
-    for name, job in all_jobs():
+    for name, command, data, prior in all_jobs():
         (work / name).mkdir(parents=True)
         config = f"{name}/config.json"
-        (work / config).write_text(json.dumps(job.config, indent=1))
+        (work / config).write_text(json.dumps(data, indent=1))
+        if prior is not None:
+            config_hash = subprocess.run(
+                [sys.executable, "-c", "import sys; from canonoid.cli import "
+                 "load_config; print(load_config(sys.argv[1])[1])", config],
+                cwd=work, env=env, capture_output=True, text=True,
+                check=True).stdout.strip()
+            (work / name / "out").mkdir()
+            (work / name / "out" / "check.json").write_text(json.dumps(
+                {"config_hash": config_hash, "checks": prior}))
         proc = subprocess.run(
-            [sys.executable, "-m", "canonoid.cli", job.command,
+            [sys.executable, "-m", "canonoid.cli", command,
              "--config", config, "--out", f"{name}/out"],
             cwd=work, env=env, stdin=subprocess.DEVNULL,
             capture_output=True, text=True)
