@@ -737,15 +737,17 @@ def test_overflowing_contact_hamiltonian_is_a_non_finite_residual(kind):
     assert isinstance(info.value.cause, transform.NonFiniteResidual)
 
 
-def test_non_finite_trace_names_its_observable():
-    # tr S^2 overflows at every state; its drift comes out NaN
+def test_non_finite_trace_names_its_observable(tmp_path):
+    # tr S^2 overflows at every state; its drift comes out NaN, and the
+    # check that fails to execute leaves no invariants.csv behind
     data = base_config()
     data["transform"] = {"q1": "1e100*q1", "p1": "1e100*p1"}
     data["checks"] = ["traces"]
     data["trajectory"]["steps"] = 10
     with pytest.raises(CheckError,
                        match="non-finite residual at observable trS2$"):
-        cli._run_checks(validate_config(data), ("traces",), None)
+        cli._run_checks(validate_config(data), ("traces",), tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def count_sample_sweeps(monkeypatch, cfg, names):
@@ -848,7 +850,9 @@ def test_flag_overrides(tmp_path):
     assert header == "time,trS1,trS2"
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, capsys):
+    # python -m canonoid.cli goes through console(), which must write
+    # what an in-process main() run writes, byte for byte
     path = write_config(tmp_path, base_config())
     r = subprocess.run(
         [sys.executable, "-m", "canonoid.cli", "check",
@@ -858,3 +862,50 @@ def test_module_entry_point(tmp_path):
     report = json.loads((tmp_path / "out" / "check.json").read_text())
     assert "traces" not in report["checks"]
     assert report["checks"]["canonical"]["verdict"] == "fail"
+    assert run_cli(["check", "--config", path,
+                    "--out", str(tmp_path / "main")]) == r.returncode
+    assert (r.stdout, r.stderr) == capsys.readouterr()
+    assert os.listdir(tmp_path / "main") == ["check.json"]
+    assert ((tmp_path / "main" / "check.json").read_bytes()
+            == (tmp_path / "out" / "check.json").read_bytes())
+
+
+def run_python(code, *args):
+    r = subprocess.run([sys.executable, "-c", code, *args],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.split()
+
+
+def test_import_and_main_leave_the_collector_alone(tmp_path):
+    # a program's heap is not the CLI's to freeze: neither importing
+    # canonoid.cli nor calling main() in-process touches the collector
+    path = write_config(tmp_path, base_config())
+    code = ("import gc, sys, canonoid.cli as cli\n"
+            "print(gc.isenabled(), gc.get_freeze_count())\n"
+            "print(cli.main(sys.argv[1:]))\n"
+            "print(gc.isenabled(), gc.get_freeze_count())\n")
+    assert run_python(code, "check", "--config", path,
+                      "--out", str(tmp_path / "out")) \
+        == ["True", "0", "1", "True", "0"]
+
+
+def test_process_entry_freezes_the_heap_around_main(tmp_path):
+    # console() runs main() with the import-time heap frozen and the
+    # collector on, and freezes again on the way out, so the finalising
+    # collections at exit, which skip frozen objects, find (almost)
+    # nothing to traverse.  A run left unfrozen holds over a thousand.
+    path = write_config(tmp_path, base_config())
+    code = ("import gc, sys, canonoid.cli as cli\n"
+            "run = cli.main\n"
+            "def main(argv):\n"
+            "    print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+            "    return run(argv)\n"
+            "cli.main = main\n"
+            "exit_code = cli.console(sys.argv[1:])\n"
+            "tracked = len(gc.get_objects())\n"
+            "print(exit_code, gc.isenabled(), tracked)\n")
+    *flags, tracked = run_python(code, "report", "--config", path,
+                                 "--out", str(tmp_path / "out"))
+    assert flags == ["True", "True", "1", "True"]
+    assert int(tracked) < 50

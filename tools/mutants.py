@@ -8,10 +8,12 @@ them, or the ones named) the tool copies src/, tests/ and
 pyproject.toml into a temporary directory, applies the edit there (its
 text must occur exactly once, so a refactor that moves the code fails
 loudly instead of testing nothing), and runs the tier-1 tests with -x.
-A mutant is killed when pytest exits 1 and names at least one FAILED or
-ERROR test; the tool prints the tests that killed it.  A run that
-outlives TIMEOUT_S prints TIMEOUT.  It exits 1 if any mutant survives,
-times out or no longer applies.  The working tree is never modified.
+Mutants run concurrently, one per CPU the process may use, each in its
+own tree; their results print in MUTANTS order.  A mutant is killed
+when pytest exits 1 and names at least one FAILED or ERROR test; the
+tool prints the tests that killed it.  A run that outlives TIMEOUT_S
+prints TIMEOUT.  It exits 1 if any mutant survives, times out or no
+longer applies.  The working tree is never modified.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -186,6 +189,22 @@ MUTANTS = {
         "src/canonoid/stensor.py",
         "    g = jets.F.geometry\n    xs = g.x_slice\n",
         "    g = jets.F.geometry\n    xs = slice(0, 2 * g.n)\n"),
+    # the process entry freezes the heap; main(), which tests and
+    # programs call in-process, must leave the collector alone
+    "gc-freeze-in-main": (
+        "src/canonoid/cli.py",
+        "    gc.freeze()\n"
+        "    try:\n        return main(argv)\n"
+        "    finally:\n        gc.freeze()\n\n\n"
+        "def main(argv=None):\n",
+        "    try:\n        return main(argv)\n"
+        "    finally:\n        gc.freeze()\n\n\n"
+        "def main(argv=None):\n    gc.freeze()\n"),
+    "exit-freeze-dropped": (
+        "src/canonoid/cli.py",
+        "    try:\n        return main(argv)\n"
+        "    finally:\n        gc.freeze()\n",
+        "    return main(argv)\n"),
 }
 
 
@@ -215,6 +234,34 @@ def run_tests(tree):
     return proc.returncode, killers
 
 
+def run_mutant(name):
+    """(the line that reports mutant name, whether it was killed)."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="canonoid-mutant-") as tmp:
+        tree = Path(tmp)
+        for rel in COPIED:
+            src = ROOT / rel
+            if src.is_dir():
+                shutil.copytree(src, tree / rel,
+                                ignore=shutil.ignore_patterns(
+                                    "__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(src, tree / rel)
+        if not apply(tree, name):
+            return (f"STALE     {name}: its text is not in "
+                    f"{MUTANTS[name][0]} exactly once"), False
+        try:
+            code, killers = run_tests(tree)
+        except subprocess.TimeoutExpired:
+            return f"TIMEOUT   {name} (over {TIMEOUT_S} s)", False
+    secs = time.perf_counter() - start
+    if code == 1 and killers:
+        return (f"killed    {name} by {', '.join(killers)} ({secs:.0f} s)",
+                True)
+    return (f"SURVIVED  {name} (pytest exit code {code}, "
+            f"{len(killers)} failed tests, {secs:.0f} s)"), False
+
+
 def main(argv):
     names = argv or list(MUTANTS)
     unknown = [n for n in names if n not in MUTANTS]
@@ -222,39 +269,15 @@ def main(argv):
         print(f"unknown mutants: {', '.join(unknown)}; "
               f"known: {', '.join(MUTANTS)}", file=sys.stderr)
         return 2
-    bad = []
-    for name in names:
-        start = time.perf_counter()
-        with tempfile.TemporaryDirectory(prefix="canonoid-mutant-") as tmp:
-            tree = Path(tmp)
-            for rel in COPIED:
-                src = ROOT / rel
-                if src.is_dir():
-                    shutil.copytree(src, tree / rel,
-                                    ignore=shutil.ignore_patterns(
-                                        "__pycache__", ".hypothesis"))
-                else:
-                    shutil.copy2(src, tree / rel)
-            if not apply(tree, name):
-                print(f"STALE     {name}: its text is not in "
-                      f"{MUTANTS[name][0]} exactly once")
-                bad.append(name)
-                continue
-            try:
-                code, killers = run_tests(tree)
-            except subprocess.TimeoutExpired:
-                print(f"TIMEOUT   {name} (over {TIMEOUT_S} s)")
-                bad.append(name)
-                continue
-        secs = time.perf_counter() - start
-        if code == 1 and killers:
-            print(f"killed    {name} by {', '.join(killers)} ({secs:.0f} s)")
-        else:
-            print(f"SURVIVED  {name} (pytest exit code {code}, "
-                  f"{len(killers)} failed tests, {secs:.0f} s)")
-            bad.append(name)
-    print(f"{len(names) - len(bad)} of {len(names)} mutants killed")
-    return 1 if bad else 0
+    # each worker thread waits on one pytest process at a time
+    workers = len(os.sched_getaffinity(0))
+    killed = 0
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for line, ok in pool.map(run_mutant, names):
+            print(line, flush=True)
+            killed += ok
+    print(f"{killed} of {len(names)} mutants killed")
+    return 0 if killed == len(names) else 1
 
 
 if __name__ == "__main__":
