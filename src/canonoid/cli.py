@@ -21,6 +21,7 @@ built it under that config; it computes the rest.
 Determinism: sampling uses xorshift64*, a fixed 64-bit generator (state
 update x ^= x >> 12; x ^= x << 25; x ^= x >> 27; output is the state
 times 2685821657736338717 mod 2^64; uniforms take the top 53 bits).
+A seed is an integer in 0..2^64-1, so that no two seeds share a state.
 Seed 0 is remapped to 0x9E3779B97F4A7C15 because the all-zero state is
 a fixed point.  Identical config and seed give byte-identical
 report.json; wall-clock timestamps go to a separate meta file so they
@@ -31,12 +32,17 @@ already set, so a CLI process starts numpy without an OpenBLAS worker
 thread it would never use; once numpy has loaded it removes the
 variable again if it set it.
 
-A CLI process enters through console(), which runs main() between two
-gc.freeze() calls: one once the imports are done, so that the
-collections during the run skip numpy's import-time heap, and one
-before it returns, so that the interpreter's finalising collections at
-exit have almost nothing to traverse.  Importing this module and
-calling main() leave the garbage collector as they find it.
+The module runs its imports with the garbage collector off, so that
+numpy's import-time heap is built without some thirty collections over
+it; it then moves the heap to the oldest generation without reading it
+and turns the collector back on if it was on.  A CLI process enters
+through console(), which freezes that heap before it runs main(), so
+that the collections during the run skip it, and then ends the process
+with os._exit once its streams are flushed, so that the interpreter
+does not tear the heap down object by object; under a tracer or a
+profiler it exits normally instead, so that their exit hooks run.
+Importing this module and calling main() leave the collector's setting
+and the objects it has frozen as they find them.
 
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
 2 configuration or execution error, a config file that does not decode
@@ -45,35 +51,55 @@ as JSON and a trajectory that integrate cannot finish included.
 
 from __future__ import annotations
 
-import argparse
-import datetime
 import gc
-import hashlib
-import json
-import math
-import os
-import sys
-from pathlib import Path
 
-# canonoid's matrices are at most (2n+2) x (2n+2) per sample, far too
-# small for a threaded BLAS to pay off, yet OpenBLAS starts a worker
-# thread at `import numpy`, and that worker costs about as much CPU as
-# the import itself.  So the CLI asks for one thread before numpy loads,
-# and takes the request back once it has: OpenBLAS reads it only at
-# load, and a program that imports canonoid.cli keeps its environment.
-# A user's own OPENBLAS_NUM_THREADS wins and stays.
-_blas_unset = "OPENBLAS_NUM_THREADS" not in os.environ
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# `import numpy` allocates some 22,000 objects, nearly all of which live
+# as long as the process, and the collector would traverse them about
+# thirty times while they arrive.  So the imports run with the collector
+# off, and the importer's setting comes back afterwards.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import datetime
+    import hashlib
+    import json
+    import math
+    import os
+    import sys
+    from pathlib import Path
 
-import numpy as np
+    # canonoid's matrices are at most (2n+2) x (2n+2) per sample, far
+    # too small for a threaded BLAS to pay off, yet OpenBLAS starts a
+    # worker thread at `import numpy`, and that worker costs about as
+    # much CPU as the import itself.  So the CLI asks for one thread
+    # before numpy loads, and takes the request back once it has:
+    # OpenBLAS reads it only at load, and a program that imports
+    # canonoid.cli keeps its environment.  A user's own
+    # OPENBLAS_NUM_THREADS wins and stays.
+    _blas_unset = "OPENBLAS_NUM_THREADS" not in os.environ
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-if _blas_unset:
-    os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    import numpy as np
 
-from . import __version__, dynamics, expr, stensor, transform
-from .geometry import KINDS, GeometryKind
-from .stensor import SingularPullback
-from .transform import TransformMap
+    if _blas_unset:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
+    from . import __version__, dynamics, expr, stensor, transform
+    from .geometry import KINDS, GeometryKind
+    from .stensor import SingularPullback
+    from .transform import TransformMap
+finally:
+    if _collecting:
+        # All those objects are still in the youngest generation, which
+        # the first allocation after gc.enable() would collect, reading
+        # every one of them.  freeze() and unfreeze() move them to the
+        # oldest generation unread, unless the importer has frozen
+        # objects of its own, which unfreeze() would thaw.
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
+        gc.enable()
 
 __all__ = [
     "ConfigError",
@@ -125,7 +151,10 @@ class Xorshift64Star:
     """Deterministic cross-platform sample generator."""
 
     def __init__(self, seed):
-        s = int(seed) & _MASK64
+        s = int(seed)
+        if not 0 <= s <= _MASK64:
+            # masked to 64 bits, two seeds would draw one sample set
+            raise ValueError(f"seed {s} outside 0..2^64-1")
         if s == 0:
             s = _ZERO_SEED_SUBSTITUTE
         self.state = s
@@ -239,8 +268,8 @@ def validate_config(data):
         raise ConfigError("sample_count: must be a positive integer")
 
     seed = _require(data, "seed", int, "seed")
-    if isinstance(seed, bool):
-        raise ConfigError("seed: must be an integer")
+    if isinstance(seed, bool) or not 0 <= seed <= _MASK64:
+        raise ConfigError("seed: must be an integer in 0..2^64-1")
 
     checks_raw = data.get("checks", list(CHECK_NAMES))
     if not isinstance(checks_raw, list) or not checks_raw:
@@ -620,17 +649,23 @@ def run(config_path, out_dir, kmax=None, tol=None, seed=None):
 
 def console(argv=None):
     """main(argv) as the process entry of `canonoid` and `python -m
-    canonoid.cli`: the exit code.  It freezes the heap once the imports
-    are done, so that no collection during the run traverses numpy's
-    import-time objects, and again on the way out, so that the
-    interpreter's finalising collections, which skip frozen objects,
-    find almost nothing to traverse.  Collection stays enabled in
-    between: the cycles a run makes are still collected."""
+    canonoid.cli`: it ends the process with main's exit code and does
+    not return.  It freezes the heap once the imports are done, so that
+    no collection during the run traverses numpy's import-time objects;
+    collection stays enabled, so the cycles a run makes are still
+    collected.  Once main has returned it flushes stdout and stderr and
+    leaves through os._exit, which skips the interpreter's teardown of
+    the heap and with it the atexit handlers.  Under a trace or profile
+    function (cProfile, trace, coverage) it leaves through sys.exit
+    instead, so that their exit hooks run.  An exception, argparse's
+    SystemExit included, leaves through the interpreter as usual."""
     gc.freeze()
-    try:
-        return main(argv)
-    finally:
-        gc.freeze()
+    code = main(argv)
+    if sys.gettrace() is None and sys.getprofile() is None:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    sys.exit(code)
 
 
 def main(argv=None):
@@ -660,4 +695,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(console())
+    console()

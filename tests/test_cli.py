@@ -77,6 +77,14 @@ def test_prng_zero_seed_is_remapped():
     assert all(v != 0 for v in vals)
 
 
+def test_prng_rejects_seeds_beyond_64_bits():
+    # masked to 64 bits, -1 would draw the samples of 2^64 - 1
+    Xorshift64Star(2**64 - 1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            Xorshift64Star(seed)
+
+
 def test_prng_uniform_range_and_vectors():
     r = Xorshift64Star(42)
     us = [r.uniform() for _ in range(3)]
@@ -123,6 +131,8 @@ def test_draw_samples_deterministic_and_in_box():
     (lambda d: d["sample_box"].update(z=[0, 1]), "sample_box"),
     (lambda d: d.update(sample_count=0), "sample_count"),
     (lambda d: d.pop("seed"), "seed"),
+    pytest.param(lambda d: d.update(seed=-1), "seed", id="seed-negative"),
+    pytest.param(lambda d: d.update(seed=2**64), "seed", id="seed-2^64"),
     (lambda d: d.update(checks=["bogus"]), "checks"),
     (lambda d: d.update(checks=[]), "checks"),
     (lambda d: d.update(kmax=11), "kmax"),
@@ -852,60 +862,87 @@ def test_flag_overrides(tmp_path):
 
 def test_module_entry_point(tmp_path, capsys):
     # python -m canonoid.cli goes through console(), which must write
-    # what an in-process main() run writes, byte for byte
+    # what an in-process main() run writes, byte for byte: a failed
+    # check (exit 1), and a seed outside 64 bits (exit 2, no files)
     path = write_config(tmp_path, base_config())
-    r = subprocess.run(
-        [sys.executable, "-m", "canonoid.cli", "check",
-         "--config", path, "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
-    assert r.returncode == 1
-    report = json.loads((tmp_path / "out" / "check.json").read_text())
+    cases = [(["check", "--config", path], 1),
+             (["check", "--config", path, "--seed", "-1"], 2)]
+    for i, (argv, code) in enumerate(cases):
+        out, ref = tmp_path / f"out{i}", tmp_path / f"main{i}"
+        r = subprocess.run(
+            [sys.executable, "-m", "canonoid.cli", *argv, "--out", str(out)],
+            capture_output=True, text=True)
+        assert r.returncode == code
+        assert run_cli([*argv, "--out", str(ref)]) == code
+        assert (r.stdout, r.stderr) == capsys.readouterr()
+        assert files_of(out) == files_of(ref)
+    report = json.loads((tmp_path / "out0" / "check.json").read_text())
     assert "traces" not in report["checks"]
     assert report["checks"]["canonical"]["verdict"] == "fail"
-    assert run_cli(["check", "--config", path,
-                    "--out", str(tmp_path / "main")]) == r.returncode
-    assert (r.stdout, r.stderr) == capsys.readouterr()
-    assert os.listdir(tmp_path / "main") == ["check.json"]
-    assert ((tmp_path / "main" / "check.json").read_bytes()
-            == (tmp_path / "out" / "check.json").read_bytes())
+    assert r.stderr == "error: seed: must be an integer in 0..2^64-1\n"
+    assert not (tmp_path / "out1").exists()
 
 
-def run_python(code, *args):
+def files_of(directory):
+    """{name: bytes} of the files in directory, None if it is missing."""
+    if not directory.exists():
+        return None
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def run_python(code, *args, exit_code=0):
     r = subprocess.run([sys.executable, "-c", code, *args],
                        capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
+    assert r.returncode == exit_code, r.stderr
     return r.stdout.split()
 
 
 def test_import_and_main_leave_the_collector_alone(tmp_path):
     # a program's heap is not the CLI's to freeze: neither importing
-    # canonoid.cli nor calling main() in-process touches the collector
+    # canonoid.cli, whose imports run with the collector off, nor
+    # calling main() in-process changes the collector's setting or what
+    # it has frozen.  With the collector on and nothing frozen, the
+    # import leaves fewer young objects than one gen-0 collection takes
+    # (the import-time heap sits in the oldest generation); otherwise it
+    # leaves the heap where it is.
     path = write_config(tmp_path, base_config())
-    code = ("import gc, sys, canonoid.cli as cli\n"
-            "print(gc.isenabled(), gc.get_freeze_count())\n"
+    code = ("import gc, sys\n"
+            "exec(sys.argv.pop(1))\n"
+            "frozen = bool(gc.get_freeze_count())\n"
+            "import canonoid.cli as cli\n"
+            "young = len(gc.get_objects(0)) + len(gc.get_objects(1))\n"
+            "print(gc.isenabled(), bool(gc.get_freeze_count()) == frozen,\n"
+            "      young < gc.get_threshold()[0])\n"
             "print(cli.main(sys.argv[1:]))\n"
-            "print(gc.isenabled(), gc.get_freeze_count())\n")
-    assert run_python(code, "check", "--config", path,
-                      "--out", str(tmp_path / "out")) \
-        == ["True", "0", "1", "True", "0"]
+            "print(gc.isenabled(), bool(gc.get_freeze_count()) == frozen)\n")
+    for setup, enabled, settled in [("pass", "True", "True"),
+                                    ("gc.disable()", "False", "False"),
+                                    ("gc.freeze()", "True", "False")]:
+        assert run_python(code, setup, "check", "--config", path,
+                          "--out", str(tmp_path / "out")) \
+            == [enabled, "True", settled, "1", enabled, "True"]
 
 
 def test_process_entry_freezes_the_heap_around_main(tmp_path):
     # console() runs main() with the import-time heap frozen and the
-    # collector on, and freezes again on the way out, so the finalising
-    # collections at exit, which skip frozen objects, find (almost)
-    # nothing to traverse.  A run left unfrozen holds over a thousand.
+    # collector on, then ends the process with main's exit code without
+    # the interpreter's teardown, which would run atexit handlers; under
+    # a trace or profile function it exits normally, so theirs run
     path = write_config(tmp_path, base_config())
-    code = ("import gc, sys, canonoid.cli as cli\n"
+    code = ("import atexit, gc, sys, canonoid.cli as cli\n"
             "run = cli.main\n"
             "def main(argv):\n"
             "    print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+            "    atexit.register(print, 'teardown')\n"
             "    return run(argv)\n"
             "cli.main = main\n"
-            "exit_code = cli.console(sys.argv[1:])\n"
-            "tracked = len(gc.get_objects())\n"
-            "print(exit_code, gc.isenabled(), tracked)\n")
-    *flags, tracked = run_python(code, "report", "--config", path,
-                                 "--out", str(tmp_path / "out"))
-    assert flags == ["True", "True", "1", "True"]
-    assert int(tracked) < 50
+            "hook = sys.argv.pop(1)\n"
+            "if hook != 'none':\n"
+            "    getattr(sys, hook)(lambda *args: None)\n"
+            "cli.console(sys.argv[1:])\n"
+            "print('returned')\n")
+    for hook, last in [("none", []), ("settrace", ["teardown"]),
+                       ("setprofile", ["teardown"])]:
+        assert run_python(code, hook, "check", "--config", path,
+                          "--out", str(tmp_path / hook), exit_code=1) \
+            == ["True", "True", *last]

@@ -155,10 +155,10 @@ MUTANTS = {
         ""),
     "blas-threads-set-after-numpy": (
         "src/canonoid/cli.py",
-        'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n\n'
-        "import numpy as np\n",
-        "import numpy as np\n"
-        'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n'),
+        '    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n\n'
+        "    import numpy as np\n",
+        "    import numpy as np\n"
+        '    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n'),
     "blas-env-left-set": (
         "src/canonoid/cli.py",
         'os.environ.pop("OPENBLAS_NUM_THREADS", None)',
@@ -189,22 +189,38 @@ MUTANTS = {
         "src/canonoid/stensor.py",
         "    g = jets.F.geometry\n    xs = g.x_slice\n",
         "    g = jets.F.geometry\n    xs = slice(0, 2 * g.n)\n"),
+    # the imports run with the collector off; importing canonoid.cli
+    # must leave the importer's setting as it was
+    "import-collector-not-restored": (
+        "src/canonoid/cli.py",
+        "        gc.enable()\n",
+        "        pass\n"),
+    # and must leave numpy's heap out of the young generations, without
+    # thawing what the importer has frozen
+    "import-heap-left-young": (
+        "src/canonoid/cli.py",
+        "if not gc.get_freeze_count():",
+        "if False:"),
+    "import-thaws-frozen-heap": (
+        "src/canonoid/cli.py",
+        "if not gc.get_freeze_count():",
+        "if True:"),
     # the process entry freezes the heap; main(), which tests and
     # programs call in-process, must leave the collector alone
     "gc-freeze-in-main": (
         "src/canonoid/cli.py",
-        "    gc.freeze()\n"
-        "    try:\n        return main(argv)\n"
-        "    finally:\n        gc.freeze()\n\n\n"
         "def main(argv=None):\n",
-        "    try:\n        return main(argv)\n"
-        "    finally:\n        gc.freeze()\n\n\n"
         "def main(argv=None):\n    gc.freeze()\n"),
-    "exit-freeze-dropped": (
+    # skipping the interpreter's teardown must keep main's exit code,
+    # and must not skip a tracer's or a profiler's exit hooks
+    "exit-code-dropped": (
         "src/canonoid/cli.py",
-        "    try:\n        return main(argv)\n"
-        "    finally:\n        gc.freeze()\n",
-        "    return main(argv)\n"),
+        "os._exit(code)",
+        "os._exit(0)"),
+    "teardown-under-tracer": (
+        "src/canonoid/cli.py",
+        "if sys.gettrace() is None and sys.getprofile() is None:",
+        "if True:"),
 }
 
 
