@@ -210,6 +210,19 @@ def _number(value, path):
     return value
 
 
+def _interval(pair, path, lo, hi):
+    """The two finite numbers of pair, increasing, whose width hi - lo
+    is a float too: no draw or step in a wider range is finite."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ConfigError(f"{path}: expected [{lo}, {hi}]")
+    a, b = (_number(v, path) for v in pair)
+    if not b > a:
+        raise ConfigError(f"{path}: need {lo} < {hi}")
+    if not math.isfinite(b - a):
+        raise ConfigError(f"{path}: {hi} - {lo} overflows")
+    return a, b
+
+
 def validate_config(data):
     """Dict -> ExperimentConfig, raising ConfigError with the dotted
     path of the first offending field."""
@@ -251,14 +264,7 @@ def validate_config(data):
     for name in g.chart_vars:
         if name not in box_raw:
             raise ConfigError(f"sample_box.{name}: missing range")
-        rng = box_raw[name]
-        if (not isinstance(rng, (list, tuple)) or len(rng) != 2):
-            raise ConfigError(f"sample_box.{name}: expected [lo, hi]")
-        lo = _number(rng[0], f"sample_box.{name}")
-        hi = _number(rng[1], f"sample_box.{name}")
-        if not hi > lo:
-            raise ConfigError(f"sample_box.{name}: need lo < hi")
-        box[name] = (lo, hi)
+        box[name] = _interval(box_raw[name], f"sample_box.{name}", "lo", "hi")
     extra = [k for k in box_raw if k not in g.chart_vars]
     if extra:
         raise ConfigError(f"sample_box: unexpected key(s) {extra}")
@@ -295,12 +301,7 @@ def validate_config(data):
                 f"trajectory.x0: expected {g.dim} coordinates, got {len(x0)}")
         x0 = [_number(v, "trajectory.x0") for v in x0]
         span = _require(traj, "t_span", list, "trajectory.t_span")
-        if len(span) != 2:
-            raise ConfigError("trajectory.t_span: expected [t0, t1]")
-        t0 = _number(span[0], "trajectory.t_span")
-        t1 = _number(span[1], "trajectory.t_span")
-        if not t1 > t0:
-            raise ConfigError("trajectory.t_span: need t0 < t1")
+        t0, t1 = _interval(span, "trajectory.t_span", "t0", "t1")
         steps = _require(traj, "steps", int, "trajectory.steps")
         if isinstance(steps, bool) or steps < 1:
             raise ConfigError("trajectory.steps: must be a positive integer")
@@ -438,7 +439,7 @@ def _check_traces(cfg, jets, out_dir):
     obs = trace_observables(cfg.transform, cfg.kmax)
     rep = dynamics.drift_report(traj, obs)
     for name, d in rep.items():
-        if not math.isfinite(d.max_rel_drift):
+        if not (math.isfinite(d.max_rel_drift) and math.isfinite(d.slope)):
             raise transform.NonFiniteResidual(
                 f"non-finite residual at observable {name}")
     if out_dir is not None:

@@ -9,14 +9,14 @@ from one straight-line text emitted once per (H, geometry), with H's
 float sweep written in it at all four stages; each stage and the
 update take the float operations of the (d,) array formulas, in their
 order.  Dormand-Prince takes each attempt from one straight-line text
-emitted once per state dimension d, dp_step(d), written by running the
-list formula _dp_stepper on terms: it sums each stage's weighted
-stages, the 5th-order update and the error estimate left to right with
-the zero weights dropped, so its steps do not depend on a BLAS
-library.  The text does not depend on H: each of its seven stages
-calls the field it is given, which integrate makes dynamical_vf(g, H,
-state), whose list form runs the one-state field geometry.point_field
-emits once per Hamiltonian.
+emitted once per state dimension d, dp_step(d), that expr.call_function
+writes from the list formula _dp_stepper run on terms: it sums each
+stage's weighted stages, the 5th-order update and the error estimate
+left to right with the zero weights dropped, so its steps do not
+depend on a BLAS library.  The text does not depend on H: each of its
+seven stages calls the field it is given, which integrate makes
+dynamical_vf(g, H, state), whose list form runs the one-state field
+geometry.point_field emits once per Hamiltonian.
 
 Both methods store an accepted step through one path.  It pins the
 t-coordinate of the time-extended geometries to the step's time, RK4's
@@ -29,7 +29,9 @@ times (T,) and states (T, d), which is all a Trajectory holds.
 Drift statistics quantify "constant along the trajectory" for a list
 of observables: drift_report maps each observable's name to its
 ObservableDrift.  Relative drift is measured against max(|f(0)|, 1) so
-conserved quantities near zero do not blow up the ratio.
+conserved quantities near zero do not blow up the ratio.  The slope is
+the closed-form least-squares slope of f - f(0) against the times
+scaled to [0, 1], over their span: 0.0 for a series that never moves.
 """
 
 from __future__ import annotations
@@ -193,6 +195,8 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
     t0, t1 = (float(t_span[0]), float(t_span[1]))
     if not t1 > t0:
         raise ValueError(f"t_span must increase, got ({t0}, {t1})")
+    if not math.isfinite(t1 - t0):
+        raise ValueError(f"t_span is wider than a float, got ({t0}, {t1})")
     y = g.check_state(x0).tolist()
     ti = g.t_index
     if ti is not None and abs(y[ti] - t0) > T0_MATCH_TOL:
@@ -253,10 +257,15 @@ def drift_report(traj, observables):
     """name -> ObservableDrift for the (name, f) pairs over the
     trajectory: each f maps the stack of stored states (T, d) to its
     (T,) values in one call, and its drift is the deviation from the
-    initial value."""
+    initial value, whose slope is the module's closed-form one."""
     T = traj.states.shape[0]
     if T < 1:
         raise ValueError("trajectory has no states")
+    if T > 1:   # the times, scaled to [0, 1] and centred
+        span = traj.times[-1] - traj.times[0]
+        c = (traj.times - traj.times[0]) / span
+        c -= c.mean()
+        norm = (c * c).sum()
     out = {}
     for name, fn in observables:
         vals = np.asarray(fn(traj.states), dtype=float)
@@ -267,10 +276,11 @@ def drift_report(traj, observables):
         # a non-finite value gives a non-finite drift, for the caller's
         # guard to report; numpy stays quiet
         with np.errstate(all="ignore"):
-            max_abs = float(np.max(np.abs(vals - f0)))
+            drift = vals - f0
+            max_abs = float(np.max(np.abs(drift)))
             rel = max_abs / max(abs(f0), 1.0)
-            slope = (float(np.polyfit(traj.times, vals, 1)[0]) if T > 1
-                     else 0.0)
+            # numpy's pairwise sums: a BLAS dot's threads and kernels vary
+            slope = float((c * drift).sum() / norm / span) if T > 1 else 0.0
         out[name] = ObservableDrift(initial=float(f0), max_abs_drift=max_abs,
                                     max_rel_drift=rel, slope=slope)
     return out

@@ -51,7 +51,6 @@ caller; any other identifier is rejected at parse time.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import re
@@ -173,9 +172,6 @@ class Pow(Record):
 
 class Call(Record):
     __slots__ = ("func", "arg")
-
-
-Node = Const | Var | Neg | Add | Sub | Mul | Div | Pow | Call
 
 
 class Expression(Record):
@@ -470,11 +466,11 @@ class _Emitter:
     and a check written once on a local is not written again.
     """
 
-    def __init__(self, order, index):
+    def __init__(self, order, chart_vars=()):
         self.order = order
-        self.index = index
-        self.inputs = [f"X[{j}]" for j in range(len(index))]
-        self.lines = []   # (local, text) of a value, (None, call) of a check
+        self.index = {name: j for j, name in enumerate(chart_vars)}
+        self.inputs = [f"X[{j}]" for j in range(len(chart_vars))]
+        self.lines = []   # (locals, text) of values, (None, call) of a check
         self.consts = []
         self.errors = []
         self.names = {}
@@ -492,6 +488,13 @@ class _Emitter:
             # a text that opens with a parenthesis is one group
             self.lines.append((name, text[1:-1] if text[0] == "(" else text))
         return name
+
+    def unpack(self, text, m):
+        """m new locals, bound in one line to the items of sequence text."""
+        names = [f"t{len(self.names) + i}" for i in range(m)]
+        self.names.update(zip(names, names))   # keys let never looks up
+        self.lines.append((", ".join(names) + ",", text))
+        return names
 
     def bind(self, a):
         """A float a, or a term's text held in a local."""
@@ -551,7 +554,7 @@ class _Emitter:
         for name, line in reversed(self.lines):
             if name is None:
                 line = _render(line, guards)
-            elif name in live:
+            elif not live.isdisjoint(_LOCAL.findall(name)):
                 line = f"{name} = {line}"
             else:
                 continue
@@ -682,7 +685,7 @@ class _Emitter:
                     "variable power of a non-positive base", node))
                 return av, {}, {}
             # p = b log a
-            log_a = self.const(math.log(a))
+            log_a = self.const(float(np.log(a)))
             p = (None,
                  self.partials((i, _times(x, log_a)) for i, x in b1.items()),
                  self.partials((ij, _times(x, log_a)) for ij, x in b2.items()))
@@ -743,7 +746,7 @@ def _bind(code, namespace, consts, errors):
 def _fold(node, values):
     """node's value over constant children: its order-0 rule run on
     one-element arrays, so constants fold through the array semantics."""
-    em = _Emitter(0, {})
+    em = _Emitter(0)
     v = em.rule(node, [(em.const(np.array([c])), {}, {}) for c in values])[0]
     run = _bind(em.compile(v), _ARRAYS, tuple(em.consts), tuple(em.errors))
     with np.errstate(all="ignore"):
@@ -817,10 +820,6 @@ _FLOATS = {
 _NUMPY_NAMES = frozenset(_DERIVATIVES) | {"pw", "vpow"}
 
 
-def _emitter(e, order):
-    return _Emitter(order, {name: j for j, name in enumerate(e.chart_vars)})
-
-
 def _sweep(e, order):
     """(run, cols, pairs): e's sweep at the given order, bound to the
     array namespace and emitted once per order, with the columns and
@@ -831,7 +830,7 @@ def _sweep(e, order):
     found = e._kernels.get(order)
     if found is not None:
         return found
-    em = _emitter(e, order)
+    em = _Emitter(order, e.chart_vars)
     v, d1, d2 = em.as_jet(em.visit(e.ast))
     pairs = sorted(d2)
     first = "None"
@@ -902,7 +901,7 @@ def point_function(e, formula, field, params=()):
     result or a check reads are computed.  The text is bound to the
     float namespace only, and each check in it is an inline test that
     makes no call unless it fires."""
-    em = _emitter(e, 1)
+    em = _Emitter(1, e.chart_vars)
     m = len(e.chart_vars)
 
     def f(inputs):
@@ -932,38 +931,23 @@ def call_function(formula, m, params=()):
     but no expression is written into the text: each call f(inputs)
     writes a call of run's own argument f on the list of the input
     terms, unpacks its m results into locals and returns their terms.
-    So run makes every call formula makes, in formula's order, whatever
-    f is.  formula returns a tuple of lists of terms, and each term's
-    text repeats the float operations formula performed, in their
-    order, so run gives formula's numbers on floats bit for bit (a
-    NaN's sign aside, which CPython's float operations do not fix)."""
-    lines = []
-    names = {}
-    new = map("t{}".format, itertools.count()).__next__
-
-    def let(a):
-        """The local holding a's text, written on its first use."""
-        if a.text.isidentifier():
-            return a.text
-        name = names.get(a.text)
-        if name is None:
-            name = names[a.text] = new()
-            lines.append(f"{name} = {a.text}")
-        return name
+    So run makes, in formula's order, each call whose results formula
+    uses, whatever f is.  formula returns a tuple of lists of terms,
+    and each term's text repeats the float operations formula
+    performed, in their order, so run gives formula's numbers on floats
+    bit for bit (a NaN's sign aside, which CPython's float operations
+    do not fix)."""
+    em = _Emitter(0)
 
     def f(inputs):
-        args = ", ".join(map(let, inputs))
-        out = [new() for _ in range(m)]
-        lines.append(f"{', '.join(out)}, = f([{args}])")
-        return list(map(_Term, out))
+        args = ", ".join(em.let(a.text) for a in inputs)
+        return list(map(_Term, em.unpack(f"f([{args}])", m)))
 
-    x = [new() for _ in range(m)]
-    lines.append(f"{', '.join(x)}, = X")
-    out = formula(list(map(_Term, x)), f, *map(_Term, params))
-    result = ", ".join(f"[{', '.join(map(let, part))}]" for part in out)
-    source = "\n    ".join([f"def run({', '.join(('X', *params, 'f'))}):",
-                            *lines, f"return {result}"])
-    return _bind(compile(source, "<call>", "exec"), {}, (), ())
+    x = list(map(_Term, em.unpack("X", m)))
+    out = formula(x, f, *map(_Term, params))
+    result = ", ".join(f"[{', '.join(em.let(a.text) for a in part)}]"
+                       for part in out)
+    return _bind(em.compile(result, ("X", *params, "f")), {}, (), ())
 
 
 def _symmetric(out, pairs, second):

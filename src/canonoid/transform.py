@@ -399,47 +399,6 @@ def _gl_rule():
     return np.polynomial.legendre.leggauss(GL_NODES_PER_UNIT)
 
 
-class _Panels(expr.Record):
-    """Composite Gauss-Legendre rule on N straight segments a_i -> b_i,
-    parameterized over s in [0, 1]: one 32-node panel per unit of
-    segment length.  *_owner give the segment of each panel and node."""
-
-    __slots__ = ("seg", "panel_owner", "mids", "node_owner", "nodes",
-                 "weights")
-
-
-def _gl_panels(a_pts, b_pts):
-    """The _Panels of the segments a_pts[i] -> b_pts[i]."""
-    seg = b_pts - a_pts
-    counts = np.maximum(1, np.ceil(np.linalg.norm(seg, axis=1))).astype(int)
-    owner = np.repeat(np.arange(len(seg)), counts)
-    k = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    lo, hi = k / counts[owner], (k + 1) / counts[owner]
-    mids = (lo + hi) / 2
-    half = (hi - lo) / 2
-    nodes, weights = _gl_rule()
-    return _Panels(seg=seg, panel_owner=owner, mids=mids,
-                   node_owner=np.repeat(owner, nodes.size),
-                   nodes=(mids[:, None] + half[:, None] * nodes).ravel(),
-                   weights=(half[:, None] * weights).ravel())
-
-
-def _segment_integrals(g, a_pts, b_pts, covector_fn, panels):
-    """Integrals of a covector field along the x-parts of the straight
-    segments a_pts[i] -> b_pts[i] (only x-coordinates vary), on their
-    _Panels; the quadrature nodes of all segments are evaluated
-    together, in blocks of QUADRATURE_BLOCK nodes."""
-    own = panels.node_owner
-    seg = panels.seg[own]
-    Y = a_pts[own] + panels.nodes[:, None] * seg
-    # fixed-size blocks bound the (nodes, d, d) temporaries of the sweep
-    C = np.concatenate([covector_fn(Y[i:i + QUADRATURE_BLOCK])
-                        for i in range(0, len(Y), QUADRATURE_BLOCK)])
-    terms = panels.weights * np.einsum("kj,kj->k", C, seg[:, g.x_slice])
-    # per-segment sums in node order
-    return np.bincount(own, weights=terms, minlength=len(a_pts))
-
-
 def check_canonoid(F, H, samples, tol=DEFAULT_TOL):
     """Is F canonoid for the dynamics of H, on the sampled region of
     F.geometry?
@@ -566,13 +525,14 @@ def recover_K(F, H, x, base_point, tol=DEFAULT_TOL):
     used; K is determined algebraically, no gauge freedom).
 
     symplectic: line integral of the candidate K-gradient along the
-    straight segment from base_point to x, normalized so K(base) = 0.
-    cosymplectic: the same within the fixed-t slice of x (the gauge
-    makes K vanish on the base fiber for every t).  Raises NonCanonoid
-    when the closedness defect at a panel midpoint exceeds tol (or is
-    not finite).  The panel midpoints of all states are checked in one
-    sweep, and the quadrature nodes of all states integrated in
-    another.
+    straight segment from base_point to x, normalized so K(base) = 0,
+    by the composite Gauss-Legendre rule with one 32-node panel per
+    unit of segment length.  cosymplectic: the same within the fixed-t
+    slice of x (the gauge makes K vanish on the base fiber for every
+    t).  Raises NonCanonoid when the closedness defect at a panel
+    midpoint exceeds tol (or is not finite).  The panel midpoints of
+    all states are checked in one sweep, the quadrature nodes of all
+    states integrated in another.
     """
     g = F.geometry
     g.check_chart(H)
@@ -584,18 +544,33 @@ def recover_K(F, H, x, base_point, tol=DEFAULT_TOL):
         base = np.repeat(g.check_state(base_point)[None], len(X), axis=0)
         if g.kind == "cosymplectic":
             base[:, g.t_index] = X[:, g.t_index]
-        panels = _gl_panels(base, X)
-        own = panels.panel_owner
-        mids = base[own] + panels.mids[:, None] * panels.seg[own]
-        dG, _ = _k_gradient_pieces(F, H, mids)
+        # the composite Gauss-Legendre rule over s in [0, 1] on each
+        # segment base + s (X - base): one panel per unit of its length
+        seg = X - base
+        counts = np.ceil(np.linalg.norm(seg, axis=1)).clip(1).astype(int)
+        own = np.repeat(np.arange(len(X)), counts)
+        k = np.arange(own.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        lo, hi = k / counts[own], (k + 1) / counts[own]
+        mids, half = (lo + hi) / 2, (hi - lo) / 2
+        centres = base[own] + mids[:, None] * seg[own]
+        dG, _ = _k_gradient_pieces(F, H, centres)
         defect = _closedness_defect(g, dG)
         open_ = ~(defect <= tol)
         if open_.any():
             i = int(np.argmax(open_))
             raise NonCanonoid(
-                f"candidate K-gradient is not closed near {mids[i]} "
+                f"candidate K-gradient is not closed near {centres[i]} "
                 f"(defect {defect[i]:.3e} > {tol:.1e})")
-        K = _segment_integrals(g, base, X,
-                               lambda y: _k_gradient_only(F, H, y),
-                               panels)
+        nodes, weights = _gl_rule()
+        s = (mids[:, None] + half[:, None] * nodes).reshape(-1, 1)
+        own = np.repeat(own, nodes.size)
+        step = seg[own]
+        Y = base[own] + s * step
+        # fixed-size blocks bound the (nodes, d, d) temporaries of the sweep
+        C = np.concatenate([_k_gradient_only(F, H, Y[i:i + QUADRATURE_BLOCK])
+                            for i in range(0, len(Y), QUADRATURE_BLOCK)])
+        # per-segment sums in node order
+        w = (half[:, None] * weights).ravel()
+        K = np.bincount(own, w * np.einsum("kj,kj->k", C, step[:, g.x_slice]),
+                        len(X))
     return float(K[0]) if x.ndim == 1 else K

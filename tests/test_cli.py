@@ -129,6 +129,8 @@ def test_draw_samples_deterministic_and_in_box():
     (lambda d: d["sample_box"].pop("q1"), "sample_box.q1"),
     (lambda d: d["sample_box"].update(p1=[2.0, 1.0]), "sample_box.p1"),
     (lambda d: d["sample_box"].update(z=[0, 1]), "sample_box"),
+    pytest.param(lambda d: d["sample_box"].update(q1=[-1e308, 1e308]),
+                 "sample_box.q1: hi - lo overflows", id="box-width-overflows"),
     (lambda d: d.update(sample_count=0), "sample_count"),
     (lambda d: d.pop("seed"), "seed"),
     pytest.param(lambda d: d.update(seed=-1), "seed", id="seed-negative"),
@@ -139,6 +141,9 @@ def test_draw_samples_deterministic_and_in_box():
     (lambda d: d.update(kmax=0), "kmax"),
     (lambda d: d["trajectory"].update(x0=[1.0]), "trajectory.x0"),
     (lambda d: d["trajectory"].update(t_span=[3.0, 1.0]), "trajectory.t_span"),
+    pytest.param(lambda d: d["trajectory"].update(t_span=[-1e308, 1e308]),
+                 "trajectory.t_span: t1 - t0 overflows",
+                 id="t_span-width-overflows"),
     (lambda d: d["trajectory"].update(steps=0), "trajectory.steps"),
     (lambda d: d["trajectory"].update(method="euler"), "trajectory.method"),
     (lambda d: d["trajectory"].update(rtol=1e-3), "trajectory: unexpected"),

@@ -15,6 +15,7 @@ Oracles:
   coordinate frozen.
 """
 
+import json
 import math
 import re
 import struct
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from canonoid import dynamics, geometry, stensor, transform
+from canonoid import cli, dynamics, geometry, stensor, transform
 from canonoid.dynamics import (
     StepFailure, drift_report, integrate, lie_derivative_S,
 )
@@ -33,6 +34,7 @@ from canonoid.expr import DomainError
 from canonoid.geometry import GeometryKind, dynamical_vf, point_field
 from canonoid.transform import TransformMap
 
+from test_cli import base_config, write_config
 from test_geometry import count_ops, kind_hamiltonian_states
 
 SYMP1 = GeometryKind("symplectic", 1)
@@ -136,6 +138,8 @@ def test_argument_validation():
         integrate(SYMP1, HARMONIC, [1.0, 0.0], (0.0, 1.0), 0)
     with pytest.raises(ValueError, match="t_span"):
         integrate(SYMP1, HARMONIC, [1.0, 0.0], (1.0, 1.0), 10)
+    with pytest.raises(ValueError, match="wider than a float"):
+        integrate(SYMP1, HARMONIC, [1.0, 0.0], (-1e308, 1e308), 10)
 
 
 # An oscillator parsed on the cocontact n = 1 chart (t, q1, p1, z) and
@@ -548,17 +552,41 @@ def test_negative_control_drifts():
     assert rep["trS"].max_abs_drift > 1e-2
 
 
-def test_drift_report_fields():
+def test_drift_report_fields(tmp_path, capfd):
     traj = integrate(SYMP1, HARMONIC, [1.0, 0.0], (0.0, 1.0), 10)
     rep = drift_report(traj, [("q", lambda X: X[:, 0])])
     d = rep["q"]
     assert d.initial == 1.0
     assert d.max_abs_drift >= 0.0
     assert d.slope < 0.0  # q decreases over [0, 1]
+    # the least-squares slope, in closed form
+    want = np.polyfit(traj.times, traj.states[:, 0], 1)[0]
+    assert d.slope == pytest.approx(want, rel=1e-12)
     # relative drift of a tiny-initial observable divides by 1, not |f0|
     rep2 = drift_report(traj, [("p", lambda X: X[:, 1])])
     d2 = rep2["p"]
     assert d2.max_rel_drift == d2.max_abs_drift
+    # a series that never moves has slope 0.0 exactly, a line its own
+    t = np.linspace(2.0, 7.0, 101)
+    line = dynamics.Trajectory(times=t, states=np.column_stack([t, t]))
+    rep3 = drift_report(line, [("const", lambda X: np.full(len(X), 0.1)),
+                               ("line", lambda X: 3.0 * X[:, 0] - 1.0)])
+    assert rep3["const"].slope == 0.0
+    assert not math.copysign(1.0, rep3["const"].slope) < 0.0
+    assert rep3["line"].slope == pytest.approx(3.0, rel=1e-13)
+    # at a span of 1e-300 or 1e300 the trace series of a report still
+    # give slope 0.0, and nothing reaches stderr
+    for span in ([0, 1e-300], [0, 1e300]):
+        data = base_config()
+        data["checks"] = ["traces"]
+        data["trajectory"]["t_span"] = span
+        out = tmp_path / f"out{span[1]:g}"
+        assert cli.main(["report", "--config", write_config(tmp_path, data),
+                         "--out", str(out)]) == 0
+        assert capfd.readouterr() == ("", "")
+        drift = json.loads((out / "report.json").read_text())[
+            "checks"]["traces"]["drift"]
+        assert {d["slope"] for d in drift.values()} == {0.0}
 
 
 # ---------------------------------------------------------------------------

@@ -627,6 +627,22 @@ def test_point_powers_match_a_stack_bit_for_bit(src, order):
             assert np.array_equal(pd1, d1[i]), (src, x)
 
 
+@pytest.mark.parametrize("const,var,c", [
+    ("40.4^q1", "q2^q1", 40.4),
+    ("2^q1", "q2^q1", 2.0),
+])
+def test_a_constant_gives_the_numbers_of_a_variable_at_its_value(const, var,
+                                                                  c):
+    # the log of a constant base is numpy's, as a variable base's is:
+    # math.log(40.4) is numpy's log plus one ulp
+    X = np.column_stack([np.linspace(0.1, 3.0, 30), np.full(30, c)])
+    v, d1, d2 = expr.jet(expr.parse(const, ["q1", "q2"]), X)
+    w, e1, e2 = expr.jet(expr.parse(var, ["q1", "q2"]), X)
+    assert np.array_equal(v, w)
+    assert np.array_equal(d1[:, 0], e1[:, 0])
+    assert np.array_equal(d2[:, 0, 0], e2[:, 0, 0])
+
+
 @pytest.mark.parametrize("src", ["q1^p1", "2^p1", "(q1 + 1)^(p1*2)"])
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_point_jet_does_not_depend_on_the_stack_layout(src, order):

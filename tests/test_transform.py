@@ -498,6 +498,19 @@ def test_recover_K_quartic():
         assert abs(K - p ** 4 / 4) < NUMERIC
 
 
+def test_recover_K_on_a_segment_one_panel_cannot_resolve():
+    # K = 1.5 H for the scaling map; along the segment from the origin
+    # sin(2 q1) turns through 80 radians, which one 32-node panel cannot
+    # integrate and one panel per unit of length does to rounding
+    g = SYMP1
+    F = tmap(g, ["q1", "1.5*p1"])
+    H = g.parse("sin(2*q1) + p1^2/2")
+    X = np.array([[40.0, 1.0], [-25.0, 0.5], [0.3, 0.2]])
+    K = recover_K(F, H, X, np.zeros(2))
+    want = 1.5 * (np.sin(2 * X[:, 0]) + X[:, 1] ** 2 / 2)
+    assert np.max(np.abs(K - want)) < 1e-10
+
+
 def test_recover_K_at_base_is_zero():
     g = SYMP1
     F = tmap(g, ["q1", "p1^3/3"])

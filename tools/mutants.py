@@ -87,6 +87,26 @@ MUTANTS = {
         "                if x != last[0]:\n"
         "                    last[:] = x, field(x)\n"
         "                return last[1]\n\n"),
+    # K recovery: one panel per unit of segment length, closedness
+    # checked at every panel midpoint, each panel's weights its
+    # half-width times the rule's
+    "one-panel-per-segment": (
+        "src/canonoid/transform.py",
+        "counts = np.ceil(np.linalg.norm(seg, axis=1)).clip(1).astype(int)",
+        "counts = np.ones(len(seg), dtype=int)"),
+    "k-midpoint-guard-dropped": (
+        "src/canonoid/transform.py",
+        "        if open_.any():\n",
+        "        if False:\n"),
+    "gl-half-width": (
+        "src/canonoid/transform.py",
+        "mids, half = (lo + hi) / 2, (hi - lo) / 2",
+        "mids, half = (lo + hi) / 2, hi - lo"),
+    # the drift slope regresses on the centred scaled times
+    "slope-uncentred": (
+        "src/canonoid/dynamics.py",
+        "c -= c.mean()",
+        "pass"),
     "pullback-theta-term-sign": (
         "src/canonoid/geometry.py",
         "        theta -= vals[..., pi, None] * J[..., qi, :]",
@@ -109,7 +129,7 @@ MUTANTS = {
         "unsure = np.flatnonzero(bound > lim)"),
     "emitter-keeps-dead-values": (
         "src/canonoid/expr.py",
-        "elif name in live:",
+        "elif not live.isdisjoint(_LOCAL.findall(name)):",
         "elif True:"),
     "checks-written-per-stage": (
         "src/canonoid/expr.py",

@@ -39,17 +39,19 @@ SEEDS = (1, 2)
 SKIPPED = {"report_meta.json"}
 
 
-def _n1_config(hamiltonian, transform, checks, method="rk4"):
+def _n1_config(hamiltonian, transform, checks, method="rk4",
+               t_span=(0, 3), q1_range=(0.5, 1.5)):
     """A symplectic n = 1 config whose trajectory leaves from (-1, 1)."""
     return {"schema": 1, "geometry": {"kind": "symplectic", "n": 1},
             "hamiltonian": hamiltonian, "transform": transform,
-            "sample_box": {"q1": [0.5, 1.5], "p1": [0.5, 1.5]},
+            "sample_box": {"q1": list(q1_range), "p1": [0.5, 1.5]},
             "sample_count": 10, "seed": 1, "checks": checks,
-            "trajectory": {"x0": [-1.0, 1.0], "t_span": [0, 3],
+            "trajectory": {"x0": [-1.0, 1.0], "t_span": list(t_span),
                            "steps": 10, "method": method}}
 
 
 _IDENTITY = {"q1": "q1", "p1": "p1"}
+_CUBIC = {"q1": "q1", "p1": "p1^3/3"}
 # (name, command, config, entries of a prior check.json or None)
 ERROR_JOBS = [
     # q' = -q^2 from q = -1 blows up at t = 1
@@ -58,7 +60,7 @@ ERROR_JOBS = [
     ("integrate-overflow", "integrate",
      _n1_config("-p1*q1^2", _IDENTITY, ["traces"]), None),
     ("report-bare-prior-pass", "report",
-     _n1_config("p1^2/2", {"q1": "q1", "p1": "p1^3/3"}, ["canonical"]),
+     _n1_config("p1^2/2", _CUBIC, ["canonical"]),
      {"canonical": {"verdict": "pass"}}),
     ("invariants-non-finite-trace", "invariants",
      _n1_config("p1^2/2", {"q1": "1e100*q1", "p1": "1e100*p1"}, ["traces"]),
@@ -66,6 +68,15 @@ ERROR_JOBS = [
     ("check-overflowing-component", "check",
      _n1_config("p1^2/2", {"q1": "q1", "p1": "p1*1e200*1e200*q1"},
                 ["canonical", "torsion", "lie_derivative"]), None),
+    # the drift slope of trace series that never move, at extreme spans
+    ("invariants-tiny-span", "invariants",
+     _n1_config("p1^2/2", _CUBIC, ["traces"], t_span=(0, 1e-300)), None),
+    ("invariants-huge-span", "invariants",
+     _n1_config("p1^2/2", _CUBIC, ["traces"], t_span=(0, 1e300)), None),
+    # a range whose width hi - lo overflows
+    ("check-overflowing-box", "check",
+     _n1_config("p1^2/2", _CUBIC, ["canonical"],
+                q1_range=(-1e308, 1e308)), None),
 ]
 
 
@@ -182,6 +193,14 @@ def number_difference(fname, data_a, data_b):
             f"difference {worst_abs:.3e}, relative {worst_rel:.3e}")
 
 
+def _output_names(out):
+    """The compared files of an output directory; none where the job
+    stopped before it made the directory, as on a config error."""
+    if not out.is_dir():
+        return set()
+    return {p.name for p in out.iterdir()} - SKIPPED
+
+
 def differences(work_a, runs_a, work_b, runs_b):
     """The text of every difference between the two runs, and the
     number of output files compared."""
@@ -194,8 +213,7 @@ def differences(work_a, runs_a, work_b, runs_b):
         if err_a != err_b:
             found.append(f"{name}: stderr {err_a!r} != {err_b!r}")
         out_a, out_b = work_a / name / "out", work_b / name / "out"
-        names_a = {p.name for p in out_a.iterdir()} - SKIPPED
-        names_b = {p.name for p in out_b.iterdir()} - SKIPPED
+        names_a, names_b = _output_names(out_a), _output_names(out_b)
         if names_a != names_b:
             found.append(f"{name}: output files {sorted(names_a)} != "
                          f"{sorted(names_b)}")
