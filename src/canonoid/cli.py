@@ -62,12 +62,23 @@ gc.disable()
 try:
     import argparse
     import datetime
-    import hashlib
     import json
     import math
     import os
     import sys
     from pathlib import Path
+
+    # The config hash is the one SHA-256 a run takes, and hashlib would
+    # map OpenSSL's libcrypto for it, some 3 MB resident and a few ms of
+    # import.  CPython's own module gives the same digest: _sha256 on
+    # 3.10-3.11, _sha2 from 3.12.  A build without either falls back.
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     # canonoid's matrices are at most (2n+2) x (2n+2) per sample, far
     # too small for a threaded BLAS to pay off, yet OpenBLAS starts a
@@ -367,7 +378,7 @@ def load_config(path, kmax=None, tol=None, seed=None):
     cfg = validate_config(data)
     effective = json.dumps({"config": data, "tool_version": __version__},
                            sort_keys=True)
-    return cfg, hashlib.sha256(effective.encode()).hexdigest()
+    return cfg, sha256(effective.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -392,11 +392,37 @@ def _closedness_defect(g, dG):
     return np.max(np.abs(dGx - np.swapaxes(dGx, -1, -2)), axis=(-2, -1))
 
 
+# (node, weight) of the negative half of the GL_NODES_PER_UNIT-node
+# Gauss-Legendre rule on [-1, 1], as np.polynomial.legendre.leggauss
+# gives them; it symmetrises its result, so the positive half mirrors
+# these bit for bit, and repr of a float reads back exactly
+_GL_HALF = (
+    (-0.9972638618494816, 0.007018610009470506),
+    (-0.9856115115452684, 0.016274394730905743),
+    (-0.9647622555875064, 0.025392065309262024),
+    (-0.9349060759377397, 0.034273862913021765),
+    (-0.8963211557660521, 0.042835898022226836),
+    (-0.84936761373257, 0.05099805926237609),
+    (-0.7944837959679424, 0.058684093478535565),
+    (-0.7321821187402897, 0.06582222277636168),
+    (-0.6630442669302152, 0.07234579410884834),
+    (-0.5877157572407623, 0.07819389578707023),
+    (-0.5068999089322294, 0.08331192422694671),
+    (-0.42135127613063533, 0.08765209300440378),
+    (-0.33186860228212767, 0.09117387869576378),
+    (-0.23928736225213706, 0.09384439908080451),
+    (-0.1444719615827965, 0.09563872007927471),
+    (-0.048307665687738324, 0.09654008851472766),
+)
+
+
 @functools.cache
 def _gl_rule():
-    """Gauss-Legendre nodes and weights on [-1, 1]; cached because a
-    call costs about a millisecond."""
-    return np.polynomial.legendre.leggauss(GL_NODES_PER_UNIT)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], equal bit
+    for bit to np.polynomial.legendre.leggauss(GL_NODES_PER_UNIT), from
+    a literal table, so that no process loads numpy.polynomial for it."""
+    x, w = np.array(_GL_HALF).T
+    return np.concatenate([x, -x[::-1]]), np.concatenate([w, w[::-1]])
 
 
 def check_canonoid(F, H, samples, tol=DEFAULT_TOL):

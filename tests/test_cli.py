@@ -1,6 +1,8 @@
 """Config validation, the sample generator, report determinism, CSV
 output, subcommand exit codes, and flag overrides."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import canonoid
 from canonoid import cli, expr, transform
 from canonoid.cli import (CHECK_NAMES, DEFAULT_TOLERANCES, STRUCTURAL_CHECKS,
                           CheckError, ConfigError, Xorshift64Star,
@@ -18,6 +21,10 @@ from canonoid.cli import (CHECK_NAMES, DEFAULT_TOLERANCES, STRUCTURAL_CHECKS,
 from canonoid.geometry import KINDS, GeometryKind
 
 EXACT = 1e-12
+# CPython's own SHA-256 module, from which the config hash is taken
+# without loading OpenSSL: _sha256 up to 3.11, _sha2 from 3.12
+LEAN_SHA256 = next((name for name in ("_sha256", "_sha2")
+                    if importlib.util.find_spec(name)), None)
 
 
 def base_config():
@@ -217,6 +224,30 @@ def test_invalid_json_is_config_error(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("overrides", [
+    {}, {"kmax": 2}, {"tol": 1e-6}, {"seed": 7},
+    {"kmax": 2, "tol": 1e-6, "seed": 7},
+], ids=["no-flags", "kmax", "tol", "seed", "all-flags"])
+def test_config_hash_is_sha256_of_the_effective_json(tmp_path, overrides):
+    # the documented hash: SHA-256 of the sorted-key JSON of the config
+    # with the flags written in (--tol sets every tolerance) and the
+    # tool version, by hashlib, whatever module load_config takes it from
+    data = base_config()
+    path = write_config(tmp_path, data)
+    if "kmax" in overrides:
+        data["kmax"] = overrides["kmax"]
+    if "tol" in overrides:
+        data["tolerances"] = dict.fromkeys(DEFAULT_TOLERANCES,
+                                           overrides["tol"])
+    if "seed" in overrides:
+        data["seed"] = overrides["seed"]
+    effective = json.dumps({"config": data,
+                            "tool_version": canonoid.__version__},
+                           sort_keys=True)
+    assert load_config(path, **overrides)[1] \
+        == hashlib.sha256(effective.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("content", [
     b'{"schema": 1, "hamiltonian": "p1\xff"}',
     b"[" * 100_000 + b"]" * 100_000,
@@ -390,7 +421,8 @@ def test_import_generates_no_code():
     # namedtuple does per class.  numpy and the standard library that
     # canonoid imports load before the hook, so it sees canonoid alone.
     code = (
-        "import argparse, datetime, functools, hashlib, json, math\n"
+        f"import argparse, datetime, functools, {LEAN_SHA256 or 'hashlib'}\n"
+        "import json, math\n"
         "import operator, pathlib, re, sys\n"
         "import numpy\n"
         "generated = []\n"
@@ -403,6 +435,32 @@ def test_import_generates_no_code():
                        text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["False", "0"]
+
+
+@pytest.mark.parametrize("module", [
+    pytest.param("_hashlib", marks=pytest.mark.skipif(
+        LEAN_SHA256 is None, reason="no builtin SHA-256 module")),
+    "numpy.polynomial",
+])
+def test_check_run_loads_no_module_it_has_no_use_for(tmp_path, module):
+    # the config hash comes from CPython's own SHA-256, not OpenSSL's
+    # through hashlib, and K recovery's Gauss-Legendre rule from a
+    # literal table, not numpy.polynomial: neither the import nor a
+    # symplectic check whose canonoid passes, so that K recovery runs,
+    # adds the module to what numpy loaded
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import canonoid.cli as cli\n"
+            "code = cli.main(sys.argv[2:])\n"
+            "print(code, sys.argv[1] in set(sys.modules) - before)\n")
+    assert run_python(code, module, "check", "--config", path,
+                      "--out", str(out)) == ["1", "False"]
+    canonoid_entry = json.loads((out / "check.json").read_text())[
+        "checks"]["canonoid"]
+    assert canonoid_entry["verdict"] == "pass"
+    assert len(canonoid_entry["K_probe"]) == base_config()["sample_count"]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),

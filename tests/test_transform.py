@@ -488,6 +488,17 @@ def test_contact_lift_keeps_canonoid(c, n):
 # K recovery
 
 
+def test_gl_rule_is_leggauss_bit_for_bit():
+    # the literal table stands in for numpy.polynomial, which no CLI
+    # process loads; compared by bytes, so a signed zero or a last ulp
+    # of any node or weight counts
+    nodes, weights = transform._gl_rule()
+    want = np.polynomial.legendre.leggauss(transform.GL_NODES_PER_UNIT)
+    assert len(nodes) == len(weights) == transform.GL_NODES_PER_UNIT
+    assert nodes.tobytes() == want[0].tobytes()
+    assert weights.tobytes() == want[1].tobytes()
+
+
 def test_recover_K_quartic():
     g = SYMP1
     F = tmap(g, ["q1", "p1^3/3"])

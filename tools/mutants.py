@@ -102,6 +102,11 @@ MUTANTS = {
         "src/canonoid/transform.py",
         "mids, half = (lo + hi) / 2, (hi - lo) / 2",
         "mids, half = (lo + hi) / 2, hi - lo"),
+    # the literal Gauss-Legendre table must be leggauss's to the last ulp
+    "gl-weight-last-digit": (
+        "src/canonoid/transform.py",
+        "(-0.9972638618494816, 0.007018610009470506),",
+        "(-0.9972638618494816, 0.007018610009470507),"),
     # the drift slope regresses on the centred scaled times
     "slope-uncentred": (
         "src/canonoid/dynamics.py",
@@ -169,6 +174,17 @@ MUTANTS = {
         "src/canonoid/cli.py",
         "names = [c for c in cfg.checks if c in STRUCTURAL_CHECKS]",
         "names = list(cfg.checks)"),
+    # the config hash must not load OpenSSL through hashlib
+    "hash-through-hashlib": (
+        "src/canonoid/cli.py",
+        "    try:\n"
+        "        from _sha256 import sha256\n"
+        "    except ImportError:\n"
+        "        try:\n"
+        "            from _sha2 import sha256\n"
+        "        except ImportError:\n"
+        "            from hashlib import sha256\n",
+        "    from hashlib import sha256\n"),
     "blas-threads-default-dropped": (
         "src/canonoid/cli.py",
         'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n',
