@@ -10,8 +10,9 @@ float sweep written in it at all four stages; each stage and the
 update take the float operations of the (d,) array formulas, in their
 order.  Dormand-Prince takes each attempt from one straight-line text
 emitted once per state dimension d, dp_step(d), that expr.call_function
-writes from the list formula _dp_stepper run on terms: it sums each
-stage's weighted stages, the 5th-order update and the error estimate
+writes from the list formula _dp_stepper run on terms, one loop over
+the rows of the tableau _DP_A: each stage's input, the 5th-order
+update (the last row) and the error estimate sum their weighted stages
 left to right with the zero weights dropped, so its steps do not
 depend on a BLAS library.  The text does not depend on H: each of its
 seven stages calls the field it is given, which integrate makes
@@ -39,6 +40,7 @@ from __future__ import annotations
 import array
 import functools
 import math
+import operator
 import struct
 
 import numpy as np
@@ -117,35 +119,26 @@ def rk4_step(g, H):
     return field_function(g, H, "rk4", _rk4, ("h", "half", "sixth"))
 
 
+def _weighted(weights, stages):
+    """The sum of w * k over the non-zero weights w and their stages k,
+    left to right."""
+    return functools.reduce(operator.add, [w * k for w, k in
+                                           zip(weights, stages) if w])
+
+
 def _dp_stepper(f):
     """One Dormand-Prince attempt with the one-state field f: step(y,
-    h) -> (y5, err) from the state y and the step h.  Every stage and
-    the error sum their weighted stages left to right, with the zero
-    weights dropped; the tableau is bound once, here.  dp_step emits
-    it as straight-line text, and the tests run it on floats."""
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6) = _DP_A
-    e1, _, e3, e4, e5, e6, e7 = _DP_E
+    h) -> (y5, err) from the state y and the step h, read off the
+    tableau: row i of _DP_A gives the input of stage i + 2, its last
+    row y5, where the seventh stage is taken, and _DP_E the error.
+    dp_step emits it as straight-line text; the tests run it on floats."""
 
     def step(y, h):
-        k1 = f(y)
-        k2 = f([a + h * (a21 * c1) for a, c1 in zip(y, k1)])
-        k3 = f([a + h * (a31 * c1 + a32 * c2)
-                for a, c1, c2 in zip(y, k1, k2)])
-        k4 = f([a + h * (a41 * c1 + a42 * c2 + a43 * c3)
-                for a, c1, c2, c3 in zip(y, k1, k2, k3)])
-        k5 = f([a + h * (a51 * c1 + a52 * c2 + a53 * c3 + a54 * c4)
-                for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)])
-        k6 = f([a + h * (a61 * c1 + a62 * c2 + a63 * c3 + a64 * c4
-                         + a65 * c5)
-                for a, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5)])
-        y5 = [a + h * (b1 * c1 + b3 * c3 + b4 * c4 + b5 * c5 + b6 * c6)
-              for a, c1, c3, c4, c5, c6 in zip(y, k1, k3, k4, k5, k6)]
-        k7 = f(y5)
-        err = [h * (e1 * c1 + e3 * c3 + e4 * c4 + e5 * c5 + e6 * c6
-                    + e7 * c7)
-               for c1, c3, c4, c5, c6, c7 in zip(k1, k3, k4, k5, k6, k7)]
-        return y5, err
+        ks = [f(y)]
+        for row in _DP_A:
+            y_next = [a + h * _weighted(row, k) for a, *k in zip(y, *ks)]
+            ks.append(f(y_next))
+        return y_next, [h * _weighted(_DP_E, k) for k in zip(*ks)]
 
     return step
 
@@ -179,6 +172,7 @@ def _error_ratio(err, y, y_new, rtol, atol):
     return ratio if math.isfinite(ratio) else math.inf
 
 
+@expr.quiet
 def integrate(g, H, x0, t_span, steps, method="rk4",
               rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Advance the dynamical field of (g, H) from x0 over t_span.
@@ -217,34 +211,31 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
     accept(t0, y)
     span = t1 - t0
     h = span / steps
-    # a non-finite field value propagates into the states, where the
-    # guards of the trace checks report it; numpy stays quiet
-    with np.errstate(all="ignore"):
-        if method == "rk4":
-            half, sixth = 0.5 * h, h / 6.0
-            step = rk4_step(g, H)
-            for k in range(1, steps + 1):
-                y = step(y, h, half, sixth)
-                accept(t0 + h * k, y)
-        else:
-            t, h_min = t0, 1e-14 * span
-            # each stage calls dynamical_vf by the name bound here, so a
-            # wrapper installed on that name sees every stage
-            f = functools.partial(dynamical_vf, g, H)
-            step = dp_step(g.dim)
-            while t < t1 - h_min:
-                h = min(h, t1 - t)
-                y_new, err = step(y, h, f)
-                ratio = _error_ratio(err, y, y_new, rtol, atol)
-                if ratio <= 1.0:
-                    t, y = t + h, y_new
-                    accept(t, y)
-                factor = (5.0 if ratio == 0.0
-                          else min(5.0, max(0.2, 0.9 * ratio ** -0.2)))
-                h = h * factor
-                if h < h_min:
-                    raise StepFailure(
-                        f"step size underflow at t = {t} (h = {h:.3e})")
+    if method == "rk4":
+        half, sixth = 0.5 * h, h / 6.0
+        step = rk4_step(g, H)
+        for k in range(1, steps + 1):
+            y = step(y, h, half, sixth)
+            accept(t0 + h * k, y)
+    else:
+        t, h_min = t0, 1e-14 * span
+        # each stage calls dynamical_vf by the name bound here, so a
+        # wrapper installed on that name sees every stage
+        f = functools.partial(dynamical_vf, g, H)
+        step = dp_step(g.dim)
+        while t < t1 - h_min:
+            h = min(h, t1 - t)
+            y_new, err = step(y, h, f)
+            ratio = _error_ratio(err, y, y_new, rtol, atol)
+            if ratio <= 1.0:
+                t, y = t + h, y_new
+                accept(t, y)
+            factor = (5.0 if ratio == 0.0
+                      else min(5.0, max(0.2, 0.9 * ratio ** -0.2)))
+            h = h * factor
+            if h < h_min:
+                raise StepFailure(
+                    f"step size underflow at t = {t} (h = {h:.3e})")
     return Trajectory(times=np.frombuffer(times),
                       states=np.frombuffer(rows).reshape(-1, g.dim))
 
@@ -253,6 +244,7 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
 # drift statistics
 
 
+@expr.quiet
 def drift_report(traj, observables):
     """name -> ObservableDrift for the (name, f) pairs over the
     trajectory: each f maps the stack of stored states (T, d) to its
@@ -273,14 +265,11 @@ def drift_report(traj, observables):
             raise ValueError(f"observable {name!r} gave shape {vals.shape} "
                              f"for {T} states")
         f0 = vals[0]
-        # a non-finite value gives a non-finite drift, for the caller's
-        # guard to report; numpy stays quiet
-        with np.errstate(all="ignore"):
-            drift = vals - f0
-            max_abs = float(np.max(np.abs(drift)))
-            rel = max_abs / max(abs(f0), 1.0)
-            # numpy's pairwise sums: a BLAS dot's threads and kernels vary
-            slope = float((c * drift).sum() / norm / span) if T > 1 else 0.0
+        drift = vals - f0
+        max_abs = float(np.max(np.abs(drift)))
+        rel = max_abs / max(abs(f0), 1.0)
+        # numpy's pairwise sums: a BLAS dot's threads and kernels vary
+        slope = float((c * drift).sum() / norm / span) if T > 1 else 0.0
         out[name] = ObservableDrift(initial=float(f0), max_abs_drift=max_abs,
                                     max_rel_drift=rel, slope=slope)
     return out
@@ -290,6 +279,7 @@ def drift_report(traj, observables):
 # Lie derivative of S along the dynamical field
 
 
+@expr.quiet
 def lie_derivative_S(F, H, x):
     """(L_V S)^A_B = V^n dS^A_B/dx^n - S^n_B dV^A/dx^n + S^A_n dV^n/dx^B
     with V the dynamical field of H on F.geometry, over the full chart,
@@ -301,7 +291,6 @@ def lie_derivative_S(F, H, x):
     ValueError from geometry.dynamical_vf_jacobian.
     """
     jets = transform.Jets.of(F, x)
-    with np.errstate(all="ignore"):
-        S, dS = stensor.s_and_ds(F, jets)
-        V, dV = dynamical_vf_jacobian(F.geometry, H, jets.x)
-        return np.einsum("...n,...nab->...ab", V, dS) - dV @ S + S @ dV
+    S, dS = stensor.s_and_ds(F, jets)
+    V, dV = dynamical_vf_jacobian(F.geometry, H, jets.x)
+    return np.einsum("...n,...nab->...ab", V, dS) - dV @ S + S @ dV

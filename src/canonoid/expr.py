@@ -30,7 +30,9 @@ text): a DomainError names the subexpression and the first failing row.
 Overflow from finite input in a power, exp, sinh or cosh is a
 DomainError too, while a product or sum that overflows gives inf, as
 float arithmetic does, for the callers' finiteness guards to report.
-The sweep itself never prints numpy floating-point warnings.
+The stacked sweep runs under quiet(), so it never prints numpy
+floating-point warnings; a float function runs under its caller's
+error state, as the integrators set it.
 
 Grammar (ASCII, ^ is exponentiation):
 
@@ -83,6 +85,25 @@ class UnknownVariable(ValueError):
 
 class UnknownFunction(ValueError):
     """Call to a function outside the supported set."""
+
+
+# ---------------------------------------------------------------------------
+# The floating-point rule
+
+
+def quiet(f):
+    """f run under canonoid's one floating-point rule: numpy ignores
+    every floating-point error, and the inf or NaN reaches a guard that
+    names its sample.  The entries that the checks call, jet and the
+    cond(J) guard take it; the lower layers run under their caller's
+    state."""
+
+    @functools.wraps(f)
+    def quiet(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return f(*args, **kwargs)
+
+    return quiet
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +225,13 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^()]))"
 )
 
-_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")
+# the binary operators, symbol: (node, level).  A higher level binds
+# tighter: unary minus sits between * / and ^, at _NEG_LEVEL, and an
+# atom above every operator.  The parser and the writer both read this.
+_OPERATORS = {"+": (Add, 1), "-": (Sub, 1), "*": (Mul, 2), "/": (Div, 2),
+              "^": (Pow, 4)}
+_NEG_LEVEL = 3
+_ATOM_LEVEL = 5
 
 
 def _tokenize(source):
@@ -255,51 +282,39 @@ class _Parser:
             raise SyntaxError(f"unexpected {text!r} at position {pos}")
         return node
 
-    def expr(self):
-        node = self.term()
+    def expr(self, level=1):
+        """The operands one level up joined left to right by the operators
+        of this level: the grammar's expr at level 1, term at level 2 and
+        unary at _NEG_LEVEL."""
+        if level == _NEG_LEVEL:
+            return self.unary()
+        node = self.expr(level + 1)
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if text == "+" else Sub(node, rhs)
-            else:
+            # no number's or name's text is an operator's symbol
+            op = _OPERATORS.get(self.peek()[1])
+            if op is None or op[1] != level:
                 return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.unary()
-                node = Mul(node, rhs) if text == "*" else Div(node, rhs)
-            else:
-                return node
+            self.advance()
+            node = op[0](node, self.expr(level + 1))
 
     def unary(self):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
+        """The grammar's unary and power."""
+        if self.peek()[1] == "-":
             self.advance()
             return Neg(self.unary())
-        return self.power()
-
-    def power(self):
         base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return Pow(base, self.unary())
-        return base
+        if self.peek()[1] != "^":
+            return base
+        self.advance()
+        return Pow(base, self.unary())
 
     def atom(self):
         kind, text, pos = self.advance()
         if kind == "num":
             return Const(float(text))
         if kind == "name":
-            nkind, ntext, _ = self.peek()
-            if nkind == "op" and ntext == "(":
-                if text not in _FUNCTIONS:
+            if self.peek()[1] == "(":
+                if text not in _DERIVATIVES:
                     raise UnknownFunction(f"unknown function {text!r} at position {pos}")
                 self.advance()
                 arg = self.expr()
@@ -743,14 +758,14 @@ def _bind(code, namespace, consts, errors):
     return scope["run"]
 
 
+@quiet
 def _fold(node, values):
     """node's value over constant children: its order-0 rule run on
     one-element arrays, so constants fold through the array semantics."""
     em = _Emitter(0)
     v = em.rule(node, [(em.const(np.array([c])), {}, {}) for c in values])[0]
     run = _bind(em.compile(v), _ARRAYS, tuple(em.consts), tuple(em.errors))
-    with np.errstate(all="ignore"):
-        return float(run(None)[0])
+    return float(run(None)[0])
 
 
 # -- the two namespaces -------------------------------------------------------
@@ -816,8 +831,6 @@ _FLOATS = {
     "vpow": lambda a, b: float(np.power((a,), (b,))[0]),
     "overflow": _point_overflow, "fail": _fail,
 }
-# the float names that call numpy, which may warn
-_NUMPY_NAMES = frozenset(_DERIVATIVES) | {"pw", "vpow"}
 
 
 def _sweep(e, order):
@@ -841,14 +854,6 @@ def _sweep(e, order):
     code = em.compile(f"{v}, {first}, {second if order == 2 else None}")
     run = _bind(code, _ARRAYS, tuple(em.consts), tuple(em.errors))
     return e._kernels.setdefault(order, (run, sorted(d1), pairs))
-
-
-def _quiet(run):
-    def quiet(*args):
-        with np.errstate(all="ignore"):
-            return run(*args)
-
-    return quiet
 
 
 def _text(a):
@@ -915,10 +920,7 @@ def point_function(e, formula, field, params=()):
     out = formula(x, f, *map(_Term, params))
     code = em.compile("[" + ", ".join(map(_text, out)) + "]",
                       ("X", *params), guards=True)
-    run = _bind(code, _FLOATS, tuple(em.consts), tuple(em.errors))
-    if not _NUMPY_NAMES.isdisjoint(run.__code__.co_names):
-        run = _quiet(run)   # float arithmetic neither warns nor raises
-    return run
+    return _bind(code, _FLOATS, tuple(em.consts), tuple(em.errors))
 
 
 def call_function(formula, m, params=()):
@@ -961,6 +963,7 @@ def _size_error(X, m):
     return ValueError(f"point has {size} components, chart has {m}")
 
 
+@quiet
 def jet(e, points, order=2):
     """(value, gradient, hessian) of e in one sweep, over all chart
     variables (partials vanish for absent ones).
@@ -976,14 +979,9 @@ def jet(e, points, order=2):
     m = len(e.chart_vars)
     if X.ndim not in (1, 2) or X.shape[-1] != m:
         raise _size_error(X, m)
-    if X.ndim == 1:
-        v, d1, d2 = jet(e, X.reshape(1, m), order)
-        return (float(v[0]), None if d1 is None else d1[0],
-                None if d2 is None else d2[0])
     run, cols, pairs = _sweep(e, order)
-    n = len(X)
-    with np.errstate(all="ignore"):
-        v, d1, d2 = run(X.T)
+    n = len(X) if X.ndim == 2 else 1
+    v, d1, d2 = run(X.reshape(n, m).T)
     if type(v) is float or v.base is not None:
         v = np.full(n, v)   # a constant, or a column of X
     if d1 is not None:
@@ -993,6 +991,9 @@ def jet(e, points, order=2):
         d1 = g
     if d2 is not None:
         d2 = _symmetric(np.zeros((n, m, m)), pairs, d2)
+    if X.ndim == 1:
+        return (float(v[0]), None if d1 is None else d1[0],
+                None if d2 is None else d2[0])
     return v, d1, d2
 
 
@@ -1018,45 +1019,32 @@ def value_and_derivatives(e, point):
 # ---------------------------------------------------------------------------
 # Serialization
 
-_LEVEL_ATOM = 5
+_SYMBOLS = {node: symbol for symbol, (node, _) in _OPERATORS.items()}
+_LEVELS = {Neg: _NEG_LEVEL, **dict(_OPERATORS.values())}
 
 
-def _level(node):
-    if isinstance(node, (Add, Sub)):
-        return 1
-    if isinstance(node, (Mul, Div)):
-        return 2
-    if isinstance(node, Neg):
-        return 3
-    if isinstance(node, Pow):
-        return 4
-    return _LEVEL_ATOM
-
-
-def _wrap(text, need):
-    return f"({text})" if need else text
+def _wrap(node, level):
+    """node's text, parenthesised when it binds looser than level."""
+    text = _unparse(node)
+    loose = _LEVELS.get(type(node), _ATOM_LEVEL) < level
+    return f"({text})" if loose else text
 
 
 def _unparse(node):
-    lvl = _level(node)
-    if isinstance(node, Const):
+    kind = type(node)
+    if kind is Const:
         return repr(node.value)
-    if isinstance(node, Var):
+    if kind is Var:
         return node.name
-    if isinstance(node, Call):
+    if kind is Call:
         return f"{node.func}({_unparse(node.arg)})"
-    if isinstance(node, Neg):
-        inner = _unparse(node.arg)
-        return "-" + _wrap(inner, _level(node.arg) < 3)
-    if isinstance(node, Pow):
-        base = _wrap(_unparse(node.base), _level(node.base) < _LEVEL_ATOM)
-        expo = _wrap(_unparse(node.exponent), _level(node.exponent) < 3)
-        return f"{base}^{expo}"
-    ops = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-    op = ops[type(node)]
-    left = _wrap(_unparse(node.left), _level(node.left) < lvl)
-    right = _wrap(_unparse(node.right), _level(node.right) <= lvl)
-    return f"{left}{op}{right}"
+    if kind is Neg:
+        return "-" + _wrap(node.arg, _NEG_LEVEL)
+    symbol, level = _SYMBOLS[kind], _LEVELS[kind]
+    left, right = _children(node)
+    if kind is Pow:   # right-associative, with a unary exponent
+        return f"{_wrap(left, level + 1)}^{_wrap(right, _NEG_LEVEL)}"
+    return f"{_wrap(left, level)}{symbol}{_wrap(right, level + 1)}"
 
 
 def serialize(e):

@@ -20,6 +20,9 @@ reads: omega and theta = dz - p dq, written once as their pullbacks by
 a map (pullback_two_form, pullback_theta and their derivatives), whose
 pullback by the identity is the canonical structure; X_H and its
 Jacobian; the chart layout, one table in GeometryKind.chart_vars.
+Its functions, the emitted one-state fields among them, compute under
+their caller's numpy error state; only the jets they read from
+expr.jet run under expr.quiet.
 """
 
 from __future__ import annotations

@@ -42,8 +42,9 @@ carries it: F does, an array does not (_assemble, _x_block).
 Every function takes one state (d,) or a stack of states (N, d) and
 returns the single or the stacked result; those built on s_and_ds also
 take F's Jets at the states.  The matrix algebra runs over a leading
-sample axis, under np.errstate, so a non-finite entry reaches the
-caller's residual fold instead of a floating-point warning.
+sample axis under expr.quiet (s_tensor and s_and_ds under their
+caller's error state), so a non-finite entry reaches the caller's
+residual fold instead of a floating-point warning.
 """
 
 from __future__ import annotations
@@ -117,6 +118,7 @@ def s_tensor(F, x):
     return _assemble(g, transform.lagrange_brackets(F, x), x)
 
 
+@expr.quiet
 def trace_powers(F, x, kmax):
     """tr(S^k) for k = 1..kmax, by repeated multiplication: (kmax,) at
     one state, (N, kmax) for a stack."""
@@ -125,10 +127,9 @@ def trace_powers(F, x, kmax):
     out = np.zeros(S.shape[:-2] + (kmax,))
     P = S
     out[..., 0] = np.trace(P, axis1=-2, axis2=-1)
-    with np.errstate(all="ignore"):
-        for k in range(1, kmax):
-            P = P @ S
-            out[..., k] = np.trace(P, axis1=-2, axis2=-1)
+    for k in range(1, kmax):
+        P = P @ S
+        out[..., k] = np.trace(P, axis1=-2, axis2=-1)
     return out
 
 
@@ -140,12 +141,11 @@ def s_and_ds(F, x):
     weights."""
     g = F.geometry
     jets = transform.Jets.of(F, x)
-    with np.errstate(all="ignore"):
-        S = _assemble(g, jets.lam, jets.x)
-        dS = _assemble(g, jets.dLam, jets.x)
-        if g.z_index is not None:
-            for qi, pi in zip(g.q_indices, g.p_indices):
-                dS[..., pi, g.z_index, :] += S[..., qi, :]
+    S = _assemble(g, jets.lam, jets.x)
+    dS = _assemble(g, jets.dLam, jets.x)
+    if g.z_index is not None:
+        for qi, pi in zip(g.q_indices, g.p_indices):
+            dS[..., pi, g.z_index, :] += S[..., qi, :]
     return S, dS
 
 
@@ -164,13 +164,13 @@ def _torsion(A, dA):
     return M - np.swapaxes(M, -1, -2)
 
 
+@expr.quiet
 def nijenhuis_torsion(F, x):
     """N^l_{bg} = dA^l_g/dx^n A^n_b - dA^l_b/dx^n A^n_g
     + (dA^n_b/dx^g - dA^n_g/dx^b) A^l_n, over the x-block; antisymmetric
     in the two lower slots."""
     A, dA = _x_block(F.geometry, *s_and_ds(F, x))
-    with np.errstate(all="ignore"):
-        return _torsion(A, dA)
+    return _torsion(A, dA)
 
 
 def _explicit_trace_grads(g, S, dS, kmax):
@@ -181,12 +181,10 @@ def _explicit_trace_grads(g, S, dS, kmax):
     grads = np.zeros(S.shape[:-2] + (kmax, dSx.shape[-3]))
     grads[..., 0, :] = np.trace(dSx, axis1=-2, axis2=-1)
     P = S
-    with np.errstate(all="ignore"):
-        for k in range(1, kmax):
-            if k > 1:
-                P = P @ S
-            grads[..., k, :] = (k + 1) * np.einsum("...ab,...nba->...n",
-                                                   P, dSx)
+    for k in range(1, kmax):
+        if k > 1:
+            P = P @ S
+        grads[..., k, :] = (k + 1) * np.einsum("...ab,...nba->...n", P, dSx)
     return grads
 
 
@@ -222,14 +220,14 @@ def _trace_grads(jets, kmax):
          eps_inv @ (db - np.swapaxes(db, -1, -2)))
     grads = np.zeros(jets.x.shape[:-1] + (kmax, A[0].shape[-1]))
     P = A
-    with np.errstate(all="ignore"):
-        for k in range(kmax):
-            if k > 0:
-                P = _jet_mul(P, A)
-            grads[..., k, :] = np.trace(P[1], axis1=-2, axis2=-1)
+    for k in range(kmax):
+        if k > 0:
+            P = _jet_mul(P, A)
+        grads[..., k, :] = np.trace(P[1], axis1=-2, axis2=-1)
     return grads
 
 
+@expr.quiet
 def lenard_identity_residual(F, x, kmax):
     """Sup-norm gap between the two sides of the trace identity at x for
     every k = 1..kmax: shape (kmax,) at one state, (N, kmax) for a stack.
@@ -248,18 +246,18 @@ def lenard_identity_residual(F, x, kmax):
     A, dA = _x_block(F.geometry, *s_and_ds(F, jets))
     grads = _trace_grads(jets, kmax + 1)
     out = np.zeros(jets.x.shape[:-1] + (kmax,))
-    with np.errstate(all="ignore"):
-        N = _torsion(A, dA)
-        AT = np.swapaxes(A, -1, -2)
-        for k in range(1, kmax + 1):
-            lhs = np.einsum("...lbg,...gl->...b", N,
-                            np.linalg.matrix_power(A, k - 1))
-            rhs = ((AT @ grads[..., k - 1, :, None])[..., 0] / k
-                   - grads[..., k, :] / (k + 1))
-            out[..., k - 1] = np.max(np.abs(lhs - rhs), axis=-1)
+    N = _torsion(A, dA)
+    AT = np.swapaxes(A, -1, -2)
+    for k in range(1, kmax + 1):
+        lhs = np.einsum("...lbg,...gl->...b", N,
+                        np.linalg.matrix_power(A, k - 1))
+        rhs = ((AT @ grads[..., k - 1, :, None])[..., 0] / k
+               - grads[..., k, :] / (k + 1))
+        out[..., k - 1] = np.max(np.abs(lhs - rhs), axis=-1)
     return out
 
 
+@expr.quiet
 def involution_matrix(F, samples, kmax):
     """Pairwise brackets of the trace functions over samples.
 
@@ -271,8 +269,8 @@ def involution_matrix(F, samples, kmax):
     Samples whose L is singular or has condition number beyond
     CONDITION_LIMIT are skipped for the barred variant and counted;
     if every sample is skipped the barred bracket is unavailable and
-    SingularPullback is raised.  A non-finite bracket raises
-    transform.NonFiniteResidual.
+    SingularPullback is raised.  A non-finite bracket or L (before its
+    cond) raises transform.NonFiniteResidual naming its first sample.
     """
     kmax = _check_kmax(kmax)
     g = F.geometry
@@ -281,20 +279,19 @@ def involution_matrix(F, samples, kmax):
     grads = _explicit_trace_grads(g, S, dS, kmax)
     gT = np.swapaxes(grads, 1, 2)
     eps = canonical_eps(g.n)
-    with np.errstate(all="ignore"):
-        L = eps @ S[:, g.x_slice, g.x_slice]
-        unbarred = np.abs(grads @ eps @ gT)
-        cond = np.linalg.cond(L)
-    usable = np.isfinite(cond) & (cond <= CONDITION_LIMIT)
+    L = eps @ S[:, g.x_slice, g.x_slice]
+    unbarred = np.abs(grads @ eps @ gT)
     unbarred = transform.fold_max(unbarred)
+    transform.fold_max(L)
+    cond = np.linalg.cond(L)
+    usable = np.isfinite(cond) & (cond <= CONDITION_LIMIT)
     n = len(jets)
     if not usable.any():
         raise SingularPullback(f"Lagrange x-block singular at all {n} samples")
     # skipped samples keep a zero row, so fold indices stay sample indices
     barred = np.zeros((n, kmax, kmax))
-    with np.errstate(all="ignore"):
-        barred[usable] = np.abs(
-            -grads[usable] @ np.linalg.solve(L[usable], gT[usable]))
+    barred[usable] = np.abs(
+        -grads[usable] @ np.linalg.solve(L[usable], gT[usable]))
     return InvolutionResult(unbarred=unbarred,
                             barred=transform.fold_max(barred),
                             skipped=int(n - usable.sum()),

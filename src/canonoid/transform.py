@@ -197,6 +197,7 @@ def _eval_components(F, x, order=2):
     return vals, J, H
 
 
+@expr.quiet
 def _require_nonsingular(J, x):
     """Raise SingularTransform at the first sample where cond(J) is
     beyond CONDITION_LIMIT or not finite: det(J) == 0 alone would
@@ -221,11 +222,10 @@ def _require_nonsingular(J, x):
     alone."""
     d = J.shape[-1]
     J = J.reshape(-1, d, d)
-    with np.errstate(all="ignore"):
-        _, exp = np.frexp(np.max(np.abs(J), axis=(1, 2)))
-        J = np.ldexp(J, -exp[:, None, None])
-        norm = np.sqrt(np.einsum("nij,nij->n", J, J))
-        bound = d / np.abs(np.linalg.det(J / norm[:, None, None]))
+    _, exp = np.frexp(np.max(np.abs(J), axis=(1, 2)))
+    J = np.ldexp(J, -exp[:, None, None])
+    norm = np.sqrt(np.einsum("nij,nij->n", J, J))
+    bound = d / np.abs(np.linalg.det(J / norm[:, None, None]))
     lim = CONDITION_LIMIT / 2
     unsure = np.flatnonzero(~(bound <= lim))
     if not unsure.size:
@@ -325,6 +325,7 @@ def as_samples(samples):
     return samples
 
 
+@expr.quiet
 def check_canonical(F, samples, tol=DEFAULT_TOL):
     """Does F preserve the structure of F.geometry?  Residual is the max
     over samples of the sup-norm difference between pulled-back and
@@ -366,24 +367,22 @@ def _k_gradient_pieces(F, H, x):
     """
     g = F.geometry
     jets = Jets.of(F, x)
-    with np.errstate(all="ignore"):
-        lam, dLam = jets.lam, jets.dLam
-        X, dX = hamiltonian_vf_jacobian(g, H, jets.x)
-        L = _x_block(g, lam)
-        u = -X[..., g.x_slice]
-        # dG[:, a] = dLam[a]_xx @ u + L @ du/dx^a
-        along = (_x_block(g, dLam) @ u[..., None, :, None])[..., 0]
-        dG = np.swapaxes(along, -1, -2) + L @ -dX[..., g.x_slice, :]
-        return dG, lam
+    lam, dLam = jets.lam, jets.dLam
+    X, dX = hamiltonian_vf_jacobian(g, H, jets.x)
+    L = _x_block(g, lam)
+    u = -X[..., g.x_slice]
+    # dG[:, a] = dLam[a]_xx @ u + L @ du/dx^a
+    along = (_x_block(g, dLam) @ u[..., None, :, None])[..., 0]
+    dG = np.swapaxes(along, -1, -2) + L @ -dX[..., g.x_slice, :]
+    return dG, lam
 
 
 def _k_gradient_only(F, H, x):
     """G alone, from first-order data (quadrature inner loop)."""
     g = F.geometry
-    with np.errstate(all="ignore"):
-        L = _x_block(g, lagrange_brackets(F, x))
-        u = -hamiltonian_vf(g, H, x)[..., g.x_slice]
-        return (L @ u[..., None])[..., 0]
+    L = _x_block(g, lagrange_brackets(F, x))
+    u = -hamiltonian_vf(g, H, x)[..., g.x_slice]
+    return (L @ u[..., None])[..., 0]
 
 
 def _closedness_defect(g, dG):
@@ -425,6 +424,7 @@ def _gl_rule():
     return np.concatenate([x, -x[::-1]]), np.concatenate([w, w[::-1]])
 
 
+@expr.quiet
 def check_canonoid(F, H, samples, tol=DEFAULT_TOL):
     """Is F canonoid for the dynamics of H, on the sampled region of
     F.geometry?
@@ -473,8 +473,10 @@ def _reeb_fields(M, k, what):
     lies in the kernel of the two-form in the rows after them.  One SVD
     per sample over the stack gives the rank test (with matrix_rank's
     tolerance), the least-squares solutions and their defect.  Raises
-    SingularReeb at the first sample where M is rank-deficient or
-    M R = e has no solution."""
+    NonFiniteResidual, before the SVD, at the first sample where M is
+    not finite, and SingularReeb where it is rank-deficient or M R = e
+    has no solution."""
+    fold_max(M)
     d = M.shape[2]
     rhs = np.eye(k + d)[:, :k]
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
@@ -499,24 +501,20 @@ def _contact_point_data(F, H, x):
     Jets x."""
     g = F.geometry
     jets = Jets.of(F, x)
-    with np.errstate(all="ignore"):
-        try:
-            vals, J, Hc = jets.sweep
-        except SingularTransform as e:
-            # no pulled-back coframe determines a Reeb field there
-            raise SingularReeb(str(e)) from e
-        lam = jets.lam
-        theta_bar = pullback_theta(g, vals, J)
-        X, dX = hamiltonian_vf_jacobian(g, H, jets.x)
-        dtheta = pullback_theta_derivative(g, vals, J, Hc)
-        K = -np.einsum("...i,...i->...", theta_bar, X)
-        dK = -contract(dtheta, X) - contract(dX, theta_bar)
-        return J, lam, theta_bar, X, K, dK
+    try:
+        vals, J, Hc = jets.sweep
+    except SingularTransform as e:
+        # no pulled-back coframe determines a Reeb field there
+        raise SingularReeb(str(e)) from e
+    lam = jets.lam
+    theta_bar = pullback_theta(g, vals, J)
+    X, dX = hamiltonian_vf_jacobian(g, H, jets.x)
+    dtheta = pullback_theta_derivative(g, vals, J, Hc)
+    K = -np.einsum("...i,...i->...", theta_bar, X)
+    dK = -contract(dtheta, X) - contract(dX, theta_bar)
+    return J, lam, theta_bar, X, K, dK
 
 
-# an overflowing H leaves inf in X_H and dK: numpy stays quiet while the
-# residual is assembled, and fold_max reports it as non-finite
-@np.errstate(all="ignore")
 def _check_canonoid_contact(F, H, jets, tol):
     g = F.geometry
     J, lam, theta_bar, X, K, dK = _contact_point_data(F, H, jets)
@@ -543,6 +541,7 @@ def _check_canonoid_contact(F, H, jets, tol):
                           K_probe=K, components=components)
 
 
+@expr.quiet
 def recover_K(F, H, x, base_point, tol=DEFAULT_TOL):
     """K at x, on F.geometry: a float for one state, an (N,) array for
     a stack.  H must be written on the chart of F.geometry.

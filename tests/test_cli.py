@@ -823,6 +823,62 @@ def test_non_finite_trace_names_its_observable(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+# the Lagrange brackets of F = 1e200 (q1, p1) overflow to inf
+HUGE = {"q1": "1e200*q1", "p1": "1e200*p1"}
+
+
+@pytest.mark.parametrize("check,hamiltonian,transform_", [
+    *((check, "p1^2/2", HUGE) for check in CHECK_NAMES),
+    ("canonoid", "1e308*p1^4", {"q1": "q1", "p1": "p1^3/3"}),
+    ("canonical", "p1^2/2 + z", {**HUGE, "z": "z"}),
+], ids=[*CHECK_NAMES, "canonoid-overflowing-H", "contact-canonical"])
+def test_a_non_finite_residual_is_one_quiet_line(tmp_path, capfd, check,
+                                                 hamiltonian, transform_):
+    # numpy prints no floating-point warning on the way to the guard; a
+    # warning that reaches the test is an error, and changes the message
+    kind = "contact" if "z" in transform_ else "symplectic"
+    data = n1_config(kind, transform_)
+    data["hamiltonian"] = hamiltonian
+    data["checks"] = [check]
+    command = "invariants" if check == "traces" else "report"
+    assert run_cli([command, "--config", write_config(tmp_path, data),
+                    "--out", str(tmp_path / "out")]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: check '{check}' failed to execute: "
+                          "non-finite residual at ") \
+        and err.count("\n") == 1, err
+
+
+@pytest.fixture
+def finite_lapack(monkeypatch):
+    """np.linalg.svd and np.linalg.cond reject a non-finite matrix: on
+    an infinite one the SVD may never return, or fail with LAPACK's
+    message instead of naming the sample."""
+    for name in ("svd", "cond"):
+        def checked(a, *args, original=getattr(np.linalg, name), name=name,
+                    **kwargs):
+            if not np.isfinite(a).all():
+                raise AssertionError(f"np.linalg.{name} of a non-finite "
+                                     "matrix")
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, checked)
+
+
+@pytest.mark.parametrize("check,kind,transform_", [
+    ("canonoid", "contact", {**HUGE, "z": "1e200*z"}),
+    # with kmax = 1 the trace gradients stay finite: only L is not
+    ("involution", "symplectic", HUGE),
+], ids=["contact-reeb-coframe", "involution-lagrange-block"])
+def test_no_non_finite_matrix_reaches_lapack(finite_lapack, check, kind,
+                                             transform_):
+    data = n1_config(kind, transform_)
+    data["kmax"] = 1
+    with pytest.raises(CheckError, match="non-finite residual at sample 0$"):
+        cli._run_checks(validate_config(data), (check,), None)
+
+
 def count_sample_sweeps(monkeypatch, cfg, names):
     """Run the checks `names` of cfg: their results, and the number of
     second-order sweeps of F over its sample stack."""

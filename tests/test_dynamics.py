@@ -412,6 +412,39 @@ _B5 = _A[6]
 _B4 = np.array(dynamics._DP_B4)
 
 
+def _order_defects(A, b5, b4):
+    """|defect| of the 8 order conditions through order 4 for each of
+    the weight rows b5 and b4 of the (7, 7) tableau A, whose row sums
+    are the nodes c, and of b5 . c^4 = 1/5."""
+    c = A.sum(axis=1)
+    ac = A @ c
+    out = []
+    for b in (b5, b4):
+        out += [b.sum() - 1, b @ c - 1 / 2, b @ c ** 2 - 1 / 3, b @ ac - 1 / 6,
+                b @ c ** 3 - 1 / 4, b @ (c * ac) - 1 / 8,
+                b @ (A @ c ** 2) - 1 / 12, b @ (A @ ac) - 1 / 24]
+    out.append(b5 @ c ** 4 - 1 / 5)
+    return np.abs(out)
+
+
+def test_dp_tableau_order_conditions():
+    # the table that dp_step is read off meets Dormand and Prince's
+    # conditions, and none of its rows survives a swap of two different
+    # weights (in exact arithmetic every such swap breaks a condition;
+    # the smallest break in floats is about 9e-4)
+    assert np.max(_order_defects(_A, _B5, _B4)) < 1e-14
+    for r in range(1, 8):
+        row = _A[r, :r] if r < 7 else _B4
+        for i in range(len(row)):
+            for j in range(i):
+                if row[i] == row[j]:
+                    continue
+                A, b4 = _A.copy(), _B4.copy()
+                swapped = A[r] if r < 7 else b4
+                swapped[[i, j]] = swapped[[j, i]]
+                assert np.max(_order_defects(A, A[6], b4)) > 1e-6, (r, i, j)
+
+
 def _reference_dp_step(f, y, h):
     """(y5, err, stages) of one Dormand-Prince step with every stage,
     tableau product and the error estimate on (d,) arrays: the products

@@ -73,20 +73,21 @@ MUTANTS = {
         "src/canonoid/dynamics.py",
         "            y[ti] = t\n",
         "            pass\n"),
+    # the attempt is read off the tableau: two weights of one row swapped
     "dp-stage-weight": (
         "src/canonoid/dynamics.py",
-        "k4 = f([a + h * (a41 * c1 + a42 * c2 + a43 * c3)",
-        "k4 = f([a + h * (a41 * c1 + a43 * c2 + a42 * c3)"),
+        "(44 / 45, -56 / 15, 32 / 9),",
+        "(44 / 45, 32 / 9, -56 / 15),"),
     # the last stage stands in for the next attempt's first wherever its
     # input equals the next attempt's state
     "dp-six-stages": (
         "src/canonoid/dynamics.py",
-        "            f = functools.partial(dynamical_vf, g, H)\n",
-        "            last = [None, None]\n\n"
-        "            def f(x, field=functools.partial(dynamical_vf, g, H)):\n"
-        "                if x != last[0]:\n"
-        "                    last[:] = x, field(x)\n"
-        "                return last[1]\n\n"),
+        "        f = functools.partial(dynamical_vf, g, H)\n",
+        "        last = [None, None]\n\n"
+        "        def f(x, field=functools.partial(dynamical_vf, g, H)):\n"
+        "            if x != last[0]:\n"
+        "                last[:] = x, field(x)\n"
+        "            return last[1]\n\n"),
     # K recovery: one panel per unit of segment length, closedness
     # checked at every panel midpoint, each panel's weights its
     # half-width times the rule's
@@ -199,6 +200,22 @@ MUTANTS = {
         "src/canonoid/cli.py",
         'os.environ.pop("OPENBLAS_NUM_THREADS", None)',
         "pass"),
+    # no non-finite matrix reaches LAPACK: the SVD of an infinite
+    # coframe may never return
+    "reeb-svd-on-non-finite": (
+        "src/canonoid/transform.py",
+        "    fold_max(M)\n",
+        ""),
+    "involution-cond-on-non-finite": (
+        "src/canonoid/stensor.py",
+        "    transform.fold_max(L)\n",
+        ""),
+    # a check entry that leaves the floating-point rule prints numpy's
+    # warnings on the way to its guard
+    "canonical-not-quiet": (
+        "src/canonoid/transform.py",
+        "@expr.quiet\ndef check_canonical(",
+        "def check_canonical("),
     "reeb-rank-test-dropped": (
         "src/canonoid/transform.py",
         "if deficient.any():",

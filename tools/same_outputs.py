@@ -19,7 +19,8 @@ exit code and standard error.  A job with prior entries finds them in a
 check.json written under its config's hash, as `report` would reuse them.
 
 Jobs run from a scratch directory with relative paths, so a path that
-reaches an error message reads the same for both trees.
+reaches an error message reads the same for both trees.  A job that runs
+longer than JOB_TIMEOUT_S is stopped and reported as a difference.
 """
 
 from __future__ import annotations
@@ -37,21 +38,30 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2)
 SKIPPED = {"report_meta.json"}
+JOB_TIMEOUT_S = 120
 
 
 def _n1_config(hamiltonian, transform, checks, method="rk4",
                t_span=(0, 3), q1_range=(0.5, 1.5)):
-    """A symplectic n = 1 config whose trajectory leaves from (-1, 1)."""
-    return {"schema": 1, "geometry": {"kind": "symplectic", "n": 1},
+    """An n = 1 config whose trajectory leaves from (-1, 1): symplectic,
+    or contact (from z = 0) where the transform has a z component."""
+    contact = "z" in transform
+    return {"schema": 1,
+            "geometry": {"kind": "contact" if contact else "symplectic",
+                         "n": 1},
             "hamiltonian": hamiltonian, "transform": transform,
-            "sample_box": {"q1": list(q1_range), "p1": [0.5, 1.5]},
+            "sample_box": {"q1": list(q1_range), "p1": [0.5, 1.5],
+                           **({"z": [0.5, 1.5]} if contact else {})},
             "sample_count": 10, "seed": 1, "checks": checks,
-            "trajectory": {"x0": [-1.0, 1.0], "t_span": list(t_span),
-                           "steps": 10, "method": method}}
+            "trajectory": {"x0": [-1.0, 1.0] + [0.0] * contact,
+                           "t_span": list(t_span), "steps": 10,
+                           "method": method}}
 
 
 _IDENTITY = {"q1": "q1", "p1": "p1"}
 _CUBIC = {"q1": "q1", "p1": "p1^3/3"}
+# its Lagrange brackets overflow to inf
+_HUGE = {"q1": "1e200*q1", "p1": "1e200*p1"}
 # (name, command, config, entries of a prior check.json or None)
 ERROR_JOBS = [
     # q' = -q^2 from q = -1 blows up at t = 1
@@ -77,6 +87,22 @@ ERROR_JOBS = [
     ("check-overflowing-box", "check",
      _n1_config("p1^2/2", _CUBIC, ["canonical"],
                 q1_range=(-1e308, 1e308)), None),
+    # an infinite pulled-back coframe, which no SVD may see
+    ("report-contact-canonoid-infinite-coframe", "report",
+     _n1_config("p1^2/2 + z", {**_HUGE, "z": "1e200*z"}, ["canonoid"]),
+     None),
+    # an infinite Lagrange x-block, with finite trace gradients
+    ("report-involution-infinite-lagrange-block", "report",
+     {**_n1_config("p1^2/2", _HUGE, ["involution"]), "kmax": 1}, None),
+    # each check on its way to a non-finite residual, warning-free
+    *((f"huge-{c}", "invariants" if c == "traces" else "report",
+       _n1_config("p1^2/2", _HUGE, [c]), None)
+      for c in ("canonical", "canonoid", "traces", "torsion", "lenard",
+                "involution", "lie_derivative")),
+    ("report-canonoid-overflowing-hamiltonian", "report",
+     _n1_config("1e308*p1^4", _CUBIC, ["canonoid"]), None),
+    ("report-contact-canonical-huge", "report",
+     _n1_config("p1^2/2 + z", {**_HUGE, "z": "z"}, ["canonical"]), None),
 ]
 
 
@@ -94,7 +120,8 @@ def all_jobs():
 
 def run_tree(tree, work):
     """Run every job as a CLI process of tree with `work` as the working
-    directory; job directory -> (exit code, standard error)."""
+    directory; job directory -> (exit code, standard error), or (None,
+    "") for a job stopped after JOB_TIMEOUT_S."""
     src = (tree / "src").resolve()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -118,11 +145,15 @@ def run_tree(tree, work):
             (work / name / "out").mkdir()
             (work / name / "out" / "check.json").write_text(json.dumps(
                 {"config_hash": config_hash, "checks": prior}))
-        proc = subprocess.run(
-            [sys.executable, "-m", "canonoid.cli", command,
-             "--config", config, "--out", f"{name}/out"],
-            cwd=work, env=env, stdin=subprocess.DEVNULL,
-            capture_output=True, text=True)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "canonoid.cli", command,
+                 "--config", config, "--out", f"{name}/out"],
+                cwd=work, env=env, stdin=subprocess.DEVNULL,
+                capture_output=True, text=True, timeout=JOB_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            results[name] = (None, "")
+            continue
         results[name] = (proc.returncode, proc.stderr)
     return results
 
@@ -208,6 +239,12 @@ def differences(work_a, runs_a, work_b, runs_b):
     files = 0
     for name in runs_a:
         (code_a, err_a), (code_b, err_b) = runs_a[name], runs_b[name]
+        stopped = [tree for tree, code in (("parent", code_a),
+                                           ("change", code_b)) if code is None]
+        if stopped:
+            found.append(f"{name}: timed out after {JOB_TIMEOUT_S} s "
+                         f"({', '.join(stopped)})")
+            continue
         if code_a != code_b:
             found.append(f"{name}: exit code {code_a} != {code_b}")
         if err_a != err_b:
