@@ -44,9 +44,14 @@ profiler it exits normally instead, so that their exit hooks run.
 Importing this module and calling main() leave the collector's setting
 and the objects it has frozen as they find them.
 
-Exit codes: 0 all requested checks pass, 1 at least one check failed,
-2 configuration or execution error, a config file that does not decode
-as JSON and a trajectory that integrate cannot finish included.
+The command line is read with getopt: the command word, then the
+options of _OPTIONS, each as --name VALUE or --name=VALUE or by a
+unique prefix of its name; -h or --help prints the help to stdout.
+
+Exit codes: 0 all requested checks pass (and --help), 1 at least one
+check failed, 2 usage, configuration or execution error, a config file
+that does not decode as JSON and a trajectory that integrate cannot
+finish included.
 """
 
 from __future__ import annotations
@@ -60,8 +65,8 @@ import gc
 _collecting = gc.isenabled()
 gc.disable()
 try:
-    import argparse
     import datetime
+    import getopt
     import json
     import math
     import os
@@ -659,6 +664,64 @@ def run(config_path, out_dir, kmax=None, tol=None, seed=None):
     return _execute("report", config_path, out_dir, kmax, tol, seed)[0]
 
 
+# option: (type of its value, its metavar, help text); every option
+# takes one value
+_OPTIONS = {
+    "config": (str, "PATH", "the JSON config (required)"),
+    "out": (str, "DIR", "the output directory, made if missing "
+                        "(default: out)"),
+    "kmax": (int, "K", "override the config's kmax"),
+    "tol": (float, "TOL", "set every tolerance"),
+    "seed": (int, "SEED", "override the config's seed"),
+}
+_USAGE = ("usage: canonoid {" + ",".join(COMMANDS) + "} --config PATH\n"
+          "                [--out DIR] [--kmax K] [--tol TOL] [--seed SEED]")
+
+
+def _help():
+    """The text that -h and --help print."""
+    def table(rows):
+        return [f"  {name:<14} {text}" for name, text in rows]
+
+    options = [(f"--{name} {metavar}", text)
+               for name, (_, metavar, text) in _OPTIONS.items()]
+    return "\n".join([
+        _USAGE, "", "verify canonical/canonoid transformations and their "
+        "conserved quantities", "", "commands:",
+        *table((name, text) for name, (text, _) in COMMANDS.items()), "",
+        "options:", *table(options),
+        *table([("-h, --help", "show this help and exit")])])
+
+
+def _parse_argv(argv):
+    """(command, {option: value}) of the list argv, None for -h or
+    --help: the command word, then the options of _OPTIONS.  A usage
+    error raises getopt.GetoptError."""
+    command = argv[0] if argv else None
+    opts, extra = getopt.getopt(argv[1:] if command in COMMANDS else argv,
+                                "h", ["help", *(f"{n}=" for n in _OPTIONS)])
+    if any(opt in ("-h", "--help") for opt, _ in opts):
+        return None
+    if command not in COMMANDS:
+        got = "nothing" if command is None else repr(command)
+        raise getopt.GetoptError(f"expected a command ({', '.join(COMMANDS)})"
+                                 f" first, got {got}")
+    if extra:
+        raise getopt.GetoptError(f"unexpected argument {extra[0]!r}")
+    values = {"out": "out"}
+    for opt, arg in opts:
+        name = opt[2:]
+        kind = _OPTIONS[name][0]
+        try:
+            values[name] = kind(arg)
+        except ValueError:
+            raise getopt.GetoptError(
+                f"option {opt}: invalid {kind.__name__} value {arg!r}") from None
+    if "config" not in values:
+        raise getopt.GetoptError("option --config is required")
+    return command, values
+
+
 def console(argv=None):
     """main(argv) as the process entry of `canonoid` and `python -m
     canonoid.cli`: it ends the process with main's exit code and does
@@ -669,8 +732,8 @@ def console(argv=None):
     leaves through os._exit, which skips the interpreter's teardown of
     the heap and with it the atexit handlers.  Under a trace or profile
     function (cProfile, trace, coverage) it leaves through sys.exit
-    instead, so that their exit hooks run.  An exception, argparse's
-    SystemExit included, leaves through the interpreter as usual."""
+    instead, so that their exit hooks run.  An exception leaves through
+    the interpreter as usual."""
     gc.freeze()
     code = main(argv)
     if sys.gettrace() is None and sys.getprofile() is None:
@@ -683,24 +746,21 @@ def console(argv=None):
 def main(argv=None):
     """The canonoid command line on argv (sys.argv[1:] if None): the
     exit code.  It leaves the garbage collector as it finds it, so tests
-    and programs call it in-process; console() is the process entry."""
-    parser = argparse.ArgumentParser(
-        prog="canonoid",
-        description="verify canonical/canonoid transformations and their "
-                    "conserved quantities")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default="out")
-        p.add_argument("--kmax", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
-
+    and programs call it in-process; console() is the process entry.
+    A usage error prints the usage and an error line to stderr and
+    returns 2."""
     try:
-        return _execute(args.command, args.config, args.out, args.kmax,
-                        args.tol, args.seed)[1]
+        parsed = _parse_argv(sys.argv[1:] if argv is None else list(argv))
+    except getopt.GetoptError as e:
+        print(f"{_USAGE}\nerror: {e}", file=sys.stderr)
+        return 2
+    if parsed is None:
+        print(_help())
+        return 0
+    command, values = parsed
+    try:
+        return _execute(command, values.pop("config"), values.pop("out"),
+                        **values)[1]
     except (ConfigError, ExecutionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -4,15 +4,20 @@ Expressions are parsed from a small arithmetic grammar.  All derivative
 information in the rest of the library flows through this module, from
 one engine: forward mode by source transformation (Griewank & Walther,
 Evaluating Derivatives, 2nd ed., ch. 3 and 6).  On its first evaluation
-at a given derivative order an expression is compiled, once, into the
-straight-line Python source of its sweep, cached on the expression: one
-local per value and per first and second partial that is not
-structurally zero.  The sweep runs on the numpy columns of a stack
-(N, m), giving the values (N,), the exact first partials (N, m) and the
-second partials (N, m, m) over the m chart variables; one point (m,)
-is the one-row stack, so it gets the numbers of its row in any stack
-bit for bit.  jet() takes one point or a stack, and evaluate(),
-gradient() and value_and_derivatives() are its named forms.
+at a given derivative order an expression is written, once, into the
+straight-line Python source of its sweep over its own free variables,
+cached on the expression: one local per value and per first and second
+partial that is not structurally zero.  The sweep runs on the numpy
+columns of a stack (N, m) that hold those variables, and jet() scatters
+its partials into the values (N,), the exact first partials (N, m) and
+the second partials (N, m, m) over the m chart variables; one point
+(m,) is the one-row stack, so it gets the numbers of its row in any
+stack bit for bit.  jet() takes one point or a stack, and evaluate(),
+gradient() and value_and_derivatives() are its named forms.  Each text
+compiles once per process, through one cache keyed by the text, so
+expressions of one shape over different variables, such as
+p1^3/3 + sin(p1)/2 and p2^3/3 + sin(p2)/2, share one code object, each
+bound to its own constants and its own nodes.
 
 Python floats appear only in the texts of point_function(), which
 writes a formula over the value and first partials of one or more
@@ -210,9 +215,10 @@ class Expression(Record):
     @functools.cached_property
     def _kernels(self):
         """Compiled sweeps, filled on first use: the array sweep with
-        its partials' columns and entries keyed by derivative order, and
-        under "vf" and "rk4" the one-state dynamical field and the RK4
-        step that geometry and dynamics emit with point_function()."""
+        the chart columns of its inputs and of its partials keyed by
+        derivative order, and under "vf" and "rk4" the one-state
+        dynamical field and the RK4 step that geometry and dynamics emit
+        with point_function()."""
         return {}
 
 
@@ -364,9 +370,11 @@ def parse(source, chart_vars):
 # is the unit, by which nothing is multiplied.  Every second-order rule
 # is symmetric in (i, j), so Hessians are symmetric to the last bit.
 #
-# A jet's text runs on the array namespace: X is the (N,) columns of a
-# stack, and the results are scattered into fresh (N, m) and (N, m, m)
-# arrays.  One point runs as the one-row stack.  The texts of
+# A jet's text runs on the array namespace over the expression's free
+# variables only: X is the (N,) columns of a stack that hold them, its
+# first-partial tuple holds the partials that are not structurally zero,
+# and jet() scatters the results into fresh (N, m) and (N, m, m) arrays.
+# One point runs as the one-row stack.  The texts of
 # point_function() are order 1 and run on the float namespace, which
 # differs from the array one only in the checks (an inline test, not a
 # mask that names the first failing row), in the powers (numpy's
@@ -386,7 +394,10 @@ def parse(source, chart_vars):
 # run on one-element arrays.  Constants and the DomainError messages
 # reach the text only through the bound tuples K and E; the rest of it
 # is the emitter's locals, integer indices, namespace names and the
-# numbers of the rules themselves.
+# numbers of the rules themselves.  So every text compiles once per
+# process, through _code, a cache keyed by the text, and each
+# expression binds its own K and E to the shared code object: a
+# DomainError names that expression's own node and row.
 
 # the unit partial of a seeded variable; products elide it
 _ONE = "1.0"
@@ -475,16 +486,17 @@ class _Emitter:
     float.  Second partials vanish outside the pairs of columns with a
     first partial, which every rule keeps true.
 
-    Variable j reads the text inputs[j], X[j] unless a caller sets
-    other inputs between sweeps written into one emitter.  Equal
+    The j-th of the variables it is given reads the text inputs[j],
+    X[j] unless a caller sets other inputs between sweeps written into
+    one emitter, and the partials' columns are those positions.  Equal
     constants and equal (message, node) pairs share one bound entry,
     and a check written once on a local is not written again.
     """
 
-    def __init__(self, order, chart_vars=()):
+    def __init__(self, order, variables=()):
         self.order = order
-        self.index = {name: j for j, name in enumerate(chart_vars)}
-        self.inputs = [f"X[{j}]" for j in range(len(chart_vars))]
+        self.index = {name: j for j, name in enumerate(variables)}
+        self.inputs = [f"X[{j}]" for j in range(len(variables))]
         self.lines = []   # (locals, text) of values, (None, call) of a check
         self.consts = []
         self.errors = []
@@ -575,9 +587,8 @@ class _Emitter:
                 continue
             live.update(_LOCAL.findall(line))
             body.append(line)
-        source = "\n    ".join([f"def run({', '.join(params)}):",
-                                 *reversed(body)])
-        return compile(source, "<jet>", "exec")
+        return _code("\n    ".join([f"def run({', '.join(params)}):",
+                                      *reversed(body)]))
 
     def visit(self, node):
         kind = type(node)
@@ -752,7 +763,21 @@ class _Emitter:
                     for i, j in self.pairs(a1)))
 
 
+# the texts a process keeps compiled; one check at n = 4 emits fewer
+# than ten distinct ones
+_CODE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _code(source):
+    """The code object of an emitted text, compiled once per process:
+    every expression whose sweep has this text shares it."""
+    return compile(source, "<jet>", "exec")
+
+
 def _bind(code, namespace, consts, errors):
+    """The function run of code, reading its own constants K and its
+    own (message, node) table E."""
     scope = dict(namespace, K=consts, E=errors)
     exec(code, scope)
     return scope["run"]
@@ -834,26 +859,30 @@ _FLOATS = {
 
 
 def _sweep(e, order):
-    """(run, cols, pairs): e's sweep at the given order, bound to the
-    array namespace and emitted once per order, with the columns and
-    (i, j) entries of its non-zero partials.  run returns the value,
-    all m first partials and the non-zero second ones."""
+    """(run, inputs, cols, pairs): e's sweep at the given order over
+    its free variables, bound to the array namespace and emitted once
+    per order, with the chart columns of its inputs, of its non-zero
+    first partials and the (i, j) entries of its non-zero second ones.
+    run(X) reads the columns inputs as X and returns the value and
+    those partials, in that order."""
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     found = e._kernels.get(order)
     if found is not None:
         return found
-    em = _Emitter(order, e.chart_vars)
+    em = _Emitter(order, e.free_vars)
     v, d1, d2 = em.as_jet(em.visit(e.ast))
-    pairs = sorted(d2)
-    first = "None"
-    if order:
-        first = "(" + "".join(d1.get(j, "0.0") + ", "
-                              for j in range(len(e.chart_vars))) + ")"
+    cols, pairs = sorted(d1), sorted(d2)
+    first = "(" + "".join(d1[j] + ", " for j in cols) + ")"
     second = "(" + "".join(d2[ij] + ", " for ij in pairs) + ")"
-    code = em.compile(f"{v}, {first}, {second if order == 2 else None}")
+    code = em.compile(f"{v}, {first if order else None}, "
+                      f"{second if order == 2 else None}")
     run = _bind(code, _ARRAYS, tuple(em.consts), tuple(em.errors))
-    return e._kernels.setdefault(order, (run, sorted(d1), pairs))
+    # the free variables are in chart order, so sorted stays sorted
+    chart = [e.chart_vars.index(name) for name in e.free_vars]
+    return e._kernels.setdefault(order, (
+        run, chart, [chart[j] for j in cols],
+        [(chart[i], chart[j]) for i, j in pairs]))
 
 
 def _text(a):
@@ -979,15 +1008,16 @@ def jet(e, points, order=2):
     m = len(e.chart_vars)
     if X.ndim not in (1, 2) or X.shape[-1] != m:
         raise _size_error(X, m)
-    run, cols, pairs = _sweep(e, order)
+    run, inputs, cols, pairs = _sweep(e, order)
     n = len(X) if X.ndim == 2 else 1
-    v, d1, d2 = run(X.reshape(n, m).T)
+    columns = X.reshape(n, m).T
+    v, d1, d2 = run([columns[j] for j in inputs])
     if type(v) is float or v.base is not None:
         v = np.full(n, v)   # a constant, or a column of X
     if d1 is not None:
         g = np.zeros((n, m))
-        for j in cols:
-            g[:, j] = d1[j]
+        for j, x in zip(cols, d1):
+            g[:, j] = x
         d1 = g
     if d2 is not None:
         d2 = _symmetric(np.zeros((n, m, m)), pairs, d2)

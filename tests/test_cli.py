@@ -421,7 +421,7 @@ def test_import_generates_no_code():
     # namedtuple does per class.  numpy and the standard library that
     # canonoid imports load before the hook, so it sees canonoid alone.
     code = (
-        f"import argparse, datetime, functools, {LEAN_SHA256 or 'hashlib'}\n"
+        f"import datetime, functools, getopt, {LEAN_SHA256 or 'hashlib'}\n"
         "import json, math\n"
         "import operator, pathlib, re, sys\n"
         "import numpy\n"
@@ -441,13 +441,17 @@ def test_import_generates_no_code():
     pytest.param("_hashlib", marks=pytest.mark.skipif(
         LEAN_SHA256 is None, reason="no builtin SHA-256 module")),
     "numpy.polynomial",
+    "argparse",
+    "locale",
 ])
 def test_check_run_loads_no_module_it_has_no_use_for(tmp_path, module):
     # the config hash comes from CPython's own SHA-256, not OpenSSL's
-    # through hashlib, and K recovery's Gauss-Legendre rule from a
-    # literal table, not numpy.polynomial: neither the import nor a
-    # symplectic check whose canonoid passes, so that K recovery runs,
-    # adds the module to what numpy loaded
+    # through hashlib, K recovery's Gauss-Legendre rule from a literal
+    # table, not numpy.polynomial, and the argv from getopt, not
+    # argparse, whose messages look up gettext's translations through
+    # locale: neither the import nor a symplectic check whose canonoid
+    # passes, so that K recovery runs, adds the module to what numpy
+    # loaded
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
     code = ("import sys, numpy\n"
@@ -977,6 +981,99 @@ def test_flag_overrides(tmp_path):
     run_cli(["invariants", "--config", path, "--out", out, "--kmax", "2"])
     header = (tmp_path / "out" / "invariants.csv").read_text().splitlines()[0]
     assert header == "time,trS1,trS2"
+    # the seed is read as the integer the config holds
+    assert run_cli(["check", "--config", path, "--out", out,
+                    "--seed", "7"]) == 1
+    report = json.loads((tmp_path / "out" / "check.json").read_text())
+    assert report["seed"] == 7
+
+
+# ---------------------------------------------------------------------------
+# the argv reader
+
+
+def test_help_lists_every_command(capsys):
+    for argv in (["--help"], ["-h"], ["check", "--help"]):
+        assert run_cli(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: canonoid") and err == ""
+        for command in cli.COMMANDS:
+            assert f"\n  {command} " in out
+        for option in ("--config", "--out", "--kmax", "--tol", "--seed"):
+            assert f"\n  {option} " in out
+
+
+def test_option_value_forms(tmp_path):
+    # --name VALUE, --name=VALUE and a unique prefix of the name
+    path = write_config(tmp_path, base_config())
+    outputs = []
+    for i, argv in enumerate([["--config", path], [f"--config={path}"],
+                              ["--conf", path], ["--co", path, "--se=42"]]):
+        out = tmp_path / f"out{i}"
+        assert run_cli(["check", *argv, "--out", str(out)]) == 1
+        outputs.append((out / "check.json").read_bytes())
+    assert len(set(outputs)) == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("", "expected a command (check, integrate, invariants, report) first, "
+         "got nothing"),
+    ("bogus --config {path} --out {out}", "expected a command (check, "
+     "integrate, invariants, report) first, got 'bogus'"),
+    ("check --config {path} --out {out} --bogus",
+     "option --bogus not recognized"),
+    ("check --out {out}", "option --config is required"),
+    ("check --out {out} --config", "option --config requires argument"),
+    ("check --config {path} --out {out} --kmax 2.5",
+     "option --kmax: invalid int value '2.5'"),
+    ("check --config {path} --out {out} --seed x",
+     "option --seed: invalid int value 'x'"),
+    ("check --config {path} --out {out} --seed 2.5",
+     "option --seed: invalid int value '2.5'"),
+    ("check --config {path} --out {out} --tol x",
+     "option --tol: invalid float value 'x'"),
+    ("check --config {path} --out {out} stray",
+     "unexpected argument 'stray'"),
+])
+def test_usage_errors_exit_two(tmp_path, capsys, argv, message):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    assert run_cli(argv.format(path=path, out=out).split()) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("usage: canonoid")
+    assert err.endswith(f"\nerror: {message}\n")
+    assert not out.exists()
+
+
+def test_a_usage_error_is_no_traceback():
+    # the process entry exits with main's 2, and no exception escapes
+    r = subprocess.run([sys.executable, "-m", "canonoid.cli", "check",
+                        "--kmax", "2.5"], capture_output=True, text=True)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("usage: canonoid")
+    assert r.stderr.splitlines()[-1] == \
+        "error: option --kmax: invalid int value '2.5'"
+    assert "Traceback" not in r.stderr
+
+
+def test_check_n4_compiles_one_kernel_per_shape(tmp_path):
+    # the benchmark's symplectic n = 4 family: the four q components
+    # share one sweep per order, and so do the four p components
+    idx = range(1, 5)
+    data = {**base_config(), "checks": list(STRUCTURAL_CHECKS),
+            "hamiltonian": " + ".join(f"p{i}^2/2" for i in idx),
+            "geometry": {"kind": "symplectic", "n": 4}, "sample_count": 25,
+            "transform": {**{f"q{i}": f"q{i}" for i in idx},
+                          **{f"p{i}": f"p{i}^3/3 + sin(p{i})/2" for i in idx}},
+            "sample_box": {f"{c}{i}": [0.5, 1.5] for c in "qp" for i in idx}}
+    del data["trajectory"]
+    path = write_config(tmp_path, data)
+    script = ("import sys, canonoid.cli as cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "print(code, cli.expr._code.cache_info().currsize)\n")
+    code, kernels = run_python(script, "check", "--config", path,
+                               "--out", str(tmp_path / "out"))
+    assert code == "1" and int(kernels) <= 6
 
 
 def test_module_entry_point(tmp_path, capsys):

@@ -493,6 +493,57 @@ def test_evaluated_expression_pickles():
 
 
 # ---------------------------------------------------------------------------
+# one kernel per shape: a sweep runs over the expression's own variables,
+# and equal texts share one code object, bound to each expression's own
+# constants and nodes
+
+N4 = ["q1", "q2", "q3", "q4", "p1", "p2", "p3", "p4"]
+
+
+def test_equal_shaped_expressions_share_one_code_object():
+    a = expr.parse("p1^3/3 + sin(p1)/2", N4)
+    b = expr.parse("p2^3/3 + sin(p2)/2", N4)
+    c = expr.parse("p3^3/3 + sin(p3)/5", N4)   # another constant
+    X = np.random.default_rng(4).uniform(0.5, 1.5, (6, 8))
+    for order in (0, 1, 2):
+        runs = [expr._sweep(e, order)[0] for e in (a, b, c)]
+        assert runs[0].__code__ is runs[1].__code__ is runs[2].__code__
+    run, inputs, cols, pairs = expr._sweep(b, 2)
+    assert (inputs, cols, pairs) == ([5], [5], [(5, 5)])
+    # the first-partial tuple holds the one partial that is not zero
+    first = run([X[:, 5]])[1]
+    assert len(first) == 1 and type(first[0]) is not float
+    for e, col, k, h in ((a, 4, 3.0, 2.0), (b, 5, 3.0, 2.0),
+                         (c, 6, 3.0, 5.0)):
+        p = X[:, col]
+        v, d1, d2 = expr.jet(e, X)
+        # each value is the formula's numpy operations, in their order
+        # and at the expression's own column and constants, bit for bit
+        assert v.tobytes() == (p ** 3.0 / k + np.sin(p) / h).tobytes()
+        grad = np.zeros((6, 8))
+        grad[:, col] = 3.0 * (p * p) / k + np.cos(p) / h
+        assert d1.tobytes() == grad.tobytes()
+        hess = np.zeros((6, 8, 8))
+        hess[:, col, col] = 6.0 * p / k + -np.sin(p) / h
+        assert d2.tobytes() == hess.tobytes()
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_a_shared_kernel_names_each_expressions_own_node(first):
+    # log(p1 - 2) and log(p2 - 2) share one code object; each raises
+    # the DomainError of its own node and row, whichever ran first
+    X = np.full((4, 8), 3.0)
+    X[1, 4] = X[2, 5] = 1.0
+    cases = [(expr.parse("log(p1 - 2)", N4), r"log\(p1-2\.0\)' at row 1"),
+             (expr.parse("log(p2 - 2)", N4), r"log\(p2-2\.0\)' at row 2")]
+    for e, message in cases[first:] + cases[:first]:
+        with pytest.raises(DomainError, match=message):
+            expr.jet(e, X, order=1)
+    assert (expr._sweep(cases[0][0], 1)[0].__code__
+            is expr._sweep(cases[1][0], 1)[0].__code__)
+
+
+# ---------------------------------------------------------------------------
 # one point: the float text of point_function() and the point's jet
 # against a one-row stack
 

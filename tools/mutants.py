@@ -145,6 +145,17 @@ MUTANTS = {
         "src/canonoid/expr.py",
         'if guards and name == "overflow":',
         "if False:"),
+    # equal-shaped expressions share one code object; each must read its
+    # own (message, node) table, not the first one bound to that code
+    "shared-kernel-swaps-E": (
+        "src/canonoid/expr.py",
+        "def _bind(code, namespace, consts, errors):\n"
+        '    """The function run of code, reading its own constants K and its\n'
+        '    own (message, node) table E."""\n'
+        "    scope = dict(namespace, K=consts, E=errors)\n",
+        "def _bind(code, namespace, consts, errors, _tables={}):\n"
+        "    scope = dict(namespace, K=consts,\n"
+        "                 E=_tables.setdefault(code, errors))\n"),
     "vpow-takes-stride-0-shortcuts": (
         "src/canonoid/expr.py",
         "return np.power(a, b if b.strides[0] else b.copy())",
@@ -171,6 +182,11 @@ MUTANTS = {
         "src/canonoid/cli.py",
         '                or prior.get("config_hash") != config_hash \\\n',
         ""),
+    # the argv reader: --seed is an integer, as the config's seed is
+    "seed-read-as-float": (
+        "src/canonoid/cli.py",
+        '"seed": (int, "SEED", "override the config\'s seed"),',
+        '"seed": (float, "SEED", "override the config\'s seed"),'),
     "check-runs-every-check": (
         "src/canonoid/cli.py",
         "names = [c for c in cfg.checks if c in STRUCTURAL_CHECKS]",

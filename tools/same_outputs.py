@@ -17,6 +17,7 @@ Then it runs the error-path jobs of ERROR_JOBS the same way, once each:
 no benchmark job reaches an error path, yet a change to one shows in its
 exit code and standard error.  A job with prior entries finds them in a
 check.json written under its config's hash, as `report` would reuse them.
+A usage-error job gives its own command line in place of the command.
 
 Jobs run from a scratch directory with relative paths, so a path that
 reaches an error message reads the same for both trees.  A job that runs
@@ -62,7 +63,8 @@ _IDENTITY = {"q1": "q1", "p1": "p1"}
 _CUBIC = {"q1": "q1", "p1": "p1^3/3"}
 # its Lagrange brackets overflow to inf
 _HUGE = {"q1": "1e200*q1", "p1": "1e200*p1"}
-# (name, command, config, entries of a prior check.json or None)
+# (name, command or command line, config, entries of a prior check.json
+# or None); {config} and {out} in a command line are the job's paths
 ERROR_JOBS = [
     # q' = -q^2 from q = -1 blows up at t = 1
     ("integrate-step-underflow", "integrate",
@@ -103,6 +105,15 @@ ERROR_JOBS = [
      _n1_config("1e308*p1^4", _CUBIC, ["canonoid"]), None),
     ("report-contact-canonical-huge", "report",
      _n1_config("p1^2/2 + z", {**_HUGE, "z": "z"}, ["canonical"]), None),
+    # usage errors of the argv reader
+    ("usage-unknown-option",
+     ["check", "--config", "{config}", "--out", "{out}", "--bogus"],
+     _n1_config("p1^2/2", _CUBIC, ["canonical"]), None),
+    ("usage-kmax-not-an-integer",
+     ["check", "--config", "{config}", "--out", "{out}", "--kmax", "2.5"],
+     _n1_config("p1^2/2", _CUBIC, ["canonical"]), None),
+    ("usage-missing-config", ["check", "--out", "{out}"],
+     _n1_config("p1^2/2", _CUBIC, ["canonical"]), None),
 ]
 
 
@@ -145,10 +156,12 @@ def run_tree(tree, work):
             (work / name / "out").mkdir()
             (work / name / "out" / "check.json").write_text(json.dumps(
                 {"config_hash": config_hash, "checks": prior}))
+        if isinstance(command, str):
+            command = [command, "--config", "{config}", "--out", "{out}"]
+        args = [a.format(config=config, out=f"{name}/out") for a in command]
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "canonoid.cli", command,
-                 "--config", config, "--out", f"{name}/out"],
+                [sys.executable, "-m", "canonoid.cli", *args],
                 cwd=work, env=env, stdin=subprocess.DEVNULL,
                 capture_output=True, text=True, timeout=JOB_TIMEOUT_S)
         except subprocess.TimeoutExpired:
