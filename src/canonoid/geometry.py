@@ -50,7 +50,6 @@ __all__ = [
     "field_function",
     "poisson_bracket",
     "jacobi_bracket",
-    "canonical_eps",
     "contract",
 ]
 
@@ -155,14 +154,6 @@ class GeometryKind(expr.Record):
 
     def parse(self, source):
         return expr.parse(source, self.chart_vars)
-
-
-def canonical_eps(n):
-    """eps = [[0, I], [-I, 0]]: the matrix of dq^i ∧ dp_i on the x-block."""
-    eps = np.zeros((2 * n, 2 * n))
-    eps[:n, n:] = np.eye(n)
-    eps[n:, :n] = -np.eye(n)
-    return eps
 
 
 def contract(two_form, X):

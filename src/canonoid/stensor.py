@@ -1,10 +1,11 @@
 """The mixed (1,1) structure tensor S of a transformation.
 
 S is assembled pointwise from the Lagrange brackets: on the (q, p) rows
-S^a_B solves eps_{la} S^a_B = [x^B, x^l], i.e. the x-rows are
-eps_inv @ Lam[x, :].  The time row is zero by construction and the z
-row is the momentum-weighted combination S^z_B = sum_i p_i S^{q_i}_B;
-both constraints are applied exactly, not numerically.
+S^a_B solves eps_{al} S^a_B = [x^B, x^l] with eps = [[0, I], [-I, 0]],
+so the x-rows, eps^T Lam[x, :], are read off Lam by index: S[q] =
+-Lam[p] and S[p] = Lam[q].  The time row is zero by construction and
+the z row is the momentum-weighted combination S^z_B = sum_i p_i
+S^{q_i}_B; both constraints are applied exactly, not numerically.
 
 Traces of matrix powers of S are the candidate constants of motion.
 The Nijenhuis torsion of the x-block is the obstruction to their
@@ -41,18 +42,20 @@ carries it: F does, an array does not (_assemble, _x_block).
 
 Every function takes one state (d,) or a stack of states (N, d) and
 returns the single or the stacked result; those built on s_and_ds also
-take F's Jets at the states.  The matrix algebra runs over a leading
-sample axis under expr.quiet (s_tensor and s_and_ds under their
-caller's error state), so a non-finite entry reaches the caller's
-residual fold instead of a floating-point warning.
+take F's Jets at the states, in the number type of the Jets' sweep: a
+Fraction sweep gives a Lenard residual of exactly 0.  The matrix
+algebra runs over a leading sample axis under expr.quiet (s_tensor and
+s_and_ds under their caller's error state), so a non-finite entry
+reaches the caller's residual fold instead of a floating-point warning.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import expr, transform
-from .geometry import canonical_eps
 from .transform import CONDITION_LIMIT
 
 __all__ = [
@@ -92,14 +95,27 @@ def _check_kmax(kmax):
     return k
 
 
+def _eps_swap(M, axis):
+    """eps^T M (axis -2) or M eps (axis -1) on M's x-axis: the p half,
+    negated, before the q half; _assemble writes S's rows so in place."""
+    q, p = np.split(M, 2, axis=axis)
+    return np.concatenate([-p, q], axis=axis)
+
+
+def _powers(S, kmax, mul=np.matmul):
+    """S, S^2, ..., S^kmax, each the previous power times S: the order in
+    which numpy's matrix power forms the square and the cube."""
+    return itertools.accumulate(itertools.repeat(S, kmax), mul)
+
+
 def _assemble(g, lam, x):
     """S from Lagrange brackets lam[..., :, :] at the states x (one
     state, or a stack matching lam's leading axis); a stack of bracket
     derivatives gives the matching stack of x-row and weighted z-row
     terms of dS."""
-    xs = g.x_slice
-    S = np.zeros(lam.shape)
-    S[..., xs, :] = canonical_eps(g.n).T @ lam[..., xs, :]
+    S = np.zeros(lam.shape, dtype=lam.dtype)
+    np.negative(lam[..., g.p_slice, :], out=S[..., g.q_slice, :])
+    S[..., g.p_slice, :] = lam[..., g.q_slice, :]
     zi = g.z_index
     if zi is not None:
         # the momentum weights broadcast over the axes between a state
@@ -124,11 +140,8 @@ def trace_powers(F, x, kmax):
     one state, (N, kmax) for a stack."""
     kmax = _check_kmax(kmax)
     S = s_tensor(F, x)
-    out = np.zeros(S.shape[:-2] + (kmax,))
-    P = S
-    out[..., 0] = np.trace(P, axis1=-2, axis2=-1)
-    for k in range(1, kmax):
-        P = P @ S
+    out = np.zeros(S.shape[:-2] + (kmax,), dtype=S.dtype)
+    for k, P in enumerate(_powers(S, kmax)):
         out[..., k] = np.trace(P, axis1=-2, axis2=-1)
     return out
 
@@ -178,12 +191,9 @@ def _explicit_trace_grads(g, S, dS, kmax):
     full-chart S from the assembled dS: d tr(S^k) = k tr(S^(k-1) dS).
     Shape (kmax, nd), or (N, kmax, nd) for a stack."""
     dSx = dS[..., g.x_slice, :, :]
-    grads = np.zeros(S.shape[:-2] + (kmax, dSx.shape[-3]))
+    grads = np.zeros(S.shape[:-2] + (kmax, dSx.shape[-3]), dtype=S.dtype)
     grads[..., 0, :] = np.trace(dSx, axis1=-2, axis2=-1)
-    P = S
-    for k in range(1, kmax):
-        if k > 1:
-            P = P @ S
+    for k, P in enumerate(_powers(S, kmax - 1), 1):
         grads[..., k, :] = (k + 1) * np.einsum("...ab,...nba->...n", P, dSx)
     return grads
 
@@ -215,14 +225,9 @@ def _trace_grads(jets, kmax):
     b, db = _jet_mul((np.swapaxes(J[..., qs, :], -1, -2),
                       np.swapaxes(dJ[..., qs, :], -1, -2)),
                      (J[..., ps, :], dJ[..., ps, :]))
-    eps_inv = canonical_eps(g.n).T
-    A = (eps_inv @ (b - np.swapaxes(b, -1, -2)),
-         eps_inv @ (db - np.swapaxes(db, -1, -2)))
-    grads = np.zeros(jets.x.shape[:-1] + (kmax, A[0].shape[-1]))
-    P = A
-    for k in range(kmax):
-        if k > 0:
-            P = _jet_mul(P, A)
+    A = tuple(_eps_swap(m - np.swapaxes(m, -1, -2), -2) for m in (b, db))
+    grads = np.zeros(jets.x.shape[:-1] + (kmax, 2 * g.n), dtype=A[0].dtype)
+    for k, P in enumerate(_powers(A, kmax, _jet_mul)):
         grads[..., k, :] = np.trace(P[1], axis1=-2, axis2=-1)
     return grads
 
@@ -245,12 +250,14 @@ def lenard_identity_residual(F, x, kmax):
     jets = transform.Jets.of(F, x)
     A, dA = _x_block(F.geometry, *s_and_ds(F, jets))
     grads = _trace_grads(jets, kmax + 1)
-    out = np.zeros(jets.x.shape[:-1] + (kmax,))
+    out = np.zeros(jets.x.shape[:-1] + (kmax,), dtype=A.dtype)
     N = _torsion(A, dA)
     AT = np.swapaxes(A, -1, -2)
-    for k in range(1, kmax + 1):
-        lhs = np.einsum("...lbg,...gl->...b", N,
-                        np.linalg.matrix_power(A, k - 1))
+    # S^0 laid out as the stack, as numpy's matrix power gives it
+    eye = np.empty_like(A)
+    eye[...] = np.eye(A.shape[-1], dtype=A.dtype)
+    for k, P in enumerate(itertools.chain([eye], _powers(A, kmax - 1)), 1):
+        lhs = np.einsum("...lbg,...gl->...b", N, P)
         rhs = ((AT @ grads[..., k - 1, :, None])[..., 0] / k
                - grads[..., k, :] / (k + 1))
         out[..., k - 1] = np.max(np.abs(lhs - rhs), axis=-1)
@@ -265,7 +272,8 @@ def involution_matrix(F, samples, kmax):
     bracket grad_f^T eps grad_h.  barred: the bracket of the pulled-back
     structure, -grad_f^T L^{-1} grad_h with L the Lagrange x-block
     (inverted by LU with partial pivoting; condition number reported).
-    The gradients and L come from one s_and_ds sweep: L = eps S[x, x].
+    The gradients come from one s_and_ds sweep; L = eps S[x, x] is the
+    bundle's own Lagrange x-block, float-only in the cond and the solve.
     Samples whose L is singular or has condition number beyond
     CONDITION_LIMIT are skipped for the barred variant and counted;
     if every sample is skipped the barred bracket is unavailable and
@@ -278,9 +286,8 @@ def involution_matrix(F, samples, kmax):
     S, dS = s_and_ds(F, jets)
     grads = _explicit_trace_grads(g, S, dS, kmax)
     gT = np.swapaxes(grads, 1, 2)
-    eps = canonical_eps(g.n)
-    L = eps @ S[:, g.x_slice, g.x_slice]
-    unbarred = np.abs(grads @ eps @ gT)
+    L = jets.lam[:, g.x_slice, g.x_slice]
+    unbarred = np.abs(_eps_swap(grads, -1) @ gT)
     unbarred = transform.fold_max(unbarred)
     transform.fold_max(L)
     cond = np.linalg.cond(L)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from canonoid import expr, geometry
 from canonoid.geometry import (
-    GeometryKind, WrongGeometry, canonical_eps, contract, dynamical_vf,
+    GeometryKind, WrongGeometry, contract, dynamical_vf,
     hamiltonian_vf, hamiltonian_vf_jacobian, jacobi_bracket, point_field,
     poisson_bracket, structure_at_point,
 )
@@ -66,12 +66,6 @@ def test_kind_is_an_immutable_value():
     assert repr(g) == "GeometryKind(kind='contact', n=2)"
     with pytest.raises(AttributeError):
         g.n = 3
-
-
-def test_eps_convention():
-    eps = canonical_eps(2)
-    assert eps[0, 2] == 1.0 and eps[2, 0] == -1.0
-    assert np.array_equal(eps @ canonical_eps(2).T, np.eye(4))
 
 
 def test_two_form_wedge_convention():

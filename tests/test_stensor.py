@@ -14,6 +14,8 @@ finite-difference assembly of the same component expression, and the
 Lenard residual is the package's dual-path derivative check.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,25 @@ def test_reconstruction_roundtrip():
         xi = list(g.x_indices)
         back = (S.T @ omega)[:, xi]
         assert np.max(np.abs(back - lam[:, xi])) < 1e-12, g.kind
+
+
+def test_s_solves_its_defining_relation():
+    # eps(S e_B, e_l) = [x^B, x^l]: column B of S contracted through the
+    # first slot of eps = [[0, I], [-I, 0]] gives row B of the Lagrange
+    # brackets on the x-block, exactly, at one state and over a stack
+    rng = np.random.default_rng(13)
+    for g, sources in LENARD_CASES[2:]:
+        F = tmap(g, sources)
+        I, Z = np.eye(g.n), np.zeros((g.n, g.n))
+        eps = np.block([[Z, I], [-I, Z]])
+        xs = g.x_slice
+        X = rng.uniform(0.5, 1.4, size=(4, g.dim))
+        for x in (X[0], X):
+            S = s_tensor(F, x)
+            lam = transform.lagrange_brackets(F, x)
+            assert np.array_equal(
+                np.einsum("al,...aB->...Bl", eps, S[..., xs, :]),
+                lam[..., :, xs]), g.kind
 
 
 def test_domain_error_propagates():
@@ -357,6 +378,88 @@ def test_lenard_k_validation():
         lenard_identity_residual(F, [0.1, 0.2], 0)
     with pytest.raises(ValueError):   # kmax + 1 exceeds KMAX_LIMIT
         lenard_identity_residual(F, [0.1, 0.2], 10)
+
+
+def _lenard_by_matrix_power(F, jets, kmax):
+    """lenard_identity_residual with the powers of the x-block taken by
+    np.linalg.matrix_power."""
+    A, dA = stensor._x_block(F.geometry, *stensor.s_and_ds(F, jets))
+    N = stensor._torsion(A, dA)
+    grads = stensor._trace_grads(jets, kmax + 1)
+    AT = np.swapaxes(A, -1, -2)
+    out = np.zeros(jets.x.shape[:-1] + (kmax,))
+    for k in range(1, kmax + 1):
+        lhs = np.einsum("...lbg,...gl->...b", N,
+                        np.linalg.matrix_power(A, k - 1))
+        rhs = ((AT @ grads[..., k - 1, :, None])[..., 0] / k
+               - grads[..., k, :] / (k + 1))
+        out[..., k - 1] = np.max(np.abs(lhs - rhs), axis=-1)
+    return out
+
+
+def _exact_jets(F, X):
+    """F's Jets at X whose sweep is the Fraction image of the float
+    sweep."""
+    jets = transform.Jets(F, X)
+    jets.sweep = tuple(np.vectorize(Fraction, otypes=[object])(a)
+                       for a in transform.Jets(F, X).sweep)
+    return jets
+
+
+def _no_float(a):
+    return a.dtype == object and not any(isinstance(v, float) for v in a.flat)
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_lenard_above_the_cli_kmax(case):
+    # the powers of S are each the previous one times S, as matrix_power
+    # forms them up to the cube, so the float residual is its bit for
+    # bit through kmax 4; above, matrix_power powers by squaring, and
+    # the two agree to rounding.  Exact jets give exactly 0 at every kmax.
+    # At n = 1 the torsion is ~0; TORSIONFUL's n = 2 gives the left side
+    # a subject.
+    g, sources = LENARD_CASES[case]
+    F = tmap(g, sources)
+    X = np.random.default_rng(29).uniform(0.5, 1.4, size=(3, g.dim))
+    jets, exact = transform.Jets(F, X), _exact_jets(F, X)
+    for kmax in range(1, stensor.KMAX_LIMIT):
+        got = lenard_identity_residual(F, jets, kmax)
+        want = _lenard_by_matrix_power(F, jets, kmax)
+        if kmax <= 4:
+            assert np.array_equal(got, want), kmax
+        else:
+            scale = np.max(np.abs(stensor._trace_grads(jets, kmax + 1)))
+            assert np.allclose(got, want, rtol=0.0,
+                               atol=64 * np.finfo(float).eps * scale), kmax
+        r = lenard_identity_residual(F, exact, kmax)
+        assert _no_float(r) and all(v == 0 for v in r.flat), kmax
+
+
+def test_exact_jets_give_exact_layers():
+    # the algebra takes its number type from the sweep: Fraction jets
+    # give Fraction S, dS, torsion, trace gradients and Lenard residual,
+    # the residual exactly 0, and the float layers stay float and agree
+    # with the exact ones to rounding
+    def layers(F, x):
+        S, dS = stensor.s_and_ds(F, x)
+        return {"S": S, "dS": dS, "torsion": nijenhuis_torsion(F, x),
+                "grads": stensor._explicit_trace_grads(F.geometry, S, dS, 4)}
+
+    rng = np.random.default_rng(31)
+    for g, sources in LENARD_CASES[:4]:
+        F = tmap(g, sources)
+        X = rng.uniform(0.5, 1.4, size=(5, g.dim))
+        jets = _exact_jets(F, X)
+        exact, floats = layers(F, jets), layers(F, X)
+        for name, a in exact.items():
+            assert _no_float(a), (g.kind, name)
+            want = a.astype(float)
+            assert floats[name].dtype == float and np.allclose(
+                floats[name], want, rtol=1e-13,
+                atol=1e-13 * np.max(np.abs(want))), (g.kind, name)
+        for kmax in (1, 2, 3):
+            r = lenard_identity_residual(F, jets, kmax)
+            assert _no_float(r) and all(v == 0 for v in r.flat), (g.kind, kmax)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,17 @@ MUTANTS = {
         "src/canonoid/stensor.py",
         "unbarred = transform.fold_max(unbarred)",
         "unbarred = np.sum(unbarred, axis=0)"),
+    # S's x-rows and the flat bracket read the q and p halves by index,
+    # with no eps matrix
+    "s-q-rows-keep-lam-p-sign": (
+        "src/canonoid/stensor.py",
+        "np.negative(lam[..., g.p_slice, :], out=S[..., g.q_slice, :])",
+        "S[..., g.q_slice, :] = lam[..., g.p_slice, :]"),
+    "flat-bracket-halves-unswapped": (
+        "src/canonoid/stensor.py",
+        "unbarred = np.abs(_eps_swap(grads, -1) @ gT)",
+        "unbarred = np.abs(np.concatenate(\n"
+        "        [-grads[..., :g.n], grads[..., g.n:]], axis=-1) @ gT)"),
     "product-rule-association": (
         "src/canonoid/expr.py",
         """(ij, _plus(_plus(_times(a2.get(ij), bv),
