@@ -391,16 +391,15 @@ def parse(source, chart_vars):
 # input reaches.
 #
 # Constant subtrees are folded while emitting, through the order-0 rules
-# run on one-element arrays.  Constants and the DomainError messages
-# reach the text only through the bound tuples K and E; the rest of it
-# is the emitter's locals, integer indices, namespace names and the
-# numbers of the rules themselves.  So every text compiles once per
-# process, through _code, a cache keyed by the text, and each
-# expression binds its own K and E to the shared code object: a
-# DomainError names that expression's own node and row.
-
-# the unit partial of a seeded variable; products elide it
-_ONE = "1.0"
+# run on one-element arrays.  Constants, the DomainError messages and,
+# in an array text, the unit partial of a variable reach the text only
+# through the bound tuples K and E; the rest of it is the emitter's
+# locals, integer indices, namespace names and the numbers of the rules
+# themselves.  So an array text computes in the number type of its
+# columns and of K, and every text compiles once per process, through
+# _code, a cache keyed by the text, and each expression binds its own K
+# and E to the shared code object: a DomainError names that
+# expression's own node and row.
 
 # name: (f' from the argument a and the value f, f'' from a, f and d = f')
 _DERIVATIVES = {
@@ -421,16 +420,6 @@ def _domain_error(msg, node, row):
     return DomainError(f"{msg} in '{serialize(node)}' at row {row}")
 
 
-def _times(a, b):
-    """Text of a * b, None (zero) if a factor is, one factor if the
-    other is the unit."""
-    if a is None or b is None:
-        return None
-    if a == _ONE:
-        return b
-    return a if b == _ONE else f"({a} * {b})"
-
-
 def _plus(a, b):
     if a is None:
         return b
@@ -445,11 +434,6 @@ def _minus(a, b):
 
 def _over(a, b):
     return None if a is None else f"({a} / {b})"
-
-
-def _outer(a1, b1, i, j):
-    """Entry (i, j) of a1 b1^T + b1 a1^T."""
-    return _plus(_times(a1.get(i), b1.get(j)), _times(a1.get(j), b1.get(i)))
 
 
 def _children(node):
@@ -493,6 +477,8 @@ class _Emitter:
     and a check written once on a local is not written again.
     """
 
+    one = "1.0"   # the unit partial of a variable; products elide it
+
     def __init__(self, order, variables=()):
         self.order = order
         self.index = {name: j for j, name in enumerate(variables)}
@@ -507,7 +493,7 @@ class _Emitter:
     def let(self, text):
         """The local holding text, written on its first use: equal
         texts share one local."""
-        if text == _ONE or text.isidentifier():
+        if text == self.one or text.isidentifier():
             return text
         name = self.names.get(text)
         if name is None:
@@ -537,6 +523,20 @@ class _Emitter:
 
     def partials(self, items):
         return {k: self.let(t) for k, t in items if t is not None}
+
+    def times(self, a, b):
+        """Text of a * b, None (zero) if a factor is, one factor if the
+        other is the unit."""
+        if a is None or b is None:
+            return None
+        if a == self.one:
+            return b
+        return a if b == self.one else f"({a} * {b})"
+
+    def outer(self, a1, b1, i, j):
+        """Entry (i, j) of a1 b1^T + b1 a1^T."""
+        return _plus(self.times(a1.get(i), b1.get(j)),
+                     self.times(a1.get(j), b1.get(i)))
 
     def const(self, c):
         key = ("K", c.hex() if type(c) is float else id(c))
@@ -600,7 +600,7 @@ class _Emitter:
             except KeyError:
                 raise UnknownVariable(
                     f"unbound variable {node.name!r}") from None
-            first = {j: _ONE} if self.order else {}
+            first = {j: self.one} if self.order else {}
             return self.let(self.inputs[j]), first, {}
         kids = [self.visit(k) for k in _children(node)]
         if all(type(k) is float for k in kids):
@@ -630,14 +630,15 @@ class _Emitter:
 
     def _mul(self, node, a, b):
         (av, a1, a2), (bv, b1, b2) = self.as_jet(a), self.as_jet(b)
+        times = self.times
         return (self.let(f"({av} * {bv})"),
                 self.partials(
-                    (i, _plus(_times(a1.get(i), bv), _times(b1.get(i), av)))
+                    (i, _plus(times(a1.get(i), bv), times(b1.get(i), av)))
                     for i in a1.keys() | b1.keys()),
                 self.partials(
-                    (ij, _plus(_plus(_times(a2.get(ij), bv),
-                                     _times(b2.get(ij), av)),
-                               _outer(a1, b1, *ij)))
+                    (ij, _plus(_plus(times(a2.get(ij), bv),
+                                     times(b2.get(ij), av)),
+                               self.outer(a1, b1, *ij)))
                     for ij in self.pairs(a1, b1)))
 
     def _div(self, node, a, b):
@@ -649,11 +650,11 @@ class _Emitter:
         (av, a1, a2), (bv, b1, b2) = self.as_jet(a), self.as_jet(b)
         q = self.let(f"({av} / {bv})")
         q1 = self.partials(
-            (i, _over(_minus(a1.get(i), _times(b1.get(i), q)), bv))
+            (i, _over(_minus(a1.get(i), self.times(b1.get(i), q)), bv))
             for i in a1.keys() | b1.keys())
         return q, q1, self.partials(
-            (ij, _over(_minus(_minus(a2.get(ij), _times(b2.get(ij), q)),
-                              _outer(b1, q1, *ij)), bv))
+            (ij, _over(_minus(_minus(a2.get(ij), self.times(b2.get(ij), q)),
+                              self.outer(b1, q1, *ij)), bv))
             for ij in self.pairs(a1, b1))
 
     def _pow(self, node, a, b):
@@ -712,9 +713,9 @@ class _Emitter:
                 return av, {}, {}
             # p = b log a
             log_a = self.const(float(np.log(a)))
-            p = (None,
-                 self.partials((i, _times(x, log_a)) for i, x in b1.items()),
-                 self.partials((ij, _times(x, log_a)) for ij, x in b2.items()))
+            p = (None, *[self.partials((k, self.times(x, log_a))
+                                       for k, x in d.items())
+                         for d in (b1, b2)])
         else:
             av = a[0]
             self.check(f"{av} <= 0.0", "variable power of a non-positive base",
@@ -756,10 +757,11 @@ class _Emitter:
         """Jet of f(a) from the locals val = f, c1 = f' and c2 = f'' at
         a's value (None where zero or above the order)."""
         _, a1, a2 = a
-        return (val, self.partials((i, _times(x, c1)) for i, x in a1.items()),
+        times = self.times
+        return (val, self.partials((i, times(x, c1)) for i, x in a1.items()),
                 self.partials(
-                    ((i, j), _plus(_times(a2.get((i, j)), c1),
-                                   _times(c2, _times(a1.get(i), a1.get(j)))))
+                    ((i, j), _plus(times(a2.get((i, j)), c1),
+                                   times(c2, times(a1.get(i), a1.get(j)))))
                     for i, j in self.pairs(a1)))
 
 
@@ -871,6 +873,8 @@ def _sweep(e, order):
     if found is not None:
         return found
     em = _Emitter(order, e.free_vars)
+    if order:   # the unit partial is a K entry, as every number it reads
+        em.one = f"K[{em.slot(em.consts, 'one', 1.0)}]"
     v, d1, d2 = em.as_jet(em.visit(e.ast))
     cols, pairs = sorted(d1), sorted(d2)
     first = "(" + "".join(d1[j] + ", " for j in cols) + ")"
@@ -992,19 +996,27 @@ def _size_error(X, m):
     return ValueError(f"point has {size} components, chart has {m}")
 
 
+def as_points(x):
+    """x as an array in its number type, which only this decides: an
+    object array (of Fractions, say) as it is, anything else float64."""
+    x = np.asarray(x)
+    return x if x.dtype == object else x.astype(float, copy=False)
+
+
 @quiet
 def jet(e, points, order=2):
     """(value, gradient, hessian) of e in one sweep, over all chart
     variables (partials vanish for absent ones).
 
-    points is one point (m,) in chart order or a stack (N, m); the
-    results are then a float, (m,) and (m, m), or (N,), (N, m) and
-    (N, m, m).  The gradient is None at order 0 and the hessian below
-    order 2.  One point runs as the one-row stack, so it gives the
-    numbers of its row in any stack.  A DomainError names the failing
-    subexpression and the first failing row (0 for a single point).
+    points is one point (m,) in chart order or a stack (N, m), read by
+    as_points; the results are then a number, (m,) and (m, m), or (N,),
+    (N, m) and (N, m, m), in its number type.  The gradient is None at
+    order 0 and the hessian below order 2.  One point runs as the
+    one-row stack, so it gives the numbers of its row in any stack.  A
+    DomainError names the failing subexpression and the first failing
+    row (0 for a single point).
     """
-    X = np.asarray(points, dtype=float)
+    X = as_points(points)
     m = len(e.chart_vars)
     if X.ndim not in (1, 2) or X.shape[-1] != m:
         raise _size_error(X, m)
@@ -1012,17 +1024,17 @@ def jet(e, points, order=2):
     n = len(X) if X.ndim == 2 else 1
     columns = X.reshape(n, m).T
     v, d1, d2 = run([columns[j] for j in inputs])
-    if type(v) is float or v.base is not None:
+    if type(v) is not np.ndarray or v.base is not None:
         v = np.full(n, v)   # a constant, or a column of X
     if d1 is not None:
-        g = np.zeros((n, m))
+        g = np.zeros((n, m), X.dtype)
         for j, x in zip(cols, d1):
             g[:, j] = x
         d1 = g
     if d2 is not None:
-        d2 = _symmetric(np.zeros((n, m, m)), pairs, d2)
+        d2 = _symmetric(np.zeros((n, m, m), X.dtype), pairs, d2)
     if X.ndim == 1:
-        return (float(v[0]), None if d1 is None else d1[0],
+        return (v.tolist()[0], None if d1 is None else d1[0],
                 None if d2 is None else d2[0])
     return v, d1, d2
 

@@ -126,16 +126,16 @@ class GeometryKind(expr.Record):
         return self.chart_vars.index("z") if "z" in self.chart_vars else None
 
     def check_state(self, x):
-        """x as one float state of shape (dim,)."""
-        x = np.asarray(x, dtype=float)
+        """x as one state of shape (dim,), in its number type."""
+        x = expr.as_points(x)
         if x.shape != (self.dim,):
             raise ValueError(
                 f"state has shape {x.shape}, chart dimension is {self.dim}")
         return x
 
     def check_states(self, x):
-        """x as floats: one state (dim,) or a stack of states (N, dim)."""
-        x = np.asarray(x, dtype=float)
+        """x as one state (dim,) or a stack (N, dim), by expr.as_points."""
+        x = expr.as_points(x)
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise ValueError(
                 f"state has shape {x.shape}, chart dimension is {self.dim}")
@@ -222,7 +222,7 @@ def structure_at_point(g, x=None):
             raise ValueError(f"{g.kind} structure needs the evaluation point")
         x = np.zeros(g.dim)
     x = g.check_states(x)
-    eye = np.broadcast_to(np.eye(g.dim), x.shape + (g.dim,))
+    eye = np.broadcast_to(np.eye(g.dim, dtype=x.dtype), x.shape + (g.dim,))
     theta = None if g.z_index is None else pullback_theta(g, x, eye)
     eta = None if g.t_index is None else eye[..., g.t_index, :]
     return StructureAtPoint(pullback_two_form(g, eye), theta, eta)
@@ -298,7 +298,7 @@ def hamiltonian_vf(g, H, x):
     g.check_chart(H)
     x = g.check_states(x)
     Hval, grad, _ = expr.jet(H, x, order=1)
-    X = np.zeros(x.shape)
+    X = np.zeros(x.shape, x.dtype)
     _assemble_vf(g, X.T, x.T, Hval, grad.T)
     return X
 
@@ -309,9 +309,9 @@ def hamiltonian_vf_jacobian(g, H, x):
     g.check_chart(H)
     x = g.check_states(x)
     Hval, grad, hess = expr.value_and_derivatives(H, x)
-    X = np.zeros(x.shape)
+    X = np.zeros(x.shape, x.dtype)
     _assemble_vf(g, X.T, x.T, Hval, grad.T)
-    dX = np.zeros(hess.shape)
+    dX = np.zeros(hess.shape, hess.dtype)
     qs, ps = g.q_slice, g.p_slice
     dX[..., qs, :] = hess[..., ps, :]
     zi = g.z_index
@@ -330,7 +330,7 @@ def hamiltonian_vf_jacobian(g, H, x):
 
 def _add_time(g, X):
     if g.t_index is not None:
-        X[..., g.t_index] += 1.0
+        X[..., g.t_index] += 1
     return X
 
 

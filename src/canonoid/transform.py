@@ -177,16 +177,17 @@ def _eval_components(F, x, order=2):
     x = g.check_states(x)
     X = x.reshape(-1, g.dim)
     n, d = X.shape
-    vals = np.empty((n, d))
-    J = np.empty((n, d, d))
-    H = np.empty((n, d, d, d)) if order == 2 else None
+    vals = np.empty((n, d), X.dtype)
+    J = np.empty((n, d, d), X.dtype)
+    H = np.empty((n, d, d, d), X.dtype) if order == 2 else None
     for c, comp in enumerate(F.components):
         vals[:, c], J[:, c], hess = expr.jet(comp, X, order)
         if H is not None:
             H[:, c] = hess
-    finite = np.isfinite(vals) & np.isfinite(J).all(axis=2)
+    finite = np.isfinite(np.asarray(vals, dtype=float))
+    finite &= np.isfinite(np.asarray(J, dtype=float)).all(axis=2)
     if H is not None:
-        finite &= np.isfinite(H).all(axis=(2, 3))
+        finite &= np.isfinite(np.asarray(H, dtype=float)).all(axis=(2, 3))
     if not finite.all():
         i, c = np.argwhere(~finite)[0]
         raise NonFiniteResidual(
@@ -221,7 +222,7 @@ def _require_nonsingular(J, x):
     bound take the exact cond, which raises where and as it would
     alone."""
     d = J.shape[-1]
-    J = J.reshape(-1, d, d)
+    J = np.asarray(J, dtype=float).reshape(-1, d, d)
     _, exp = np.frexp(np.max(np.abs(J), axis=(1, 2)))
     J = np.ldexp(J, -exp[:, None, None])
     norm = np.sqrt(np.einsum("nij,nij->n", J, J))
@@ -318,8 +319,8 @@ class Jets:
 
 
 def as_samples(samples):
-    """samples as a non-empty (N, d) float array."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    """samples as a non-empty (N, d) array, read by expr.as_points."""
+    samples = np.atleast_2d(expr.as_points(samples))
     if samples.shape[0] == 0:
         raise ValueError("samples must be non-empty")
     return samples

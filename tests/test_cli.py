@@ -1,6 +1,7 @@
 """Config validation, the sample generator, report determinism, CSV
 output, subcommand exit codes, and flag overrides."""
 
+import datetime
 import hashlib
 import importlib.util
 import json
@@ -349,6 +350,21 @@ def test_reports_byte_identical(tmp_path):
     assert (tmp_path / "a" / "report_meta.json").exists()
 
 
+def test_report_meta_stamps_the_utc_wall_clock(tmp_path):
+    # written_at is the ISO-8601 stamp, to the microsecond and in UTC,
+    # of the moment the report was written, taken with the time module
+    path = write_config(tmp_path, base_config())
+    start = datetime.datetime.now(datetime.timezone.utc)
+    cli.run(path, tmp_path / "out")
+    end = datetime.datetime.now(datetime.timezone.utc)
+    meta = json.loads((tmp_path / "out" / "report_meta.json").read_text())
+    stamp = datetime.datetime.fromisoformat(meta["written_at"])
+    assert stamp.utcoffset() == datetime.timedelta(0)
+    assert start <= stamp <= end
+    assert stamp.isoformat(timespec="microseconds") == meta["written_at"]
+    assert "datetime" not in vars(cli)
+
+
 def test_seed_changes_samples_not_format(tmp_path):
     path = write_config(tmp_path, base_config())
     r1 = cli.run(path, tmp_path / "a", seed=1)
@@ -421,9 +437,9 @@ def test_import_generates_no_code():
     # namedtuple does per class.  numpy and the standard library that
     # canonoid imports load before the hook, so it sees canonoid alone.
     code = (
-        f"import datetime, functools, getopt, {LEAN_SHA256 or 'hashlib'}\n"
+        f"import functools, getopt, {LEAN_SHA256 or 'hashlib'}\n"
         "import json, math\n"
-        "import operator, pathlib, re, sys\n"
+        "import operator, pathlib, re, sys, time\n"
         "import numpy\n"
         "generated = []\n"
         "sys.addaudithook(lambda event, args: generated.append(args)\n"

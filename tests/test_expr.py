@@ -7,6 +7,8 @@ against value computation with no shared derivative code.
 
 import math
 import pickle
+import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -541,6 +543,50 @@ def test_a_shared_kernel_names_each_expressions_own_node(first):
             expr.jet(e, X, order=1)
     assert (expr._sweep(cases[0][0], 1)[0].__code__
             is expr._sweep(cases[1][0], 1)[0].__code__)
+
+
+# ---------------------------------------------------------------------------
+# exact numbers: an array text reads every number through K, so its code
+# object bound to the Fraction images of K runs in exact arithmetic on
+# object columns of Fractions
+
+
+def exact(e):
+    """e with its array sweep at every order bound to the Fraction
+    images of its constants: the same code objects, run exactly on the
+    object arrays that expr.as_points passes through.  A function call,
+    float-only in canonoid, returns the Fraction of its float value, so
+    an expression with sin or exp runs the exact route on exact images
+    of its calls (the rules of tan, log and sqrt write float numbers of
+    their own)."""
+    calls = {name: np.frompyfunc(
+        lambda v, f=getattr(np, name): Fraction(float(f(float(v)))), 1, 1)
+        for name in expr._DERIVATIVES}
+    for order in (0, 1, 2):
+        run, *columns = expr._sweep(e, order)
+        K = tuple(map(Fraction, run.__globals__["K"]))
+        scope = dict(run.__globals__, K=K, **calls)
+        e._kernels[order] = (types.FunctionType(run.__code__, scope),
+                             *columns)
+    return e
+
+
+def test_the_unit_partial_is_a_bound_constant():
+    # q1's own partial and the unit over 3 in the partial of p1/3 read
+    # the unit through K, so bound to Fractions they are exactly 1 and
+    # 1/3, while the float sweep of the same text keeps its floats
+    x = [Fraction(1, 2), Fraction(5, 7)]
+    for source, want in (("q1", [1, 0]), ("p1/3", [0, Fraction(1, 3)])):
+        e = expr.parse(source, ["q1", "p1"])
+        floats = expr.gradient(e, np.array(x, dtype=float))
+        assert floats.dtype == float and np.allclose(floats, np.float64(want))
+        grad = expr.gradient(exact(e), np.array(x, dtype=object))
+        assert list(grad) == want, source
+        assert all(type(v) is not float for v in grad), source
+    # one state's value comes back in its own number type
+    v = expr.evaluate(exact(expr.parse("p1/3", ["q1", "p1"])),
+                      {"p1": Fraction(5, 7)})
+    assert v == Fraction(5, 21) and type(v) is Fraction
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,16 @@ import pytest
 from canonoid import stensor, transform
 from canonoid.dynamics import lie_derivative_S
 from canonoid.expr import DomainError
-from canonoid.geometry import GeometryKind, structure_at_point
+from canonoid.geometry import (
+    GeometryKind, hamiltonian_vf_jacobian, structure_at_point,
+)
 from canonoid.stensor import (
     InvolutionResult, SingularPullback, involution_matrix,
     lenard_identity_residual, nijenhuis_torsion, s_tensor, trace_powers,
 )
 from canonoid.transform import TransformMap
 
+from test_expr import exact
 from test_transform import (
     LIFT_T, _bench_cubic, _contact_scaling, _oscillator_scaling,
 )
@@ -397,13 +400,13 @@ def _lenard_by_matrix_power(F, jets, kmax):
     return out
 
 
-def _exact_jets(F, X):
-    """F's Jets at X whose sweep is the Fraction image of the float
-    sweep."""
-    jets = transform.Jets(F, X)
-    jets.sweep = tuple(np.vectorize(Fraction, otypes=[object])(a)
-                       for a in transform.Jets(F, X).sweep)
-    return jets
+def _exact_jets(g, sources, X):
+    """The Jets, at the Fraction images of the float states X, of the
+    map of sources with its sweeps bound to exact constants."""
+    F = tmap(g, sources)
+    for c in F.components:
+        exact(c)
+    return transform.Jets(F, np.frompyfunc(Fraction, 1, 1)(X))
 
 
 def _no_float(a):
@@ -415,13 +418,13 @@ def test_lenard_above_the_cli_kmax(case):
     # the powers of S are each the previous one times S, as matrix_power
     # forms them up to the cube, so the float residual is its bit for
     # bit through kmax 4; above, matrix_power powers by squaring, and
-    # the two agree to rounding.  Exact jets give exactly 0 at every kmax.
-    # At n = 1 the torsion is ~0; TORSIONFUL's n = 2 gives the left side
-    # a subject.
+    # the two agree to rounding.  Exact samples and sweeps give exactly 0
+    # at every kmax.  At n = 1 the torsion is ~0; TORSIONFUL's n = 2
+    # gives the left side a subject.
     g, sources = LENARD_CASES[case]
     F = tmap(g, sources)
     X = np.random.default_rng(29).uniform(0.5, 1.4, size=(3, g.dim))
-    jets, exact = transform.Jets(F, X), _exact_jets(F, X)
+    jets, exact_jets = transform.Jets(F, X), _exact_jets(g, sources, X)
     for kmax in range(1, stensor.KMAX_LIMIT):
         got = lenard_identity_residual(F, jets, kmax)
         want = _lenard_by_matrix_power(F, jets, kmax)
@@ -431,15 +434,16 @@ def test_lenard_above_the_cli_kmax(case):
             scale = np.max(np.abs(stensor._trace_grads(jets, kmax + 1)))
             assert np.allclose(got, want, rtol=0.0,
                                atol=64 * np.finfo(float).eps * scale), kmax
-        r = lenard_identity_residual(F, exact, kmax)
+        r = lenard_identity_residual(exact_jets.F, exact_jets, kmax)
         assert _no_float(r) and all(v == 0 for v in r.flat), kmax
 
 
 def test_exact_jets_give_exact_layers():
-    # the algebra takes its number type from the sweep: Fraction jets
-    # give Fraction S, dS, torsion, trace gradients and Lenard residual,
-    # the residual exactly 0, and the float layers stay float and agree
-    # with the exact ones to rounding
+    # the algebra takes its number type from the samples: Fraction
+    # samples and sweeps bound to exact constants give Fraction S, dS,
+    # torsion, trace gradients and Lenard residual, the residual exactly
+    # 0, and the float layers stay float and agree with the exact ones
+    # to rounding
     def layers(F, x):
         S, dS = stensor.s_and_ds(F, x)
         return {"S": S, "dS": dS, "torsion": nijenhuis_torsion(F, x),
@@ -449,17 +453,110 @@ def test_exact_jets_give_exact_layers():
     for g, sources in LENARD_CASES[:4]:
         F = tmap(g, sources)
         X = rng.uniform(0.5, 1.4, size=(5, g.dim))
-        jets = _exact_jets(F, X)
-        exact, floats = layers(F, jets), layers(F, X)
-        for name, a in exact.items():
+        jets = _exact_jets(g, sources, X)
+        exact_layers, floats = layers(jets.F, jets), layers(F, X)
+        for name, a in exact_layers.items():
             assert _no_float(a), (g.kind, name)
             want = a.astype(float)
             assert floats[name].dtype == float and np.allclose(
                 floats[name], want, rtol=1e-13,
                 atol=1e-13 * np.max(np.abs(want))), (g.kind, name)
         for kmax in (1, 2, 3):
-            r = lenard_identity_residual(F, jets, kmax)
+            r = lenard_identity_residual(jets.F, jets, kmax)
             assert _no_float(r) and all(v == 0 for v in r.flat), (g.kind, kmax)
+
+
+def _e_scaling(n, coupled=False):
+    """F_i = (q_i, p_i)(1 + E_i/i) with E_i = (q_i^2 + p_i^2)/2 and
+    H = sum E_i: F*omega = sum f_i(E_i) dq_i^dp_i, so F is canonoid for
+    H, and its traces, functions of the E_i, are in involution.  The
+    control adds q_n p1^2 to P1, which couples the pairs."""
+    F = {}
+    for i in range(1, n + 1):
+        F[f"q{i}"] = f"q{i}*(1 + (q{i}^2 + p{i}^2)/{2 * i})"
+        F[f"p{i}"] = f"p{i}*(1 + (q{i}^2 + p{i}^2)/{2 * i})"
+    if coupled:
+        F["p1"] += f" + q{n}*p1^2"
+    return F, " + ".join(f"(q{i}^2 + p{i}^2)/2" for i in range(1, n + 1))
+
+
+def _symplectic_layers(F, H, x, kmax=3):
+    """name -> every layer that the symplectic-kind checks read, of F
+    and H at the states or the Jets x; the residuals are the residual
+    arrays the checks fold, the flat bracket before its abs."""
+    g = F.geometry
+    jets = transform.Jets.of(F, x)
+    dG, lam = transform._k_gradient_pieces(F, H, jets)
+    S, dS = stensor.s_and_ds(F, jets)
+    grads = stensor._explicit_trace_grads(g, S, dS, kmax)
+    X, dX = hamiltonian_vf_jacobian(g, H, jets.x)
+    return dict(zip(("values", "J", "hessians"), jets.sweep),
+                lam=lam, dLam=jets.dLam, X_H=X, dX_H=dX, dG=dG, S=S, dS=dS,
+                grads=grads, closedness=transform._closedness_defect(g, dG),
+                lie=lie_derivative_S(F, H, jets),
+                flat=stensor._eps_swap(grads, -1) @ np.swapaxes(grads, 1, 2),
+                torsion=nijenhuis_torsion(F, jets),
+                lenard=lenard_identity_residual(F, jets, kmax))
+
+
+# the layers that cancel on a canonoid map whose traces commute
+RESIDUALS = ("closedness", "lie", "flat", "torsion", "lenard")
+
+
+def test_exact_samples_certify_the_e_scaling_family():
+    # with Fraction samples and sweeps bound to exact constants no layer
+    # holds a float, and the residuals of the E-scaling family are
+    # exactly 0 where the float ones are rounding (at kmax 3 the float
+    # flat bracket is 2.6e-8 at n = 1 and 1.7e-7 at n = 2, above the
+    # 1e-8 tolerance); the coupled control is exactly non-zero.  The
+    # float layers agree with the exact ones to rounding.
+    def big(a):
+        return np.max(np.abs(np.asarray(a, dtype=float)))
+
+    for kind, n, coupled in (("symplectic", 1, False),
+                             ("symplectic", 2, False),
+                             ("symplectic", 2, True),
+                             ("cosymplectic", 1, False)):
+        g = GeometryKind(kind, n)
+        sources, H = _e_scaling(n, coupled)
+        if g.t_index is not None:
+            sources["t"] = "t"
+        X = np.random.default_rng(7).uniform(0.5, 1.5, (5, g.dim))
+        jets = _exact_jets(g, sources, X)
+        exact_layers = _symplectic_layers(jets.F, exact(g.parse(H)), jets)
+        floats = _symplectic_layers(tmap(g, sources), g.parse(H), X)
+        case = (kind, n, coupled)
+        for name, a in exact_layers.items():
+            assert _no_float(a), (case, name)
+            assert floats[name].dtype == float, (case, name)
+            if name not in RESIDUALS:
+                assert np.allclose(floats[name], a.astype(float), rtol=1e-12,
+                                   atol=1e-12 * big(a)), (case, name)
+        flat = exact_layers["flat"].astype(float)
+        assert (big(floats["flat"] - flat)
+                <= 1e-12 * big(exact_layers["grads"]) ** 2), case
+        zeros = [name for name in RESIDUALS if big(exact_layers[name]) == 0]
+        if coupled:   # the Lenard identity holds for every map
+            assert zeros == ["lenard"], case
+            assert big(exact_layers["flat"]) > 1e6, case
+        else:
+            assert zeros == list(RESIDUALS), case
+
+    # contact: the conformal (2 q1, p1, 2 z) is canonoid for every H, yet
+    # L_V S does not vanish for an H nonlinear in z (ROADMAP item 12):
+    # its exact max (2.6 here) is the float one to rounding, so that is
+    # the formula, not rounding
+    g = CONT1
+    sources, H = ["2*q1", "p1", "2*z"], "q1^3*p1 + z^2/3"
+    X = np.random.default_rng(7).uniform(0.5, 1.5, (5, g.dim))
+    jets, H_exact = _exact_jets(g, sources, X), exact(g.parse(H))
+    S, dS = stensor.s_and_ds(jets.F, jets)
+    X_H, dX_H = hamiltonian_vf_jacobian(g, H_exact, jets.x)
+    lie = lie_derivative_S(jets.F, H_exact, jets)
+    for name, a in dict(S=S, dS=dS, X_H=X_H, dX_H=dX_H, lie=lie).items():
+        assert _no_float(a), name
+    float_lie = big(lie_derivative_S(tmap(g, sources), g.parse(H), X))
+    assert big(lie) > 1.0 and abs(big(lie) - float_lie) <= 1e-14 * float_lie
 
 
 # ---------------------------------------------------------------------------

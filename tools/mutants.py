@@ -62,12 +62,27 @@ MUTANTS = {
         "        [-grads[..., :g.n], grads[..., g.n:]], axis=-1) @ gT)"),
     "product-rule-association": (
         "src/canonoid/expr.py",
-        """(ij, _plus(_plus(_times(a2.get(ij), bv),
-                                     _times(b2.get(ij), av)),
-                               _outer(a1, b1, *ij)))""",
-        """(ij, _plus(_times(a2.get(ij), bv),
-                               _plus(_times(b2.get(ij), av),
-                                     _outer(a1, b1, *ij))))"""),
+        """(ij, _plus(_plus(times(a2.get(ij), bv),
+                                     times(b2.get(ij), av)),
+                               self.outer(a1, b1, *ij)))""",
+        """(ij, _plus(times(a2.get(ij), bv),
+                               _plus(times(b2.get(ij), av),
+                                     self.outer(a1, b1, *ij))))"""),
+    # the number type follows the samples: an exact sweep stays exact
+    # through the component buffers, the unit partial and the evolution
+    # field's time component
+    "jacobian-buffer-float": (
+        "src/canonoid/transform.py",
+        "J = np.empty((n, d, d), X.dtype)",
+        "J = np.empty((n, d, d))"),
+    "unit-partial-literal": (
+        "src/canonoid/expr.py",
+        "        em.one = f\"K[{em.slot(em.consts, 'one', 1.0)}]\"\n",
+        "        pass\n"),
+    "time-component-float-one": (
+        "src/canonoid/geometry.py",
+        "X[..., g.t_index] += 1\n",
+        "X[..., g.t_index] += 1.0\n"),
     "fold-max-nan-to-zero": (
         "src/canonoid/transform.py",
         "r = np.asarray(residuals, dtype=float)",
