@@ -14,9 +14,9 @@ config file to the command's file in the output directory (COMMANDS
 names them): check.json holds the structural checks the config
 requests, trajectory.csv the integrated states, invariants.json the
 traces check, and report.json every requested check.  report, and
-run() with it, reuses an entry of check.json or invariants.json only
-if it was written under the same config hash and _entry could have
-built it under that config; it computes the rest.
+run() with it, computes every check the config lists and reads no file
+of the output directory: a verdict comes only from a residual that
+this run measured.
 
 Determinism: sampling uses xorshift64*, a fixed 64-bit generator (state
 update x ^= x >> 12; x ^= x << 25; x ^= x >> 27; output is the state
@@ -53,8 +53,6 @@ check failed, 2 usage, configuration or execution error, a config file
 that does not decode as JSON and a trajectory that integrate cannot
 finish included.
 """
-
-from __future__ import annotations
 
 import gc
 
@@ -365,8 +363,7 @@ def load_config(path, kmax=None, tol=None, seed=None):
     """(ExperimentConfig, config hash) for the JSON file at path, with
     the --kmax/--tol/--seed overrides written into the raw dict before
     validation.  The hash covers the canonical JSON of that effective
-    dict and the tool version, so outputs are reused only under the
-    same effective config."""
+    dict and the tool version; every output records it."""
     try:
         data = json.loads(Path(path).read_bytes())
     except (ValueError, RecursionError) as e:
@@ -528,8 +525,13 @@ DEFAULT_TOLERANCES = {key: tol for key, tol, _ in _CHECKS.values()}
 
 
 def _run_checks(cfg, names, out_dir):
-    samples = draw_samples(cfg.geometry, cfg.sample_box, cfg.sample_count,
-                           cfg.seed)
+    try:
+        samples = draw_samples(cfg.geometry, cfg.sample_box,
+                               cfg.sample_count, cfg.seed)
+    except (ValueError, MemoryError) as e:
+        # numpy refuses or cannot allocate a stack that large
+        raise ExecutionError(
+            f"cannot draw {cfg.sample_count} samples: {e}") from e
     # F's jets at the samples, shared by every structural check but
     # canonical; the one sweep runs in the first check that reads them
     jets = transform.Jets(cfg.transform, samples)
@@ -578,38 +580,6 @@ COMMANDS = {
 }
 
 
-def _reusable(cfg, name, entry):
-    """Whether _entry could have built the dict entry for check name
-    under cfg: cfg's tolerance and a finite residual with the verdict
-    the rule gives, or involution's not-applicable with a null one."""
-    residual = entry.get("residual")
-    if not (isinstance(residual, float) and 0.0 <= residual < math.inf
-            or residual is None and name == "involution"):
-        return False
-    return entry == {**entry, **_entry(cfg, name, residual)}
-
-
-def _prior_results(cfg, config_hash, out):
-    """The entries of cfg.checks held by check.json and invariants.json
-    in out, written under config_hash, that pass _reusable.  A file that
-    is not a UTF-8 JSON object with an object "checks" is skipped."""
-    results = {}
-    for command in ("check", "invariants"):
-        try:
-            prior = json.loads((out / COMMANDS[command][1])
-                               .read_text(encoding="utf-8"))
-        except (FileNotFoundError, ValueError, RecursionError):
-            continue
-        if not isinstance(prior, dict) \
-                or prior.get("config_hash") != config_hash \
-                or not isinstance(prior.get("checks"), dict):
-            continue
-        results.update((name, entry) for name, entry in prior["checks"].items()
-                       if name in cfg.checks and isinstance(entry, dict)
-                       and _reusable(cfg, name, entry))
-    return results
-
-
 def _execute(command, config_path, out_dir, kmax=None, tol=None, seed=None):
     """Run command on the config at config_path, with the overrides, and
     write its output file into the directory out_dir, made if missing:
@@ -629,15 +599,13 @@ def _execute(command, config_path, out_dir, kmax=None, tol=None, seed=None):
             raise ExecutionError(f"integration failed: {e}") from e
         _write_csv(target, traj, coords)
         return None, 0
-    results = {}
     if command == "check":
         names = [c for c in cfg.checks if c in STRUCTURAL_CHECKS]
     elif command == "invariants":
         names = ["traces"]
     else:
-        results = _prior_results(cfg, config_hash, out)
-        names = [c for c in cfg.checks if c not in results]
-    results.update(_run_checks(cfg, names, out))
+        names = cfg.checks
+    results = _run_checks(cfg, names, out)
     report = {
         "schema": 1,
         "tool_version": __version__,
@@ -661,7 +629,7 @@ def _execute(command, config_path, out_dir, kmax=None, tol=None, seed=None):
 
 def run(config_path, out_dir, kmax=None, tol=None, seed=None):
     """`canonoid report` as a function: returns the report dict.  Files
-    land in out_dir, where same-config prior outputs are reused."""
+    land in out_dir; every check the config lists is computed."""
     return _execute("report", config_path, out_dir, kmax, tol, seed)[0]
 
 

@@ -35,8 +35,6 @@ the closed-form least-squares slope of f - f(0) against the times
 scaled to [0, 1], over their span: 0.0 for a series that never moves.
 """
 
-from __future__ import annotations
-
 import array
 import functools
 import math

@@ -55,8 +55,6 @@ geometry provides them.  The chart variable list is supplied by the
 caller; any other identifier is rejected at parse time.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import operator

@@ -25,8 +25,6 @@ their caller's numpy error state; only the jets they read from
 expr.jet run under expr.quiet.
 """
 
-from __future__ import annotations
-
 import functools
 
 import numpy as np

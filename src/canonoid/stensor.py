@@ -49,8 +49,6 @@ s_and_ds under their caller's error state), so a non-finite entry
 reaches the caller's residual fold instead of a floating-point warning.
 """
 
-from __future__ import annotations
-
 import itertools
 
 import numpy as np

@@ -35,8 +35,6 @@ to d/dt, which is what makes trace conservation along the evolution
 field sound.  Both components are reported separately.
 """
 
-from __future__ import annotations
-
 import functools
 
 import numpy as np

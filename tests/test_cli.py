@@ -459,13 +459,15 @@ def test_import_generates_no_code():
     "numpy.polynomial",
     "argparse",
     "locale",
+    "__future__",
 ])
 def test_check_run_loads_no_module_it_has_no_use_for(tmp_path, module):
     # the config hash comes from CPython's own SHA-256, not OpenSSL's
     # through hashlib, K recovery's Gauss-Legendre rule from a literal
     # table, not numpy.polynomial, and the argv from getopt, not
     # argparse, whose messages look up gettext's translations through
-    # locale: neither the import nor a symplectic check whose canonoid
+    # locale, and no module imports __future__ for annotations it does
+    # not have: neither the import nor a symplectic check whose canonoid
     # passes, so that K recovery runs, adds the module to what numpy
     # loaded
     path = write_config(tmp_path, base_config())
@@ -530,17 +532,17 @@ def test_subcommand_exit_codes(tmp_path):
         assert (tmp_path / "out" / fname).exists(), fname
 
 
-def test_report_merges_prior_outputs(tmp_path):
+def test_report_after_check_and_invariants_equals_a_fresh_report(tmp_path):
     path = write_config(tmp_path, base_config())
-    merged_dir = str(tmp_path / "merged")
-    run_cli(["check", "--config", path, "--out", merged_dir])
-    run_cli(["invariants", "--config", path, "--out", merged_dir])
-    run_cli(["report", "--config", path, "--out", merged_dir])
+    after_dir = str(tmp_path / "after")
+    run_cli(["check", "--config", path, "--out", after_dir])
+    run_cli(["invariants", "--config", path, "--out", after_dir])
+    run_cli(["report", "--config", path, "--out", after_dir])
     direct_dir = str(tmp_path / "direct")
     run_cli(["report", "--config", path, "--out", direct_dir])
-    merged = (tmp_path / "merged" / "report.json").read_bytes()
+    after = (tmp_path / "after" / "report.json").read_bytes()
     direct = (tmp_path / "direct" / "report.json").read_bytes()
-    assert merged == direct
+    assert after == direct
 
 
 @pytest.mark.parametrize("prior", [False, True])
@@ -561,8 +563,9 @@ def test_run_writes_the_report_of_the_report_command(tmp_path, monkeypatch,
 
     monkeypatch.setattr(cli, "_run_checks", recording)
     cli.run(path, by_run)
-    # with same-config prior outputs run() reuses them all
-    assert computed == ([] if prior else list(CHECK_NAMES))
+    # earlier outputs of the same config are read by no check: run()
+    # computes every one
+    assert computed == list(CHECK_NAMES)
     run_cli(["report", "--config", path, "--out", str(by_cli)])
     assert (by_run / "report.json").read_bytes() == \
         (by_cli / "report.json").read_bytes()
@@ -586,8 +589,15 @@ def test_run_writes_the_report_of_the_report_command(tmp_path, monkeypatch,
     lambda h: json.dumps({"config_hash": h, "checks": {
         "canonical": {"verdict": "pass", "residual": 1.0,
                       "tolerance": 10.0}}}).encode(),
+    # a pass consistent with its own residual and the config's tolerance,
+    # under the config's own hash, that no check computed: canonical
+    # fails on this config
+    lambda h: json.dumps({"config_hash": h, "checks": {
+        "canonical": {"verdict": "pass", "residual": 1e-9,
+                      "tolerance": 1e-8}}}).encode(),
 ], ids=["array", "invalid-utf8", "checks-array", "entry-array", "bare-pass",
-        "verdict-against-residual", "nan-residual", "other-tolerance"])
+        "verdict-against-residual", "nan-residual", "other-tolerance",
+        "same-hash-forged-pass"])
 def test_report_skips_unusable_prior_outputs(tmp_path, prior):
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
@@ -599,31 +609,19 @@ def test_report_skips_unusable_prior_outputs(tmp_path, prior):
         (tmp_path / "fresh" / "report.json").read_bytes()
 
 
-def test_reusable_entries_are_the_ones_entry_builds():
-    cfg = validate_config(base_config())
-    assert cli._reusable(cfg, "canonical", cli._entry(cfg, "canonical", 0.5))
-    assert cli._reusable(cfg, "involution",
-                         cli._entry(cfg, "involution", None, detail="why"))
-    # only involution reports not-applicable
-    assert not cli._reusable(cfg, "canonical",
-                             cli._entry(cfg, "canonical", None))
-    assert not cli._reusable(cfg, "involution", {"verdict": "not-applicable",
-                                                 "tolerance": 1e-8})
-
-
 def test_stale_prior_outputs_ignored(tmp_path):
     path = write_config(tmp_path, base_config())
     out = str(tmp_path / "out")
     run_cli(["check", "--config", path, "--out", out])
-    # different config in the same out dir: hash mismatch, no reuse
+    # different config in the same out dir
     data = base_config()
     data["seed"] = 777
     path2 = write_config(tmp_path, data, name="other.json")
     assert run_cli(["report", "--config", path2, "--out", out]) == 1
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["seed"] == 777
-    # the prior entries are consistent with their residuals, so only the
-    # hash keeps them out
+    # the prior entries are consistent with their residuals; report
+    # reads none of them
     run_cli(["report", "--config", path2, "--out", str(tmp_path / "fresh")])
     assert (tmp_path / "out" / "report.json").read_bytes() == \
         (tmp_path / "fresh" / "report.json").read_bytes()
@@ -717,6 +715,22 @@ def test_execution_error_names_check(tmp_path, capsys):
     assert "canonoid" in capsys.readouterr().err
 
 
+def test_sample_stack_too_big_is_an_execution_error(tmp_path, capsys):
+    # numpy refuses a 2^62-row stack without allocating it; the draw is
+    # an execution error, not a failed check
+    data = base_config()
+    data["sample_count"] = 2**62
+    data["checks"] = ["canonical"]
+    del data["trajectory"]
+    path = write_config(tmp_path, data)
+    assert run_cli(["check", "--config", path,
+                    "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"cannot draw {2**62} samples" in err
+    assert not (tmp_path / "out" / "check.json").exists()
+
+
 @pytest.mark.parametrize("method,cause", [
     ("rk45-adaptive", "step size underflow at t = 0.99999999999"),
     ("rk4", "overflow in 'q1^2.0' at row 0"),
@@ -744,7 +758,8 @@ def test_report_ignores_outputs_of_other_overrides(tmp_path):
     out = str(tmp_path / "out")
     assert run_cli(["check", "--config", path, "--out", out,
                     "--seed", "7", "--tol", "10"]) == 0
-    # a plain report runs a different effective config: nothing reused
+    # a plain report runs a different effective config, and reads no
+    # earlier output in any case
     assert run_cli(["report", "--config", path, "--out", out]) == 1
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["seed"] == 42

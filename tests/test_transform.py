@@ -369,6 +369,60 @@ def test_cocontact_scaling_is_canonoid():
     assert np.max(np.abs(res.K_probe - 3.0 * hvals)) < EXACT
 
 
+@st.composite
+def conformal_contact_cases(draw):
+    """(F, H, c, samples): a contact or cocontact map, n <= 2, with
+    F = (a_i q_i, (c/a_i) p_i, c z) and t -> t, so that F*theta =
+    c*theta; H is a sum of terms, one of them nonlinear in z; 10 samples
+    in [0.5, 1.5]^d."""
+    g = GeometryKind(draw(st.sampled_from(["contact", "cocontact"])),
+                     draw(st.integers(1, 2)))
+    c = draw(st.sampled_from([-1.0, 0.5, 2.0, 3.0]))
+    F = {"z": f"{c!r}*z"}
+    if g.t_index is not None:
+        F["t"] = "t"
+    terms = ["q1*z"] + (["t*z"] if g.t_index is not None else [])
+    for i in range(1, g.n + 1):
+        a = draw(st.sampled_from([-2.0, -1.0, 0.5, 2.0, 3.0]))
+        F.update({f"q{i}": f"{a!r}*q{i}", f"p{i}": f"{c / a!r}*p{i}"})
+        terms += [f"q{i}^3*p{i}", f"sin(p{i})", f"exp(q{i})*p{i}^2",
+                  f"(q{i}^2 + p{i}^2)/2", f"p{i}*z"]
+    picked = [draw(st.sampled_from(["z^2/3", "z^3", "sin(z)", "q1*z^2"]))]
+    picked += draw(st.lists(st.sampled_from(terms), min_size=1, max_size=3))
+    H = " + ".join(f"{draw(st.sampled_from([-2.0, 0.2, 1.0, 3.0]))!r}*{t}"
+                   for t in picked)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.uniform(0.5, 1.5, (10, g.dim))
+    return tmap(g, F), g.parse(H), c, samples
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=conformal_contact_cases())
+def test_conformal_contact_map_is_canonoid_for_every_H(case):
+    # ker(c*theta) = ker(theta), and contact Hamiltonian fields are the
+    # automorphisms of that distribution, so the map is canonoid for
+    # every H, with K = c*H; lie_derivative is not asserted, since it
+    # judges the theta part of L_V S too
+    F, H, c, samples = case
+    res = check_canonoid(F, H, samples)
+    assert res.canonoid, res.components
+    cH = c * expr.jet(H, samples, order=0)[0]
+    scale = max(1.0, float(np.max(np.abs(cH))))
+    assert np.max(np.abs(res.K_probe - cH)) <= 1e-13 * scale
+
+
+def test_map_that_moves_the_contact_distribution_is_not_canonoid():
+    # (q1, p1, z + q1^2/2) pulls theta back to theta + q1 dq1, whose
+    # kernel is another plane field
+    g = CONT1
+    F = tmap(g, {"q1": "q1", "p1": "p1", "z": "z + q1^2/2"})
+    H = g.parse("q1^3*p1 + z^2/3 + sin(p1)")
+    samples = np.random.default_rng(7).uniform(0.5, 1.5, (25, g.dim))
+    res = check_canonoid(F, H, samples)
+    assert not res.canonoid
+    assert res.max_residual > 1.0
+
+
 def _contact_coframes(count):
     """count copies of the identity's contact coframe at p = 0 for n = 1:
     the row of theta = dz, then the rows of the transposed Lagrange

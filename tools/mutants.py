@@ -7,13 +7,16 @@ formula that some tier-1 test must reject.  For each mutant (all of
 them, or the ones named) the tool copies src/, tests/ and
 pyproject.toml into a temporary directory, applies the edit there (its
 text must occur exactly once, so a refactor that moves the code fails
-loudly instead of testing nothing), and runs the tier-1 tests with -x.
-Mutants run concurrently, one per CPU the process may use, each in its
-own tree; their results print in MUTANTS order.  A mutant is killed
-when pytest exits 1 and names at least one FAILED or ERROR test; the
-tool prints the tests that killed it.  A run that outlives TIMEOUT_S
-prints TIMEOUT.  It exits 1 if any mutant survives, times out or no
-longer applies.  The working tree is never modified.
+loudly instead of testing nothing), and runs the tier-1 tests with -x:
+the test file of the mutated module first (tests/test_cli.py for
+src/canonoid/cli.py), where a mutant most often fails, then every other
+tier-1 test file in sorted order, so a surviving mutant has still run
+the whole suite.  Mutants run concurrently, one per CPU the process may
+use, each in its own tree; their results print in MUTANTS order.  A
+mutant is killed when pytest exits 1 and names at least one FAILED or
+ERROR test; the tool prints the tests that killed it.  A run that
+outlives TIMEOUT_S prints TIMEOUT.  It exits 1 if any mutant survives,
+times out or no longer applies.  The working tree is never modified.
 """
 
 from __future__ import annotations
@@ -190,10 +193,10 @@ MUTANTS = {
         "src/canonoid/expr.py",
         '"vpow": lambda a, b: float(np.power((a,), (b,))[0]),',
         '"vpow": lambda a, b: float(np.power(a, b)),'),
-    "reuse-trusts-prior-verdict": (
+    "sample-draw-error-escapes": (
         "src/canonoid/cli.py",
-        "                       and _reusable(cfg, name, entry))",
-        "                       )"),
+        "    except (ValueError, MemoryError) as e:",
+        "    except MemoryError as e:"),
     "integrate-error-escapes": (
         "src/canonoid/cli.py",
         "        except Exception as e:\n"
@@ -204,10 +207,6 @@ MUTANTS = {
         "src/canonoid/cli.py",
         '"torsion": ("torsion", 1e-10, _check_torsion),',
         '"torsion": ("torsion", 1e-8, _check_torsion),'),
-    "report-reuses-other-configs": (
-        "src/canonoid/cli.py",
-        '                or prior.get("config_hash") != config_hash \\\n',
-        ""),
     # the argv reader: --seed is an integer, as the config's seed is
     "seed-read-as-float": (
         "src/canonoid/cli.py",
@@ -331,13 +330,26 @@ def apply(tree, name):
     return True
 
 
-def run_tests(tree):
-    """(exit code, lines naming the failed tests) of tier-1 with -x;
-    raises subprocess.TimeoutExpired after TIMEOUT_S."""
+def tier1_files(tree, rel):
+    """The tier-1 test files of tree, relative to it: tests/test_<m>.py
+    first for the source file rel, src/canonoid/<m>.py, then every other
+    tests/test_*.py in sorted order.  Each file is named: pytest folds a
+    file given beside its directory into the directory's own order."""
+    own = f"tests/test_{Path(rel).stem}.py"
+    return sorted((p.relative_to(tree).as_posix()
+                   for p in (tree / "tests").glob("test_*.py")),
+                  key=lambda f: (f != own, f))
+
+
+def run_tests(tree, rel):
+    """(exit code, lines naming the failed tests) of tier-1 with -x, the
+    tests of the mutated file rel first; raises subprocess.TimeoutExpired
+    after TIMEOUT_S."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
-         "-p", "no:cacheprovider", "--continue-on-collection-errors"],
+         "-p", "no:cacheprovider", "--continue-on-collection-errors",
+         *tier1_files(tree, rel)],
         cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     killers = [line.split(" - ")[0].split(" ", 1)[1]
                for line in proc.stdout.splitlines()
@@ -362,7 +374,7 @@ def run_mutant(name):
             return (f"STALE     {name}: its text is not in "
                     f"{MUTANTS[name][0]} exactly once"), False
         try:
-            code, killers = run_tests(tree)
+            code, killers = run_tests(tree, MUTANTS[name][0])
         except subprocess.TimeoutExpired:
             return f"TIMEOUT   {name} (over {TIMEOUT_S} s)", False
     secs = time.perf_counter() - start

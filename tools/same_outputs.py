@@ -16,7 +16,7 @@ largest absolute and relative difference among them.
 Then it runs the error-path jobs of ERROR_JOBS the same way, once each:
 no benchmark job reaches an error path, yet a change to one shows in its
 exit code and standard error.  A job with prior entries finds them in a
-check.json written under its config's hash, as `report` would reuse them.
+check.json written under its config's hash, which `report` must ignore.
 A usage-error job gives its own command line in place of the command.
 
 Jobs run from a scratch directory with relative paths, so a path that
