@@ -7,7 +7,8 @@ with its tolerance key, its default tolerance and its runner;
 CHECK_NAMES, STRUCTURAL_CHECKS and DEFAULT_TOLERANCES are read off it.
 Checks run in that order whatever order the config lists them in, and
 _entry builds each one's report entry: a verdict in {pass, fail,
-not-applicable} and the measured residual.
+not-applicable} and the measured residual.  Only the structural checks
+read the samples, from ExperimentConfig.jets, drawn on its first read.
 
 Every command, and run(), goes through one runner, _execute, from a
 config file to the command's file in the output directory (COMMANDS
@@ -63,6 +64,7 @@ import gc
 _collecting = gc.isenabled()
 gc.disable()
 try:
+    import functools
     import getopt
     import json
     import math
@@ -185,14 +187,23 @@ class Xorshift64Star:
         # top 53 bits scaled into [0, 1)
         return (self.next_u64() >> 11) * 2.0 ** -53
 
-    def uniform_in(self, lo, hi):
-        return lo + (hi - lo) * self.uniform()
-
 
 class ExperimentConfig(expr.Record):
     __slots__ = ("geometry", "hamiltonian", "transform", "sample_box",
                  "sample_count", "seed", "checks", "kmax", "trajectory",
-                 "tolerances")
+                 "tolerances", "__dict__")
+
+    @functools.cached_property
+    def jets(self):
+        """F's jets at the samples, drawn on the first read and shared by
+        every structural check; each of its parts is computed when read."""
+        try:
+            return transform.Jets(self.transform, draw_samples(
+                self.geometry, self.sample_box, self.sample_count, self.seed))
+        except (ValueError, MemoryError) as e:
+            # numpy refuses or cannot allocate a stack that large
+            raise ExecutionError(
+                f"cannot draw {self.sample_count} samples: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +360,7 @@ def validate_config(data):
         tol[key] = v
 
     unknown = [k for k in data
-               if k != "schema" and k not in ExperimentConfig.__slots__]
+               if k != "schema" and k not in ExperimentConfig._fields]
     if unknown:
         raise ConfigError(f"config: unknown field(s) {unknown}")
 
@@ -394,21 +405,20 @@ def draw_samples(g, box, count, seed):
     for i in range(count):
         for j, name in enumerate(g.chart_vars):
             lo, hi = box[name]
-            out[i, j] = rng.uniform_in(lo, hi)
+            out[i, j] = lo + (hi - lo) * rng.uniform()
     return out
 
 
 def trace_observables(F, kmax):
     """(name, evaluator) pairs for tr(S^k), k = 1..kmax.  An evaluator
     maps a stack of states (T, d) to (T,) values; all of them share one
-    trace computation per stack."""
-    cache = {}
+    trace table, kept for the last stack object they were given."""
+    last = [None, None]   # the stack and its table
 
     def table(X):
-        key = X.tobytes()
-        if key not in cache:
-            cache[key] = stensor.trace_powers(F, X, kmax)
-        return cache[key]
+        if X is not last[0]:
+            last[:] = X, stensor.trace_powers(F, X, kmax)
+        return last[1]
 
     return [(f"trS{k}", lambda X, k=k: table(X)[:, k - 1])
             for k in range(1, kmax + 1)]
@@ -428,14 +438,14 @@ def _entry(cfg, name, residual, **details):
             **details}
 
 
-def _check_canonical(cfg, jets, out_dir):
+def _check_canonical(cfg, out_dir):
     # an order-1 sweep of its own: canonical reads no Hessians
-    res = transform.check_canonical(cfg.transform, jets.x)
+    res = transform.check_canonical(cfg.transform, cfg.jets.x)
     return float(res.max_residual), {}
 
 
-def _check_canonoid(cfg, jets, out_dir):
-    res = transform.check_canonoid(cfg.transform, cfg.hamiltonian, jets,
+def _check_canonoid(cfg, out_dir):
+    res = transform.check_canonoid(cfg.transform, cfg.hamiltonian, cfg.jets,
                                    tol=cfg.tolerances["canonoid"])
     return float(res.max_residual), {
         "components": {k: float(v) for k, v in res.components.items()},
@@ -447,7 +457,7 @@ def _trajectory(cfg):
     return dynamics.integrate(cfg.geometry, cfg.hamiltonian, **cfg.trajectory)
 
 
-def _check_traces(cfg, jets, out_dir):
+def _check_traces(cfg, out_dir):
     traj = _trajectory(cfg)
     obs = trace_observables(cfg.transform, cfg.kmax)
     rep = dynamics.drift_report(traj, obs)
@@ -464,23 +474,23 @@ def _check_traces(cfg, jets, out_dir):
         "steps": cfg.trajectory["steps"], "drift": drift}
 
 
-def _check_torsion(cfg, jets, out_dir):
-    N = stensor.nijenhuis_torsion(cfg.transform, jets)
-    rows = np.abs(N).reshape(len(jets), -1)
+def _check_torsion(cfg, out_dir):
+    N = stensor.nijenhuis_torsion(cfg.transform, cfg.jets)
+    rows = np.abs(N).reshape(len(N), -1)
     return float(transform.fold_max(np.max(rows, axis=1))), {}
 
 
-def _check_lenard(cfg, jets, out_dir):
+def _check_lenard(cfg, out_dir):
     kmax = max(1, min(3, cfg.kmax - 1))
     worst_k = transform.fold_max(stensor.lenard_identity_residual(
-        cfg.transform, jets, kmax))
+        cfg.transform, cfg.jets, kmax))
     per_k = {str(k): float(r) for k, r in enumerate(worst_k, start=1)}
     return max(per_k.values()), {"per_k": per_k}
 
 
-def _check_involution(cfg, jets, out_dir):
+def _check_involution(cfg, out_dir):
     try:
-        res = stensor.involution_matrix(cfg.transform, jets, cfg.kmax)
+        res = stensor.involution_matrix(cfg.transform, cfg.jets, cfg.kmax)
     except SingularPullback as e:
         return None, {"detail": str(e)}
     unb = float(np.max(res.unbarred))
@@ -491,10 +501,10 @@ def _check_involution(cfg, jets, out_dir):
                            "max_condition": float(res.max_condition)}
 
 
-def _check_lie_derivative(cfg, jets, out_dir):
+def _check_lie_derivative(cfg, out_dir):
     ti = cfg.geometry.t_index
     lie = np.abs(dynamics.lie_derivative_S(cfg.transform, cfg.hamiltonian,
-                                           jets))
+                                           cfg.jets))
     if ti is None:
         return float(transform.fold_max(np.max(lie, axis=(1, 2)))), {
             "time_column_max": None}
@@ -507,9 +517,9 @@ def _check_lie_derivative(cfg, jets, out_dir):
 
 
 # check: (tolerance key, default tolerance, runner), in dependency order.
-# A runner maps (cfg, F's jets at the samples, output directory or None)
-# to its residual and the details of its report entry.  traces is the
-# one check that integrates; the others are structural.
+# A runner maps (cfg, output directory or None) to its residual and the
+# details of its report entry.  traces is the one check that integrates
+# and reads no samples; the others are structural and read cfg.jets.
 _CHECKS = {
     "canonical": ("canonical", 1e-8, _check_canonical),
     "canonoid": ("canonoid", 1e-8, _check_canonoid),
@@ -525,21 +535,11 @@ DEFAULT_TOLERANCES = {key: tol for key, tol, _ in _CHECKS.values()}
 
 
 def _run_checks(cfg, names, out_dir):
-    try:
-        samples = draw_samples(cfg.geometry, cfg.sample_box,
-                               cfg.sample_count, cfg.seed)
-    except (ValueError, MemoryError) as e:
-        # numpy refuses or cannot allocate a stack that large
-        raise ExecutionError(
-            f"cannot draw {cfg.sample_count} samples: {e}") from e
-    # F's jets at the samples, shared by every structural check but
-    # canonical; the one sweep runs in the first check that reads them
-    jets = transform.Jets(cfg.transform, samples)
     results = {}
     for name, (_, _, runner) in _CHECKS.items():
         if name in names:
             try:
-                residual, details = runner(cfg, jets, out_dir)
+                residual, details = runner(cfg, out_dir)
             except Exception as e:
                 raise CheckError(name, e) from e
             results[name] = _entry(cfg, name, residual, **details)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import canonoid
-from canonoid import cli, expr, transform
+from canonoid import cli, expr, stensor, transform
 from canonoid.cli import (CHECK_NAMES, DEFAULT_TOLERANCES, STRUCTURAL_CHECKS,
                           CheckError, ConfigError, Xorshift64Star,
                           draw_samples, load_config, validate_config)
@@ -158,12 +158,39 @@ def test_draw_samples_deterministic_and_in_box():
     (lambda d: d.update(tolerances={"bogus": 1e-8}), "tolerances.bogus"),
     (lambda d: d.update(tolerances={"drift": -1.0}), "tolerances.drift"),
     (lambda d: d.update(surprise=1), "config"),
+    # the config's attribute cache is no field
+    pytest.param(lambda d: d.update(__dict__={}),
+                 r"config: unknown field\(s\) \['__dict__'\]",
+                 id="dict-slot-no-field"),
+    pytest.param(lambda d: d.update(geometry=["symplectic", 1]),
+                 "geometry: expected dict, got list", id="geometry-list"),
+    pytest.param(lambda d: d["trajectory"].update(x0=[0.0, "1.5"]),
+                 "trajectory.x0: expected a number", id="x0-string"),
+    pytest.param(lambda d: d["sample_box"].update(q1=[0.5]),
+                 r"sample_box.q1: expected \[lo, hi\]", id="box-range-single"),
+    pytest.param(lambda d: d.update(trajectory=[0.0, 1.5]),
+                 "trajectory: expected an object", id="trajectory-list"),
+    pytest.param(lambda d: d.update(tolerances=1e-8),
+                 "tolerances: expected an object", id="tolerances-number"),
 ])
 def test_config_errors_name_the_field(mutator, fragment):
     data = base_config()
     mutator(data)
     with pytest.raises(ConfigError, match=fragment):
         validate_config(data)
+
+
+@pytest.mark.parametrize("top", [[], "config", 1, None],
+                         ids=["list", "string", "number", "null"])
+def test_a_config_that_is_not_an_object_is_refused(tmp_path, capsys, top):
+    with pytest.raises(ConfigError,
+                       match=r"^config: top level must be an object$"):
+        validate_config(top)
+    path = write_config(tmp_path, top)
+    assert run_cli(["check", "--config", path,
+                    "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        "error: config: top level must be an object\n"
 
 
 def test_traces_requires_trajectory():
@@ -372,6 +399,26 @@ def test_seed_changes_samples_not_format(tmp_path):
     assert r1["checks"]["canonoid"]["K_probe"] != \
         r2["checks"]["canonoid"]["K_probe"]
     assert r1["seed"] == 1 and r2["seed"] == 2
+
+
+def test_trace_observables_share_one_table_per_stack(monkeypatch):
+    # tr S^k = 2 p1^(2k) for this map, so two stacks differ in each trace
+    F = transform.TransformMap.parse(GeometryKind("symplectic", 1),
+                                     ["q1", "p1^3/3"])
+    stacks = []
+    trace_powers = stensor.trace_powers
+    monkeypatch.setattr(stensor, "trace_powers", lambda F, X, kmax:
+                        stacks.append(X) or trace_powers(F, X, kmax))
+    obs = cli.trace_observables(F, 3)
+    X = np.array([[0.5, 0.5], [1.0, 1.0]])
+    Y = X + 0.5
+    at_x = [fn(X) for _, fn in obs]
+    assert len(stacks) == 1
+    at_y = [fn(Y) for _, fn in obs]
+    assert len(stacks) == 2 and stacks[1] is Y
+    for k, (a, b) in enumerate(zip(at_x, at_y)):
+        assert np.array_equal(b, trace_powers(F, Y, 3)[:, k])
+        assert not np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +760,104 @@ def test_execution_error_names_check(tmp_path, capsys):
                     "--out", str(tmp_path / "out")])
     assert code == 2
     assert "canonoid" in capsys.readouterr().err
+
+
+def test_integrate_without_a_trajectory_exits_two(tmp_path, capsys):
+    data = base_config()
+    data["checks"] = ["canonical"]
+    del data["trajectory"]
+    path = write_config(tmp_path, data)
+    assert run_cli(["integrate", "--config", path,
+                    "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        "error: trajectory: required for 'integrate'\n"
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def test_involution_with_a_singular_x_block_is_not_applicable(tmp_path):
+    # F swaps q1 and z: its Lagrange x-block is singular at every sample
+    data = {**base_config(),
+            "geometry": {"kind": "contact", "n": 1},
+            "hamiltonian": "(q1^2 + p1^2)/2 + 0.2*z",
+            "transform": {"q1": "z", "p1": "p1", "z": "q1"},
+            "sample_box": {"q1": [0.5, 1.5], "p1": [0.5, 1.5],
+                           "z": [-0.5, 0.5]},
+            "sample_count": 5, "checks": ["involution"]}
+    del data["trajectory"]
+    path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    # not-applicable is no failure, so the run exits 0 (ROADMAP item 14)
+    assert run_cli(["check", "--config", path, "--out", str(out)]) == 0
+    entry = json.loads((out / "check.json").read_text())["checks"]
+    assert entry == {"involution": {
+        "verdict": "not-applicable", "residual": None, "tolerance": 1e-8,
+        "detail": "Lagrange x-block singular at all 5 samples"}}
+
+
+def _without(path, *keys):
+    report = json.loads(path.read_text())
+    for key in keys:
+        del report[key]
+    return report
+
+
+@pytest.mark.parametrize("command,checks", [
+    ("invariants", CHECK_NAMES),
+    ("check", ["traces"]),
+    ("report", ["traces"]),
+])
+def test_a_run_that_reads_no_samples_draws_none(tmp_path, monkeypatch,
+                                                command, checks):
+    # only the structural checks read the samples: a sample stack far
+    # too big to allocate is never drawn unless one of them runs
+    drawn = []
+    draw = cli.draw_samples
+    monkeypatch.setattr(cli, "draw_samples",
+                        lambda *args: drawn.append(args) or draw(*args))
+    outputs = []
+    for count in (25, 2**62):
+        data = {**base_config(), "checks": list(checks),
+                "sample_count": count}
+        out = tmp_path / str(count)
+        assert run_cli([command, "--config", write_config(tmp_path, data),
+                        "--out", str(out)]) == 0
+        outputs.append(out)
+    assert drawn == []
+    target = cli.COMMANDS[command][1]
+    assert _without(outputs[0] / target, "config_hash", "sample_count") \
+        == _without(outputs[1] / target, "config_hash", "sample_count")
+    csv = [out / "invariants.csv" for out in outputs]
+    if command == "check":
+        assert not csv[0].exists()
+    else:
+        assert csv[0].read_bytes() == csv[1].read_bytes()
+
+
+def test_the_samples_are_drawn_once_per_config(monkeypatch):
+    drawn = []
+    draw = cli.draw_samples
+    monkeypatch.setattr(cli, "draw_samples",
+                        lambda *args: drawn.append(args) or draw(*args))
+    cfg = validate_config(base_config())
+    cli._run_checks(cfg, CHECK_NAMES, None)
+    assert len(drawn) == 1 and cfg.jets is cfg.jets
+    # the drawn bundle stays out of the config's value
+    assert cfg == validate_config(base_config())
+    assert np.array_equal(cfg.jets.x, draw(cfg.geometry, cfg.sample_box,
+                                           cfg.sample_count, cfg.seed))
+
+
+def test_a_structural_check_names_itself_when_the_draw_fails(tmp_path, capsys):
+    data = {**base_config(), "sample_count": 2**62,
+            "checks": ["traces", "torsion", "lenard"]}
+    path = write_config(tmp_path, data)
+    assert run_cli(["report", "--config", path,
+                    "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: check 'torsion' failed to execute: "
+                          f"cannot draw {2**62} samples: ") \
+        and err.count("\n") == 1, err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_sample_stack_too_big_is_an_execution_error(tmp_path, capsys):

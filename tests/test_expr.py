@@ -855,3 +855,35 @@ def test_order_two_rules_keep_their_float_association(rule):
     got = expr.jet(expr.parse(f"sin(q1) {rule} exp(q1)", ["q1", "p1"]), X)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+# ---------------------------------------------------------------------------
+# guards of the emitter
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_a_constant_zero_divisor_is_a_domain_error_at_every_order(order):
+    # the divisor folds to the constant 0.0 while the sweep is emitted
+    e = expr.parse("q1/(2-2)", ["q1", "p1"])
+    for x in ([1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]]):
+        with pytest.raises(DomainError,
+                           match=r"^division by zero in 'q1/\(2\.0-2\.0\)' "
+                                 r"at row 0$"):
+            expr.jet(e, x, order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_an_unknown_function_is_refused_before_its_text_runs(order):
+    # the names of an emitted text resolve through the builtins: without
+    # the emitter's own check this node would call open() on the column
+    e = expr.Expression(ast=Call("open", Var("q1")), free_vars=("q1",),
+                        chart_vars=("q1",))
+    with pytest.raises(UnknownFunction, match="unknown function 'open'"):
+        expr.jet(e, [[1.0]], order)
+    assert e._kernels == {}
+
+
+def test_a_sweep_has_orders_zero_to_two():
+    e = expr.parse("q1", ["q1"])
+    with pytest.raises(ValueError, match="order must be 0, 1 or 2, got 3"):
+        expr._sweep(e, 3)

@@ -171,6 +171,13 @@ def test_dimension_mismatch():
         hamiltonian_vf(SYMP1, H, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0])
+def test_one_state_has_the_chart_dimension(x):
+    assert SYMP1.check_state([1.0, 2.0]).shape == (2,)
+    with pytest.raises(ValueError, match="chart dimension is 2"):
+        SYMP1.check_state(x)
+
+
 def test_field_linearity():
     f = "p1^2/2 + q1^2/2 + 0.3*z"
     h = "q1*p1 + z^2"

@@ -57,6 +57,20 @@ def test_time_component_must_be_literal_t():
     tmap(COCO1, ["t", "q1", "p1", "z"])
 
 
+def test_component_over_another_chart_rejected():
+    # a component's partials are read by position in chart order
+    over_contact = expr.parse("q1", CONT1.chart_vars)
+    with pytest.raises(ValueError, match="over a different chart"):
+        TransformMap(SYMP1, (over_contact, SYMP1.parse("p1")))
+
+
+def test_an_empty_sample_stack_rejected():
+    with pytest.raises(ValueError, match="samples must be non-empty"):
+        transform.as_samples(np.empty((0, 2)))
+    with pytest.raises(ValueError, match="samples must be non-empty"):
+        check_canonical(tmap(SYMP1, ["q1", "p1"]), np.empty((0, 2)))
+
+
 def test_parse_from_mapping():
     F = tmap(SYMP1, {"q1": "p1", "p1": "0-q1"})
     J = jacobian(F, [0.3, 0.8])

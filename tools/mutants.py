@@ -185,6 +185,13 @@ MUTANTS = {
         "def _bind(code, namespace, consts, errors, _tables={}):\n"
         "    scope = dict(namespace, K=consts,\n"
         "                 E=_tables.setdefault(code, errors))\n"),
+    # an emitted text resolves a name it does not bind through the
+    # builtins: an unknown function must be refused before it runs
+    "call-name-unchecked": (
+        "src/canonoid/expr.py",
+        "        if name not in _DERIVATIVES:\n"
+        '            raise UnknownFunction(f"unknown function {name!r}")\n',
+        ""),
     "vpow-takes-stride-0-shortcuts": (
         "src/canonoid/expr.py",
         "return np.power(a, b if b.strides[0] else b.copy())",
@@ -212,6 +219,16 @@ MUTANTS = {
         "src/canonoid/cli.py",
         '"seed": (int, "SEED", "override the config\'s seed"),',
         '"seed": (float, "SEED", "override the config\'s seed"),'),
+    # only the structural checks read the samples, drawn on first read
+    "jets-drawn-eagerly": (
+        "src/canonoid/cli.py",
+        "    results = {}\n",
+        "    cfg.jets\n    results = {}\n"),
+    # the trace table is the last stack's, recomputed for another stack
+    "trace-table-never-refreshed": (
+        "src/canonoid/cli.py",
+        "if X is not last[0]:",
+        "if last[0] is None:"),
     "check-runs-every-check": (
         "src/canonoid/cli.py",
         "names = [c for c in cfg.checks if c in STRUCTURAL_CHECKS]",
