@@ -68,6 +68,7 @@ try:
     import getopt
     import json
     import math
+    import operator
     import os
     import sys
     import time
@@ -167,7 +168,7 @@ class Xorshift64Star:
     """Deterministic cross-platform sample generator."""
 
     def __init__(self, seed):
-        s = int(seed)
+        s = operator.index(seed)
         if not 0 <= s <= _MASK64:
             # masked to 64 bits, two seeds would draw one sample set
             raise ValueError(f"seed {s} outside 0..2^64-1")

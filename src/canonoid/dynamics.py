@@ -181,7 +181,7 @@ def integrate(g, H, x0, t_span, steps, method="rk4",
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    steps = int(steps)
+    steps = operator.index(steps)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     t0, t1 = (float(t_span[0]), float(t_span[1]))

@@ -30,11 +30,12 @@ for bit.  call_function() writes a formula the same way, but each
 field it calls stays a call of a function passed at run time, so its
 text holds no expression: the Dormand-Prince attempt.
 
-Domain checks are masks over the stack (inline tests in a float
-text): a DomainError names the subexpression and the first failing row.
-Overflow from finite input in a power, exp, sinh or cosh is a
-DomainError too, while a product or sum that overflows gives inf, as
-float arithmetic does, for the callers' finiteness guards to report.
+Domain checks, a constant operand's too, are written into the text, as
+masks over the stack (inline tests in a float text), and emitting
+raises none: a DomainError names the subexpression and the first
+failing row.  Overflow from finite input in a power, exp, sinh or cosh
+is a DomainError too, while a product or sum that overflows gives inf,
+as float arithmetic does, for the callers' finiteness guards to report.
 The stacked sweep runs under quiet(), so it never prints numpy
 floating-point warnings; a float function runs under its caller's
 error state, as the integrators set it.
@@ -380,7 +381,8 @@ def parse(source, chart_vars):
 # float() around numpy's ufuncs, which libm's differ from in the last
 # bit.  So both give the numbers of a row bit for bit.
 #
-# The text keeps every check and the values that its result or a check
+# The text keeps every check, a constant operand's too, so emitting
+# raises no DomainError, and the values that its result or a check
 # reads; it drops every other value.
 #
 # A structurally zero partial is 0.0 even at non-finite input, where the
@@ -640,12 +642,10 @@ class _Emitter:
                     for ij in self.pairs(a1, b1)))
 
     def _div(self, node, a, b):
-        if type(b) is float:
-            if b == 0.0:
-                raise _domain_error("division by zero", node, 0)
-        else:
-            self.check(f"{b[0]} == 0.0", "division by zero", node)
         (av, a1, a2), (bv, b1, b2) = self.as_jet(a), self.as_jet(b)
+        # no test of a nonzero constant divisor, as in each RK4 stage of p1^2/2
+        if type(b) is not float or b == 0.0:
+            self.check(f"{bv} == 0.0", "division by zero", node)
         q = self.let(f"({av} / {bv})")
         q1 = self.partials(
             (i, _over(_minus(a1.get(i), self.times(b1.get(i), q)), bv))
@@ -658,7 +658,7 @@ class _Emitter:
     def _pow(self, node, a, b):
         if type(b) is float:
             return self._pow_const(node, a, b)
-        return self._pow_var(node, a, b)
+        return self._pow_var(node, self.as_jet(a), b)
 
     def power(self, v, e):
         """Text of v**e for a constant e; numpy squares at e = 2."""
@@ -690,38 +690,24 @@ class _Emitter:
         return self.chain(a, val, c1, c2)
 
     def _pow_var(self, node, a, b):
-        """a^b for a variable exponent b; a is a jet or a float base.
+        """a^b for a variable exponent b, a constant base a as its jet.
 
         Values follow real powers: an integer-valued exponent allows any
         base but 0 with a negative exponent.  Derivatives in the exponent
         need a positive base everywhere."""
-        bv, b1, b2 = b
+        av, bv = a[0], b[0]
         if not self.order:
-            av = self.as_jet(a)[0]
             self.call("powcheck", av, bv,
                       self.error("division by zero", node),
                       self.error("non-integer power of a non-positive base",
                                  node))
             return self.vpow(node, av, bv), {}, {}
-        if type(a) is float:
-            av = self.const(a)
-            if a <= 0.0:
-                self.call("fail", self.error(
-                    "variable power of a non-positive base", node))
-                return av, {}, {}
-            # p = b log a
-            log_a = self.const(float(np.log(a)))
-            p = (None, *[self.partials((k, self.times(x, log_a))
-                                       for k, x in d.items())
-                         for d in (b1, b2)])
-        else:
-            av = a[0]
-            self.check(f"{av} <= 0.0", "variable power of a non-positive base",
-                       node)
-            c2 = (self.let(f"(-1.0 / ({av} * {av}))") if self.order == 2
-                  else None)
-            p = self._mul(node, b, self.chain(a, self.let(f"log({av})"),
-                                              self.let(f"(1.0 / {av})"), c2))
+        self.check(f"{av} <= 0.0", "variable power of a non-positive base",
+                   node)
+        c2 = self.let(f"(-1.0 / ({av} * {av}))") if self.order == 2 else None
+        # p = b log a
+        p = self._mul(node, b, self.chain(a, self.let(f"log({av})"),
+                                          self.let(f"(1.0 / {av})"), c2))
         # a^b = exp(p); every derivative of exp is the value
         val = self.vpow(node, av, bv)
         return self.chain(p, val, val, val if self.order == 2 else None)
@@ -801,8 +787,8 @@ def _fail(what):
 
 
 def _rows_check(bad, what):
-    """Raise at the first row where the mask bad is set."""
-    if bad.any():
+    """Raise at the first row where bad is set, row 0 for one bool."""
+    if np.any(bad):
         raise _domain_error(*what, int(np.argmax(bad)))
 
 
@@ -847,7 +833,7 @@ _ARRAYS = {
     **{name: getattr(np, name) for name in _DERIVATIVES},
     "pw": operator.pow, "vpow": _vpow,
     "check": _rows_check, "overflow": _rows_overflow,
-    "powcheck": _rows_power_domain, "fail": _fail,
+    "powcheck": _rows_power_domain,
 }
 _FLOATS = {
     **{name: _on_floats(getattr(np, name)) for name in _DERIVATIVES},

@@ -50,6 +50,7 @@ reaches the caller's residual fold instead of a floating-point warning.
 """
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -87,7 +88,7 @@ class InvolutionResult(expr.Record):
 
 
 def _check_kmax(kmax):
-    k = int(kmax)
+    k = operator.index(kmax)
     if k < 1 or k > KMAX_LIMIT:
         raise ValueError(f"kmax must be in 1..{KMAX_LIMIT}, got {kmax}")
     return k
@@ -240,7 +241,7 @@ def lenard_identity_residual(F, x, kmax):
     the matrix-jet route.  The identity is unconditional, so any
     nonzero residual beyond rounding exposes a derivative bug.
     """
-    kmax = int(kmax)
+    kmax = operator.index(kmax)
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     if kmax + 1 > KMAX_LIMIT:

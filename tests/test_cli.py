@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import canonoid
-from canonoid import cli, expr, stensor, transform
+from canonoid import cli, dynamics, expr, stensor, transform
 from canonoid.cli import (CHECK_NAMES, DEFAULT_TOLERANCES, STRUCTURAL_CHECKS,
                           CheckError, ConfigError, Xorshift64Star,
                           draw_samples, load_config, validate_config)
@@ -91,6 +91,29 @@ def test_prng_rejects_seeds_beyond_64_bits():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="seed"):
             Xorshift64Star(seed)
+
+
+SYMP1 = GeometryKind("symplectic", 1)
+IDENTITY_MAP = transform.TransformMap.identity(SYMP1)
+# the entries that take a count, each called with it
+COUNT_ENTRIES = {
+    "integrate-steps": lambda n: dynamics.integrate(
+        SYMP1, SYMP1.parse("p1^2/2"), [1.0, 0.0], (0.0, 1.0), n),
+    "trace-powers-kmax": lambda n: stensor.trace_powers(
+        IDENTITY_MAP, [0.1, 0.2], n),
+    "lenard-kmax": lambda n: stensor.lenard_identity_residual(
+        IDENTITY_MAP, [0.1, 0.2], n),
+    "prng-seed": Xorshift64Star,
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES.values(), ids=COUNT_ENTRIES)
+def test_a_count_is_an_integer_not_a_truncated_float(entry):
+    # a numpy integer is a count; 2.7 is not 2
+    entry(2)
+    entry(np.int64(2))
+    with pytest.raises(TypeError):
+        entry(2.7)
 
 
 def test_prng_uniform_range_and_vectors():

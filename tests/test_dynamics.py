@@ -558,6 +558,16 @@ def test_error_ratio_keeps_numpy_semantics(data, d, rtol, atol):
 # drift_report
 
 
+def test_drift_report_refuses_no_states_and_a_misshapen_observable():
+    empty = dynamics.Trajectory(times=np.empty(0), states=np.empty((0, 2)))
+    with pytest.raises(ValueError, match="^trajectory has no states$"):
+        drift_report(empty, [])
+    traj = integrate(SYMP1, HARMONIC, [1.0, 0.0], (0.0, 1.0), 10)
+    with pytest.raises(ValueError, match=re.escape(
+            "observable 'X' gave shape (11, 2) for 11 states")):
+        drift_report(traj, [("X", lambda X: X)])
+
+
 def test_free_particle_traces_exactly_conserved():
     g = SYMP1
     F = TransformMap.parse(g, ["q1", "p1^3/3"])

@@ -20,6 +20,7 @@ from canonoid.expr import (
     Add, Call, Const, Div, DomainError, Mul, Neg, Pow, Sub, UnknownFunction,
     UnknownVariable, Var,
 )
+from canonoid.geometry import GeometryKind, point_field
 
 GRAD_RTOL = 1e-6
 HESS_RTOL = 1e-4
@@ -407,6 +408,7 @@ ROUND_TRIP_CORPUS = [
     "(q1 + 2)*(p1 - 3)",
     "2*3 - 4/5",
     "q1^2 - -p1",
+    "p1^2/2   ",
 ]
 
 
@@ -863,13 +865,20 @@ def test_order_two_rules_keep_their_float_association(rule):
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_a_constant_zero_divisor_is_a_domain_error_at_every_order(order):
-    # the divisor folds to the constant 0.0 while the sweep is emitted
+    # the divisor folds to the constant 0.0 while the sweep is emitted,
+    # and its check fails at row 0 when the text runs, not before
     e = expr.parse("q1/(2-2)", ["q1", "p1"])
     for x in ([1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]]):
         with pytest.raises(DomainError,
                            match=r"^division by zero in 'q1/\(2\.0-2\.0\)' "
                                  r"at row 0$"):
             expr.jet(e, x, order)
+    expr._sweep(expr.parse("q1/0", ["q1"]), order)
+    g = GeometryKind("symplectic", 1)
+    field = point_field(g, g.parse("p1/0 + q1"))
+    with pytest.raises(DomainError,
+                       match=r"^division by zero in 'p1/0\.0' at row 0$"):
+        field([1.0, 2.0])
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

@@ -192,6 +192,16 @@ MUTANTS = {
         "        if name not in _DERIVATIVES:\n"
         '            raise UnknownFunction(f"unknown function {name!r}")\n',
         ""),
+    # a constant operand's check sits in the text, as a variable's does
+    "div-zero-constant-unchecked": (
+        "src/canonoid/expr.py",
+        "if type(b) is not float or b == 0.0:",
+        "if type(b) is not float:"),
+    "vpow-base-unchecked": (
+        "src/canonoid/expr.py",
+        '        self.check(f"{av} <= 0.0", '
+        '"variable power of a non-positive base",\n                   node)\n',
+        ""),
     "vpow-takes-stride-0-shortcuts": (
         "src/canonoid/expr.py",
         "return np.power(a, b if b.strides[0] else b.copy())",

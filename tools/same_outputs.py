@@ -15,9 +15,8 @@ largest absolute and relative difference among them.
 
 Then it runs the error-path jobs of ERROR_JOBS the same way, once each:
 no benchmark job reaches an error path, yet a change to one shows in its
-exit code and standard error.  A job with prior entries finds them in a
-check.json written under its config's hash, which `report` must ignore.
-A usage-error job gives its own command line in place of the command.
+exit code and standard error.  A usage-error job gives its own command
+line in place of the command.
 
 Jobs run from a scratch directory with relative paths, so a path that
 reaches an error message reads the same for both trees.  A job that runs
@@ -63,70 +62,67 @@ _IDENTITY = {"q1": "q1", "p1": "p1"}
 _CUBIC = {"q1": "q1", "p1": "p1^3/3"}
 # its Lagrange brackets overflow to inf
 _HUGE = {"q1": "1e200*q1", "p1": "1e200*p1"}
-# (name, command or command line, config, entries of a prior check.json
-# or None); {config} and {out} in a command line are the job's paths
+# (name, command or command line, config); {config} and {out} in a
+# command line are the job's paths
 ERROR_JOBS = [
     # q' = -q^2 from q = -1 blows up at t = 1
     ("integrate-step-underflow", "integrate",
-     _n1_config("-p1*q1^2", _IDENTITY, ["traces"], "rk45-adaptive"), None),
+     _n1_config("-p1*q1^2", _IDENTITY, ["traces"], "rk45-adaptive")),
     ("integrate-overflow", "integrate",
-     _n1_config("-p1*q1^2", _IDENTITY, ["traces"]), None),
-    ("report-bare-prior-pass", "report",
-     _n1_config("p1^2/2", _CUBIC, ["canonical"]),
-     {"canonical": {"verdict": "pass"}}),
+     _n1_config("-p1*q1^2", _IDENTITY, ["traces"])),
+    ("report-canonical-fail", "report",
+     _n1_config("p1^2/2", _CUBIC, ["canonical"])),
     ("invariants-non-finite-trace", "invariants",
-     _n1_config("p1^2/2", {"q1": "1e100*q1", "p1": "1e100*p1"}, ["traces"]),
-     None),
+     _n1_config("p1^2/2", {"q1": "1e100*q1", "p1": "1e100*p1"}, ["traces"])),
     ("check-overflowing-component", "check",
      _n1_config("p1^2/2", {"q1": "q1", "p1": "p1*1e200*1e200*q1"},
-                ["canonical", "torsion", "lie_derivative"]), None),
+                ["canonical", "torsion", "lie_derivative"])),
     # the drift slope of trace series that never move, at extreme spans
     ("invariants-tiny-span", "invariants",
-     _n1_config("p1^2/2", _CUBIC, ["traces"], t_span=(0, 1e-300)), None),
+     _n1_config("p1^2/2", _CUBIC, ["traces"], t_span=(0, 1e-300))),
     ("invariants-huge-span", "invariants",
-     _n1_config("p1^2/2", _CUBIC, ["traces"], t_span=(0, 1e300)), None),
+     _n1_config("p1^2/2", _CUBIC, ["traces"], t_span=(0, 1e300))),
     # a range whose width hi - lo overflows
     ("check-overflowing-box", "check",
      _n1_config("p1^2/2", _CUBIC, ["canonical"],
-                q1_range=(-1e308, 1e308)), None),
+                q1_range=(-1e308, 1e308))),
     # an infinite pulled-back coframe, which no SVD may see
     ("report-contact-canonoid-infinite-coframe", "report",
-     _n1_config("p1^2/2 + z", {**_HUGE, "z": "1e200*z"}, ["canonoid"]),
-     None),
+     _n1_config("p1^2/2 + z", {**_HUGE, "z": "1e200*z"}, ["canonoid"])),
     # an infinite Lagrange x-block, with finite trace gradients
     ("report-involution-infinite-lagrange-block", "report",
-     {**_n1_config("p1^2/2", _HUGE, ["involution"]), "kmax": 1}, None),
+     {**_n1_config("p1^2/2", _HUGE, ["involution"]), "kmax": 1}),
     # each check on its way to a non-finite residual, warning-free
     *((f"huge-{c}", "invariants" if c == "traces" else "report",
-       _n1_config("p1^2/2", _HUGE, [c]), None)
+       _n1_config("p1^2/2", _HUGE, [c]))
       for c in ("canonical", "canonoid", "traces", "torsion", "lenard",
                 "involution", "lie_derivative")),
     ("report-canonoid-overflowing-hamiltonian", "report",
-     _n1_config("1e308*p1^4", _CUBIC, ["canonoid"]), None),
+     _n1_config("1e308*p1^4", _CUBIC, ["canonoid"])),
     ("report-contact-canonical-huge", "report",
-     _n1_config("p1^2/2 + z", {**_HUGE, "z": "z"}, ["canonical"]), None),
+     _n1_config("p1^2/2 + z", {**_HUGE, "z": "z"}, ["canonical"])),
     # usage errors of the argv reader
     ("usage-unknown-option",
      ["check", "--config", "{config}", "--out", "{out}", "--bogus"],
-     _n1_config("p1^2/2", _CUBIC, ["canonical"]), None),
+     _n1_config("p1^2/2", _CUBIC, ["canonical"])),
     ("usage-kmax-not-an-integer",
      ["check", "--config", "{config}", "--out", "{out}", "--kmax", "2.5"],
-     _n1_config("p1^2/2", _CUBIC, ["canonical"]), None),
+     _n1_config("p1^2/2", _CUBIC, ["canonical"])),
     ("usage-missing-config", ["check", "--out", "{out}"],
-     _n1_config("p1^2/2", _CUBIC, ["canonical"]), None),
+     _n1_config("p1^2/2", _CUBIC, ["canonical"])),
 ]
 
 
 def all_jobs():
-    """(job directory, command, config, prior check.json entries or None)
-    for every job of every workload and seed, then the error-path jobs."""
+    """(job directory, command, config) for every job of every workload
+    and seed, then the error-path jobs."""
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             for job in workloads.jobs(workload, seed):
                 yield (f"{workload}/seed{seed}/{job.name}", job.command,
-                       job.config, None)
-    for name, command, config, prior in ERROR_JOBS:
-        yield f"errors/{name}", command, config, prior
+                       job.config)
+    for name, command, config in ERROR_JOBS:
+        yield f"errors/{name}", command, config
 
 
 def run_tree(tree, work):
@@ -143,19 +139,10 @@ def run_tree(tree, work):
     if not where or not Path(where).resolve().is_relative_to(src):
         sys.exit(f"canonoid of {tree} loaded from {where!r}, not {src}")
     results = {}
-    for name, command, data, prior in all_jobs():
+    for name, command, data in all_jobs():
         (work / name).mkdir(parents=True)
         config = f"{name}/config.json"
         (work / config).write_text(json.dumps(data, indent=1))
-        if prior is not None:
-            config_hash = subprocess.run(
-                [sys.executable, "-c", "import sys; from canonoid.cli import "
-                 "load_config; print(load_config(sys.argv[1])[1])", config],
-                cwd=work, env=env, capture_output=True, text=True,
-                check=True).stdout.strip()
-            (work / name / "out").mkdir()
-            (work / name / "out" / "check.json").write_text(json.dumps(
-                {"config_hash": config_hash, "checks": prior}))
         if isinstance(command, str):
             command = [command, "--config", "{config}", "--out", "{out}"]
         args = [a.format(config=config, out=f"{name}/out") for a in command]
